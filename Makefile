@@ -39,9 +39,10 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck .
 
-# serve-smoke boots quantserve on a synthetic model, exercises /healthz and
-# /predict over real HTTP, and checks it exits cleanly on SIGTERM — an
-# end-to-end probe of the serving binary that needs no model file.
+# serve-smoke boots quantserve on a synthetic model, exercises /v1/healthz,
+# /v1/predict, /v1/stats and /v1/forecast over real HTTP, and checks it exits
+# cleanly on SIGTERM — an end-to-end probe of the serving binary that needs no
+# model file.
 SERVE_SMOKE_ADDR ?= 127.0.0.1:18123
 serve-smoke:
 	@mkdir -p out
@@ -49,19 +50,19 @@ serve-smoke:
 	@./out/quantserve -smoke -addr $(SERVE_SMOKE_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT; \
 	ok=0; for i in $$(seq 1 50); do \
-		curl -sf http://$(SERVE_SMOKE_ADDR)/healthz >/dev/null 2>&1 && { ok=1; break; }; \
+		curl -sf http://$(SERVE_SMOKE_ADDR)/v1/healthz >/dev/null 2>&1 && { ok=1; break; }; \
 		sleep 0.1; done; \
 	[ $$ok = 1 ] || { echo "serve-smoke: server never came up"; exit 1; }; \
-	curl -sf http://$(SERVE_SMOKE_ADDR)/healthz | grep -q '"status":"ok"' || \
-		{ echo "serve-smoke: bad /healthz"; exit 1; }; \
-	curl -sf -X POST http://$(SERVE_SMOKE_ADDR)/predict \
+	curl -sf http://$(SERVE_SMOKE_ADDR)/v1/healthz | grep -q '"status":"ok"' || \
+		{ echo "serve-smoke: bad /v1/healthz"; exit 1; }; \
+	curl -sf -X POST http://$(SERVE_SMOKE_ADDR)/v1/predict \
 		-d '{"matrix":[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]}' | grep -q '"class"' || \
-		{ echo "serve-smoke: bad /predict"; exit 1; }; \
-	curl -sf http://$(SERVE_SMOKE_ADDR)/stats | grep -q 'serve/requests' || \
-		{ echo "serve-smoke: bad /stats"; exit 1; }; \
-	curl -sf -X POST http://$(SERVE_SMOKE_ADDR)/forecast \
+		{ echo "serve-smoke: bad /v1/predict"; exit 1; }; \
+	curl -sf http://$(SERVE_SMOKE_ADDR)/v1/stats | grep -q 'serve/requests' || \
+		{ echo "serve-smoke: bad /v1/stats"; exit 1; }; \
+	curl -sf -X POST http://$(SERVE_SMOKE_ADDR)/v1/forecast \
 		-d '{"history":[[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]],[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]],[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]]}' \
-		| grep -q '"lead_windows"' || { echo "serve-smoke: bad /forecast"; exit 1; }; \
+		| grep -q '"lead_windows"' || { echo "serve-smoke: bad /v1/forecast"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || { echo "serve-smoke: unclean exit"; exit 1; }; \
 	trap - EXIT; echo "serve-smoke: OK"
 

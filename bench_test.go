@@ -386,9 +386,10 @@ func BenchmarkKernelModelPredict(b *testing.B) {
 	ds := syntheticDataset(1)
 	m := ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 1})
 	vecs := ds.Samples[0].Vectors
+	dst := make([]float64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(vecs)
+		m.ProbsInto(dst, vecs)
 	}
 }
 
@@ -409,8 +410,8 @@ func benchFramework() (*quant.Framework, []quant.WindowMatrix) {
 }
 
 // BenchmarkFrameworkPredict measures 32 windows classified one Predict call
-// at a time — the pre-serving baseline an inference server would otherwise
-// pay per batch.
+// at a time — a batch of one each plus a copy of its probabilities, the cost
+// a caller pays without batching.
 func BenchmarkFrameworkPredict(b *testing.B) {
 	fw, mats := benchFramework()
 	b.ResetTimer()

@@ -125,12 +125,8 @@ func batch(p *predictor) {
 		}
 		cm.Add(s.Label, class)
 	}
-	names := make([]string, p.bins.Classes())
-	for c := range names {
-		names[c] = p.bins.Name(c)
-	}
 	fmt.Printf("scored %d windows from %s\n\n", ds.Len(), *dataPath)
-	fmt.Print(cm.Render(names))
+	fmt.Print(cm.Render(p.bins.Names()))
 }
 
 // online runs a fresh scenario and prints a prediction per window.

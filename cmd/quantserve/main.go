@@ -1,20 +1,20 @@
 // Command quantserve exposes a framework trained by `quanttrain -save` as a
 // concurrent HTTP inference service — the deployment shape of the paper's
-// Figure 2 runtime path. Concurrent /predict requests are transparently
+// Figure 2 runtime path. Concurrent /v1/predict requests are transparently
 // batched through one deterministic PredictBatch call; answers are
 // bit-identical to standalone prediction regardless of batch composition.
 //
 // Usage:
 //
 //	quantserve -model fw.json -addr :8080
-//	curl -s localhost:8080/predict -d '{"matrix": [[...], ...]}'
+//	curl -s localhost:8080/v1/predict -d '{"matrix": [[...], ...]}'
 //
-// SIGHUP (or POST /admin/reload) hot-swaps the model file without dropping
+// SIGHUP (or POST /v1/admin/reload) hot-swaps the model file without dropping
 // in-flight requests; SIGINT/SIGTERM drain gracefully. -smoke trains a tiny
 // synthetic model in-process and serves it — used by `make serve-smoke`.
 //
 // -forecast additionally serves a forecaster file (core.SaveForecaster /
-// forecast.Save) on /forecast: POST a history of window matrices, get the
+// forecast.Save) on /v1/forecast: POST a history of window matrices, get the
 // predicted slowdown class per horizon plus the lead to degradation. -smoke
 // trains a tiny forecaster too, so the smoke server answers both endpoints.
 package main
@@ -40,7 +40,7 @@ import (
 
 var (
 	model       = flag.String("model", "framework.json", "framework file from quanttrain -save")
-	forecastF   = flag.String("forecast", "", "optional forecaster file; enables /forecast")
+	forecastF   = flag.String("forecast", "", "optional forecaster file; enables /v1/forecast")
 	addr        = flag.String("addr", ":8080", "listen address")
 	maxBatch    = flag.Int("max-batch", 32, "max predictions per batch")
 	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long to gather a batch")

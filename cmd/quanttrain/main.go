@@ -79,12 +79,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	names := make([]string, bins.Classes())
-	for c := range names {
-		names[c] = bins.Name(c)
-	}
 	fmt.Println()
-	fmt.Print(cm.Render(names))
+	fmt.Print(cm.Render(bins.Names()))
 	if *savePath != "" {
 		if err := fw.Save(*savePath); err != nil {
 			fatal(err)

@@ -53,9 +53,10 @@ func syntheticFramework(tb testing.TB, nTargets, nFeat, classes int) (*Framework
 	return fw, mats
 }
 
-// TestPredictBatchMatchesPredict pins the batching contract: for any batch
-// composition, every input's class and probability bits equal a lone Predict
-// call, and the steady state allocates nothing.
+// TestPredictBatchMatchesPredict pins the batching contract: an input's class
+// and probability bits do not depend on the batch it arrives in, Predict
+// returns probabilities the caller owns, and the steady state allocates
+// nothing.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	fw, mats := syntheticFramework(t, 3, 5, 2)
 	if c := fw.Classes(); c != 2 {
@@ -64,26 +65,36 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	if nT, nF := fw.Dims(); nT != 3 || nF != 5 {
 		t.Fatalf("Dims() = %d, %d", nT, nF)
 	}
+	// Reference: every input classified on its own.
+	wantCls := make([]int, len(mats))
+	wantProbs := make([][]float64, len(mats))
+	for m, mat := range mats {
+		wantCls[m], wantProbs[m] = fw.Predict(mat)
+	}
 	for _, size := range []int{1, 5, 32, len(mats)} {
 		batch := mats[:size]
 		cls, probs := fw.PredictBatch(batch)
 		if len(cls) != size || len(probs) != size {
 			t.Fatalf("size %d: got %d classes, %d prob rows", size, len(cls), len(probs))
 		}
-		for m, mat := range batch {
-			wantCls, wantProbs := fw.Predict(mat)
-			// Re-run the batch: Predict and PredictBatch share no scratch,
-			// but probs rows from the earlier call are now stale.
-			cls, probs = fw.PredictBatch(batch)
-			if cls[m] != wantCls {
-				t.Fatalf("size %d input %d: batch class %d != Predict %d", size, m, cls[m], wantCls)
+		for m := range batch {
+			if cls[m] != wantCls[m] {
+				t.Fatalf("size %d input %d: batch class %d != alone %d", size, m, cls[m], wantCls[m])
 			}
-			for i := range wantProbs {
-				if math.Float64bits(probs[m][i]) != math.Float64bits(wantProbs[i]) {
-					t.Fatalf("size %d input %d prob %d: %v != %v",
-						size, m, i, probs[m][i], wantProbs[i])
+			for i := range wantProbs[m] {
+				if math.Float64bits(probs[m][i]) != math.Float64bits(wantProbs[m][i]) {
+					t.Fatalf("size %d input %d prob %d: %v != alone %v",
+						size, m, i, probs[m][i], wantProbs[m][i])
 				}
 			}
+		}
+	}
+	// Predict's probabilities survive later batches on the same framework.
+	_, kept := fw.Predict(mats[0])
+	fw.PredictBatch(mats[1:])
+	for i := range kept {
+		if math.Float64bits(kept[i]) != math.Float64bits(wantProbs[0][i]) {
+			t.Fatalf("prob %d of an earlier Predict changed to %v after PredictBatch", i, kept[i])
 		}
 	}
 	// Shrinking then regrowing the batch must reuse scratch: zero allocations.

@@ -152,24 +152,11 @@ func TrainFrameworkCtx(ctx context.Context, ds *dataset.Dataset, cfg FrameworkCo
 	return trainFramework(ctx, ds, cfg, opts)
 }
 
-// Predict classifies one raw (unscaled) window matrix.
+// Predict classifies one raw (unscaled) window matrix: a PredictBatch of one
+// whose probabilities are copied out, so the caller owns them.
 func (f *Framework) Predict(mat window.Matrix) (class int, probs []float64) {
-	scaled := make([][]float64, len(mat))
-	for t, vec := range mat {
-		v := append([]float64(nil), vec...)
-		for i := range v {
-			v[i] = (v[i] - f.Scaler.Mean[i]) / f.Scaler.Std[i]
-		}
-		scaled[t] = v
-	}
-	probs = f.Model.Probs(scaled)
-	class = 0
-	for i := range probs {
-		if probs[i] > probs[class] {
-			class = i
-		}
-	}
-	return class, probs
+	cls, ps := f.PredictBatch([]window.Matrix{mat})
+	return cls[0], append([]float64(nil), ps[0]...)
 }
 
 // batchScratch holds PredictBatch's reusable buffers: scaled input rows, the
@@ -183,15 +170,14 @@ type batchScratch struct {
 }
 
 // PredictBatch classifies a batch of raw window matrices in one call,
-// amortizing scaling and softmax scratch across the batch and using the
-// model's cache-free inference path (ml.BatchPredictor) when available. Per
-// input, the class and probability bits are identical to calling Predict in
-// a loop — batching is purely a throughput optimization, so a server may
+// amortizing scaling and softmax scratch across the batch. Each input is
+// scaled and run through the model's ProbsInto on its own, so its class and
+// probability bits do not depend on the batch it arrived in — a server may
 // group concurrent requests arbitrarily without changing any answer.
 //
 // The returned slices (and the probability rows) are owned by the Framework
-// and valid until its next PredictBatch call; callers that retain results
-// must copy them. Like Predict, PredictBatch must not be called from
+// and valid until its next PredictBatch or Predict call; callers that retain
+// results must copy them. Like Predict, PredictBatch must not be called from
 // multiple goroutines concurrently.
 func (f *Framework) PredictBatch(mats []window.Matrix) ([]int, [][]float64) {
 	classes := f.Classes()
@@ -203,9 +189,8 @@ func (f *Framework) PredictBatch(mats []window.Matrix) ([]int, [][]float64) {
 	}
 	cls := b.cls[:len(mats)]
 	probs := b.probs[:len(mats)]
-	bp, _ := f.Model.(ml.BatchPredictor)
 	for m, mat := range mats {
-		// Scale into reused rows with exactly Predict's arithmetic.
+		// Scale into reused rows.
 		if cap(b.scaled) < len(mat) {
 			b.scaled = append(b.scaled, make([][]float64, len(mat)-cap(b.scaled))...)
 		}
@@ -220,14 +205,9 @@ func (f *Framework) PredictBatch(mats []window.Matrix) ([]int, [][]float64) {
 			}
 			scaled[t] = v
 		}
-		dst := b.pback[m*classes : (m+1)*classes]
-		if bp != nil {
-			bp.ProbsInto(dst, scaled)
-		} else {
-			copy(dst, f.Model.Probs(scaled))
-		}
+		dst := f.Model.ProbsInto(b.pback[m*classes:(m+1)*classes], scaled)
 		probs[m] = dst
-		// Same argmax tie-breaking as Predict.
+		// Argmax, lowest class on ties.
 		class := 0
 		for i := range dst {
 			if dst[i] > dst[class] {

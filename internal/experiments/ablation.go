@@ -49,8 +49,8 @@ func AblationArchitecture(ds *dataset.Dataset, cfg DatasetConfig, epochs int) *A
 	return &AblationResult{
 		Name: "kernel-based vs flat MLP",
 		Evals: []*ModelEval{
-			TrainEvalWith("kernel-based (paper)", ds, cfg.Bins, epochs, cfg.Seed, false),
-			TrainEvalWith("flat MLP baseline", ds, cfg.Bins, epochs, cfg.Seed, true),
+			TrainEval("kernel-based (paper)", ds, cfg.Bins, epochs, cfg.Seed),
+			TrainEvalWith("flat MLP baseline", ds, cfg.Bins, epochs, cfg.Seed, newFlatModel),
 		},
 	}
 }

@@ -260,24 +260,21 @@ func caseStudyRunPredictive(cfg CaseStudyConfig, fw *core.Framework) (sim.Time, 
 	cl, start, interfBytes, done, _ := caseStudySetup(cfg, true, func(rec workload.Record) {
 		ctrl.Record(rec)
 	})
-	victims := make([]*lustre.Client, 0, len(interferenceNodesCS))
+	victims := make([]mitigate.Victim, 0, len(interferenceNodesCS))
 	for _, node := range interferenceNodesCS {
-		victims = append(victims, cl.FS.Client(node))
+		victims = append(victims, mitigate.Victim{Client: cl.FS.Client(node)})
 	}
-	ctrl, err := mitigate.New(cl, fw, victims, sim.Second, mitigate.Config{
-		ThrottleBps: cfg.ThrottleBps,
-	})
+	policy, err := mitigate.NewReactiveThrottle()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: mitigation policy: %v", err))
+	}
+	ctrl, err = mitigate.NewController(cl, fw, victims, sim.Second, policy,
+		mitigate.WithThrottleBps(cfg.ThrottleBps))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: mitigation controller: %v", err))
 	}
 	start()
 	cl.Eng.RunUntil(600 * sim.Second)
 	ctrl.Stop()
-	engagements := 0
-	for _, a := range ctrl.Actions() {
-		if a.Switched && a.Engaged {
-			engagements++
-		}
-	}
-	return *done, float64(*interfBytes) / 1e6, engagements
+	return *done, float64(*interfBytes) / 1e6, ctrl.Engagements()
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"quanterference/internal/core"
 	"quanterference/internal/dataset"
-	"quanterference/internal/label"
 	"quanterference/internal/ml"
 )
 
@@ -17,39 +15,11 @@ func ExtensionArchitectures(ds *dataset.Dataset, cfg DatasetConfig, epochs int) 
 	cfg.applyDefaults()
 	res := &AblationResult{Name: "architectures (incl. attention extension)"}
 	res.Evals = append(res.Evals,
-		TrainEvalWith("kernel-based (paper)", ds, cfg.Bins, epochs, cfg.Seed, false),
-		TrainEvalWith("flat MLP", ds, cfg.Bins, epochs, cfg.Seed, true),
-		trainEvalAttention("self-attention (future work)", ds, cfg.Bins, epochs, cfg.Seed),
+		TrainEval("kernel-based (paper)", ds, cfg.Bins, epochs, cfg.Seed),
+		TrainEvalWith("flat MLP", ds, cfg.Bins, epochs, cfg.Seed, newFlatModel),
+		TrainEvalWith("self-attention (future work)", ds, cfg.Bins, epochs, cfg.Seed, newAttentionModel),
 	)
 	return res
-}
-
-func trainEvalAttention(name string, ds *dataset.Dataset, bins label.Bins, epochs int, seed int64) *ModelEval {
-	if bins.Thresholds == nil {
-		bins = label.BinaryBins()
-	}
-	classNames := make([]string, bins.Classes())
-	for c := range classNames {
-		classNames[c] = bins.Name(c)
-	}
-	train, test := ds.Split(0.2, seed^0x5717)
-	_, cm := mustTrain(ds, core.FrameworkConfig{
-		Bins: bins, Seed: seed,
-		Train: ml.TrainConfig{Epochs: epochs, Seed: seed},
-		NewModel: func(nTargets, nFeat, classes int, s int64) ml.Model {
-			return ml.NewAttentionModel(ml.AttentionConfig{
-				NTargets: nTargets, NFeat: nFeat, Classes: classes, Seed: s,
-			})
-		},
-	})
-	return &ModelEval{
-		Name:        name,
-		ClassNames:  classNames,
-		Confusion:   cm,
-		TrainCounts: train.ClassCounts(),
-		TestCounts:  test.ClassCounts(),
-		Samples:     ds.Len(),
-	}
 }
 
 // RegressionResult compares the exact-slowdown regressor (an extension the
@@ -94,10 +64,6 @@ func ExtensionRegression(ds *dataset.Dataset, cfg DatasetConfig, epochs int) *Re
 		epochs = 60
 	}
 	bins := cfg.Bins
-	classNames := make([]string, bins.Classes())
-	for c := range classNames {
-		classNames[c] = bins.Name(c)
-	}
 	train, test := ds.Split(0.2, cfg.Seed^0x5717)
 	train, test = train.Copy(), test.Copy()
 	scaler := dataset.FitScaler(train)
@@ -108,19 +74,10 @@ func ExtensionRegression(ds *dataset.Dataset, cfg DatasetConfig, epochs int) *Re
 	ml.TrainRegressor(reg, train, ml.TrainConfig{Epochs: epochs, Seed: cfg.Seed})
 	ev := ml.EvaluateRegressor(reg, test, bins.Label, bins.Classes())
 
-	binned := &ModelEval{
-		Name:        "regressor (binned predictions)",
-		ClassNames:  classNames,
-		Confusion:   ev.Binned,
-		TrainCounts: train.ClassCounts(),
-		TestCounts:  test.ClassCounts(),
-		Samples:     ds.Len(),
-	}
-	classifier := TrainEval("classifier (paper)", ds, bins, epochs, cfg.Seed)
 	return &RegressionResult{
 		MAELog2:        ev.MAELog2,
 		RMSELog2:       ev.RMSELog2,
-		BinnedEval:     binned,
-		ClassifierEval: classifier,
+		BinnedEval:     newModelEval("regressor (binned predictions)", bins, ev.Binned, ds, train, test),
+		ClassifierEval: TrainEval("classifier (paper)", ds, bins, epochs, cfg.Seed),
 	}
 }

@@ -65,35 +65,51 @@ func (e *ModelEval) CSV() string {
 // TrainEval trains the paper's model on a dataset and evaluates it on the
 // held-out 20%, producing one panel.
 func TrainEval(name string, ds *dataset.Dataset, bins label.Bins, epochs int, seed int64) *ModelEval {
-	return TrainEvalWith(name, ds, bins, epochs, seed, false)
+	return TrainEvalWith(name, ds, bins, epochs, seed, nil)
 }
 
-// TrainEvalWith additionally selects the flat-MLP ablation baseline.
-func TrainEvalWith(name string, ds *dataset.Dataset, bins label.Bins, epochs int, seed int64, flat bool) *ModelEval {
+// TrainEvalWith trains the architecture newModel builds instead (nil is the
+// paper's kernel model; see core.FrameworkConfig.NewModel).
+func TrainEvalWith(name string, ds *dataset.Dataset, bins label.Bins, epochs int, seed int64,
+	newModel func(nTargets, nFeat, classes int, seed int64) ml.Model) *ModelEval {
 	if epochs == 0 {
 		epochs = 60
 	}
 	if bins.Thresholds == nil {
 		bins = label.BinaryBins()
 	}
-	classNames := make([]string, bins.Classes())
-	for c := range classNames {
-		classNames[c] = bins.Name(c)
-	}
 	train, test := ds.Split(0.2, seed^0x5717)
 	// TrainFramework re-splits identically (same seed), so counts match.
 	_, cm := mustTrain(ds, core.FrameworkConfig{
-		Bins: bins, Seed: seed, Flat: flat,
+		Bins: bins, Seed: seed, NewModel: newModel,
 		Train: ml.TrainConfig{Epochs: epochs, Seed: seed},
 	})
+	return newModelEval(name, bins, cm, ds, train, test)
+}
+
+// newModelEval assembles one panel from a confusion matrix and the train/test
+// split of ds it came from.
+func newModelEval(name string, bins label.Bins, cm *ml.Confusion, ds, train, test *dataset.Dataset) *ModelEval {
 	return &ModelEval{
 		Name:        name,
-		ClassNames:  classNames,
+		ClassNames:  bins.Names(),
 		Confusion:   cm,
 		TrainCounts: train.ClassCounts(),
 		TestCounts:  test.ClassCounts(),
 		Samples:     ds.Len(),
 	}
+}
+
+// newFlatModel and newAttentionModel are TrainEvalWith constructors for the
+// flat-MLP ablation baseline and the self-attention extension.
+func newFlatModel(nTargets, nFeat, classes int, seed int64) ml.Model {
+	return ml.NewFlatModel(nTargets, nFeat, classes, nil, seed)
+}
+
+func newAttentionModel(nTargets, nFeat, classes int, seed int64) ml.Model {
+	return ml.NewAttentionModel(ml.AttentionConfig{
+		NTargets: nTargets, NFeat: nFeat, Classes: classes, Seed: seed,
+	})
 }
 
 // Figure3a trains and tests the binary model on the IO500 dataset.

@@ -218,12 +218,7 @@ func (f *Forecaster) Predict(history []window.Matrix) (*Prediction, error) {
 				dst[j] = (row[j] - head.Scaler.Mean[j]) / head.Scaler.Std[j]
 			}
 		}
-		probs := make([]float64, classes)
-		if bp, ok := head.Model.(ml.BatchPredictor); ok {
-			bp.ProbsInto(probs, f.scaled)
-		} else {
-			copy(probs, head.Model.Probs(f.scaled))
-		}
+		probs := head.Model.ProbsInto(make([]float64, classes), f.scaled)
 		class := 0
 		for c := range probs {
 			if probs[c] > probs[class] {

@@ -137,3 +137,13 @@ func (b Bins) Name(class int) string {
 		return fmt.Sprintf("%g-%gx", b.Thresholds[class-1], b.Thresholds[class])
 	}
 }
+
+// Names renders every class in order, the row and column labels of a
+// confusion matrix.
+func (b Bins) Names() []string {
+	names := make([]string, b.Classes())
+	for c := range names {
+		names[c] = b.Name(c)
+	}
+	return names
+}

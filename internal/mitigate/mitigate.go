@@ -37,74 +37,11 @@ import (
 	"quanterference/internal/workload"
 )
 
-// EngageAlways makes the legacy Config throttle on every prediction,
-// including class 0 ("no degradation"). The zero value of Config.EngageClass
-// means "use the default" (class 1), so requesting class 0 through Config
-// needs this explicit sentinel. The sentinel lives only on this legacy
-// surface: the option-based policy constructors take WithEngageClass(0)
-// literally, no sentinel required.
-const EngageAlways = -1
-
-// ErrInvalidConfig reports a Config or PolicyOption set that the
+// ErrInvalidConfig reports a policy or controller option set that the
 // constructors refuse to run with — the mitigation sibling of
 // core.ErrInvalidScenario. Match with errors.Is; the returned error wraps it
-// with the offending field.
+// with the offending option.
 var ErrInvalidConfig = errors.New("mitigate: invalid config")
-
-// Config is the legacy knob surface for the reactive throttle, kept for
-// callers that predate the Policy interface. New code should construct a
-// policy (NewReactiveThrottle and friends) and use NewController, where an
-// explicit engage class 0 needs no sentinel. The zero Config is usable:
-// every field defaults.
-type Config struct {
-	// EngageClass is the minimum predicted class that triggers throttling
-	// (default 1: any >=2x prediction). Set EngageAlways (-1) to engage on
-	// class 0 too — the zero value is reserved for "default".
-	EngageClass int
-	// ThrottleBps is the per-client rate limit applied while engaged
-	// (default 10 MB/s).
-	ThrottleBps float64
-	// ReleaseAfter is how many consecutive clean windows end throttling
-	// (default 2, hysteresis against prediction flicker).
-	ReleaseAfter int
-}
-
-// validate rejects field values that defaulting used to paper over: only
-// EngageAlways (-1) is a legal negative EngageClass — a typo'd -5 used to be
-// silently rewritten to class 0, turning the controller into an
-// always-throttle one nobody asked for.
-func (c *Config) validate() error {
-	if c.EngageClass < EngageAlways {
-		return fmt.Errorf("%w: EngageClass %d (want a class >= 0, 0 for the default, or EngageAlways)",
-			ErrInvalidConfig, c.EngageClass)
-	}
-	if c.ThrottleBps < 0 {
-		return fmt.Errorf("%w: negative ThrottleBps %g", ErrInvalidConfig, c.ThrottleBps)
-	}
-	if c.ReleaseAfter < 0 {
-		return fmt.Errorf("%w: negative ReleaseAfter %d", ErrInvalidConfig, c.ReleaseAfter)
-	}
-	return nil
-}
-
-// applyDefaults resolves zero values and the EngageAlways sentinel into
-// concrete knobs. This is the only place the sentinel is interpreted: the
-// option-based constructors take explicit values (WithEngageClass(0) means
-// class 0, no dance). Kept on the legacy Config surface for compatibility.
-func (c *Config) applyDefaults() {
-	switch {
-	case c.EngageClass == 0:
-		c.EngageClass = 1
-	case c.EngageClass == EngageAlways:
-		c.EngageClass = 0
-	}
-	if c.ThrottleBps == 0 {
-		c.ThrottleBps = 10e6
-	}
-	if c.ReleaseAfter == 0 {
-		c.ReleaseAfter = 2
-	}
-}
 
 // Victim is one interfering client the controller can actuate on: Client
 // receives token-bucket rate limits when a verdict asks to throttle; Runner,
@@ -241,31 +178,6 @@ func NewController(cl *core.Cluster, fw *core.Framework, victims []Victim, windo
 		c.onWindow(cl.Eng.Now(), idx, mat)
 	})
 	return c, nil
-}
-
-// New attaches the legacy reactive-throttle controller — Config's sentinel
-// surface over NewController with a ReactiveThrottle policy. fw is the
-// trained framework; record must be wired into the protected workload's
-// Runner.OnRecord (use Record below); victims are the clients to throttle
-// when interference is predicted to hurt the protected application. A Config
-// that names an impossible engage class (any negative other than
-// EngageAlways) or negative rates returns an error wrapping
-// ErrInvalidConfig.
-func New(cl *core.Cluster, fw *core.Framework, victims []*lustre.Client, windowSize sim.Time, cfg Config) (*Controller, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg.applyDefaults()
-	policy, err := NewReactiveThrottle(
-		WithEngageClass(cfg.EngageClass), WithReleaseAfter(cfg.ReleaseAfter))
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]Victim, len(victims))
-	for i, vc := range victims {
-		vs[i] = Victim{Client: vc}
-	}
-	return NewController(cl, fw, vs, windowSize, policy, WithThrottleBps(cfg.ThrottleBps))
 }
 
 // Record is the client-monitor hook for the protected workload.

@@ -22,18 +22,11 @@ import (
 // exceeds 5.
 type thresholdModel struct{}
 
-func (thresholdModel) Probs(vectors [][]float64) []float64 {
+func (thresholdModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 	if vectors[0][0] > 5 {
-		return []float64{0.1, 0.9}
+		return append(dst[:0], 0.1, 0.9)
 	}
-	return []float64{0.9, 0.1}
-}
-func (m thresholdModel) Predict(vectors [][]float64) int {
-	p := m.Probs(vectors)
-	if p[1] > p[0] {
-		return 1
-	}
-	return 0
+	return append(dst[:0], 0.9, 0.1)
 }
 func (thresholdModel) LossAndGrad([][]float64, int, float64) float64 { return 0 }
 func (thresholdModel) Params() []nn.Param                            { return nil }
@@ -52,12 +45,17 @@ func stubFramework() *core.Framework {
 	}
 }
 
-// mustNew is New for tests with configs that must be valid.
-func mustNew(t *testing.T, cl *core.Cluster, fw *core.Framework, victims []*lustre.Client, windowSize sim.Time, cfg Config) *Controller {
+// mustNew attaches a reactive-throttle controller over the stub framework
+// that throttles victim, for tests whose options must be valid.
+func mustNew(t *testing.T, cl *core.Cluster, victim *lustre.Client, policyOpts []PolicyOption, opts ...ControllerOption) *Controller {
 	t.Helper()
-	ctrl, err := New(cl, fw, victims, windowSize, cfg)
+	policy, err := NewReactiveThrottle(policyOpts...)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewReactiveThrottle: %v", err)
+	}
+	ctrl, err := NewController(cl, stubFramework(), []Victim{{Client: victim}}, sim.Second, policy, opts...)
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
 	}
 	return ctrl
 }
@@ -75,11 +73,8 @@ func readRecord(windowIdx, seq int) workload.Record {
 
 func TestControllerEngagesAndReleases(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
-	fw := stubFramework()
 	victim := cl.FS.Client("c1")
-	ctrl := mustNew(t, cl, fw, []*lustre.Client{victim}, sim.Second, Config{
-		ThrottleBps: 1e6, ReleaseAfter: 2,
-	})
+	ctrl := mustNew(t, cl, victim, []PolicyOption{WithReleaseAfter(2)}, WithThrottleBps(1e6))
 	// Windows 0 and 1 look interfered (10 reads each); windows 2+ are
 	// clean (no records).
 	for w := 0; w < 2; w++ {
@@ -122,8 +117,7 @@ func TestControllerEngagesAndReleases(t *testing.T) {
 
 func TestControllerReEngages(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
-	ctrl := mustNew(t, cl, stubFramework(), []*lustre.Client{cl.FS.Client("c1")}, sim.Second,
-		Config{ReleaseAfter: 1})
+	ctrl := mustNew(t, cl, cl.FS.Client("c1"), []PolicyOption{WithReleaseAfter(1)})
 	// Hot window 0, clean 1, hot 2.
 	for s := 0; s < 10; s++ {
 		ctrl.Record(readRecord(0, s))
@@ -142,54 +136,40 @@ func TestControllerReEngages(t *testing.T) {
 	ctrl.Stop()
 }
 
-// Regression: EngageClass 0 used to be silently rewritten to 1 by
-// applyDefaults, making "engage on every prediction" impossible to request.
-// The EngageAlways sentinel now maps to a real threshold of 0 — and ONLY the
-// sentinel: any other negative value (a typo'd -5) used to silently become
-// the always-throttle configuration and must now be rejected.
-func TestEngageAlwaysSentinel(t *testing.T) {
-	cases := []struct {
-		name string
-		in   int
-		want int
-	}{
-		{"zero-means-default", 0, 1},
-		{"explicit-class", 2, 2},
-		{"engage-always", EngageAlways, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{EngageClass: tc.in}
-			if err := cfg.validate(); err != nil {
-				t.Fatalf("validate rejected legal EngageClass %d: %v", tc.in, err)
-			}
-			cfg.applyDefaults()
-			if cfg.EngageClass != tc.want {
-				t.Fatalf("EngageClass %d defaulted to %d, want %d", tc.in, cfg.EngageClass, tc.want)
-			}
-		})
-	}
-}
-
-// TestNewRejectsInvalidConfig pins the typed-error contract: New refuses
-// negative engage classes other than the sentinel (and negative rates), with
-// an error matching ErrInvalidConfig.
+// TestNewRejectsInvalidConfig pins the typed-error contract of building a
+// controller: a bad policy option fails in the policy constructor, a bad
+// controller option or a nil policy in NewController, each with an error
+// matching ErrInvalidConfig.
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	build := func(policyOpts []PolicyOption, opts ...ControllerOption) error {
+		policy, err := NewReactiveThrottle(policyOpts...)
+		if err != nil {
+			return err
+		}
+		ctrl, err := NewController(cl, stubFramework(), nil, sim.Second, policy, opts...)
+		if err == nil {
+			ctrl.Stop()
+		}
+		return err
+	}
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		build func() error
 	}{
-		{"typoed-engage-class", Config{EngageClass: -5}},
-		{"negative-throttle", Config{ThrottleBps: -1}},
-		{"negative-release", Config{ReleaseAfter: -2}},
+		{"typoed-engage-class", func() error { return build([]PolicyOption{WithEngageClass(-5)}) }},
+		{"negative-throttle", func() error { return build(nil, WithThrottleBps(-1)) }},
+		{"negative-release", func() error { return build([]PolicyOption{WithReleaseAfter(-2)}) }},
+		{"nil-policy", func() error {
+			_, err := NewController(cl, stubFramework(), nil, sim.Second, nil)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrl, err := New(cl, stubFramework(), nil, sim.Second, tc.cfg)
+			err := tc.build()
 			if err == nil {
-				ctrl.Stop()
-				t.Fatalf("New accepted %+v", tc.cfg)
+				t.Fatal("invalid options accepted")
 			}
 			if !errors.Is(err, ErrInvalidConfig) {
 				t.Fatalf("error %v does not match ErrInvalidConfig", err)
@@ -201,12 +181,11 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 func TestEngageAlwaysThrottlesOnCleanPredictions(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
 	victim := cl.FS.Client("c1")
-	ctrl := mustNew(t, cl, stubFramework(), []*lustre.Client{victim}, sim.Second,
-		Config{EngageClass: EngageAlways})
-	// Class-0 prediction: an EngageAlways controller must still throttle.
+	ctrl := mustNew(t, cl, victim, []PolicyOption{WithEngageClass(0)})
+	// Class-0 prediction: an engage-class-0 controller must still throttle.
 	ctrl.decide(cl.Eng.Now(), 0, 0)
 	if !ctrl.Engaged() || !victim.RateLimited() {
-		t.Fatal("EngageAlways controller ignored a class-0 prediction")
+		t.Fatal("engage-class-0 controller ignored a class-0 prediction")
 	}
 	ctrl.Stop()
 }
@@ -214,7 +193,7 @@ func TestEngageAlwaysThrottlesOnCleanPredictions(t *testing.T) {
 func TestControllerStopRemovesLimits(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
 	victim := cl.FS.Client("c1")
-	ctrl := mustNew(t, cl, stubFramework(), []*lustre.Client{victim}, sim.Second, Config{})
+	ctrl := mustNew(t, cl, victim, nil)
 	ctrl.decide(cl.Eng.Now(), 0, 1)
 	if !victim.RateLimited() {
 		t.Fatal("engage did not limit victim")
@@ -233,18 +212,11 @@ func TestControllerStopRemovesLimits(t *testing.T) {
 // (cli_reads on the busiest target) exceeds 2 in the newest pooled window.
 type fcMaxModel struct{}
 
-func (fcMaxModel) Probs(vectors [][]float64) []float64 {
+func (fcMaxModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 	if vectors[len(vectors)-1][1] > 2 {
-		return []float64{0.1, 0.9}
+		return append(dst[:0], 0.1, 0.9)
 	}
-	return []float64{0.9, 0.1}
-}
-func (m fcMaxModel) Predict(vectors [][]float64) int {
-	p := m.Probs(vectors)
-	if p[1] > p[0] {
-		return 1
-	}
-	return 0
+	return append(dst[:0], 0.9, 0.1)
 }
 func (fcMaxModel) LossAndGrad([][]float64, int, float64) float64 { return 0 }
 func (fcMaxModel) Params() []nn.Param                            { return nil }
@@ -312,7 +284,7 @@ func TestControllerProactiveEngagesAheadOfClassifier(t *testing.T) {
 	// A reactive controller over the identical stream must stay disengaged —
 	// the proactive win is real lead time, not a lower threshold.
 	clR := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
-	ctrlR := mustNew(t, clR, stubFramework(), []*lustre.Client{clR.FS.Client("c1")}, sim.Second, Config{})
+	ctrlR := mustNew(t, clR, clR.FS.Client("c1"), nil)
 	for w := 0; w < 2; w++ {
 		for s := 0; s < 4; s++ {
 			ctrlR.Record(readRecord(w, s))

@@ -69,9 +69,7 @@ type Policy interface {
 
 // policyParams carries the pointer-default option state: nil means "use the
 // policy's default", a pointer means "the caller said exactly this" — so an
-// explicit 0 is distinguishable from unset without any sentinel value (the
-// fix for the Config.EngageClass/EngageAlways conflation; the sentinel now
-// survives only on the legacy Config surface).
+// explicit 0 is distinguishable from unset without any sentinel value.
 type policyParams struct {
 	engageClass  *int
 	releaseAfter *int
@@ -81,14 +79,13 @@ type policyParams struct {
 // PolicyOption tunes a policy constructor. Options exist so a zero value
 // ("use the default") is distinguishable from an explicit setting:
 // WithEngageClass(0) literally means "engage on every prediction, class 0
-// included" — no EngageAlways sentinel needed.
+// included".
 type PolicyOption func(*policyParams)
 
 // WithEngageClass sets the minimum predicted slowdown class that counts as
-// "hot" (default 1, the paper's >=2x bin). 0 engages on every prediction —
-// the behaviour the legacy Config could only request via the EngageAlways
-// sentinel. Negative classes are rejected at construction time with an error
-// wrapping ErrInvalidConfig.
+// "hot" (default 1, the paper's >=2x bin). 0 engages on every prediction.
+// Negative classes are rejected at construction time with an error wrapping
+// ErrInvalidConfig.
 func WithEngageClass(class int) PolicyOption {
 	return func(p *policyParams) { c := class; p.engageClass = &c }
 }
@@ -111,8 +108,8 @@ func WithLead(windows int) PolicyOption {
 	return func(p *policyParams) { w := windows; p.lead = &w }
 }
 
-// resolve applies defaults and validates. The defaults mirror the legacy
-// Config: engage class 1, release after 2 clean windows, lead 4.
+// resolvePolicyParams applies defaults and validates. The defaults: engage
+// class 1, release after 2 clean windows, lead 4.
 func resolvePolicyParams(opts []PolicyOption) (engageClass, releaseAfter, lead int, err error) {
 	var p policyParams
 	for _, fn := range opts {

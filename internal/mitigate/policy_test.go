@@ -20,9 +20,9 @@ func obsAt(window, class, lead int) Observation {
 }
 
 // TestPolicyOptionValidation pins the typed-error contract of the option
-// surface: negative engage classes (no sentinel exists here — 0 already
-// engages always), non-positive release windows, and non-positive leads are
-// all rejected with ErrInvalidConfig.
+// surface: negative engage classes (0 already engages always), non-positive
+// release windows, and non-positive leads are all rejected with
+// ErrInvalidConfig.
 func TestPolicyOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -143,9 +143,8 @@ func TestForecastLeadShorterThanRelease(t *testing.T) {
 	}
 }
 
-// TestEngageAlwaysWithProactive pins the sentinel × proactive interaction:
-// an engage class of 0 (the option spelling of the legacy EngageAlways)
-// makes every window hot, so the forecast can never be the deciding signal
+// TestEngageAlwaysWithProactive pins the engage-always × proactive
+// interaction: an engage class of 0 makes every window hot, so the forecast can never be the deciding signal
 // and the policy is permanently engaged — deliberately, not by accident.
 func TestEngageAlwaysWithProactive(t *testing.T) {
 	p, err := NewProactiveThrottle(WithEngageClass(0), WithLead(1))

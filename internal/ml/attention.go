@@ -29,6 +29,7 @@ type AttentionModel struct {
 	classes  int
 
 	ce     nn.CEScratch
+	inf    *attnState // ProbsInto scratch, allocated on first use
 	params []nn.Param // lazily cached Params() slice
 }
 
@@ -89,22 +90,37 @@ func NewAttentionModel(cfg AttentionConfig) *AttentionModel {
 	}
 }
 
-// attnState caches one forward pass for the hand-written backward.
+// attnState holds one pass's attention intermediates: the training forward
+// keeps them for the hand-written backward, ProbsInto reuses one as scratch.
 type attnState struct {
 	q, k, v [][]float64 // n x d
 	attn    [][]float64 // n x n, row-softmaxed
+	pooled  []float64   // d, row mean of attn·v
 	logits  []float64
+}
+
+// grid allocates a rows x cols matrix.
+func grid(rows, cols int) [][]float64 {
+	g := make([][]float64, rows)
+	for i := range g {
+		g[i] = make([]float64, cols)
+	}
+	return g
+}
+
+func (m *AttentionModel) check(vectors [][]float64) {
+	if len(vectors) != m.nTargets {
+		panic("ml: wrong target count")
+	}
 }
 
 // forward computes logits, leaving layer caches in place for backward.
 func (m *AttentionModel) forward(vectors [][]float64) *attnState {
-	if len(vectors) != m.nTargets {
-		panic("ml: wrong target count")
-	}
-	n, d := m.nTargets, m.d
+	m.check(vectors)
+	n := m.nTargets
 	st := &attnState{
 		q: make([][]float64, n), k: make([][]float64, n), v: make([][]float64, n),
-		attn: make([][]float64, n),
+		attn: grid(n, n), pooled: make([]float64, m.d),
 	}
 	// Shared embedding then Q/K/V projections, row by row (LIFO caches).
 	embedded := make([][]float64, n)
@@ -120,10 +136,43 @@ func (m *AttentionModel) forward(vectors [][]float64) *attnState {
 	for i := 0; i < n; i++ {
 		st.v[i] = m.Wv.Forward(embedded[i])
 	}
-	// Scaled dot-product attention.
+	m.attend(st)
+	st.logits = m.Head.Forward(st.pooled)
+	return st
+}
+
+// ProbsInto implements Model: forward's arithmetic on nn's Infer path, with
+// no caches pushed and no backward pass to pop them. A layer's Infer result
+// is overwritten by its next call, so each projection row is copied into
+// the model's private scratch.
+func (m *AttentionModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
+	m.check(vectors)
+	if m.inf == nil {
+		n, d := m.nTargets, m.d
+		m.inf = &attnState{
+			q: grid(n, d), k: grid(n, d), v: grid(n, d),
+			attn: grid(n, n), pooled: make([]float64, d),
+		}
+	}
+	st := m.inf
+	for i, x := range vectors {
+		e := m.Embed.Infer(x)
+		copy(st.q[i], m.Wq.Infer(e))
+		copy(st.k[i], m.Wk.Infer(e))
+		copy(st.v[i], m.Wv.Infer(e))
+	}
+	m.attend(st)
+	return nn.SoftmaxInto(dst, m.Head.Infer(st.pooled))
+}
+
+// attend fills st.attn with the row-softmaxed scaled dot-product scores of
+// st.q against st.k and st.pooled with the row mean of attn·v. forward and
+// ProbsInto both run it, so the two paths agree bit for bit.
+func (m *AttentionModel) attend(st *attnState) {
+	n, d := m.nTargets, m.d
 	invSqrt := 1 / math.Sqrt(float64(d))
 	for i := 0; i < n; i++ {
-		scores := make([]float64, n)
+		scores := st.attn[i]
 		for j := 0; j < n; j++ {
 			var s float64
 			for a := 0; a < d; a++ {
@@ -131,10 +180,12 @@ func (m *AttentionModel) forward(vectors [][]float64) *attnState {
 			}
 			scores[j] = s * invSqrt
 		}
-		st.attn[i] = nn.Softmax(scores)
+		// SoftmaxInto reads each score before overwriting it, so
+		// normalizing in place is exact.
+		nn.SoftmaxInto(scores, scores)
 	}
-	// Z = A V, mean-pooled over rows.
-	pooled := make([]float64, d)
+	pooled := st.pooled
+	clear(pooled)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			aij := st.attn[i][j]
@@ -146,8 +197,6 @@ func (m *AttentionModel) forward(vectors [][]float64) *attnState {
 	for a := range pooled {
 		pooled[a] /= float64(n)
 	}
-	st.logits = m.Head.Forward(pooled)
-	return st
 }
 
 // backward propagates dlogits through the attention block and all layers,
@@ -161,10 +210,7 @@ func (m *AttentionModel) backward(st *attnState, dlogits []float64) {
 		dZrow[a] = dpooled[a] / float64(n)
 	}
 	// dV[j] = sum_i A[i][j] * dZ[i]; dA[i][j] = dZ[i] . V[j].
-	dV := make([][]float64, n)
-	for j := 0; j < n; j++ {
-		dV[j] = make([]float64, d)
-	}
+	dV := grid(n, d)
 	dS := make([][]float64, n) // gradient on pre-softmax scores
 	invSqrt := 1 / math.Sqrt(float64(d))
 	for i := 0; i < n; i++ {
@@ -192,12 +238,7 @@ func (m *AttentionModel) backward(st *attnState, dlogits []float64) {
 		dS[i] = row
 	}
 	// dQ[i] = sum_j dS[i][j] K[j]; dK[j] = sum_i dS[i][j] Q[i].
-	dQ := make([][]float64, n)
-	dK := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		dQ[i] = make([]float64, d)
-		dK[i] = make([]float64, d)
-	}
+	dQ, dK := grid(n, d), grid(n, d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			g := dS[i][j]
@@ -230,19 +271,6 @@ func (m *AttentionModel) backward(st *attnState, dlogits []float64) {
 	for i := n - 1; i >= 0; i-- {
 		m.Embed.BackwardNoDX(dEmbed[i])
 	}
-}
-
-// Probs implements Model.
-func (m *AttentionModel) Probs(vectors [][]float64) []float64 {
-	st := m.forward(vectors)
-	m.backward(st, make([]float64, m.classes)) // drain caches
-	nn.ZeroGrads(m.Params())
-	return nn.Softmax(st.logits)
-}
-
-// Predict implements Model.
-func (m *AttentionModel) Predict(vectors [][]float64) int {
-	return argmax(m.Probs(vectors))
 }
 
 // LossAndGrad implements Model.

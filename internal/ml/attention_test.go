@@ -60,7 +60,7 @@ func TestAttentionGradCheck(t *testing.T) {
 
 func TestAttentionProbsValid(t *testing.T) {
 	m, vectors := attnFixture()
-	p := m.Probs(vectors)
+	p := append([]float64(nil), m.ProbsInto(make([]float64, 2), vectors)...)
 	var sum float64
 	for _, v := range p {
 		if v < 0 || v > 1 || math.IsNaN(v) {
@@ -71,11 +71,14 @@ func TestAttentionProbsValid(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("sum=%f", sum)
 	}
-	// Inference leaves no gradients or caches behind.
-	first := m.Predict(vectors)
+	// Inference is repeatable and leaves no gradients behind.
+	dst := make([]float64, 2)
 	for i := 0; i < 5; i++ {
-		if m.Predict(vectors) != first {
-			t.Fatal("inference unstable")
+		m.ProbsInto(dst, vectors)
+		for c := range p {
+			if math.Float64bits(dst[c]) != math.Float64bits(p[c]) {
+				t.Fatal("inference unstable")
+			}
 		}
 	}
 	for _, prm := range m.Params() {
@@ -102,9 +105,9 @@ func TestAttentionPermutationPooling(t *testing.T) {
 	// must not change the prediction (a stronger invariance than the
 	// kernel model's, whose head has positional weights).
 	m, vectors := attnFixture()
-	p1 := m.Probs(vectors)
+	p1 := m.ProbsInto(make([]float64, 2), vectors)
 	permuted := [][]float64{vectors[2], vectors[0], vectors[1]}
-	p2 := m.Probs(permuted)
+	p2 := m.ProbsInto(make([]float64, 2), permuted)
 	for i := range p1 {
 		if math.Abs(p1[i]-p2[i]) > 1e-9 {
 			t.Fatalf("not permutation invariant: %v vs %v", p1, p2)

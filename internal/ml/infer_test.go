@@ -3,10 +3,12 @@ package ml
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"quanterference/internal/dataset"
+	"quanterference/internal/nn"
 	"quanterference/internal/sim"
 )
 
@@ -31,41 +33,61 @@ func inferTestDataset(n int) *dataset.Dataset {
 	return ds
 }
 
-// TestProbsIntoMatchesProbs pins the serving contract: for every model that
-// implements BatchPredictor, ProbsInto produces bit-identical distributions
-// to Probs, allocation-free after warm-up, and interleaves safely with
-// training passes.
+// forwardProbs is the reference ProbsInto is pinned to: the softmax of the
+// model's training forward pass, after which a zero-gradient backward pops
+// the layer caches it pushed.
+func forwardProbs(m Model, vectors [][]float64) []float64 {
+	var p []float64
+	switch t := m.(type) {
+	case *KernelModel:
+		p = nn.Softmax(t.forward(vectors))
+		t.Head.BackwardNoDX(make([]float64, t.classes))
+		for range vectors {
+			t.Kernel.BackwardNoDX([]float64{0})
+		}
+	case *FlatModel:
+		p = nn.Softmax(t.Net.Forward(t.flatten(vectors)))
+		t.Net.BackwardNoDX(make([]float64, t.classes))
+	case *AttentionModel:
+		st := t.forward(vectors)
+		p = nn.Softmax(st.logits)
+		t.backward(st, make([]float64, t.classes))
+	default:
+		panic(fmt.Sprintf("forwardProbs: unknown model %T", m))
+	}
+	nn.ZeroGrads(m.Params())
+	return p
+}
+
+// TestProbsIntoMatchesProbs pins the single inference path: for every model
+// kind, ProbsInto produces distributions bit-identical to the softmax of the
+// training forward pass, allocation-free after warm-up, and interleaves
+// safely with training passes.
 func TestProbsIntoMatchesProbs(t *testing.T) {
 	ds := inferTestDataset(32)
 	models := map[string]Model{
-		"kernel": NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 5}),
-		"flat":   NewFlatModel(3, 6, 2, nil, 5),
+		"kernel":    NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 5}),
+		"flat":      NewFlatModel(3, 6, 2, nil, 5),
+		"attention": NewAttentionModel(AttentionConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 5}),
 	}
 	for name, m := range models {
 		t.Run(name, func(t *testing.T) {
-			bp, ok := m.(BatchPredictor)
-			if !ok {
-				t.Fatalf("%T does not implement BatchPredictor", m)
-			}
 			Train(m, ds, TrainConfig{Epochs: 2, Seed: 1})
 			dst := make([]float64, 2)
 			for _, s := range ds.Samples {
-				want := m.Probs(s.Vectors)
-				got := bp.ProbsInto(dst, s.Vectors)
+				want := forwardProbs(m, s.Vectors)
+				got := m.ProbsInto(dst, s.Vectors)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("probs[%d]: ProbsInto %v != Probs %v", i, got[i], want[i])
+						t.Fatalf("probs[%d]: ProbsInto %v != forward %v", i, got[i], want[i])
 					}
-				}
-				if m.Predict(s.Vectors) != argmax(got) {
-					t.Fatal("ProbsInto argmax disagrees with Predict")
 				}
 			}
 			// Training after inference-only passes must still work (no
 			// leftover caches).
 			Train(m, ds, TrainConfig{Epochs: 1, Seed: 2})
 			vecs := ds.Samples[0].Vectors
-			if allocs := testing.AllocsPerRun(100, func() { bp.ProbsInto(dst, vecs) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { m.ProbsInto(dst, vecs) }); allocs != 0 {
 				t.Fatalf("ProbsInto allocates %v per call, want 0", allocs)
 			}
 		})

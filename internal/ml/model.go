@@ -5,6 +5,12 @@
 // the architecture ablation), an attention extension, the training loop
 // (serial, or data-parallel with deterministic gradient reduction), and
 // evaluation metrics (confusion matrices, precision/recall/F1).
+//
+// Inference has one path: Model.ProbsInto writes a window's class
+// distribution into a caller-owned slice through nn's cache-free Infer, so it
+// pushes no backward state, needs no cleanup pass, and interleaves freely
+// with training. Evaluate, core.Framework, the forecaster heads and the
+// serving batcher all classify through it; the class is its argmax.
 package ml
 
 import (
@@ -16,27 +22,16 @@ import (
 
 // Model is a classifier over per-server vector matrices.
 type Model interface {
-	// Predict returns the argmax class for one window's matrix.
-	Predict(vectors [][]float64) int
-	// Probs returns the class distribution.
-	Probs(vectors [][]float64) []float64
+	// ProbsInto writes the class distribution for one window's matrix into
+	// dst (length must equal the class count) and returns dst. It leaves no
+	// training state behind, and a model in this package allocates nothing
+	// per call.
+	ProbsInto(dst []float64, vectors [][]float64) []float64
 	// LossAndGrad accumulates parameter gradients for one sample and
 	// returns its weighted loss.
 	LossAndGrad(vectors [][]float64, label int, weight float64) float64
 	// Params exposes the trainable parameters.
 	Params() []nn.Param
-}
-
-// BatchPredictor is a Model with an allocation-free inference path for the
-// serving hot loop: ProbsInto writes one window's class distribution into
-// dst without touching the training caches, producing bits identical to
-// Probs. KernelModel and FlatModel implement it via nn's Infer path;
-// Framework.PredictBatch falls back to Probs for models that do not.
-type BatchPredictor interface {
-	Model
-	// ProbsInto writes the class distribution for vectors into dst (length
-	// must equal the class count) and returns dst.
-	ProbsInto(dst []float64, vectors [][]float64) []float64
 }
 
 // Dims reports a model's input/output shape — what a serving layer needs to
@@ -79,12 +74,10 @@ type KernelModel struct {
 
 	// Reusable per-model scratch; replicas get their own, keeping the
 	// training and inference hot loops allocation-free.
-	z          []float64  // kernel outputs / head input
-	zeroLogits []float64  // all-zero dlogits for cache drains
-	dzt        [1]float64 // per-target backward seed
-	probsBuf   []float64  // Predict's softmax output
-	ce         nn.CEScratch
-	params     []nn.Param // cached Params() slice
+	z      []float64  // kernel outputs / head input
+	dzt    [1]float64 // per-target backward seed
+	ce     nn.CEScratch
+	params []nn.Param // cached Params() slice
 }
 
 // KernelConfig sizes the model.
@@ -127,9 +120,6 @@ func newKernelModel(kernel, head *nn.Sequential, nTargets, nFeat, classes int) *
 		nFeat:    nFeat,
 		classes:  classes,
 		z:        make([]float64, nTargets),
-		// zeroLogits stays all-zero: layers only read their dy argument.
-		zeroLogits: make([]float64, classes),
-		probsBuf:   make([]float64, classes),
 	}
 	m.params = append(m.Kernel.Params(), m.Head.Params()...)
 	return m
@@ -156,34 +146,8 @@ func (m *KernelModel) forward(vectors [][]float64) []float64 {
 	return m.Head.Forward(m.z)
 }
 
-// drain pops all forward caches after an inference-only pass.
-func (m *KernelModel) drain() {
-	m.Head.BackwardNoDX(m.zeroLogits)
-	m.dzt[0] = 0
-	for t := 0; t < m.nTargets; t++ {
-		m.Kernel.BackwardNoDX(m.dzt[:])
-	}
-	nn.ZeroGrads(m.params)
-}
-
-// Probs implements Model. The returned slice is freshly allocated.
-func (m *KernelModel) Probs(vectors [][]float64) []float64 {
-	logits := m.forward(vectors)
-	m.drain()
-	return nn.Softmax(logits)
-}
-
-// Predict implements Model. Unlike Probs it allocates nothing, so it is the
-// entry point for the online predictor's per-window hot path.
-func (m *KernelModel) Predict(vectors [][]float64) int {
-	logits := m.forward(vectors)
-	m.drain()
-	return argmax(nn.SoftmaxInto(m.probsBuf, logits))
-}
-
-// ProbsInto implements BatchPredictor on nn's Infer path: no caches are
-// pushed, so no drain pass is needed — about half the work of Probs for the
-// same bits.
+// ProbsInto implements Model: forward's arithmetic on nn's Infer path, so
+// the logits are bit-identical to a training pass but no caches are pushed.
 func (m *KernelModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 	m.check(vectors)
 	for t, v := range vectors {
@@ -217,11 +181,9 @@ type FlatModel struct {
 	nFeat    int
 	classes  int
 
-	flat       []float64 // flatten scratch
-	zeroLogits []float64
-	probsBuf   []float64
-	ce         nn.CEScratch
-	params     []nn.Param
+	flat   []float64 // flatten scratch
+	ce     nn.CEScratch
+	params []nn.Param
 }
 
 // NewFlatModel builds the baseline with a comparable parameter budget.
@@ -239,9 +201,7 @@ func newFlatModel(net *nn.Sequential, nTargets, nFeat, classes int) *FlatModel {
 	m := &FlatModel{
 		Net:      net,
 		nTargets: nTargets, nFeat: nFeat, classes: classes,
-		flat:       make([]float64, 0, nTargets*nFeat),
-		zeroLogits: make([]float64, classes),
-		probsBuf:   make([]float64, classes),
+		flat: make([]float64, 0, nTargets*nFeat),
 	}
 	m.params = m.Net.Params()
 	return m
@@ -261,23 +221,7 @@ func (m *FlatModel) flatten(vectors [][]float64) []float64 {
 	return x
 }
 
-// Probs implements Model. The returned slice is freshly allocated.
-func (m *FlatModel) Probs(vectors [][]float64) []float64 {
-	logits := m.Net.Forward(m.flatten(vectors))
-	m.Net.BackwardNoDX(m.zeroLogits)
-	nn.ZeroGrads(m.params)
-	return nn.Softmax(logits)
-}
-
-// Predict implements Model; allocation-free like KernelModel.Predict.
-func (m *FlatModel) Predict(vectors [][]float64) int {
-	logits := m.Net.Forward(m.flatten(vectors))
-	m.Net.BackwardNoDX(m.zeroLogits)
-	nn.ZeroGrads(m.params)
-	return argmax(nn.SoftmaxInto(m.probsBuf, logits))
-}
-
-// ProbsInto implements BatchPredictor; see KernelModel.ProbsInto.
+// ProbsInto implements Model; see KernelModel.ProbsInto.
 func (m *FlatModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 	return nn.SoftmaxInto(dst, m.Net.Infer(m.flatten(vectors)))
 }
@@ -305,5 +249,3 @@ func argmax(xs []float64) int {
 
 var _ Replicable = (*KernelModel)(nil)
 var _ Replicable = (*FlatModel)(nil)
-var _ BatchPredictor = (*KernelModel)(nil)
-var _ BatchPredictor = (*FlatModel)(nil)

@@ -32,15 +32,17 @@ func NewKernelRegressor(nTargets, nFeat int, seed int64) *KernelRegressor {
 	}
 }
 
-func (m *KernelRegressor) forward(vectors [][]float64) float64 {
+// forward runs the network through apply — Sequential.Forward for training,
+// Sequential.Infer for prediction — so both paths share one arithmetic.
+func (m *KernelRegressor) forward(vectors [][]float64, apply func(*nn.Sequential, []float64) []float64) float64 {
 	if len(vectors) != m.nTargets {
 		panic("ml: wrong target count")
 	}
 	z := make([]float64, m.nTargets)
 	for t, v := range vectors {
-		z[t] = m.Kernel.Forward(v)[0]
+		z[t] = apply(m.Kernel, v)[0]
 	}
-	return m.Head.Forward(z)[0]
+	return apply(m.Head, z)[0]
 }
 
 func (m *KernelRegressor) backward(dout float64) {
@@ -50,12 +52,10 @@ func (m *KernelRegressor) backward(dout float64) {
 	}
 }
 
-// PredictLog2 returns the predicted log2 slowdown.
+// PredictLog2 returns the predicted log2 slowdown. It pushes no training
+// caches, so it needs no backward pass afterwards.
 func (m *KernelRegressor) PredictLog2(vectors [][]float64) float64 {
-	y := m.forward(vectors)
-	m.backward(0)
-	nn.ZeroGrads(m.Params())
-	return y
+	return m.forward(vectors, (*nn.Sequential).Infer)
 }
 
 // Params exposes trainable parameters.
@@ -91,7 +91,7 @@ func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig)
 			}
 			for _, idx := range perm[start:end] {
 				s := train.Samples[idx]
-				y := m.forward(s.Vectors)
+				y := m.forward(s.Vectors, (*nn.Sequential).Forward)
 				target := Log2Degradation(s.Degradation)
 				diff := y - target
 				sse += diff * diff

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quanterference/internal/dataset"
+	"quanterference/internal/nn"
 	"quanterference/internal/sim"
 )
 
@@ -78,17 +79,10 @@ func TestRegressorGradCheck(t *testing.T) {
 	vectors := [][]float64{{0.4, -0.2, 1.0}, {-1.1, 0.7, 0.1}}
 	target := 1.7
 	lossFn := func() float64 {
-		y := m.forward(vectors)
-		diff := y - target
-		m.backward(0)
-		for _, p := range m.Params() {
-			for j := range p.G {
-				p.G[j] = 0
-			}
-		}
+		diff := m.PredictLog2(vectors) - target
 		return diff * diff
 	}
-	y := m.forward(vectors)
+	y := m.forward(vectors, (*nn.Sequential).Forward)
 	m.backward(2 * (y - target))
 	analytic := make([][]float64, len(m.Params()))
 	for i, p := range m.Params() {

@@ -27,7 +27,7 @@ func TestSaveLoadEveryKind(t *testing.T) {
 				p.G[j] = 0
 			}
 		}
-		wantProbs := m.Probs(vectors)
+		wantProbs := m.ProbsInto(make([]float64, 2), vectors)
 		path := filepath.Join(dir, kind+".json")
 		if err := SaveModel(m, path); err != nil {
 			t.Fatalf("%s: save: %v", kind, err)
@@ -36,7 +36,7 @@ func TestSaveLoadEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", kind, err)
 		}
-		gotProbs := got.Probs(vectors)
+		gotProbs := got.ProbsInto(make([]float64, 2), vectors)
 		for i := range wantProbs {
 			if gotProbs[i] != wantProbs[i] {
 				t.Fatalf("%s: probs differ after round trip: %v vs %v",
@@ -75,7 +75,6 @@ func TestSnapshotRejectsForeignModel(t *testing.T) {
 
 type fakeModel struct{}
 
-func (fakeModel) Predict([][]float64) int                       { return 0 }
-func (fakeModel) Probs([][]float64) []float64                   { return nil }
-func (fakeModel) LossAndGrad([][]float64, int, float64) float64 { return 0 }
-func (fakeModel) Params() []nn.Param                            { return nil }
+func (fakeModel) ProbsInto(dst []float64, _ [][]float64) []float64 { return dst }
+func (fakeModel) LossAndGrad([][]float64, int, float64) float64    { return 0 }
+func (fakeModel) Params() []nn.Param                               { return nil }

@@ -315,11 +315,13 @@ func (c *Confusion) Render(classNames []string) string {
 	return b.String()
 }
 
-// Evaluate runs the model over a dataset and tallies the confusion matrix.
+// Evaluate runs the model over a dataset and tallies the confusion matrix,
+// predicting each sample's argmax class.
 func Evaluate(m Model, ds *dataset.Dataset) *Confusion {
 	c := NewConfusion(ds.Classes)
+	probs := make([]float64, ds.Classes)
 	for _, s := range ds.Samples {
-		c.Add(s.Label, m.Predict(s.Vectors))
+		c.Add(s.Label, argmax(m.ProbsInto(probs, s.Vectors)))
 	}
 	return c
 }

@@ -188,7 +188,11 @@ func TestReplicaIsolation(t *testing.T) {
 			}
 		}
 	}
-	if m.Predict(vecs) != rep.Predict(vecs) {
-		t.Fatal("replica and original disagree on shared weights")
+	pm := m.ProbsInto(make([]float64, 2), vecs)
+	pr := rep.ProbsInto(make([]float64, 2), vecs)
+	for c := range pm {
+		if math.Float64bits(pm[c]) != math.Float64bits(pr[c]) {
+			t.Fatal("replica and original disagree on shared weights")
+		}
 	}
 }

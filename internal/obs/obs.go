@@ -399,7 +399,7 @@ func (s *Snapshot) CounterTotal(component, name string) uint64 {
 // a "histograms" list carrying bounds, per-bucket counts (the final count is
 // the overflow bucket), totals, and the mean. Output is deterministic: maps
 // marshal key-sorted and histograms keep the snapshot's sorted order. This is
-// the wire format of the serving layer's /stats endpoint.
+// the wire format of the serving layer's /v1/stats endpoint.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	type histJSON struct {
 		Key    string    `json:"key"`

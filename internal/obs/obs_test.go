@@ -248,7 +248,7 @@ func TestLinearBuckets(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteJSON pins /stats' wire format: key-sorted maps for
+// TestSnapshotWriteJSON pins /v1/stats' wire format: key-sorted maps for
 // counters and gauges, histogram objects with bounds/counts/mean, and a
 // valid empty document for a nil snapshot.
 func TestSnapshotWriteJSON(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"quanterference/internal/ml"
 )
 
-// TestVersionedSurface pins the v1 API consolidation: every route answers
-// under /v1/, the unversioned aliases still work but advertise deprecation,
-// and /v1/healthz carries the API version plus the served weight digests.
+// TestVersionedSurface pins the v1 API: every route answers under /v1/, an
+// unversioned path answers 404, and /v1/healthz carries the API version plus
+// the served weight digests.
 func TestVersionedSurface(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
 	wantDigest := ml.WeightsDigest(fw.ExportWeights())
@@ -69,26 +70,16 @@ func TestVersionedSurface(t *testing.T) {
 		t.Fatalf("post-promotion predict stamp = %q (%v), want %q", resp.ModelDigest, err, candDigest)
 	}
 
-	// The unversioned alias still answers, flagged deprecated; the versioned
-	// route is not.
-	for _, tc := range []struct {
-		path       string
-		deprecated bool
-	}{
-		{"/healthz", true},
-		{"/" + APIVersion + "/healthz", false},
-	} {
+	// Only /v1/ routes are mounted: every unversioned path is a 404.
+	for _, path := range []string{"/predict", "/forecast", "/healthz", "/stats", "/shadow", "/admin/reload"} {
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
-		if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"status":"ok"`) {
-			t.Fatalf("GET %s = %d %s", tc.path, rec.Code, rec.Body.String())
-		}
-		if got := rec.Header().Get("Deprecation") == "true"; got != tc.deprecated {
-			t.Fatalf("GET %s Deprecation header = %v, want %v", tc.path, got, tc.deprecated)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d %s, want 404", path, rec.Code, rec.Body.String())
 		}
 	}
 
-	// /v1/stats serves the same snapshot as the legacy /stats.
+	// /v1/stats serves the obs snapshot.
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/"+APIVersion+"/stats", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "serve/requests") {

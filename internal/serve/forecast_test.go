@@ -61,7 +61,7 @@ func testHistories(n, history, targets, nFeat int) [][]window.Matrix {
 	return out
 }
 
-// TestForecastHTTPRoundTrip drives /forecast end to end: health advertises
+// TestForecastHTTPRoundTrip drives /v1/forecast end to end: health advertises
 // the forecaster shape, forecasts match a direct Forecaster.Predict
 // bit-for-bit, and shape errors map to 400s.
 func TestForecastHTTPRoundTrip(t *testing.T) {

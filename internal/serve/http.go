@@ -175,10 +175,7 @@ type errorResponse struct {
 //	GET  /v1/shadow        -> shadow.Status (champion/challenger scoreboard; 404 without a shadow evaluator)
 //	POST /v1/admin/reload  {"path": "..."} (optional body) -> {"reloaded": true}
 //
-// Every route is also mounted at its original unversioned path as a
-// deprecated shim for pre-v1 clients; shim responses carry a
-// "Deprecation: true" header and behave identically otherwise. New clients
-// (serve.Client included) speak /v1/ only.
+// Unversioned paths are not mounted and answer 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	routes := map[string]http.HandlerFunc{
@@ -191,19 +188,8 @@ func (s *Server) Handler() http.Handler {
 	}
 	for path, h := range routes {
 		mux.HandleFunc("/"+APIVersion+path, h)
-		mux.HandleFunc(path, deprecatedShim(h))
 	}
 	return mux
-}
-
-// deprecatedShim marks an unversioned alias response as deprecated without
-// changing its behavior.
-func deprecatedShim(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</"+APIVersion+">; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // writeServeError maps a Predict/Forecast error to its HTTP status and typed

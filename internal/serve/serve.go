@@ -71,7 +71,7 @@ type Config struct {
 	// ModelPath is the framework file Reload() re-reads. Optional; reloads
 	// may also name an explicit path.
 	ModelPath string
-	// Forecaster optionally serves /forecast alongside /predict: the
+	// Forecaster optionally serves /v1/forecast alongside /v1/predict: the
 	// early-warning sequence head answering "slowdown in k windows?" from the
 	// last History window matrices. Nil disables forecasting (requests get
 	// ErrNoForecaster) until ReloadForecaster loads one. Like the framework,
@@ -144,7 +144,7 @@ type Server struct {
 
 	// fwDigest / fcDigest are the weight digests (ml.WeightsDigest) of the
 	// served framework / forecaster, recomputed on every swap and stamped on
-	// replies and /healthz so clients — and the fleet coordinator — can tell
+	// replies and /v1/healthz so clients — and the fleet coordinator — can tell
 	// exactly which model version answered. Stored separately from the model
 	// pointers; each is updated before its pointer, so a reply can briefly
 	// carry the digest of the model that is about to serve, never a stale one.

@@ -131,9 +131,9 @@ func TestHTTPRoundTripWithReload(t *testing.T) {
 		t.Fatalf("reloads counter = %d, %v", v, ok)
 	}
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "serve/batch_size") {
-		t.Fatalf("/stats = %d %s", rec.Code, rec.Body.String())
+		t.Fatalf("/v1/stats = %d %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -287,17 +287,14 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	}
 }
 
-// slowModel stalls every Probs call. It deliberately does not implement
-// ml.BatchPredictor, so it also exercises PredictBatch's fallback path for
-// custom FrameworkConfig.NewModel architectures.
+// slowModel stalls every ProbsInto call.
 type slowModel struct {
 	delay time.Duration
 }
 
-func (m slowModel) Predict(vectors [][]float64) int { return 0 }
-func (m slowModel) Probs(vectors [][]float64) []float64 {
+func (m slowModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 	time.Sleep(m.delay)
-	return []float64{0.75, 0.25}
+	return append(dst[:0], 0.75, 0.25)
 }
 func (m slowModel) LossAndGrad(vectors [][]float64, label int, weight float64) float64 { return 0 }
 func (m slowModel) Params() []nn.Param                                                 { return nil }
