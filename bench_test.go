@@ -368,15 +368,25 @@ func BenchmarkTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkEngineStep measures one schedule+dispatch cycle through the event
-// loop — the simulator's smallest unit of work, and the path the event
-// free-list keeps allocation-free.
+// loop — the simulator's smallest unit of work — with the queue holding
+// `pending` events at every dispatch, so the deep case pays the heap's
+// sifts. Both depths stay allocation-free.
 func BenchmarkEngineStep(b *testing.B) {
-	eng := sim.NewEngine()
-	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Schedule(1, fn)
-		eng.Step()
+	for _, pending := range []int{1, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			eng := sim.NewEngine()
+			fn := func() {}
+			// Background events, later than any time this loop reaches.
+			for i := 1; i < pending; i++ {
+				eng.At(sim.Time(1)<<62+sim.Time(i), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Schedule(1, fn)
+				eng.Step()
+			}
+		})
 	}
 }
 

@@ -22,6 +22,14 @@ type Client struct {
 	// and the node name, so runs are exactly reproducible.
 	rng *sim.RNG
 
+	// Free lists of in-flight operation state (see metaCall, bulkRPC,
+	// dataCall, readOp). They belong to this client, so nothing pooled
+	// outlives the simulation or crosses runs.
+	freeMeta  []*metaCall
+	freeBulk  []*bulkRPC
+	freeData  []*dataCall
+	freeReads []*readOp
+
 	// Degraded-mode counters (see Retries/Timeouts/DegradedOps).
 	retries     uint64
 	timeouts    uint64
@@ -93,54 +101,92 @@ func (c *Client) instrument(s *obs.Sink) {
 	c.cDegraded = s.Counter("client", c.Node, "degraded_ops")
 }
 
-// metaRPC performs a metadata round trip to the MDS.
-func (c *Client) metaRPC(op MetaOp, path string, stripeCount int, done func(*Inode)) {
-	slot := c.slots[c.fs.MDTIndex()]
-	slot.Acquire(func() {
-		c.fs.Net.Transfer(c.Node, c.fs.mds.Node, c.fs.cfg.ReqMsgBytes, func() {
-			c.fs.mds.handle(op, path, stripeCount, func(ino *Inode) {
-				c.fs.Net.Transfer(c.fs.mds.Node, c.Node, c.fs.cfg.ReqMsgBytes, func() {
-					slot.Release()
-					done(ino)
-				})
-			})
-		})
-	})
+// metaCall is one metadata RPC in flight: client slot, request message,
+// MDS service (see MDS.handle), reply message. Calls are pooled per client
+// with their steps bound once, so a round trip allocates nothing of its own.
+// A call returns to the pool just before its completion runs, which may
+// therefore issue the next RPC on the same call.
+type metaCall struct {
+	c           *Client
+	op          MetaOp
+	path        string
+	stripeCount int
+	arrival     sim.Time // when the request reached the MDS
+	ino         *Inode   // the MDS's answer
+	// Exactly one completion is set: opened (Create, Open) receives a
+	// fresh handle on the answer, done (the rest) nothing.
+	opened func(*Handle)
+	done   func()
+
+	// Steps, bound once and named after the event that runs them.
+	acquired, arrived, granted, computed, served, replied func()
+}
+
+// metaRPC performs a metadata round trip to the MDS; exactly one of opened
+// and done is non-nil.
+func (c *Client) metaRPC(op MetaOp, path string, stripeCount int, opened func(*Handle), done func()) {
+	var m *metaCall
+	if k := len(c.freeMeta); k > 0 {
+		m = c.freeMeta[k-1]
+		c.freeMeta = c.freeMeta[:k-1]
+	} else {
+		m = &metaCall{c: c}
+		m.acquired, m.arrived, m.replied = m.send, m.arrive, m.complete
+		m.granted, m.computed, m.served = m.compute, m.service, m.reply
+	}
+	m.op, m.path, m.stripeCount, m.opened, m.done = op, path, stripeCount, opened, done
+	c.slots[c.fs.MDTIndex()].Acquire(m.acquired)
+}
+
+func (m *metaCall) send() {
+	c := m.c
+	c.fs.Net.Transfer(c.Node, c.fs.mds.Node, c.fs.cfg.ReqMsgBytes, m.arrived)
+}
+
+func (m *metaCall) arrive() { m.c.fs.mds.handle(m) }
+
+func (m *metaCall) complete() {
+	c := m.c
+	c.slots[c.fs.MDTIndex()].Release()
+	ino, opened, done := m.ino, m.opened, m.done
+	m.path, m.ino, m.opened, m.done = "", nil, nil, nil
+	c.freeMeta = append(c.freeMeta, m)
+	if opened != nil {
+		opened(&Handle{c: c, Ino: ino})
+		return
+	}
+	done()
 }
 
 // Create makes (or truncate-opens) a file with the given stripe count
 // (0 = file-system default) and returns an open handle.
 func (c *Client) Create(path string, stripeCount int, done func(*Handle)) {
-	c.metaRPC(MetaCreate, path, stripeCount, func(ino *Inode) {
-		done(&Handle{c: c, Ino: ino})
-	})
+	c.metaRPC(MetaCreate, path, stripeCount, done, nil)
 }
 
 // Open opens an existing file.
 func (c *Client) Open(path string, done func(*Handle)) {
-	c.metaRPC(MetaOpen, path, 0, func(ino *Inode) {
-		done(&Handle{c: c, Ino: ino})
-	})
+	c.metaRPC(MetaOpen, path, 0, done, nil)
 }
 
 // Stat fetches attributes of an existing path.
 func (c *Client) Stat(path string, done func()) {
-	c.metaRPC(MetaStat, path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaStat, path, 0, nil, done)
 }
 
 // Close closes a handle.
 func (c *Client) Close(h *Handle, done func()) {
-	c.metaRPC(MetaClose, h.Ino.Path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaClose, h.Ino.Path, 0, nil, done)
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(path string, done func()) {
-	c.metaRPC(MetaUnlink, path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaUnlink, path, 0, nil, done)
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string, done func()) {
-	c.metaRPC(MetaMkdir, path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaMkdir, path, 0, nil, done)
 }
 
 // chunk is one per-OST piece of a striped byte range.
@@ -150,81 +196,130 @@ type chunk struct {
 	length int64
 }
 
-// chunks splits a file byte range into per-OST object ranges (RAID0).
-func (h *Handle) chunks(off, length int64) []chunk {
-	ino := h.Ino
+// checkRange panics on a data op the layout cannot serve.
+func (ino *Inode) checkRange(off, length int64) {
 	if ino.Dir {
 		panic("lustre: data op on directory " + ino.Path)
 	}
 	if off < 0 || length <= 0 {
 		panic(fmt.Sprintf("lustre: bad range off=%d len=%d", off, length))
 	}
+}
+
+// chunkAt returns the per-OST piece (RAID0) of the file range [cur, end)
+// that starts at cur: the rest of cur's stripe unit, clipped to end.
+// Walking a range chunk by chunk needs no slice.
+func (ino *Inode) chunkAt(cur, end int64) chunk {
 	ss := ino.StripeSize
+	unit := cur / ss        // global stripe unit index
+	within := cur - unit*ss // offset inside the unit
+	take := ss - within
+	if cur+take > end {
+		take = end - cur
+	}
 	n := int64(len(ino.OSTs))
+	return chunk{
+		ost:    ino.OSTs[unit%n],
+		objOff: (unit/n)*ss + within, // unit/n: the unit's index within the object
+		length: take,
+	}
+}
+
+// chunks splits a file byte range into per-OST object ranges (RAID0).
+func (h *Handle) chunks(off, length int64) []chunk {
+	h.Ino.checkRange(off, length)
 	var out []chunk
-	cur := off
-	end := off + length
-	for cur < end {
-		unit := cur / ss        // global stripe unit index
-		within := cur - unit*ss // offset inside the unit
-		take := ss - within
-		if cur+take > end {
-			take = end - cur
-		}
-		stripe := unit % n
-		objUnit := unit / n // unit index within the object
-		out = append(out, chunk{
-			ost:    ino.OSTs[stripe],
-			objOff: objUnit*ss + within,
-			length: take,
-		})
-		cur += take
+	for cur, end := off, off+length; cur < end; {
+		ch := h.Ino.chunkAt(cur, end)
+		out = append(out, ch)
+		cur += ch.length
 	}
 	return out
 }
 
-// Targets returns the distinct OST ids a byte range touches, in stripe order.
+// Targets returns the distinct OST ids a byte range touches, in stripe
+// order: the range's k stripe units start at stripe s and touch
+// min(k, stripe count) consecutive stripes, wrapping around the layout.
+// Unless the range wraps, the result is a window of Ino.OSTs itself, so
+// treat it as read-only.
 func (h *Handle) Targets(off, length int64) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, ch := range h.chunks(off, length) {
-		if !seen[ch.ost] {
-			seen[ch.ost] = true
-			out = append(out, ch.ost)
-		}
+	ino := h.Ino
+	ino.checkRange(off, length)
+	ss := ino.StripeSize
+	n := int64(len(ino.OSTs))
+	first := off / ss
+	units := (off+length-1)/ss - first + 1
+	if units > n {
+		units = n
 	}
-	return out
+	s := first % n
+	if s+units <= n {
+		return ino.OSTs[s : s+units : s+units]
+	}
+	out := make([]int, 0, units)
+	out = append(out, ino.OSTs[s:]...)
+	return append(out, ino.OSTs[:s+units-n]...)
+}
+
+// dataCall is one striped data op in flight, pooled per client: it counts
+// down the op's RPCs with a completion bound once, and returns to the pool
+// just before its own completion runs.
+type dataCall struct {
+	c         *Client
+	h         *Handle
+	end       int64 // off + length
+	write     bool
+	remaining int
+	done      func()
+	rpcDone   func() // d.complete, bound once
 }
 
 // dataOp runs all chunks of a striped range concurrently, bounded by
 // per-target RPC slots, and fires done when the last chunk completes.
 func (c *Client) dataOp(h *Handle, off, length int64, write bool, done func()) {
-	chunks := h.chunks(off, length)
-	remaining := len(chunks)
-	complete := func() {
-		remaining--
-		if remaining == 0 {
-			if write && off+length > h.Ino.Size {
-				h.Ino.Size = off + length
-			}
-			done()
-		}
+	ino := h.Ino
+	ino.checkRange(off, length)
+	var d *dataCall
+	if k := len(c.freeData); k > 0 {
+		d = c.freeData[k-1]
+		c.freeData = c.freeData[:k-1]
+	} else {
+		d = &dataCall{c: c}
+		d.rpcDone = d.complete
 	}
-	for _, ch := range chunks {
-		ch := ch
+	end := off + length
+	// remaining starts with the loop's own share, so no RPC can finish the
+	// op before every RPC has been issued.
+	d.h, d.end, d.write, d.done, d.remaining = h, end, write, done, 1
+	for cur := off; cur < end; {
+		ch := ino.chunkAt(cur, end)
 		// Split chunks larger than the RPC size cap.
 		for sent := int64(0); sent < ch.length; {
 			take := ch.length - sent
 			if take > c.fs.cfg.MaxRPCBytes {
 				take = c.fs.cfg.MaxRPCBytes
 			}
-			if sent > 0 {
-				remaining++
-			}
-			c.rpc(h.Ino, ch.ost, ch.objOff+sent, take, write, complete)
+			d.remaining++
+			c.rpc(ino, ch.ost, ch.objOff+sent, take, write, d.rpcDone)
 			sent += take
 		}
+		cur += ch.length
 	}
+	d.complete()
+}
+
+func (d *dataCall) complete() {
+	d.remaining--
+	if d.remaining > 0 {
+		return
+	}
+	if d.write && d.end > d.h.Ino.Size {
+		d.h.Ino.Size = d.end
+	}
+	c, done := d.c, d.done
+	d.h, d.done = nil, nil
+	c.freeData = append(c.freeData, d)
+	done()
 }
 
 // rpc performs one bulk RPC to an OST.
@@ -287,44 +382,83 @@ func (c *Client) sendAttempt(ino *Inode, ostID int, objOff, length int64, write 
 	})
 }
 
+// bulkRPC is one attempt of a bulk RPC in flight: client slot, request
+// message, OSS thread and CPU, OST data path, reply message. Attempts are
+// pooled per client with their steps bound once, and return to the pool
+// just before their completion runs.
+type bulkRPC struct {
+	c              *Client
+	ost            *OST
+	slot           *sim.Resource
+	objID          uint64
+	objOff, length int64
+	write          bool
+	done           func()
+
+	// Steps, bound once and named after the event that runs them.
+	acquired, arrived, granted, computed, stored, replied func()
+}
+
 // sendRPC performs one attempt of a bulk RPC: slot, network, OSS thread,
-// OST data path, reply.
+// OST data path, reply. A write carries its data with the request and is
+// answered by a header; a read sends a header and gets its data back after
+// the disk fetch.
 func (c *Client) sendRPC(ino *Inode, ostID int, objOff, length int64, write bool, done func()) {
-	fs := c.fs
-	ost := fs.osts[ostID]
-	slot := c.slots[ostID]
-	hdr := fs.cfg.ReqMsgBytes
-	slot.Acquire(func() {
-		finish := func() {
-			slot.Release()
-			done()
-		}
-		if write {
-			// Bulk data travels with the request; reply is a header.
-			fs.Net.Transfer(c.Node, ost.OSS.Node, hdr+length, func() {
-				ost.OSS.Threads.Acquire(func() {
-					fs.Eng.Schedule(fs.cfg.OSSOpCPU, func() {
-						ost.OSS.Threads.Release()
-						ost.write(ino.ObjID, objOff, length, func() {
-							fs.Net.Transfer(ost.OSS.Node, c.Node, hdr, finish)
-						})
-					})
-				})
-			})
-			return
-		}
-		// Read: small request, bulk reply after the disk fetch.
-		fs.Net.Transfer(c.Node, ost.OSS.Node, hdr, func() {
-			ost.OSS.Threads.Acquire(func() {
-				fs.Eng.Schedule(fs.cfg.OSSOpCPU, func() {
-					ost.read(ino.ObjID, objOff, length, func() {
-						ost.OSS.Threads.Release()
-						fs.Net.Transfer(ost.OSS.Node, c.Node, hdr+length, finish)
-					})
-				})
-			})
-		})
-	})
+	var b *bulkRPC
+	if k := len(c.freeBulk); k > 0 {
+		b = c.freeBulk[k-1]
+		c.freeBulk = c.freeBulk[:k-1]
+	} else {
+		b = &bulkRPC{c: c}
+		b.acquired, b.arrived, b.granted = b.send, b.arrive, b.compute
+		b.computed, b.stored, b.replied = b.serve, b.reply, b.complete
+	}
+	b.ost, b.slot = c.fs.osts[ostID], c.slots[ostID]
+	b.objID, b.objOff, b.length, b.write, b.done = ino.ObjID, objOff, length, write, done
+	b.slot.Acquire(b.acquired)
+}
+
+func (b *bulkRPC) send() {
+	c := b.c
+	bytes := c.fs.cfg.ReqMsgBytes
+	if b.write {
+		bytes += b.length
+	}
+	c.fs.Net.Transfer(c.Node, b.ost.OSS.Node, bytes, b.arrived)
+}
+
+func (b *bulkRPC) arrive() { b.ost.OSS.Threads.Acquire(b.granted) }
+
+func (b *bulkRPC) compute() { b.c.fs.Eng.Schedule(b.c.fs.cfg.OSSOpCPU, b.computed) }
+
+// serve runs the OST data path. A write frees its thread once the data is
+// handed to the write-back cache; a read holds it through the disk fetch.
+func (b *bulkRPC) serve() {
+	if b.write {
+		b.ost.OSS.Threads.Release()
+		b.ost.write(b.objID, b.objOff, b.length, b.stored)
+		return
+	}
+	b.ost.read(b.objID, b.objOff, b.length, b.stored)
+}
+
+func (b *bulkRPC) reply() {
+	c := b.c
+	bytes := c.fs.cfg.ReqMsgBytes
+	if !b.write {
+		b.ost.OSS.Threads.Release()
+		bytes += b.length
+	}
+	c.fs.Net.Transfer(b.ost.OSS.Node, c.Node, bytes, b.replied)
+}
+
+func (b *bulkRPC) complete() {
+	c := b.c
+	b.slot.Release()
+	done := b.done
+	b.ost, b.slot, b.done = nil, nil, nil
+	c.freeBulk = append(c.freeBulk, b)
+	done()
 }
 
 // Write stores length bytes at off, completing when the data is accepted by
@@ -372,38 +506,65 @@ func (c *Client) Read(h *Handle, off, length int64, done func()) {
 			}
 		}
 	}
-	finish := func() {
-		h.trimRA(off + length)
-		done()
+	var r *readOp
+	if k := len(c.freeReads); k > 0 {
+		r = c.freeReads[k-1]
+		c.freeReads = c.freeReads[:k-1]
+	} else {
+		r = &readOp{c: c}
+		r.finish, r.chunkDone = r.complete, r.onChunk
 	}
+	r.h, r.end, r.done, r.pending = h, off+length, done, 0
 	if covered {
-		pending := 0
-		onChunk := func() {
-			pending--
-			if pending == 0 {
-				finish()
-			}
-		}
 		for chunk := firstChunk; chunk <= lastChunk; chunk += cs {
 			if e := h.ra[chunk]; !e.done {
-				pending++
-				e.waiters = append(e.waiters, onChunk)
+				r.pending++
+				e.waiters = append(e.waiters, r.chunkDone)
 			}
 		}
-		if pending == 0 {
+		if r.pending == 0 {
 			c.cRAHit.Inc()
 			// Entirely cache-resident: page-cache copy cost only.
-			c.fs.Eng.Schedule(c.fs.cfg.CacheHitTime, finish)
+			c.fs.Eng.Schedule(c.fs.cfg.CacheHitTime, r.finish)
 		} else {
 			c.cRAWait.Inc()
 		}
 	} else {
 		c.cRAMiss.Inc()
-		c.dataOp(h, off, length, false, finish)
+		c.dataOp(h, off, length, false, r.finish)
 	}
 	if sequential {
 		h.extendRA(lastChunk+cs, raChunks)
 	}
+}
+
+// readOp is one readahead-managed read in flight, pooled per client: it
+// waits for the prefetched chunks it needs (or its own data op), then trims
+// the window behind the stream and completes.
+type readOp struct {
+	c       *Client
+	h       *Handle
+	end     int64 // off + length
+	pending int   // prefetched chunks still in flight
+	done    func()
+
+	// Bound once.
+	finish, chunkDone func()
+}
+
+func (r *readOp) onChunk() {
+	r.pending--
+	if r.pending == 0 {
+		r.complete()
+	}
+}
+
+func (r *readOp) complete() {
+	c, h, end, done := r.c, r.h, r.end, r.done
+	r.h, r.done = nil, nil
+	c.freeReads = append(c.freeReads, r)
+	h.trimRA(end)
+	done()
 }
 
 func min64ra(a, b int64) int64 {

@@ -497,3 +497,69 @@ func TestFailSlowOSTVisibleInQueueMetrics(t *testing.T) {
 		t.Fatalf("fail-slow OST queue time %v not >> healthy %v", slowQT, healthyQT)
 	}
 }
+
+// TestPooledPathAllocs pins the pooled continuations of each client path
+// once the pools are warm: a metadata round trip and a bulk read or write
+// allocate nothing of their own; Open allocates only the handle it returns.
+func TestPooledPathAllocs(t *testing.T) {
+	eng, fs := newFS(Config{})
+	c := fs.Client("c0")
+	var h *Handle
+	c.Create("/f", 2, func(hh *Handle) { h = hh })
+	eng.Run()
+	c.Write(h, 0, 4<<20, func() {})
+	eng.Run()
+	done := func() {}
+	opened := func(*Handle) {}
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want float64
+	}{
+		{"stat", func() { c.Stat("/f", done) }, 0},
+		{"open", func() { c.Open("/f", opened) }, 1},
+		{"write", func() { c.Write(h, 0, 2<<20, done) }, 0},
+		{"read", func() { c.Read(h, 1<<20, 2<<20, done) }, 0},
+	} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			tc.op()
+			eng.Run()
+		}); allocs != tc.want {
+			t.Errorf("%s: %v allocations per op, want %v", tc.name, allocs, tc.want)
+		}
+	}
+}
+
+// Targets is computed from the layout; it must name the same OSTs in the
+// same order as walking the range chunk by chunk.
+func TestTargetsMatchChunkWalk(t *testing.T) {
+	_, fs := newFS(Config{})
+	rng := sim.NewRNG(7)
+	for _, stripes := range []int{1, 2, 3, 6} {
+		ino := fs.Populate("/t"+string(rune('0'+stripes)), 64<<20, stripes)
+		h := &Handle{Ino: ino}
+		for i := 0; i < 500; i++ {
+			off := rng.Int63n(32 << 20)
+			length := 1 + rng.Int63n(int64(rng.Intn(4)+1)*ino.StripeSize*int64(stripes))
+			var want []int
+			for _, ch := range h.chunks(off, length) {
+				seen := false
+				for _, o := range want {
+					seen = seen || o == ch.ost
+				}
+				if !seen {
+					want = append(want, ch.ost)
+				}
+			}
+			got := h.Targets(off, length)
+			if len(got) != len(want) {
+				t.Fatalf("stripes %d off %d len %d: targets %v, want %v", stripes, off, length, got, want)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("stripes %d off %d len %d: targets %v, want %v", stripes, off, length, got, want)
+				}
+			}
+		}
+	}
+}

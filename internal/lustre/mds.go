@@ -219,61 +219,79 @@ func (m *MDS) allocInode(path string, dir bool, stripeCount int) *Inode {
 	return ino
 }
 
-// handle services one metadata RPC after it has arrived at the server.
-// reply receives the resulting inode (nil for unlink).
-func (m *MDS) handle(op MetaOp, path string, stripeCount int, reply func(*Inode)) {
-	arrival := m.eng.Now()
-	m.Threads.Acquire(func() {
-		m.stats.Ops++
-		finish := func(ino *Inode) {
-			latency := m.eng.Now() - arrival
-			m.hOpNS[op].Observe(float64(latency))
-			m.sink.Span("mds", "mdt", op.String(), arrival, latency)
-			m.Threads.Release()
-			reply(ino)
+// handle services one metadata RPC after it has arrived at the server: a
+// service thread, the op's CPU time, the op itself (journal write or inode
+// read when it needs one), then the reply message back to the client. The
+// metaCall steps below are the server's side of the call.
+func (m *MDS) handle(call *metaCall) {
+	call.arrival = m.eng.Now()
+	m.Threads.Acquire(call.granted)
+}
+
+func (call *metaCall) compute() {
+	m := call.c.fs.mds
+	m.stats.Ops++
+	opCPU := m.cfg.MDSOpCPU
+	if m.cpuFactor > 1 {
+		opCPU = sim.Time(float64(opCPU) * m.cpuFactor)
+	}
+	m.eng.Schedule(opCPU, call.computed)
+}
+
+func (call *metaCall) service() {
+	m := call.c.fs.mds
+	op, path := call.op, call.path
+	switch op {
+	case MetaCreate, MetaMkdir:
+		ino, ok := m.namespace[path]
+		if !ok {
+			ino = m.allocInode(path, op == MetaMkdir, call.stripeCount)
 		}
-		opCPU := m.cfg.MDSOpCPU
-		if m.cpuFactor > 1 {
-			opCPU = sim.Time(float64(opCPU) * m.cpuFactor)
+		m.cacheTouch(path)
+		call.ino = ino
+		m.journalWrite(call.served)
+	case MetaOpen, MetaStat:
+		ino, ok := m.namespace[path]
+		if !ok {
+			panic(fmt.Sprintf("lustre: %s of missing path %q", op, path))
 		}
-		m.eng.Schedule(opCPU, func() {
-			switch op {
-			case MetaCreate, MetaMkdir:
-				ino, ok := m.namespace[path]
-				if !ok {
-					ino = m.allocInode(path, op == MetaMkdir, stripeCount)
-				}
-				m.cacheTouch(path)
-				m.journalWrite(func() { finish(ino) })
-			case MetaOpen, MetaStat:
-				ino, ok := m.namespace[path]
-				if !ok {
-					panic(fmt.Sprintf("lustre: %s of missing path %q", op, path))
-				}
-				if m.cacheTouch(path) {
-					m.stats.CacheHits++
-					m.cHits.Inc()
-					finish(ino)
-					return
-				}
-				m.inodeRead(ino, func() { finish(ino) })
-			case MetaClose:
-				// Attribute updates are asynchronous in Lustre; CPU only.
-				finish(m.namespace[path])
-			case MetaUnlink:
-				ino, ok := m.namespace[path]
-				if !ok {
-					panic(fmt.Sprintf("lustre: unlink of missing path %q", path))
-				}
-				delete(m.namespace, path)
-				m.cacheDrop(path)
-				if m.destroyObjects != nil && !ino.Dir {
-					m.destroyObjects(ino)
-				}
-				m.journalWrite(func() { finish(nil) })
-			default:
-				panic("lustre: unknown metadata op")
-			}
-		})
-	})
+		call.ino = ino
+		if m.cacheTouch(path) {
+			m.stats.CacheHits++
+			m.cHits.Inc()
+			call.reply()
+			return
+		}
+		m.inodeRead(ino, call.served)
+	case MetaClose:
+		// Attribute updates are asynchronous in Lustre; CPU only.
+		call.ino = m.namespace[path]
+		call.reply()
+	case MetaUnlink:
+		ino, ok := m.namespace[path]
+		if !ok {
+			panic(fmt.Sprintf("lustre: unlink of missing path %q", path))
+		}
+		delete(m.namespace, path)
+		m.cacheDrop(path)
+		if m.destroyObjects != nil && !ino.Dir {
+			m.destroyObjects(ino)
+		}
+		call.ino = nil
+		m.journalWrite(call.served)
+	default:
+		panic("lustre: unknown metadata op")
+	}
+}
+
+// reply ends the service: it records the op's latency, frees the thread and
+// sends the answer to the client.
+func (call *metaCall) reply() {
+	m := call.c.fs.mds
+	latency := m.eng.Now() - call.arrival
+	m.hOpNS[call.op].Observe(float64(latency))
+	m.sink.Span("mds", "mdt", call.op.String(), call.arrival, latency)
+	m.Threads.Release()
+	c := call.c
+	c.fs.Net.Transfer(m.Node, c.Node, c.fs.cfg.ReqMsgBytes, call.replied)
 }

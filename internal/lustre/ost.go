@@ -41,6 +41,59 @@ type writeWaiter struct {
 	enqueued sim.Time
 }
 
+// fifo is a slice-backed queue. Popping advances a head index instead of
+// reslicing, and a push into a full backing array first reclaims the popped
+// prefix, so a queue that never drains keeps reusing one array.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+// front returns the oldest item; the queue must not be empty.
+func (q *fifo[T]) front() *T { return &q.items[q.head] }
+
+func (q *fifo[T]) push(x T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, x)
+}
+
+func (q *fifo[T]) pop() T {
+	x := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // drop references held by the popped item
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return x
+}
+
+// flush is one write-back flush in flight, pooled per OST with its
+// completion bound once.
+type flush struct {
+	o     *OST
+	bytes int64
+	start sim.Time
+	done  func() // f.complete
+}
+
+// readCall is one OST read in flight, pooled per OST: it counts down the
+// read's disk runs with a completion bound once.
+type readCall struct {
+	o         *OST
+	remaining int
+	done      func()
+	runDone   func() // r.complete
+}
+
 // OSS is one object storage server: a network node, a service-thread pool,
 // and its OSTs.
 type OSS struct {
@@ -66,9 +119,12 @@ type OST struct {
 	runsBuf []run
 
 	dirtyBytes    int64
-	dirtyExtents  []dirtyExtent
+	dirtyExtents  fifo[dirtyExtent]
 	flushInFlight int
-	waiters       []writeWaiter
+	waiters       fifo[writeWaiter]
+	// Free lists of in-flight flushes and reads.
+	freeFlushes []*flush
+	freeReads   []*readCall
 	// cachePressure divides the effective write-back limit (1 = nominal),
 	// a fault-injected memory squeeze on the server.
 	cachePressure float64
@@ -255,13 +311,13 @@ func sectorRange(off, length int64) (int64, int64) {
 func (o *OST) write(objID uint64, off, length int64, done func()) {
 	startSec, nSec := sectorRange(off, length)
 	runs := o.mapRange(objID, startSec, nSec)
-	if len(o.waiters) > 0 ||
+	if o.waiters.len() > 0 ||
 		(o.dirtyBytes > 0 && o.dirtyBytes+length > o.writebackLimit()) {
 		o.writesThrottled++
 		o.cThrottled.Inc()
 		// The waiter outlives this event, so it needs its own copy of the
 		// scratch-backed runs.
-		o.waiters = append(o.waiters, writeWaiter{
+		o.waiters.push(writeWaiter{
 			bytes: length, runs: append([]run(nil), runs...),
 			done: done, enqueued: o.eng.Now()})
 		return
@@ -282,37 +338,48 @@ func (o *OST) admit(bytes int64, runs []run, done func()) {
 		if i == 0 {
 			b += rem
 		}
-		o.dirtyExtents = append(o.dirtyExtents, dirtyExtent{run: r, bytes: b})
+		o.dirtyExtents.push(dirtyExtent{run: r, bytes: b})
 	}
 	o.scheduleFlush()
 	done()
 }
 
 func (o *OST) scheduleFlush() {
-	for o.flushInFlight < o.cfg.FlushBatch && len(o.dirtyExtents) > 0 {
-		ext := o.dirtyExtents[0]
-		o.dirtyExtents = o.dirtyExtents[1:]
+	for o.flushInFlight < o.cfg.FlushBatch && o.dirtyExtents.len() > 0 {
+		ext := o.dirtyExtents.pop()
 		o.flushInFlight++
 		o.cFlushes.Inc()
 		o.cFlushedSec.Add(uint64(ext.length))
-		start := o.eng.Now()
-		o.q.Submit(disk.Write, ext.sector, ext.length, func() {
-			o.flushInFlight--
-			o.dirtyBytes -= ext.bytes
-			o.sink.Span("ost", o.name, "flush", start, o.eng.Now()-start)
-			o.wakeWaiters()
-			o.scheduleFlush()
-		})
+		var f *flush
+		if k := len(o.freeFlushes); k > 0 {
+			f = o.freeFlushes[k-1]
+			o.freeFlushes = o.freeFlushes[:k-1]
+		} else {
+			f = &flush{o: o}
+			f.done = f.complete
+		}
+		f.bytes, f.start = ext.bytes, o.eng.Now()
+		o.q.Submit(disk.Write, ext.sector, ext.length, f.done)
 	}
 }
 
+func (f *flush) complete() {
+	o := f.o
+	bytes, start := f.bytes, f.start
+	o.freeFlushes = append(o.freeFlushes, f)
+	o.flushInFlight--
+	o.dirtyBytes -= bytes
+	o.sink.Span("ost", o.name, "flush", start, o.eng.Now()-start)
+	o.wakeWaiters()
+	o.scheduleFlush()
+}
+
 func (o *OST) wakeWaiters() {
-	for len(o.waiters) > 0 {
-		w := o.waiters[0]
-		if o.dirtyBytes > 0 && o.dirtyBytes+w.bytes > o.writebackLimit() {
+	for o.waiters.len() > 0 {
+		if w := o.waiters.front(); o.dirtyBytes > 0 && o.dirtyBytes+w.bytes > o.writebackLimit() {
 			return
 		}
-		o.waiters = o.waiters[1:]
+		w := o.waiters.pop()
 		o.hThrottleNS.Observe(float64(o.eng.Now() - w.enqueued))
 		o.admit(w.bytes, w.runs, w.done)
 	}
@@ -322,15 +389,29 @@ func (o *OST) wakeWaiters() {
 func (o *OST) read(objID uint64, off, length int64, done func()) {
 	startSec, nSec := sectorRange(off, length)
 	runs := o.mapRange(objID, startSec, nSec)
-	remaining := len(runs)
-	for _, r := range runs {
-		o.q.Submit(disk.Read, r.sector, r.length, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+	var r *readCall
+	if k := len(o.freeReads); k > 0 {
+		r = o.freeReads[k-1]
+		o.freeReads = o.freeReads[:k-1]
+	} else {
+		r = &readCall{o: o}
+		r.runDone = r.complete
 	}
+	r.remaining, r.done = len(runs), done
+	for _, run := range runs {
+		o.q.Submit(disk.Read, run.sector, run.length, r.runDone)
+	}
+}
+
+func (r *readCall) complete() {
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	o, done := r.o, r.done
+	r.done = nil
+	o.freeReads = append(o.freeReads, r)
+	done()
 }
 
 // populate lays out an object's range instantly (no simulated time), for

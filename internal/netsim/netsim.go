@@ -82,6 +82,26 @@ type flow struct {
 	bytes     int64    // original size, for observability
 }
 
+// timer is one armed completion check. Its fire func is bound once, when the
+// timer is made, so re-arming allocates nothing; a timer returns to its
+// network's pool as it fires.
+type timer struct {
+	n    *Network
+	gen  uint64 // the n.gen this check was armed for
+	fire func()
+}
+
+func (t *timer) run() {
+	n := t.n
+	gen := t.gen
+	n.freeTimers = append(n.freeTimers, t)
+	if gen != n.gen {
+		return // superseded by a later topology change
+	}
+	n.advance()
+	n.finishDrained()
+}
+
 // NodeStats reports cumulative traffic through a node.
 type NodeStats struct {
 	BytesSent uint64
@@ -105,6 +125,7 @@ type Network struct {
 	// Reusable scratch and free lists for the recompute/finish hot path.
 	epoch       uint64
 	freeFlows   []*flow
+	freeTimers  []*timer
 	linksBuf    []*link
 	unfrozenBuf []*flow
 	finishedBuf []*flow
@@ -350,14 +371,16 @@ func (n *Network) reschedule() {
 		delay = 1
 	}
 	n.gen++
-	gen := n.gen
-	n.eng.Schedule(delay, func() {
-		if gen != n.gen {
-			return // superseded by a later topology change
-		}
-		n.advance()
-		n.finishDrained()
-	})
+	var t *timer
+	if k := len(n.freeTimers); k > 0 {
+		t = n.freeTimers[k-1]
+		n.freeTimers = n.freeTimers[:k-1]
+	} else {
+		t = &timer{n: n}
+		t.fire = t.run
+	}
+	t.gen = n.gen
+	n.eng.Schedule(delay, t.fire)
 }
 
 // finishDrained completes flows whose bytes have drained and reschedules.

@@ -249,3 +249,30 @@ func TestSetBandwidthScaleErrors(t *testing.T) {
 		t.Fatalf("transfer on half-speed NIC finished at %v, want ~2s", sim.ToSeconds(done))
 	}
 }
+
+// TestTransferSteadyStateAllocs pins the pooled completion timers: once the
+// pools are warm, re-arming the completion check allocates nothing — for a
+// lone flow, and for two flows sharing a NIC, which leaves a superseded
+// timer in the queue.
+func TestTransferSteadyStateAllocs(t *testing.T) {
+	eng, n := newNet("a", "b", "c")
+	done := func() {}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"one flow", func() {
+			n.Transfer("a", "c", 1<<20, done)
+			eng.Run()
+		}},
+		{"shared NIC", func() {
+			n.Transfer("a", "c", 1<<20, done)
+			n.Transfer("b", "c", 1<<19, done)
+			eng.Run()
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per transfer, want 0", tc.name, allocs)
+		}
+	}
+}

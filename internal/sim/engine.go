@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -39,46 +38,35 @@ func ToSeconds(t Time) float64 {
 	return float64(t) / float64(Second)
 }
 
-// event is a single scheduled callback.
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
+// entry is one queued event. It holds no pointers — the callback lives in
+// the engine's slot table — so sifting the heap moves plain words the
+// garbage collector never scans and no write barrier guards.
+type entry struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among equal timestamps
+	slot int    // index of the callback in Engine.fns
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before orders entries by (at, seq), a strict total order: seq is unique,
+// so any correct heap pops events in exactly one sequence.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Engine is a discrete-event simulator clock and event queue.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
+	now Time
+	seq uint64
+	// queue is a binary min-heap of entries ordered by (at, seq).
+	queue []entry
+	// fns holds each queued event's callback at its slot; free lists the
+	// unused slots. Both grow to the peak queue depth and are never
+	// trimmed, so the steady-state loop allocates nothing of its own.
+	fns     []func()
+	free    []int
 	stopped bool
 	// executed counts events that have run; useful for progress assertions.
 	executed uint64
-	// free recycles executed event structs: the steady-state hot loop
-	// allocates no event objects, only the closures callers schedule. The
-	// list grows to the peak queue depth and is never trimmed.
-	free []*event
 
 	// Observability handles; nil (one branch per event) unless Instrument
 	// attached a sink.
@@ -107,7 +95,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule runs fn after delay. A zero delay schedules fn to run after all
 // callbacks already queued for the current instant. Negative delays panic:
@@ -128,35 +116,85 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	e.seq++
-	var ev *event
+	var slot int
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		slot = len(e.fns)
+		e.fns = append(e.fns, nil)
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	heap.Push(&e.events, ev)
+	e.fns[slot] = fn
+	e.push(entry{at: t, seq: e.seq, slot: slot})
 	e.cScheduled.Inc()
-	e.gQueueMax.Max(float64(len(e.events)))
+	e.gQueueMax.Max(float64(len(e.queue)))
 }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
-	e.now = ev.at
+	top := e.pop()
+	e.now = top.at
 	e.executed++
 	e.cEvents.Inc()
-	fn := ev.fn
-	// Recycle before running fn: the event is off the heap, so a callback
-	// that schedules may reuse it immediately.
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	fn := e.fns[top.slot]
+	// Free the slot before running fn, so a callback that schedules may
+	// reuse it immediately.
+	e.fns[top.slot] = nil
+	e.free = append(e.free, top.slot)
 	fn()
 	return true
+}
+
+// push adds x to the heap, sifting it up through a hole rather than by
+// swaps.
+func (e *Engine) push(x entry) {
+	// Appending to the field itself lets the compiler skip storing the
+	// slice pointer (and its write barrier) unless the array grows.
+	e.queue = append(e.queue, x)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+}
+
+// pop removes and returns the heap's minimum: the last entry fills the
+// root's hole and sifts down.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	e.queue = e.queue[:n] // reslicing the field in place stores only its length
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(x) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = x
+	}
+	return top
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -170,7 +208,7 @@ func (e *Engine) Run() {
 // t. Events scheduled for later remain queued.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= t {
 		e.Step()
 	}
 	if !e.stopped && e.now < t {

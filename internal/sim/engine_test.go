@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +168,120 @@ func TestPropertyAllEventsRun(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyQueueOrder drives seeded random At/Schedule calls — many
+// equal timestamps, zero-delay scheduling from inside callbacks, and
+// RunUntil/Step interleaved with scheduling — and checks the queue against
+// a reference: events run in the stable (at, schedule order) sort of
+// everything scheduled, each exactly once, with Pending and Executed
+// consistent throughout.
+func TestPropertyQueueOrder(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		type ev struct {
+			at Time
+			id int // schedule order
+		}
+		var scheduled []ev
+		var ran []int
+		runs := map[int]int{}
+		check := func(where string) {
+			t.Helper()
+			if got, want := e.Executed(), uint64(len(ran)); got != want {
+				t.Fatalf("seed %d %s: Executed %d, ran %d", seed, where, got, want)
+			}
+			if got, want := e.Pending(), len(scheduled)-len(ran); got != want {
+				t.Fatalf("seed %d %s: Pending %d, want %d", seed, where, got, want)
+			}
+		}
+		var schedule func(at Time, depth int)
+		schedule = func(at Time, depth int) {
+			id := len(scheduled)
+			scheduled = append(scheduled, ev{at, id})
+			fn := func() {
+				if e.Now() != at {
+					t.Fatalf("seed %d: event %d ran at %d, scheduled for %d", seed, id, e.Now(), at)
+				}
+				ran = append(ran, id)
+				runs[id]++
+				check("callback")
+				for k := rng.Intn(3); depth < 4 && k > 0; k-- {
+					if rng.Intn(2) == 0 {
+						schedule(e.Now(), depth+1) // zero delay
+					} else {
+						schedule(e.Now()+Time(rng.Intn(4)), depth+1)
+					}
+				}
+			}
+			if rng.Intn(2) == 0 {
+				e.At(at, fn)
+			} else {
+				e.Schedule(at-e.Now(), fn)
+			}
+		}
+		for round := 0; round < 200; round++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				// A narrow time range makes equal timestamps common.
+				for k := rng.Intn(8); k >= 0; k-- {
+					schedule(e.Now()+Time(rng.Intn(5)), 0)
+				}
+			case 2:
+				until := e.Now() + Time(rng.Intn(6))
+				e.RunUntil(until)
+				if e.Now() != until {
+					t.Fatalf("seed %d: RunUntil(%d) left the clock at %d", seed, until, e.Now())
+				}
+			case 3:
+				e.Step()
+			}
+			check("driver")
+		}
+		e.Run()
+		check("drained")
+
+		want := append([]ev(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: ran %d events, scheduled %d", seed, len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i].id {
+				t.Fatalf("seed %d: event %d ran %d-th, want event %d", seed, ran[i], i, want[i].id)
+			}
+		}
+		for id := range scheduled {
+			if runs[id] != 1 {
+				t.Fatalf("seed %d: event %d ran %d times", seed, id, runs[id])
+			}
+		}
+	}
+}
+
+// TestEngineStepAllocs pins the pointer-free queue: with ~1k events pending,
+// scheduling and dispatching one event allocates nothing.
+func TestEngineStepAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		e.At(Second+Time(i), fn)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now()+1, fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("At+Step with %d pending allocates %v, want 0", e.Pending(), allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(0, fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("Schedule+Step allocates %v, want 0", allocs)
+	}
+	if e.Pending() != 1024 {
+		t.Fatalf("pending %d, want 1024", e.Pending())
 	}
 }

@@ -76,7 +76,8 @@ type Record struct {
 	Start sim.Time
 	End   sim.Time
 	// Targets are the storage target indices the op touched
-	// (OST ids, or the MDT index for metadata ops).
+	// (OST ids, or the MDT index for metadata ops). Records may share
+	// the slice: treat it as read-only.
 	Targets []int
 }
 
@@ -107,7 +108,8 @@ type Runner struct {
 	Loop bool
 	// OnRecord observes every completed I/O op (may be nil).
 	OnRecord func(Record)
-	// OnDone fires when all ranks finish (never in Loop mode; may be nil).
+	// OnDone fires when every rank has finished: its stream ended (with
+	// Loop, only an empty stream ends) or the runner stopped. May be nil.
 	OnDone func()
 	// WriteVia, when set, replaces direct client writes — e.g. routing
 	// them through a burst buffer tier. It must eventually call done.
@@ -118,10 +120,11 @@ type Runner struct {
 	// WriteVia; returning nil falls back to direct client writes.
 	WriteViaFor func(node string) func(h *lustre.Handle, off, length int64, done func())
 
-	stopped  bool
-	active   int
-	started  bool
-	prepared bool
+	stopped bool
+	active  int
+	started bool
+	// mdt is the Targets of every metadata record, shared by all of them.
+	mdt []int
 
 	paused    bool
 	held      []func()
@@ -176,6 +179,7 @@ func (r *Runner) Start() {
 		panic("workload: runner needs ranks and nodes")
 	}
 	r.Gen.Prepare(r.FS)
+	r.mdt = []int{r.FS.MDTIndex()}
 	r.active = r.Ranks
 	for rank := 0; rank < r.Ranks; rank++ {
 		node := r.Nodes[rank%len(r.Nodes)]
@@ -183,109 +187,144 @@ func (r *Runner) Start() {
 	}
 }
 
-// rankState tracks a rank's open handles across its stream.
-type rankState struct {
+// rank is one rank's position in its op stream. A rank has at most one op
+// in flight, so its continuations are bound once when it starts and every
+// op reuses them: stepping the stream allocates nothing of its own.
+type rank struct {
+	r       *Runner
+	id      int
+	client  *lustre.Client
+	write   func(h *lustre.Handle, off, length int64, done func())
 	handles map[string]*lustre.Handle
+	ops     []Op
+	iter    int
+	i       int            // index of the op in flight (or held, or next)
+	start   sim.Time       // when op i was issued
+	h       *lustre.Handle // op i's handle, for data ops
+
+	// Continuations, bound once.
+	resume   func()               // re-enter the stream at op i
+	computed func()               // a Compute op ended
+	metaDone func()               // a metadata op ended
+	opened   func(*lustre.Handle) // a Create or Open ended
+	dataDone func()               // a Read or Write ended
 }
 
-func (r *Runner) runRank(rank int, node string) {
+func (r *Runner) runRank(id int, node string) {
 	client := r.FS.Client(node)
-	writeFn := client.Write
+	k := &rank{
+		r: r, id: id, client: client, write: client.Write,
+		handles: make(map[string]*lustre.Handle),
+		ops:     r.Gen.Ops(id),
+	}
 	if r.WriteViaFor != nil {
 		if w := r.WriteViaFor(node); w != nil {
-			writeFn = w
+			k.write = w
 		}
 	} else if r.WriteVia != nil {
-		writeFn = r.WriteVia
+		k.write = r.WriteVia
 	}
-	st := &rankState{handles: make(map[string]*lustre.Handle)}
-	iter := 0
-	ops := r.Gen.Ops(rank)
-	var exec func(i int)
-	finishRank := func() {
-		r.active--
-		if r.active == 0 && r.OnDone != nil {
-			r.OnDone()
-		}
-	}
-	exec = func(i int) {
-		if r.stopped {
-			finishRank()
-			return
-		}
-		if r.paused {
-			// Hold the rank at the gate; Resume re-enters exec(i), which
-			// rechecks stopped so a Stop while held still wins.
-			if i < len(ops) && ops[i].Kind.IsIO() {
-				r.heldBytes += ops[i].Size
-			}
-			r.held = append(r.held, func() { exec(i) })
-			return
-		}
-		if i >= len(ops) {
-			if !r.Loop {
-				finishRank()
-				return
-			}
-			iter++
-			exec(0)
-			return
-		}
-		op := ops[i]
-		start := r.FS.Eng.Now()
-		emit := func(targets []int) {
-			if r.OnRecord != nil && op.Kind.IsIO() {
-				r.OnRecord(Record{
-					Workload: r.Name, Rank: rank, Iter: iter, Seq: i,
-					Op: op, Start: start, End: r.FS.Eng.Now(),
-					Targets: targets,
-				})
-			}
-			exec(i + 1)
-		}
-		mdt := []int{r.FS.MDTIndex()}
-		switch op.Kind {
-		case Compute:
-			r.FS.Eng.Schedule(op.Dur, func() { emit(nil) })
-		case Create:
-			client.Create(op.Path, op.StripeCount, func(h *lustre.Handle) {
-				st.handles[op.Path] = h
-				emit(mdt)
-			})
-		case Open:
-			client.Open(op.Path, func(h *lustre.Handle) {
-				st.handles[op.Path] = h
-				emit(mdt)
-			})
-		case Close:
-			h := st.handle(op)
-			delete(st.handles, op.Path)
-			client.Close(h, func() { emit(mdt) })
-		case Stat:
-			client.Stat(op.Path, func() { emit(mdt) })
-		case Unlink:
-			client.Unlink(op.Path, func() { emit(mdt) })
-		case Mkdir:
-			client.Mkdir(op.Path, func() { emit(mdt) })
-		case Read:
-			h := st.handle(op)
-			client.Read(h, op.Offset, op.Size, func() {
-				emit(h.Targets(op.Offset, op.Size))
-			})
-		case Write:
-			h := st.handle(op)
-			writeFn(h, op.Offset, op.Size, func() {
-				emit(h.Targets(op.Offset, op.Size))
-			})
-		default:
-			panic(fmt.Sprintf("workload: unknown op kind %d", op.Kind))
-		}
-	}
-	exec(0)
+	k.resume, k.computed, k.metaDone = k.exec, k.computeDone, k.metaOpDone
+	k.opened, k.dataDone = k.openDone, k.dataOpDone
+	k.exec()
 }
 
-func (s *rankState) handle(op Op) *lustre.Handle {
-	h, ok := s.handles[op.Path]
+func (k *rank) finish() {
+	r := k.r
+	r.active--
+	if r.active == 0 && r.OnDone != nil {
+		r.OnDone()
+	}
+}
+
+// exec issues op i, or holds the rank at the pause gate, or ends it.
+func (k *rank) exec() {
+	r := k.r
+	if r.stopped {
+		k.finish()
+		return
+	}
+	if r.paused {
+		// Hold the rank at the gate; Resume re-enters exec, which rechecks
+		// stopped so a Stop while held still wins.
+		if k.i < len(k.ops) && k.ops[k.i].Kind.IsIO() {
+			r.heldBytes += k.ops[k.i].Size
+		}
+		r.held = append(r.held, k.resume)
+		return
+	}
+	if k.i >= len(k.ops) {
+		// An empty stream ends even when looping: restarting it would
+		// issue nothing and never yield to the engine.
+		if !r.Loop || len(k.ops) == 0 {
+			k.finish()
+			return
+		}
+		k.iter++
+		k.i = 0
+	}
+	op := &k.ops[k.i]
+	k.start = r.FS.Eng.Now()
+	switch op.Kind {
+	case Compute:
+		r.FS.Eng.Schedule(op.Dur, k.computed)
+	case Create:
+		k.client.Create(op.Path, op.StripeCount, k.opened)
+	case Open:
+		k.client.Open(op.Path, k.opened)
+	case Close:
+		h := k.handle(op)
+		delete(k.handles, op.Path)
+		k.client.Close(h, k.metaDone)
+	case Stat:
+		k.client.Stat(op.Path, k.metaDone)
+	case Unlink:
+		k.client.Unlink(op.Path, k.metaDone)
+	case Mkdir:
+		k.client.Mkdir(op.Path, k.metaDone)
+	case Read:
+		k.h = k.handle(op)
+		k.client.Read(k.h, op.Offset, op.Size, k.dataDone)
+	case Write:
+		k.h = k.handle(op)
+		k.write(k.h, op.Offset, op.Size, k.dataDone)
+	default:
+		panic(fmt.Sprintf("workload: unknown op kind %d", op.Kind))
+	}
+}
+
+func (k *rank) computeDone() { k.emit(nil) }
+
+func (k *rank) metaOpDone() { k.emit(k.r.mdt) }
+
+func (k *rank) openDone(h *lustre.Handle) {
+	k.handles[k.ops[k.i].Path] = h
+	k.emit(k.r.mdt)
+}
+
+func (k *rank) dataOpDone() {
+	op := &k.ops[k.i]
+	h := k.h
+	k.h = nil
+	k.emit(h.Targets(op.Offset, op.Size))
+}
+
+// emit records op i and moves on to the next op.
+func (k *rank) emit(targets []int) {
+	r := k.r
+	if op := &k.ops[k.i]; r.OnRecord != nil && op.Kind.IsIO() {
+		r.OnRecord(Record{
+			Workload: r.Name, Rank: k.id, Iter: k.iter, Seq: k.i,
+			Op: *op, Start: k.start, End: r.FS.Eng.Now(),
+			Targets: targets,
+		})
+	}
+	k.i++
+	k.exec()
+}
+
+func (k *rank) handle(op *Op) *lustre.Handle {
+	h, ok := k.handles[op.Path]
 	if !ok {
 		panic(fmt.Sprintf("workload: %s of %q without open handle", op.Kind, op.Path))
 	}

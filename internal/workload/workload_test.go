@@ -327,3 +327,89 @@ func TestRunnerStopWhileHeld(t *testing.T) {
 		t.Fatalf("stopped rank executed %d more ops after Resume", len(recs)-n)
 	}
 }
+
+// A looping rank whose generator returns no ops used to restart its empty
+// stream from inside itself until the process died of a stack overflow. It
+// must finish like a non-looping rank, while ranks with ops keep looping.
+func TestLoopingRunnerEmptyStreamFinishes(t *testing.T) {
+	eng, fs := newFS()
+	done := false
+	r := &Runner{
+		FS: fs, Name: "empty", Nodes: []string{"c0"}, Ranks: 1, Loop: true,
+		Gen:    scriptGen{name: "empty", ops: func(int) []Op { return nil }},
+		OnDone: func() { done = true },
+	}
+	r.Start()
+	eng.Run()
+	if !done || r.Running() {
+		t.Fatalf("empty looping rank: done=%v running=%v", done, r.Running())
+	}
+
+	eng, fs = newFS()
+	var recs []Record
+	r = &Runner{
+		FS: fs, Name: "mixed", Nodes: []string{"c0"}, Ranks: 2, Loop: true,
+		Gen: scriptGen{name: "mixed", ops: func(rank int) []Op {
+			if rank == 1 {
+				return nil
+			}
+			return []Op{{Kind: Mkdir, Path: "/d"}, {Kind: Stat, Path: "/d"}}
+		}},
+		OnRecord: func(rec Record) { recs = append(recs, rec) },
+	}
+	r.Start()
+	eng.RunUntil(sim.Seconds(1))
+	if !r.Running() {
+		t.Fatal("looping rank with ops stopped when its empty peer finished")
+	}
+	if len(recs) == 0 || recs[len(recs)-1].Iter == 0 {
+		t.Fatalf("rank 0 did not loop: %d records", len(recs))
+	}
+	for _, rec := range recs {
+		if rec.Rank != 0 {
+			t.Fatalf("record from empty rank %d", rec.Rank)
+		}
+	}
+	r.Stop()
+	eng.Run()
+	if r.Running() {
+		t.Fatal("runner still active after Stop")
+	}
+}
+
+// TestRankStepAllocs pins the per-rank continuations: once warm, a looping
+// rank issues and records a metadata op without allocating, and a
+// create-write-read-close iteration allocates only the handle Create returns.
+func TestRankStepAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+		want float64
+	}{
+		{"stat", []Op{{Kind: Stat, Path: "/d"}}, 0},
+		{"create-write-read-close", []Op{
+			{Kind: Create, Path: "/d/f", StripeCount: 2},
+			{Kind: Write, Path: "/d/f", Offset: 0, Size: 2 << 20},
+			{Kind: Read, Path: "/d/f", Offset: 0, Size: 2 << 20},
+			{Kind: Close, Path: "/d/f"},
+		}, 1},
+	} {
+		eng, fs := newFS()
+		fs.PopulateDir("/d")
+		records := 0
+		r := &Runner{
+			FS: fs, Name: tc.name, Nodes: []string{"c0"}, Ranks: 1, Loop: true,
+			Gen:      scriptGen{name: tc.name, ops: func(int) []Op { return tc.ops }},
+			OnRecord: func(Record) { records++ },
+		}
+		r.Start()
+		iteration := func() {
+			for target := records + len(tc.ops); records < target; {
+				eng.Step()
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, iteration); allocs != tc.want {
+			t.Errorf("%s: %v allocations per iteration, want %v", tc.name, allocs, tc.want)
+		}
+	}
+}
