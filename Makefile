@@ -126,38 +126,48 @@ mitigate-smoke:
 		{ echo "mitigate-smoke: CSV diverged from golden"; exit 1; }
 	@echo "mitigate-smoke: OK"
 
-# fleet-smoke runs the deterministic 3-replica fleet episode twice and
-# byte-compares the outputs: rendezvous routing with failover across a
-# mid-episode kill (zero dropped requests), a failed rolling promotion that
-# rolls back to the incumbent digest, a restart with reservoir restore, the
-# order-independent merged retrain, and a clean fleet-wide rollout. The
-# printed timeline carries replica names and weight digests only, so any
-# nondeterminism in routing, merging, or training shows up as a byte diff.
+# fleet-smoke runs the deterministic 3-replica fleet episode twice,
+# byte-compares the two outputs, and compares them against the committed
+# golden (cmd/quantfleet/testdata/smoke_golden.txt): rendezvous routing with
+# failover across a mid-episode kill (zero dropped requests), a failed
+# rolling promotion that rolls back to the incumbent digest, a restart with
+# reservoir restore, the order-independent merged retrain, and a clean
+# fleet-wide rollout. The printed timeline carries replica names and weight
+# digests only, so any nondeterminism in routing, merging, or training shows
+# up as a diff between the runs, and any deterministic change to the episode
+# as a diff against the golden.
 fleet-smoke:
 	@mkdir -p out/fleet-smoke
 	$(GO) run ./cmd/quantfleet -smoke > out/fleet-smoke/run1.txt
 	$(GO) run ./cmd/quantfleet -smoke > out/fleet-smoke/run2.txt
 	@cmp out/fleet-smoke/run1.txt out/fleet-smoke/run2.txt || \
 		{ echo "fleet-smoke: episode diverged between runs"; exit 1; }
+	@cmp out/fleet-smoke/run1.txt cmd/quantfleet/testdata/smoke_golden.txt || \
+		{ echo "fleet-smoke: episode diverged from golden"; exit 1; }
 	@grep -q 'dropped 0' out/fleet-smoke/run1.txt || \
 		{ echo "fleet-smoke: requests were dropped"; exit 1; }
 	@grep -q 'order-independent: ok' out/fleet-smoke/run1.txt || \
 		{ echo "fleet-smoke: merge order changed the corpus digest"; exit 1; }
 	@echo "fleet-smoke: OK"
 
-# shadow-smoke runs the shadow-evaluation episode twice and byte-compares
-# the outputs: one weak champion served by three replicas with a shared
-# mirror tap, three challengers scored on the mirrored live traffic, the
-# N-way gate promoting exactly the margin-winning challenger fleet-wide, and
-# a forced-reject drill epoch that keeps the new incumbent. Scores, digests,
-# and the routing timeline are all in the output, so any nondeterminism in
-# mirroring, scoring, or gating shows up as a byte diff.
+# shadow-smoke runs the shadow-evaluation episode twice, byte-compares the
+# two outputs, and compares them against the committed golden
+# (cmd/quantfleet/testdata/shadow_golden.txt): one weak champion served by
+# three replicas with a shared mirror tap, three challengers scored on the
+# mirrored live traffic, the N-way gate promoting exactly the margin-winning
+# challenger fleet-wide, and a forced-reject drill epoch that keeps the new
+# incumbent. Scores, digests, and the routing timeline are all in the
+# output, so any nondeterminism in mirroring, scoring, or gating shows up as
+# a diff between the runs, and any deterministic change as a diff against
+# the golden.
 shadow-smoke:
 	@mkdir -p out/shadow-smoke
 	$(GO) run ./cmd/quantfleet -shadow > out/shadow-smoke/run1.txt
 	$(GO) run ./cmd/quantfleet -shadow > out/shadow-smoke/run2.txt
 	@cmp out/shadow-smoke/run1.txt out/shadow-smoke/run2.txt || \
 		{ echo "shadow-smoke: episode diverged between runs"; exit 1; }
+	@cmp out/shadow-smoke/run1.txt cmd/quantfleet/testdata/shadow_golden.txt || \
+		{ echo "shadow-smoke: episode diverged from golden"; exit 1; }
 	@grep -q '^verdict: promote ' out/shadow-smoke/run1.txt || \
 		{ echo "shadow-smoke: no challenger was promoted"; exit 1; }
 	@grep -q '^shadow-promote ' out/shadow-smoke/run1.txt || \

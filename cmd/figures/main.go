@@ -4,14 +4,14 @@
 //
 // Usage:
 //
-//	figures [-only table1|fig1a|fig1b|table2|fig3a|fig3b|fig4|fig5|ablation|transfer|leadtime|mitigation|shadow]
-//	        [-scale 1.0] [-epochs 60] [-seed 42] [-reps 0] [-out out/]
-//	        [-profiles paper,nvme,fastnic] [-pprof localhost:6060]
+//	figures [-only name] [-scale 1.0] [-epochs 60] [-seed 42] [-reps 0]
+//	        [-out out/] [-profiles paper,nvme,fastnic] [-pprof localhost:6060]
+//
+// With no -only flag every experiment runs in paper order; -only runs the
+// one named (figures -help lists the names), and an unknown name exits 2.
 //
 // -pprof serves net/http/pprof profiles and a /metrics runtime-metrics dump
 // on the given address while the experiments run.
-//
-// With no -only flag every experiment runs in paper order.
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"quanterference/internal/dataset"
@@ -29,18 +30,163 @@ import (
 )
 
 var (
-	only     = flag.String("only", "", "run a single experiment (table1, fig1a, fig1b, table2, fig3a, fig3b, fig4, fig5, ablation, extensions, casestudy, phases, robustness, transfer, leadtime, mitigation, shadow)")
+	only     = flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames(), ", "))
 	scale    = flag.Float64("scale", 1.0, "workload volume scale factor")
 	epochs   = flag.Int("epochs", 60, "training epochs for model experiments")
 	seed     = flag.Int64("seed", 42, "root random seed")
-	reps     = flag.Int("reps", 0, "dataset collection repetitions (0 = experiment default)")
+	reps     = flag.Int("reps", 0, "training-sweep repetitions of the mitigation study, the only experiment that reads it (0 = its default)")
 	outDir   = flag.String("out", "out", "output directory for .txt/.csv files")
-	profiles = flag.String("profiles", "paper,nvme,fastnic", "comma-separated hardware profiles for the transfer study")
+	profiles = flag.String("profiles", "paper,nvme,fastnic", "comma-separated hardware profiles for the transfer and lead-time studies")
 	pprofA   = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 )
 
+// experiment is one entry of the run list: name selects it with -only,
+// title heads its step, and run computes it and emits its panels.
+type experiment struct {
+	name, title string
+	run         func()
+}
+
+// experimentList is every experiment, in paper order.
+var experimentList = []experiment{
+	{"table1", "Table I: IO500 slowdown matrix", func() {
+		r := experiments.TableI(experiments.TableIConfig{Scale: scaleFlag()})
+		emit("table1", r.Render(), r.CSV())
+		write("table1.svg", r.SVG())
+		task, interf, v := r.MaxCell()
+		fmt.Printf("  most impacted: %s under %s (%.1fx)\n", task, interf, v)
+	}},
+	{"fig1a", "Figure 1(a): Enzo op latency vs interference level", func() {
+		r := experiments.Figure1a(experiments.Figure1Config{Scale: scaleFlag()})
+		emit("fig1a", r.Render(), r.CSV())
+		write("fig1a.svg", r.SVG())
+	}},
+	{"fig1b", "Figure 1(b): Enzo op latency vs interference type", func() {
+		r := experiments.Figure1b(experiments.Figure1Config{Scale: scaleFlag()})
+		emit("fig1b", r.Render(), r.CSV())
+		write("fig1b.svg", r.SVG())
+	}},
+	{"table2", "Table II: server-side metrics", func() {
+		r := experiments.TableII(scaleFlag())
+		emit("table2", r.Render(), r.CSV())
+	}},
+	{"fig3a", "Figure 3(a): IO500 binary prediction", func() {
+		ev := experiments.TrainEval("Figure 3(a) IO500 binary", io500(), label.BinaryBins(), *epochs, *seed)
+		emit("fig3a", ev.Render(), ev.CSV())
+		write("fig3a.svg", ev.SVG())
+	}},
+	{"fig3b", "Figure 3(b): DLIO binary prediction", func() {
+		ev := experiments.Figure3b(datasetConfig(), *epochs)
+		emit("fig3b", ev.Render(), ev.CSV())
+		write("fig3b.svg", ev.SVG())
+	}},
+	{"fig4", "Figure 4: IO500 3-class prediction", func() {
+		ev := experiments.Figure4From(io500(), datasetConfig(), *epochs)
+		emit("fig4", ev.Render(), ev.CSV())
+		write("fig4.svg", ev.SVG())
+	}},
+	{"fig5", "Figure 5: AMReX / Enzo / OpenPMD prediction", func() {
+		var txt, csv strings.Builder
+		for i, ev := range experiments.Figure5(datasetConfig(), *epochs) {
+			txt.WriteString(ev.Render() + "\n")
+			csv.WriteString("# " + ev.Name + "\n" + ev.CSV())
+			write(fmt.Sprintf("fig5_%d.svg", i), ev.SVG())
+		}
+		emit("fig5", txt.String(), csv.String())
+	}},
+	{"ablation", "Ablations: architecture, feature groups, window size", func() {
+		arch := experiments.AblationArchitecture(io500(), datasetConfig(), *epochs)
+		emit("ablation_architecture", arch.Render(), arch.CSV())
+		feats := experiments.AblationFeatures(io500(), datasetConfig(), *epochs)
+		emit("ablation_features", feats.Render(), feats.CSV())
+		win := experiments.AblationWindow(datasetConfig(), *epochs, nil)
+		emit("ablation_window", win.Render(), win.CSV())
+	}},
+	{"phases", "Phase study: per-phase slowdown of a multi-phase app", func() {
+		r := experiments.PhaseStudy(experiments.PhaseStudyConfig{Scale: scaleFlag()})
+		emit("phases", r.Render(), r.CSV())
+	}},
+	{"casestudy", "Case study: prediction-driven mitigation", func() {
+		r := experiments.CaseStudyMitigation(experiments.CaseStudyConfig{
+			Scale: scaleFlag(), Epochs: *epochs, Seed: *seed,
+		})
+		emit("casestudy", r.Render(), r.CSV())
+	}},
+	{"robustness", "Robustness: accuracy/F1 across seeds", func() {
+		r := experiments.Robustness(io500(), label.BinaryBins(), *epochs, 5, *seed)
+		emit("robustness", r.Render(), r.CSV())
+	}},
+	{"transfer", "Transfer: cross-profile model transfer", func() {
+		r := experiments.TransferStudy(experiments.TransferConfig{
+			Profiles: strings.Split(*profiles, ","),
+			Scale:    scaleFlag(),
+			Epochs:   *epochs,
+			Seed:     *seed,
+		})
+		emit("transfer", r.Render(), r.CSV())
+	}},
+	{"leadtime", "Lead time: forecast accuracy vs prediction horizon", func() {
+		r := experiments.LeadTimeStudy(experiments.LeadTimeConfig{
+			Profiles: strings.Split(*profiles, ","),
+			Scale:    scaleFlag(),
+			Epochs:   *epochs,
+			Seed:     *seed,
+		})
+		emit("leadtime", r.Render(), r.CSV())
+	}},
+	{"mitigation", "Mitigation: policy × fault × workload actuation study", func() {
+		r := experiments.MitigationStudy(experiments.MitigationConfig{
+			Scale:  scaleFlag(),
+			Reps:   *reps,
+			Epochs: *epochs,
+			Seed:   *seed,
+		})
+		emit("mitigation", r.Render(), r.CSV())
+		if !r.ProactiveMatchesReactive() {
+			fmt.Println("  WARNING: proactive policy never matched reactive slowdown-avoided")
+		}
+	}},
+	{"shadow", "Shadow: N-way champion/challenger gate on a live stream", func() {
+		r := experiments.ShadowStudy(io500(), experiments.ShadowStudyConfig{Seed: *seed})
+		emit("shadow", r.Render(), r.CSV())
+		winner := r.Winner
+		if winner == "" {
+			winner = "champion (kept)"
+		}
+		fmt.Printf("  gate winner: %s\n", winner)
+	}},
+	{"extensions", "Extensions: attention architecture, exact-slowdown regression", func() {
+		arch := experiments.ExtensionArchitectures(io500(), datasetConfig(), *epochs)
+		emit("extension_architectures", arch.Render(), arch.CSV())
+		reg := experiments.ExtensionRegression(io500(), datasetConfig(), *epochs)
+		emit("extension_regression", reg.Render(), reg.CSV())
+	}},
+}
+
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
 func main() {
 	flag.Parse()
+	run := experimentList
+	if sel := strings.ToLower(*only); sel != "" {
+		run = nil
+		for _, e := range experimentList {
+			if e.name == sel {
+				run = []experiment{e}
+			}
+		}
+		if run == nil {
+			fmt.Fprintf(os.Stderr, "figures: unknown experiment %q (valid: %s)\n",
+				*only, strings.Join(experimentNames(), ", "))
+			os.Exit(2)
+		}
+	}
 	if *pprofA != "" {
 		go func() {
 			if err := obs.ServeDebug(*pprofA); err != nil {
@@ -52,166 +198,28 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	sel := strings.ToLower(*only)
-	want := func(name string) bool { return sel == "" || sel == name }
-	s := experiments.Scale(*scale)
-	dcfg := experiments.DatasetConfig{Scale: s, Seed: *seed}
-
-	if want("table1") {
-		step("Table I: IO500 slowdown matrix", func() {
-			r := experiments.TableI(experiments.TableIConfig{Scale: s})
-			emit("table1", r.Render(), r.CSV())
-			write("table1.svg", r.SVG())
-			task, interf, v := r.MaxCell()
-			fmt.Printf("  most impacted: %s under %s (%.1fx)\n", task, interf, v)
-		})
-	}
-	if want("fig1a") {
-		step("Figure 1(a): Enzo op latency vs interference level", func() {
-			r := experiments.Figure1a(experiments.Figure1Config{Scale: s})
-			emit("fig1a", r.Render(), r.CSV())
-			write("fig1a.svg", r.SVG())
-		})
-	}
-	if want("fig1b") {
-		step("Figure 1(b): Enzo op latency vs interference type", func() {
-			r := experiments.Figure1b(experiments.Figure1Config{Scale: s})
-			emit("fig1b", r.Render(), r.CSV())
-			write("fig1b.svg", r.SVG())
-		})
-	}
-	if want("table2") {
-		step("Table II: server-side metrics", func() {
-			r := experiments.TableII(s)
-			emit("table2", r.Render(), r.CSV())
-		})
-	}
-	var io500ds *dataset.Dataset
-	if want("fig3a") || want("fig4") || want("ablation") || want("extensions") || want("robustness") || want("shadow") {
-		step("collecting IO500 dataset", func() {
-			io500ds = experiments.IO500Dataset(dcfg)
-			fmt.Printf("  %d samples, class balance %v\n", io500ds.Len(), io500ds.ClassCounts())
-		})
-	}
-	if want("fig3a") {
-		step("Figure 3(a): IO500 binary prediction", func() {
-			ev := experiments.TrainEval("Figure 3(a) IO500 binary", io500ds, label.BinaryBins(), *epochs, *seed)
-			emit("fig3a", ev.Render(), ev.CSV())
-			write("fig3a.svg", ev.SVG())
-		})
-	}
-	if want("fig3b") {
-		step("Figure 3(b): DLIO binary prediction", func() {
-			ev := experiments.Figure3b(dcfg, *epochs)
-			emit("fig3b", ev.Render(), ev.CSV())
-			write("fig3b.svg", ev.SVG())
-		})
-	}
-	if want("fig4") {
-		step("Figure 4: IO500 3-class prediction", func() {
-			ev := experiments.Figure4From(io500ds, dcfg, *epochs)
-			emit("fig4", ev.Render(), ev.CSV())
-			write("fig4.svg", ev.SVG())
-		})
-	}
-	if want("fig5") {
-		step("Figure 5: AMReX / Enzo / OpenPMD prediction", func() {
-			var txt, csv strings.Builder
-			for i, ev := range experiments.Figure5(dcfg, *epochs) {
-				txt.WriteString(ev.Render() + "\n")
-				csv.WriteString("# " + ev.Name + "\n" + ev.CSV())
-				write(fmt.Sprintf("fig5_%d.svg", i), ev.SVG())
-			}
-			emit("fig5", txt.String(), csv.String())
-		})
-	}
-	if want("ablation") {
-		step("Ablations: architecture, feature groups, window size", func() {
-			arch := experiments.AblationArchitecture(io500ds, dcfg, *epochs)
-			emit("ablation_architecture", arch.Render(), arch.CSV())
-			feats := experiments.AblationFeatures(io500ds, dcfg, *epochs)
-			emit("ablation_features", feats.Render(), feats.CSV())
-			win := experiments.AblationWindow(dcfg, *epochs, nil)
-			emit("ablation_window", win.Render(), win.CSV())
-		})
-	}
-	if want("phases") {
-		step("Phase study: per-phase slowdown of a multi-phase app", func() {
-			r := experiments.PhaseStudy(experiments.PhaseStudyConfig{Scale: s})
-			emit("phases", r.Render(), r.CSV())
-		})
-	}
-	if want("casestudy") {
-		step("Case study: prediction-driven mitigation", func() {
-			r := experiments.CaseStudyMitigation(experiments.CaseStudyConfig{
-				Scale: s, Epochs: *epochs, Seed: *seed,
-			})
-			emit("casestudy", r.Render(), r.CSV())
-		})
-	}
-	if want("robustness") {
-		step("Robustness: accuracy/F1 across seeds", func() {
-			r := experiments.Robustness(io500ds, label.BinaryBins(), *epochs, 5, *seed)
-			emit("robustness", r.Render(), r.CSV())
-		})
-	}
-	if want("transfer") {
-		step("Transfer: cross-profile model transfer", func() {
-			r := experiments.TransferStudy(experiments.TransferConfig{
-				Profiles: strings.Split(*profiles, ","),
-				Scale:    s,
-				Epochs:   *epochs,
-				Seed:     *seed,
-			})
-			emit("transfer", r.Render(), r.CSV())
-		})
-	}
-	if want("leadtime") {
-		step("Lead time: forecast accuracy vs prediction horizon", func() {
-			r := experiments.LeadTimeStudy(experiments.LeadTimeConfig{
-				Profiles: strings.Split(*profiles, ","),
-				Scale:    s,
-				Epochs:   *epochs,
-				Seed:     *seed,
-			})
-			emit("leadtime", r.Render(), r.CSV())
-		})
-	}
-	if want("mitigation") {
-		step("Mitigation: policy × fault × workload actuation study", func() {
-			r := experiments.MitigationStudy(experiments.MitigationConfig{
-				Scale:  s,
-				Reps:   *reps,
-				Epochs: *epochs,
-				Seed:   *seed,
-			})
-			emit("mitigation", r.Render(), r.CSV())
-			if !r.ProactiveMatchesReactive() {
-				fmt.Println("  WARNING: proactive policy never matched reactive slowdown-avoided")
-			}
-		})
-	}
-	if want("shadow") {
-		step("Shadow: N-way champion/challenger gate on a live stream", func() {
-			r := experiments.ShadowStudy(io500ds, experiments.ShadowStudyConfig{Seed: *seed})
-			emit("shadow", r.Render(), r.CSV())
-			winner := r.Winner
-			if winner == "" {
-				winner = "champion (kept)"
-			}
-			fmt.Printf("  gate winner: %s\n", winner)
-		})
-	}
-	if want("extensions") {
-		step("Extensions: attention architecture, exact-slowdown regression", func() {
-			arch := experiments.ExtensionArchitectures(io500ds, dcfg, *epochs)
-			emit("extension_architectures", arch.Render(), arch.CSV())
-			reg := experiments.ExtensionRegression(io500ds, dcfg, *epochs)
-			emit("extension_regression", reg.Render(), reg.CSV())
-		})
+	for _, e := range run {
+		step(e.title, e.run)
 	}
 	fmt.Printf("done; outputs in %s/\n", *outDir)
 }
+
+func scaleFlag() experiments.Scale { return experiments.Scale(*scale) }
+
+func datasetConfig() experiments.DatasetConfig {
+	return experiments.DatasetConfig{Scale: scaleFlag(), Seed: *seed}
+}
+
+// io500 returns the IO500 dataset, collecting it on first use: every
+// experiment that trains on it shares one collection.
+var io500 = sync.OnceValue(func() *dataset.Dataset {
+	var ds *dataset.Dataset
+	step("collecting IO500 dataset", func() {
+		ds = experiments.IO500Dataset(datasetConfig())
+		fmt.Printf("  %d samples, class balance %v\n", ds.Len(), ds.ClassCounts())
+	})
+	return ds
+})
 
 func step(name string, fn func()) {
 	fmt.Printf("== %s\n", name)

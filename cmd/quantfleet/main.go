@@ -14,8 +14,8 @@
 // order-independent merged retrain, and a clean fleet-wide rollout — and
 // prints the coordinator's decision timeline. The output contains replica
 // names and weight digests only (no ports, no timestamps), so two runs with
-// the same seed are byte-identical; `make fleet-smoke` compares exactly
-// that.
+// the same seed are byte-identical; `make fleet-smoke` compares two runs
+// with each other and with testdata/smoke_golden.txt.
 //
 // -shadow runs the shadow-evaluation episode: three replicas serve a weak
 // champion with one shared shadow evaluator tapped into every batcher, three
@@ -23,7 +23,8 @@
 // arrive, and the N-way gate verdict drives fleet.PromoteShadowed — exactly
 // the margin-winning challenger rolls out fleet-wide. A second epoch under a
 // forced-reject margin (the rollback drill) keeps the new incumbent. Output
-// is digests and scores only; `make shadow-smoke` byte-compares two runs.
+// is digests and scores only; `make shadow-smoke` compares two runs with
+// each other and with testdata/shadow_golden.txt.
 //
 // -status treats each argument as name=url (bare URLs get r0, r1, ...
 // names), probes every replica's /v1/healthz, and prints the aggregated
@@ -86,33 +87,15 @@ func main() {
 // failure leaves both promoted and untouched replicas to verify against.
 const replicaCount = 3
 
-// episode bundles one smoke replica's handles so the harness can kill and
-// restart it.
-type episode struct {
-	coord   *fleet.Coordinator
-	master  *core.Framework // pristine incumbent the fleet serves clones of
-	servers []*serve.Server
-	https   []*httptest.Server
-	loops   []*online.Loop
-	names   []string
-}
-
 func runSmoke(seed int64, requests int) error {
 	ctx := context.Background()
 	fmt.Printf("fleet-smoke: %d replicas, seed %d\n", replicaCount, seed)
 
-	ep, err := buildEpisode(seed)
+	ep, err := buildEpisode(train(corpus(seed), seed, 5), seed, serve.Config{}, true)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, ts := range ep.https {
-			ts.Close()
-		}
-		for _, s := range ep.servers {
-			_ = s.Shutdown(context.Background())
-		}
-	}()
+	defer ep.close()
 	incDigest := ml.WeightsDigest(ep.master.ExportWeights())
 	fmt.Println("incumbent", incDigest)
 
@@ -139,14 +122,14 @@ func runSmoke(seed int64, requests int) error {
 			_ = ep.servers[1].Shutdown(ctx)
 			ep.coord.Note("kill r1")
 		}
-		if _, err := ep.coord.Predict(ctx, fmt.Sprintf("w%03d", i), smokeMatrix(rng)); err != nil {
+		if _, err := ep.coord.Predict(ctx, fmt.Sprintf("w%03d", i), matrix(rng, 0)); err != nil {
 			return fmt.Errorf("request %d dropped: %w", i, err)
 		}
 	}
 
 	// A rollout while r1 is dead must halt and roll the promoted prefix
 	// back to the incumbent digest.
-	deadCand := trainOn(mustMerged(ep), seed+100)
+	deadCand := train(mustMerged(ep), seed+100, 5)
 	if err := ep.coord.Promote(ctx, deadCand); err == nil {
 		return fmt.Errorf("promotion with a dead replica unexpectedly succeeded")
 	}
@@ -158,7 +141,7 @@ func runSmoke(seed int64, requests int) error {
 
 	// Restart r1 under the same identity and restore every reservoir from
 	// disk; the fleet's merged corpus must digest exactly as before the kill.
-	if err := restartReplica(ep, 1, seed); err != nil {
+	if err := ep.restart(1); err != nil {
 		return err
 	}
 	if err := ep.coord.LoadBuffers(dir); err != nil {
@@ -183,7 +166,7 @@ func runSmoke(seed int64, requests int) error {
 	fmt.Printf("merged %d samples digest %s (order-independent: %s)\n", merged.Len(), merged.Digest(), orderOK)
 
 	// Retrain on the fleet's combined history and roll it out cleanly.
-	cand := trainOn(merged, seed+200)
+	cand := train(merged, seed+200, 5)
 	fmt.Println("retrained candidate", ml.WeightsDigest(cand.ExportWeights()))
 	if err := ep.coord.Promote(ctx, cand); err != nil {
 		return fmt.Errorf("final rollout: %w", err)
@@ -222,8 +205,8 @@ func runShadow(seed int64) error {
 	// Weak champion: one epoch on the shared corpus. Challengers train on the
 	// same corpus at different depths and seeds; the gate picks whichever
 	// actually wins on the live mirrored traffic.
-	corpus := shadowCorpus(seed)
-	champion := trainEpochs(corpus, seed, 1)
+	data := corpus(seed)
+	champion := train(data, seed, 1)
 	champDigest := ml.WeightsDigest(champion.ExportWeights())
 	fmt.Println("champion", champDigest)
 	challengers := []struct {
@@ -238,7 +221,7 @@ func runShadow(seed int64) error {
 	cands := make(map[string]*core.Framework, len(challengers))
 	for i := range challengers {
 		c := &challengers[i]
-		c.fw = trainEpochs(corpus, seed+int64(i)+1, c.epochs)
+		c.fw = train(data, seed+int64(i)+1, c.epochs)
 		cands[c.name] = c.fw
 		fmt.Printf("challenger %s epochs %d %s\n", c.name, c.epochs, ml.WeightsDigest(c.fw.ExportWeights()))
 	}
@@ -259,33 +242,12 @@ func runShadow(seed int64) error {
 		}
 	}
 
-	ep := &episode{master: champion}
-	replicas := make([]*fleet.Replica, replicaCount)
-	for i := 0; i < replicaCount; i++ {
-		fw, err := champion.Clone()
-		if err != nil {
-			return err
-		}
-		s := serve.New(fw, serve.Config{Shadow: ev, Sink: sink})
-		ts := httptest.NewServer(s.Handler())
-		name := fmt.Sprintf("r%d", i)
-		ep.servers = append(ep.servers, s)
-		ep.https = append(ep.https, ts)
-		ep.names = append(ep.names, name)
-		replicas[i] = fleet.NewReplica(name, s, serve.NewClient(ts.URL), nil)
-	}
-	defer func() {
-		for _, ts := range ep.https {
-			ts.Close()
-		}
-		for _, s := range ep.servers {
-			_ = s.Shutdown(context.Background())
-		}
-	}()
-	coord, err := fleet.New(fleet.Config{Seed: seed}, replicas...)
+	ep, err := buildEpisode(champion, seed, serve.Config{Shadow: ev, Sink: sink}, false)
 	if err != nil {
 		return err
 	}
+	defer ep.close()
+	coord := ep.coord
 
 	// Epoch 1: route labeled traffic through the fleet — every reply is
 	// mirrored by the answering replica's batcher — then join the delayed
@@ -319,7 +281,7 @@ func runShadow(seed int64) error {
 	if err := ev.Reset(cands[verdict.Winner]); err != nil {
 		return err
 	}
-	drill := trainEpochs(corpus, seed+10, 8)
+	drill := train(data, seed+10, 8)
 	if err := ev.AddChallenger("drill", drill); err != nil {
 		return err
 	}
@@ -358,14 +320,7 @@ func runShadow(seed int64) error {
 // (degradation 1), odd are degraded (degradation 3), matching the corpus.
 func shadowEpochTraffic(ctx context.Context, coord *fleet.Coordinator, ev *shadowpkg.Evaluator, rng *sim.RNG, base, n int) error {
 	for i := 0; i < n; i++ {
-		mat := make(window.Matrix, nTargets)
-		for t := range mat {
-			row := make([]float64, nFeat)
-			for f := range row {
-				row[f] = rng.NormFloat64() + 2*float64(i%2)
-			}
-			mat[t] = row
-		}
+		mat := matrix(rng, 2*float64(i%2))
 		if _, err := coord.Predict(ctx, fmt.Sprintf("w%03d", base+i), mat); err != nil {
 			return fmt.Errorf("request %d dropped: %w", base+i, err)
 		}
@@ -387,50 +342,31 @@ func printScoreboard(ev *shadowpkg.Evaluator) {
 	}
 }
 
-// shadowCorpus is the shared training corpus for the shadow episode's
-// champion and challengers (same distribution as smokeFramework's).
-func shadowCorpus(seed int64) *dataset.Dataset {
-	names := make([]string, nFeat)
-	for i := range names {
-		names[i] = fmt.Sprintf("f%d", i)
-	}
-	ds := dataset.New(names, nTargets, 2)
-	rng := sim.NewRNG(seed)
-	for i := 0; i < 64; i++ {
-		vecs := make([][]float64, nTargets)
-		for t := range vecs {
-			v := make([]float64, nFeat)
-			for f := range v {
-				v[f] = rng.NormFloat64() + 2*float64(i%2)
-			}
-			vecs[t] = v
-		}
-		ds.Add(&dataset.Sample{Label: i % 2, Degradation: 1 + 2*float64(i%2), Vectors: vecs})
-	}
-	return ds
+// episode is one in-process fleet: replicaCount servers on clones of the
+// master behind a seeded coordinator, with the handles the harness needs to
+// kill, restart, and tear them down.
+type episode struct {
+	coord     *fleet.Coordinator
+	master    *core.Framework // pristine incumbent the fleet serves clones of
+	seed      int64
+	scfg      serve.Config // every replica's server config
+	withLoops bool         // each replica runs an online loop
+	servers   []*serve.Server
+	https     []*httptest.Server
+	loops     []*online.Loop // nil entries without loops
+	names     []string
 }
 
-// trainEpochs trains one candidate at the given depth; panics on failure
-// like trainOn (the smoke corpus is known-good).
-func trainEpochs(ds *dataset.Dataset, seed int64, epochs int) *core.Framework {
-	fw, _, err := core.TrainFrameworkE(ds, core.FrameworkConfig{Seed: seed, Train: ml.TrainConfig{Epochs: epochs}})
-	if err != nil {
-		panic(err)
-	}
-	return fw
-}
-
-func buildEpisode(seed int64) (*episode, error) {
-	master, err := smokeFramework(seed)
-	if err != nil {
-		return nil, err
-	}
-	ep := &episode{master: master}
+// buildEpisode boots replicas r0, r1, ... serving clones of master, each
+// with server config scfg and, when withLoops, an online loop.
+func buildEpisode(master *core.Framework, seed int64, scfg serve.Config, withLoops bool) (*episode, error) {
+	ep := &episode{master: master, seed: seed, scfg: scfg, withLoops: withLoops}
 	replicas := make([]*fleet.Replica, replicaCount)
-	for i := 0; i < replicaCount; i++ {
+	for i := range replicas {
 		name := fmt.Sprintf("r%d", i)
-		s, ts, loop, err := bootReplica(master, seed, i)
+		s, ts, loop, err := ep.bootReplica(i)
 		if err != nil {
+			ep.close()
 			return nil, err
 		}
 		ep.servers = append(ep.servers, s)
@@ -439,22 +375,26 @@ func buildEpisode(seed int64) (*episode, error) {
 		ep.names = append(ep.names, name)
 		replicas[i] = fleet.NewReplica(name, s, serve.NewClient(ts.URL), loop)
 	}
-	ep.coord, err = fleet.New(fleet.Config{Seed: seed}, replicas...)
-	if err != nil {
+	var err error
+	if ep.coord, err = fleet.New(fleet.Config{Seed: seed}, replicas...); err != nil {
+		ep.close()
 		return nil, err
 	}
 	return ep, nil
 }
 
-// bootReplica starts one serving instance on a clone of the incumbent.
-func bootReplica(master *core.Framework, seed int64, i int) (*serve.Server, *httptest.Server, *online.Loop, error) {
-	fw, err := master.Clone()
+// bootReplica starts serving instance i on a fresh clone of the master.
+func (ep *episode) bootReplica(i int) (*serve.Server, *httptest.Server, *online.Loop, error) {
+	fw, err := ep.master.Clone()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s := serve.New(fw, serve.Config{})
+	s := serve.New(fw, ep.scfg)
 	ts := httptest.NewServer(s.Handler())
-	loop, err := online.NewLoop(s, online.Config{Seed: seed + int64(i)})
+	if !ep.withLoops {
+		return s, ts, nil, nil
+	}
+	loop, err := online.NewLoop(s, online.Config{Seed: ep.seed + int64(i)})
 	if err != nil {
 		ts.Close()
 		return nil, nil, nil, err
@@ -462,15 +402,25 @@ func bootReplica(master *core.Framework, seed int64, i int) (*serve.Server, *htt
 	return s, ts, loop, nil
 }
 
-// restartReplica boots a fresh server + empty loop for slot i and rebinds
-// it into the coordinator under its old name.
-func restartReplica(ep *episode, i int, seed int64) error {
-	s, ts, loop, err := bootReplica(ep.master, seed, i)
+// restart boots a fresh server (and empty loop) for slot i and rebinds it
+// into the coordinator under its old name.
+func (ep *episode) restart(i int) error {
+	s, ts, loop, err := ep.bootReplica(i)
 	if err != nil {
 		return err
 	}
 	ep.servers[i], ep.https[i], ep.loops[i] = s, ts, loop
 	return ep.coord.Rebind(ep.names[i], s, serve.NewClient(ts.URL), loop)
+}
+
+// close stops every replica's listener and server.
+func (ep *episode) close() {
+	for _, ts := range ep.https {
+		ts.Close()
+	}
+	for _, s := range ep.servers {
+		_ = s.Shutdown(context.Background())
+	}
 }
 
 // feedLoops offers nEach deterministic labeled windows to every replica's
@@ -479,7 +429,7 @@ func feedLoops(ep *episode, nEach int) {
 	for i, l := range ep.loops {
 		rng := sim.NewRNG(1000 + int64(i))
 		for w := 0; w < nEach; w++ {
-			mat := smokeMatrix(rng)
+			mat := matrix(rng, 0)
 			l.OfferWindow(mat)
 			l.OfferLabeled(online.Example{Window: w, Matrix: mat, Degradation: 1 + 2*float64(w%2)})
 		}
@@ -494,21 +444,12 @@ func mustMerged(ep *episode) *dataset.Dataset {
 	return ds
 }
 
-// trainOn trains a candidate on the merged fleet corpus; same corpus + same
-// seed = bit-identical weights, which is what the byte-compared smoke pins.
-func trainOn(ds *dataset.Dataset, seed int64) *core.Framework {
-	fw, _, err := core.TrainFrameworkE(ds, core.FrameworkConfig{Seed: seed, Train: ml.TrainConfig{Epochs: 5}})
-	if err != nil {
-		panic(err)
-	}
-	return fw
-}
-
 const nTargets, nFeat = 3, 5
 
-// smokeFramework trains the episode's tiny synthetic incumbent (same shape
-// as quantserve -smoke).
-func smokeFramework(seed int64) (*core.Framework, error) {
+// corpus is both episodes' 64-sample synthetic training set (same shape as
+// quantserve -smoke): even samples healthy (degradation 1), odd ones
+// degraded (degradation 3) with their features shifted by 2.
+func corpus(seed int64) *dataset.Dataset {
 	names := make([]string, nFeat)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
@@ -516,26 +457,30 @@ func smokeFramework(seed int64) (*core.Framework, error) {
 	ds := dataset.New(names, nTargets, 2)
 	rng := sim.NewRNG(seed)
 	for i := 0; i < 64; i++ {
-		vecs := make([][]float64, nTargets)
-		for t := range vecs {
-			v := make([]float64, nFeat)
-			for f := range v {
-				v[f] = rng.NormFloat64() + 2*float64(i%2)
-			}
-			vecs[t] = v
-		}
-		ds.Add(&dataset.Sample{Label: i % 2, Degradation: 1 + 2*float64(i%2), Vectors: vecs})
+		ds.Add(&dataset.Sample{Label: i % 2, Degradation: 1 + 2*float64(i%2), Vectors: matrix(rng, 2*float64(i%2))})
 	}
-	fw, _, err := core.TrainFrameworkE(ds, core.FrameworkConfig{Seed: seed, Train: ml.TrainConfig{Epochs: 5}})
-	return fw, err
+	return ds
 }
 
-func smokeMatrix(rng *sim.RNG) window.Matrix {
+// train trains one candidate at the given depth; same corpus + same seed +
+// same depth = bit-identical weights, which is what the byte-compared
+// episodes pin. It panics on failure (the episode corpora are known-good).
+func train(ds *dataset.Dataset, seed int64, epochs int) *core.Framework {
+	fw, _, err := core.TrainFrameworkE(ds, core.FrameworkConfig{Seed: seed, Train: ml.TrainConfig{Epochs: epochs}})
+	if err != nil {
+		panic(err)
+	}
+	return fw
+}
+
+// matrix draws one synthetic window of standard-normal features shifted by
+// shift.
+func matrix(rng *sim.RNG, shift float64) window.Matrix {
 	mat := make(window.Matrix, nTargets)
 	for t := range mat {
 		row := make([]float64, nFeat)
 		for f := range row {
-			row[f] = rng.NormFloat64()
+			row[f] = rng.NormFloat64() + shift
 		}
 		mat[t] = row
 	}

@@ -65,8 +65,8 @@ func main() {
 	fmt.Printf("dataset: %d samples, balance %v, %d targets x %d features\n",
 		ds.Len(), ds.ClassCounts(), ds.NTargets, len(ds.FeatureNames))
 
-	fw, cm, err := core.TrainFrameworkE(ds, core.FrameworkConfig{
-		Bins: bins, Seed: *seed, Flat: *flat,
+	cfg := core.FrameworkConfig{
+		Bins: bins, Seed: *seed,
 		Train: ml.TrainConfig{
 			Epochs: *epochs, Seed: *seed, Workers: *workers,
 			OnEpoch: func(e int, loss float64) {
@@ -75,7 +75,13 @@ func main() {
 				}
 			},
 		},
-	})
+	}
+	if *flat {
+		cfg.NewModel = func(nTargets, nFeat, classes int, seed int64) ml.Model {
+			return ml.NewFlatModel(nTargets, nFeat, classes, nil, seed)
+		}
+	}
+	fw, cm, err := core.TrainFrameworkE(ds, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -32,10 +32,8 @@ type FrameworkConfig struct {
 	Bins     label.Bins // default binary
 	TestFrac float64    // default 0.2, the paper's split
 	Train    ml.TrainConfig
-	// Flat selects the ablation baseline instead of the kernel model.
-	Flat bool
-	// NewModel, when set, overrides the architecture entirely (e.g. the
-	// attention extension); it wins over Flat.
+	// NewModel, when set, replaces the paper's kernel model (e.g. the flat
+	// ablation baseline or the attention extension).
 	NewModel func(nTargets, nFeat, classes int, seed int64) ml.Model
 	Seed     int64
 }
@@ -94,12 +92,9 @@ func trainFramework(ctx context.Context, ds *dataset.Dataset, cfg FrameworkConfi
 			cfg.Bins = o.warm.Bins
 		}
 	} else {
-		switch {
-		case cfg.NewModel != nil:
+		if cfg.NewModel != nil {
 			model = cfg.NewModel(ds.NTargets, nFeat, ds.Classes, cfg.Seed)
-		case cfg.Flat:
-			model = ml.NewFlatModel(ds.NTargets, nFeat, ds.Classes, nil, cfg.Seed)
-		default:
+		} else {
 			model = ml.NewKernelModel(ml.KernelConfig{
 				NTargets: ds.NTargets, NFeat: nFeat, Classes: ds.Classes, Seed: cfg.Seed,
 			})

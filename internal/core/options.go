@@ -72,7 +72,7 @@ func WithBaselineSamples(include bool) Option {
 // an independent clone of fw's architecture and weights (the incumbent is
 // never touched and may keep serving), and the incumbent's scaler and bins
 // are reused so the warm weights keep reading the input space they were
-// trained in. FrameworkConfig.Flat/NewModel/Bins are ignored under warm
+// trained in. FrameworkConfig.NewModel/Bins are ignored under warm
 // start; cfg.Train still controls the epochs, learning rate, and worker
 // count of the incremental pass. A framework whose shape does not match the
 // dataset returns an error wrapping ErrWarmStartMismatch. Applies to

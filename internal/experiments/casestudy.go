@@ -17,9 +17,6 @@ import (
 // CaseStudyConfig tunes the mitigation case study.
 type CaseStudyConfig struct {
 	Scale Scale
-	// ThrottleBps is the per-client limit applied to interfering nodes
-	// (default 10 MB/s).
-	ThrottleBps float64
 	// Epochs trains the predictor (default 40).
 	Epochs int
 	Seed   int64
@@ -29,13 +26,15 @@ func (c *CaseStudyConfig) applyDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.ThrottleBps == 0 {
-		c.ThrottleBps = 10e6
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 40
 	}
 }
+
+// caseStudyThrottleBps is the static policy's per-client limit on the
+// interfering nodes: the rate the predictive policy's controller throttles
+// to by default.
+const caseStudyThrottleBps = 10e6
 
 // CaseStudyMode is one policy under comparison.
 type CaseStudyMode struct {
@@ -183,7 +182,7 @@ func caseStudySetup(cfg CaseStudyConfig, withInterference bool, onRecord func(wo
 	}
 	var interfRunners []*workload.Runner
 	if withInterference {
-		p := interferenceParams(cfg.Scale)
+		p := io500Params(cfg.Scale)
 		for i := 0; i < 3; i++ {
 			pi := p
 			pi.Dir = fmt.Sprintf("/bg%d", i)
@@ -247,7 +246,7 @@ func caseStudyRunBB(cfg CaseStudyConfig) (appDone sim.Time, interfMB float64, dr
 func caseStudyRunStatic(cfg CaseStudyConfig) (sim.Time, float64, int) {
 	cl, start, interfBytes, done, _ := caseStudySetup(cfg, true, nil)
 	for _, node := range interferenceNodesCS {
-		cl.FS.Client(node).SetRateLimit(cfg.ThrottleBps)
+		cl.FS.Client(node).SetRateLimit(caseStudyThrottleBps)
 	}
 	start()
 	cl.Eng.RunUntil(600 * sim.Second)
@@ -268,8 +267,7 @@ func caseStudyRunPredictive(cfg CaseStudyConfig, fw *core.Framework) (sim.Time, 
 	if err != nil {
 		panic(fmt.Sprintf("experiments: mitigation policy: %v", err))
 	}
-	ctrl, err = mitigate.NewController(cl, fw, victims, sim.Second, policy,
-		mitigate.WithThrottleBps(cfg.ThrottleBps))
+	ctrl, err = mitigate.NewController(cl, fw, victims, sim.Second, policy)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: mitigation controller: %v", err))
 	}

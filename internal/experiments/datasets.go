@@ -8,6 +8,7 @@ import (
 	"quanterference/internal/fault"
 	"quanterference/internal/label"
 	"quanterference/internal/sim"
+	"quanterference/internal/workload"
 	"quanterference/internal/workload/apps"
 	"quanterference/internal/workload/dlio"
 	"quanterference/internal/workload/io500"
@@ -45,57 +46,89 @@ type DatasetConfig struct {
 	Profile string
 }
 
+// collectWindow and collectMaxTime are the monitor window and per-run cap of
+// every dataset collection that does not set its own; the mitigation study
+// measures its cells under the same two.
+const (
+	collectWindow  = sim.Second
+	collectMaxTime = 240 * sim.Second
+)
+
 func (c *DatasetConfig) applyDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
 	if c.Window == 0 {
-		c.Window = sim.Second
+		c.Window = collectWindow
 	}
 	if c.Bins.Thresholds == nil {
 		c.Bins = label.BinaryBins()
 	}
 	if c.MaxTime == 0 {
-		c.MaxTime = 240 * sim.Second
+		c.MaxTime = collectMaxTime
 	}
 	if c.Reps == 0 {
 		c.Reps = 3
 	}
 }
 
-// InterferenceSweep is the standard set of interference configurations every
-// target workload is re-run against: a spread of pattern types and
-// intensities, covering the contention classes of Table I.
-func InterferenceSweep(s Scale) []core.Variant {
-	type entry struct {
-		task      io500.Task
-		instances int
-		ranks     int
-	}
-	entries := []entry{
-		{io500.IorEasyRead, 1, 2},
-		{io500.IorEasyRead, 1, 4},
-		{io500.IorEasyRead, 2, 4},
-		{io500.IorEasyRead, 3, 6},
-		{io500.IorEasyWrite, 1, 2},
-		{io500.IorEasyWrite, 1, 4},
-		{io500.IorEasyWrite, 3, 6},
-		{io500.IorHardWrite, 1, 4},
-		{io500.IorHardWrite, 2, 6},
-		{io500.MdtEasyWrite, 2, 6},
-		{io500.MdtHardWrite, 1, 4},
-		{io500.MdtHardWrite, 2, 6},
-		{io500.MdtHardRead, 2, 6},
-	}
-	var out []core.Variant
-	for i, e := range entries {
-		out = append(out, core.Variant{
-			Name: fmt.Sprintf("%s-x%dr%d", e.task, e.instances, e.ranks),
-			Interference: IO500Instances(e.task, e.instances, e.ranks,
-				interferenceParams(s), fmt.Sprintf("/sweep%d", i)),
-		})
+// sweepEntry is one interference configuration: instances looping copies of
+// task with ranks ranks each, arriving startAt into the run (0 = together
+// with the target).
+type sweepEntry struct {
+	task             io500.Task
+	instances, ranks int
+	startAt          sim.Time
+}
+
+// sweep is a set of interference configurations a target is re-run against;
+// entry i's instances work under <dir><i>.
+type sweep struct {
+	dir     string
+	entries []sweepEntry
+}
+
+// variants builds one variant per entry, named <task>-x<instances>r<ranks>,
+// plus -d<secs> for a delayed arrival.
+func (sw sweep) variants(s Scale) []core.Variant {
+	out := make([]core.Variant, 0, len(sw.entries))
+	for i, e := range sw.entries {
+		specs := IO500Instances(e.task, e.instances, e.ranks,
+			io500Params(s), fmt.Sprintf("%s%d", sw.dir, i))
+		name := fmt.Sprintf("%s-x%dr%d", e.task, e.instances, e.ranks)
+		if e.startAt > 0 {
+			for j := range specs {
+				specs[j].StartAt = e.startAt
+			}
+			name = fmt.Sprintf("%s-d%s", name, fmtSeconds(e.startAt))
+		}
+		out = append(out, core.Variant{Name: name, Interference: specs})
 	}
 	return out
+}
+
+// standardSweep is the interference every IO500 and DLIO target is re-run
+// against: a spread of pattern types and intensities, covering the
+// contention classes of Table I.
+var standardSweep = sweep{dir: "/sweep", entries: []sweepEntry{
+	{task: io500.IorEasyRead, instances: 1, ranks: 2},
+	{task: io500.IorEasyRead, instances: 1, ranks: 4},
+	{task: io500.IorEasyRead, instances: 2, ranks: 4},
+	{task: io500.IorEasyRead, instances: 3, ranks: 6},
+	{task: io500.IorEasyWrite, instances: 1, ranks: 2},
+	{task: io500.IorEasyWrite, instances: 1, ranks: 4},
+	{task: io500.IorEasyWrite, instances: 3, ranks: 6},
+	{task: io500.IorHardWrite, instances: 1, ranks: 4},
+	{task: io500.IorHardWrite, instances: 2, ranks: 6},
+	{task: io500.MdtEasyWrite, instances: 2, ranks: 6},
+	{task: io500.MdtHardWrite, instances: 1, ranks: 4},
+	{task: io500.MdtHardWrite, instances: 2, ranks: 6},
+	{task: io500.MdtHardRead, instances: 2, ranks: 6},
+}}
+
+// InterferenceSweep builds the standard sweep's variants at scale s.
+func InterferenceSweep(s Scale) []core.Variant {
+	return standardSweep.variants(s)
 }
 
 // collectFor runs the collection pipeline for one target generator,
@@ -142,22 +175,34 @@ func collectFor(cfg DatasetConfig, name string, target core.TargetSpec, variants
 	return all
 }
 
-// IO500Dataset collects labelled windows with each of the seven IO500 tasks
-// as the target application, against the full interference sweep — the
-// paper's first training dataset.
-func IO500Dataset(cfg DatasetConfig) *dataset.Dataset {
-	cfg.applyDefaults()
+// datasetRanks is the rank count of every dataset build's target.
+const datasetRanks = 4
+
+// target is one application a dataset build collects: its generator, run
+// with datasetRanks ranks on the target nodes, and the workload name its
+// samples carry.
+type target struct {
+	name string
+	gen  workload.Generator
+}
+
+// io500Targets makes one target per task, each working under dir<task>.
+func io500Targets(dir string, p io500.Params, tasks ...io500.Task) []target {
+	out := make([]target, len(tasks))
+	for i, task := range tasks {
+		p.Dir, p.Ranks = dir+task.String(), datasetRanks
+		out[i] = target{name: task.String(), gen: io500.New(task, p)}
+	}
+	return out
+}
+
+// collectTargets collects every target against the same variants (see
+// collectFor) and merges the results in target order.
+func collectTargets(cfg DatasetConfig, targets []target, variants []core.Variant) *dataset.Dataset {
 	var all *dataset.Dataset
-	for _, task := range io500.AllTasks() {
-		p := io500.Params{
-			Dir:           "/tgt-" + task.String(),
-			Ranks:         4,
-			EasyFileBytes: cfg.Scale.Bytes(32 << 20),
-			HardOps:       cfg.Scale.Count(300),
-			MdtFiles:      cfg.Scale.Count(200),
-		}
-		target := core.TargetSpec{Gen: io500.New(task, p), Nodes: targetNodes, Ranks: 4}
-		ds := collectFor(cfg, task.String(), target, InterferenceSweep(cfg.Scale))
+	for _, t := range targets {
+		spec := core.TargetSpec{Gen: t.gen, Nodes: targetNodes, Ranks: datasetRanks}
+		ds := collectFor(cfg, t.name, spec, variants)
 		if all == nil {
 			all = ds
 		} else {
@@ -167,31 +212,33 @@ func IO500Dataset(cfg DatasetConfig) *dataset.Dataset {
 	return all
 }
 
+// IO500Dataset collects labelled windows with each of the seven IO500 tasks
+// as the target application, against the full interference sweep — the
+// paper's first training dataset.
+func IO500Dataset(cfg DatasetConfig) *dataset.Dataset {
+	cfg.applyDefaults()
+	targets := io500Targets("/tgt-", io500Params(cfg.Scale), io500.AllTasks()...)
+	return collectTargets(cfg, targets, InterferenceSweep(cfg.Scale))
+}
+
 // DLIODataset collects labelled windows with the Unet3D and BERT loader
 // emulations as targets — the paper's second dataset. The loaders' compute
 // gaps give it the negative-heavy class balance the paper reports.
 func DLIODataset(cfg DatasetConfig) *dataset.Dataset {
 	cfg.applyDefaults()
-	var all *dataset.Dataset
+	var targets []target
 	for _, model := range []dlio.Model{dlio.Unet3D, dlio.BERT} {
-		p := dlio.Params{
+		targets = append(targets, target{name: model.String(), gen: dlio.New(model, dlio.Params{
 			Dir:         "/dlio-" + model.String(),
-			Ranks:       4,
+			Ranks:       datasetRanks,
 			Samples:     cfg.Scale.Count(48),
 			SampleBytes: cfg.Scale.Bytes(4 << 20),
 			Epochs:      2,
 			Steps:       cfg.Scale.Count(150),
 			Seed:        cfg.Seed,
-		}
-		target := core.TargetSpec{Gen: dlio.New(model, p), Nodes: targetNodes, Ranks: 4}
-		ds := collectFor(cfg, model.String(), target, InterferenceSweep(cfg.Scale))
-		if all == nil {
-			all = ds
-		} else {
-			all.Merge(ds)
-		}
+		})})
 	}
-	return all
+	return collectTargets(cfg, targets, InterferenceSweep(cfg.Scale))
 }
 
 // AppLevels mirrors the paper's real-application collection: one baseline
@@ -200,7 +247,7 @@ func DLIODataset(cfg DatasetConfig) *dataset.Dataset {
 // reader (usually on OSTs the application never touches), and a moderate mix
 // that only arrives mid-run, leaving the pre-arrival windows unimpacted.
 func AppLevels(s Scale) []core.Variant {
-	delayed := IO500Instances(io500.IorEasyWrite, 2, 6, interferenceParams(s), "/lvl-delay")
+	delayed := IO500Instances(io500.IorEasyWrite, 2, 6, io500Params(s), "/lvl-delay")
 	for i := range delayed {
 		delayed[i].StartAt = 4 * sim.Second
 	}
@@ -208,18 +255,18 @@ func AppLevels(s Scale) []core.Variant {
 		{
 			Name: "io500-level0",
 			Interference: IO500Instances(io500.IorEasyRead, 1, 1,
-				interferenceParams(s), "/lvl0-r"),
+				io500Params(s), "/lvl0-r"),
 		},
 		{Name: "io500-delayed", Interference: delayed},
 	}
 	for level := 1; level <= 3; level++ {
 		var specs []core.InterferenceSpec
 		specs = append(specs, IO500Instances(io500.IorEasyWrite, level, 6,
-			interferenceParams(s), fmt.Sprintf("/lvl%d-w", level))...)
+			io500Params(s), fmt.Sprintf("/lvl%d-w", level))...)
 		specs = append(specs, IO500Instances(io500.IorEasyRead, level, 6,
-			interferenceParams(s), fmt.Sprintf("/lvl%d-r", level))...)
+			io500Params(s), fmt.Sprintf("/lvl%d-r", level))...)
 		specs = append(specs, IO500Instances(io500.MdtEasyWrite, level, 6,
-			interferenceParams(s), fmt.Sprintf("/lvl%d-m", level))...)
+			io500Params(s), fmt.Sprintf("/lvl%d-m", level))...)
 		out = append(out, core.Variant{
 			Name:         fmt.Sprintf("io500-level%d", level),
 			Interference: specs,
@@ -235,7 +282,7 @@ func AppDataset(app apps.App, cfg DatasetConfig) *dataset.Dataset {
 	cfg.applyDefaults()
 	p := apps.Params{
 		Dir:   "/app-" + app.String(),
-		Ranks: 4,
+		Ranks: datasetRanks,
 		// Long enough that the delayed-interference variant's arrival
 		// (t=4s) lands mid-run.
 		Cycles:          20,
@@ -245,8 +292,8 @@ func AppDataset(app apps.App, cfg DatasetConfig) *dataset.Dataset {
 	if app == OpenPMDApp {
 		p.Cycles = 3
 	}
-	target := core.TargetSpec{Gen: apps.New(app, p), Nodes: targetNodes, Ranks: 4}
-	return collectFor(cfg, app.String(), target, AppLevels(cfg.Scale))
+	targets := []target{{name: app.String(), gen: apps.New(app, p)}}
+	return collectTargets(cfg, targets, AppLevels(cfg.Scale))
 }
 
 // OpenPMDApp is re-exported for callers configuring the small-sample case.

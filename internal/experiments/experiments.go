@@ -92,9 +92,9 @@ func IO500Instances(task io500.Task, n, ranks int, p io500.Params, dirPrefix str
 	return out
 }
 
-// interferenceParams are the standard scaled IO500 parameters interference
-// instances run with.
-func interferenceParams(s Scale) io500.Params {
+// io500Params are the standard scaled IO500 parameters targets and
+// interference instances run with.
+func io500Params(s Scale) io500.Params {
 	return io500.Params{
 		EasyFileBytes: s.Bytes(32 << 20),
 		HardOps:       s.Count(300),

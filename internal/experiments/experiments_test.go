@@ -7,7 +7,6 @@ import (
 	"quanterference/internal/label"
 	"quanterference/internal/sim"
 	"quanterference/internal/workload/apps"
-	"quanterference/internal/workload/io500"
 )
 
 // Small scale keeps the suite fast while preserving every mechanism.
@@ -370,10 +369,5 @@ func TestPhaseStudySpread(t *testing.T) {
 	}
 	if !strings.Contains(r.CSV(), "slowdown") {
 		t.Fatal("csv missing header")
-	}
-	// Explicit interference selection, including the zero-valued task.
-	r2 := PhaseStudy(PhaseStudyConfig{Scale: 0.25}.WithInterference(io500.IorEasyRead))
-	if r2.Interference != "ior-easy-read" {
-		t.Fatalf("explicit interference ignored: %s", r2.Interference)
 	}
 }

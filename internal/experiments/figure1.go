@@ -18,25 +18,17 @@ import (
 // Figure1Config controls the Enzo per-operation latency experiment.
 type Figure1Config struct {
 	Scale Scale
-	// Cutoff keeps only ops starting within this span of the baseline
-	// (the paper plots the first 50 s).
-	Cutoff sim.Time
 	// Smooth is the moving-average window over op index (default 9).
 	Smooth int
 	// Ranks sizes the Enzo run (default 2).
 	Ranks int
 	// Cycles is the number of Enzo output cycles (default 6).
 	Cycles int
-	// MaxTime caps each run.
-	MaxTime sim.Time
 }
 
 func (c *Figure1Config) applyDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
-	}
-	if c.Cutoff == 0 {
-		c.Cutoff = 50 * sim.Second
 	}
 	if c.Smooth == 0 {
 		c.Smooth = 9
@@ -47,10 +39,15 @@ func (c *Figure1Config) applyDefaults() {
 	if c.Cycles == 0 {
 		c.Cycles = 6
 	}
-	if c.MaxTime == 0 {
-		c.MaxTime = 300 * sim.Second
-	}
 }
+
+const (
+	// figure1Cutoff keeps only ops starting within this span of the
+	// baseline (the paper plots the first 50 s).
+	figure1Cutoff = 50 * sim.Second
+	// figure1MaxTime caps each Enzo run.
+	figure1MaxTime = 300 * sim.Second
+)
 
 // Figure1Result is one panel: per-op time series per run label.
 type Figure1Result struct {
@@ -82,7 +79,7 @@ func figure1Run(cfg Figure1Config, interf []core.InterferenceSpec) []workload.Re
 	res := mustRun(core.Scenario{
 		Target:       enzoTarget(cfg),
 		Interference: interf,
-		MaxTime:      cfg.MaxTime,
+		MaxTime:      figure1MaxTime,
 	})
 	return res.Records
 }
@@ -98,7 +95,7 @@ func Figure1a(cfg Figure1Config) *Figure1Result {
 		var specs []core.InterferenceSpec
 		if n > 0 {
 			specs = IO500Instances(io500.IorEasyWrite, n, 6,
-				interferenceParams(cfg.Scale), fmt.Sprintf("/bgw%d", n))
+				io500Params(cfg.Scale), fmt.Sprintf("/bgw%d", n))
 		}
 		runs[n] = figure1Run(cfg, specs)
 	})
@@ -113,24 +110,24 @@ func Figure1b(cfg Figure1Config) *Figure1Result {
 	res := &Figure1Result{Panel: "b"}
 	base := figure1Run(cfg, nil)
 	dataSpecs := IO500Instances(io500.IorEasyWrite, 2, 6,
-		interferenceParams(cfg.Scale), "/bgdata")
+		io500Params(cfg.Scale), "/bgdata")
 	// Metadata pressure needs more concurrent streams to saturate the
 	// MDS's few cores the way mdt-easy with many processes does.
 	metaSpecs := IO500Instances(io500.MdtEasyWrite, 3, 8,
-		interferenceParams(cfg.Scale), "/bgmeta")
+		io500Params(cfg.Scale), "/bgmeta")
 	runs := [][]workload.Record{base, figure1Run(cfg, dataSpecs), figure1Run(cfg, metaSpecs)}
 	res.Labels = []string{"baseline", "ior-easy-write", "mdt-easy-write"}
 	res.collate(base, runs, cfg)
 	return res
 }
 
-// collate matches each run's ops to the baseline op sequence (first Cutoff
-// seconds) and produces smoothed latency series.
+// collate matches each run's ops to the baseline op sequence (first
+// figure1Cutoff) and produces smoothed latency series.
 func (r *Figure1Result) collate(base []workload.Record, runs [][]workload.Record, cfg Figure1Config) {
 	// Baseline op order within the cutoff.
 	var keys []label.Key
 	for _, rec := range base {
-		if rec.Start <= cfg.Cutoff {
+		if rec.Start <= figure1Cutoff {
 			keys = append(keys, label.KeyOf(rec))
 			r.Kinds = append(r.Kinds, rec.Op.Kind.String())
 		}

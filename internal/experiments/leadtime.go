@@ -23,19 +23,15 @@ type LeadTimeConfig struct {
 	Profiles []string
 	// Scale shrinks workload volumes (default 1.0).
 	Scale Scale
-	// Window is the monitor aggregation window (default 1 s).
-	Window sim.Time
-	// MaxTime caps each collection run (default 240 s).
-	MaxTime sim.Time
 	// Reps repeats the sweep with rotated OST placement (default 2).
 	Reps int
 	// Epochs trains the baseline classifier and every forecast head
 	// (default 40).
 	Epochs int
 	Seed   int64
-	// History is the forecaster's input length in windows (default 4).
-	History int
-	// Horizons are the forecast leads studied, in windows (default 1, 2, 4).
+	// History is the forecaster's input length in windows and Horizons the
+	// forecast leads studied, in windows (defaults: forecast.Config's).
+	History  int
 	Horizons []int
 }
 
@@ -46,23 +42,11 @@ func (c *LeadTimeConfig) applyDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Window == 0 {
-		c.Window = sim.Second
-	}
-	if c.MaxTime == 0 {
-		c.MaxTime = 240 * sim.Second
-	}
 	if c.Reps == 0 {
 		c.Reps = 2
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 40
-	}
-	if c.History == 0 {
-		c.History = 4
-	}
-	if len(c.Horizons) == 0 {
-		c.Horizons = []int{1, 2, 4}
 	}
 }
 
@@ -95,42 +79,19 @@ type LeadTimeResult struct {
 	WeightsDigest []string
 }
 
-// weightsDigest hashes weight tensors bit-exactly (float64 little-endian),
-// so any single-ulp divergence between same-seed runs changes the digest.
-// It is the same identity the serving layer stamps on replies
-// (ml.WeightsDigest), so a study's pinned digest can be checked against a
-// live /v1/healthz.
-func weightsDigest(weights [][]float64) string {
-	return ml.WeightsDigest(weights)
-}
-
 // leadtimeSweep is the interference schedule for forecasting runs. Unlike
 // the transfer sweep, most variants hold their arrival back by several
-// windows (StartAt), so every run opens with a clean stretch and then
+// windows (startAt), so every run opens with a clean stretch and then
 // degrades mid-stream — the transition a forecaster is supposed to call
 // ahead of time. Staggered delays also keep the two classes balanced enough
 // that BalanceClasses oversampling stays sane.
-func leadtimeSweep(s Scale) []core.Variant {
-	p := interferenceParams(s)
-	mk := func(task io500.Task, n, ranks int, dir string, startAt sim.Time) core.Variant {
-		specs := IO500Instances(task, n, ranks, p, dir)
-		for i := range specs {
-			specs[i].StartAt = startAt
-		}
-		name := fmt.Sprintf("%s-x%dr%d", task, n, ranks)
-		if startAt > 0 {
-			name = fmt.Sprintf("%s-d%s", name, fmtSeconds(startAt))
-		}
-		return core.Variant{Name: name, Interference: specs}
-	}
-	return []core.Variant{
-		mk(io500.IorEasyRead, 1, 4, "/lt0", 0),
-		mk(io500.IorEasyRead, 2, 4, "/lt1", 4*sim.Second),
-		mk(io500.IorEasyWrite, 1, 4, "/lt2", 7*sim.Second),
-		mk(io500.IorHardWrite, 1, 4, "/lt3", 10*sim.Second),
-		mk(io500.MdtHardWrite, 1, 4, "/lt4", 0),
-	}
-}
+var leadtimeSweep = sweep{dir: "/lt", entries: []sweepEntry{
+	{task: io500.IorEasyRead, instances: 1, ranks: 4},
+	{task: io500.IorEasyRead, instances: 2, ranks: 4, startAt: 4 * sim.Second},
+	{task: io500.IorEasyWrite, instances: 1, ranks: 4, startAt: 7 * sim.Second},
+	{task: io500.IorHardWrite, instances: 1, ranks: 4, startAt: 10 * sim.Second},
+	{task: io500.MdtHardWrite, instances: 1, ranks: 4},
+}}
 
 // leadtimeDataset collects one profile's labelled window stream for
 // forecasting. Unlike the transfer study's trimmed targets (sized for cheap
@@ -139,39 +100,15 @@ func leadtimeSweep(s Scale) []core.Variant {
 // the sweep's arrival delays. The targets are therefore sized in time
 // (roughly 15-20 unimpeded windows) and deliberately NOT scaled by
 // cfg.Scale: the simulator runs in virtual time, so a fixed-size target
-// costs the same wall clock at every scale, stays inside MaxTime at full
-// scale, and keeps smoke runs long enough to lead-label. Scale still trims
-// the interference workloads, which is what varies degradation.
+// costs the same wall clock at every scale, stays inside the collection cap
+// at full scale, and keeps smoke runs long enough to lead-label. Scale still
+// trims the interference workloads, which is what varies degradation.
 func leadtimeDataset(cfg LeadTimeConfig, profile string) *dataset.Dataset {
-	dc := DatasetConfig{
-		Scale:   cfg.Scale,
-		Window:  cfg.Window,
-		MaxTime: cfg.MaxTime,
-		Reps:    cfg.Reps,
-		Seed:    cfg.Seed,
-		Profile: profile,
-	}
+	dc := DatasetConfig{Scale: cfg.Scale, Reps: cfg.Reps, Seed: cfg.Seed, Profile: profile}
 	dc.applyDefaults()
-	variants := leadtimeSweep(cfg.Scale)
-	var all *dataset.Dataset
-	for _, task := range []io500.Task{io500.IorEasyWrite, io500.IorHardWrite} {
-		p := io500.Params{
-			Dir:           "/lt-" + task.String(),
-			Ranks:         4,
-			EasyFileBytes: 2 << 30,
-			HardOps:       8000,
-			MdtFiles:      1000,
-		}
-		target := core.TargetSpec{Gen: io500.New(task, p), Nodes: targetNodes, Ranks: 4}
-		ds := collectFor(dc, task.String(), target, variants)
-		if all == nil {
-			all = ds
-		} else {
-			all.Merge(ds)
-		}
-	}
-	all.Profile = profile
-	return all
+	p := io500.Params{EasyFileBytes: 2 << 30, HardOps: 8000, MdtFiles: 1000}
+	targets := io500Targets("/lt-", p, io500.IorEasyWrite, io500.IorHardWrite)
+	return collectTargets(dc, targets, leadtimeSweep.variants(dc.Scale))
 }
 
 // LeadTimeStudy runs the forecasting experiment end to end, per profile:
@@ -182,11 +119,13 @@ func leadtimeDataset(cfg LeadTimeConfig, profile string) *dataset.Dataset {
 // degradation-alarm precision/recall on its holdout.
 func LeadTimeStudy(cfg LeadTimeConfig) *LeadTimeResult {
 	cfg.applyDefaults()
-	n, m := len(cfg.Profiles), len(cfg.Horizons)
+	fcfg := forecast.Config{History: cfg.History, Horizons: cfg.Horizons}
+	fcfg.ApplyDefaults()
+	n, m := len(cfg.Profiles), len(fcfg.Horizons)
 	res := &LeadTimeResult{
 		Profiles:       cfg.Profiles,
-		History:        cfg.History,
-		Horizons:       cfg.Horizons,
+		History:        fcfg.History,
+		Horizons:       fcfg.Horizons,
 		Samples:        make([]int, n),
 		LaggedSamples:  make([][]int, n),
 		Baseline:       make([]float64, n),
@@ -210,7 +149,7 @@ func LeadTimeStudy(cfg LeadTimeConfig) *LeadTimeResult {
 		res.Baseline[i] = cm.Accuracy()
 
 		fc, cms, err := core.TrainForecasterCtx(context.Background(), ds, core.ForecasterConfig{
-			Forecast: forecast.Config{History: cfg.History, Horizons: cfg.Horizons},
+			Forecast: fcfg,
 			Train:    ml.TrainConfig{Epochs: cfg.Epochs, Seed: cfg.Seed},
 			Seed:     cfg.Seed,
 		})
@@ -221,13 +160,13 @@ func LeadTimeStudy(cfg LeadTimeConfig) *LeadTimeResult {
 		res.Accuracy[i] = make([]float64, m)
 		res.AlarmPrecision[i] = make([]float64, m)
 		res.AlarmRecall[i] = make([]float64, m)
-		for j, k := range cfg.Horizons {
-			res.LaggedSamples[i][j] = forecast.BuildLagged(ds, cfg.History, k).Len()
+		for j, k := range fcfg.Horizons {
+			res.LaggedSamples[i][j] = forecast.BuildLagged(ds, fcfg.History, k).Len()
 			res.Accuracy[i][j] = cms[j].Accuracy()
 			res.AlarmPrecision[i][j] = cms[j].Precision(1)
 			res.AlarmRecall[i][j] = cms[j].Recall(1)
 		}
-		res.WeightsDigest[i] = weightsDigest(fc.ExportWeights())
+		res.WeightsDigest[i] = ml.WeightsDigest(fc.ExportWeights())
 	}
 	return res
 }

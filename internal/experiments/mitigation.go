@@ -19,63 +19,32 @@ import (
 // MitigationConfig tunes the policy × fault × workload scenario study: every
 // mitigation policy is run against every fault episode and interference mix,
 // and compared with a no-action baseline on the same cell.
+//
+// The study runs with its owners' defaults: the forecaster's history and
+// horizons (forecast.Config), the policies' lead and release hysteresis
+// (mitigate.PolicyOption), the controller's throttle rate
+// (mitigate.NewController), and the collection window and cap for both
+// training and every measured cell.
 type MitigationConfig struct {
 	// Scale trims the interference workloads (default 1.0). The protected
 	// target is time-sized and NOT scaled — see mitigationTarget.
 	Scale Scale
-	// Window is the monitor aggregation window (default 1 s).
-	Window sim.Time
-	// MaxTime caps each measured run (default 240 s).
-	MaxTime sim.Time
 	// Reps repeats the training sweep with rotated OST placement (default 2).
 	Reps int
-	// ThrottleBps is the per-client limit the throttle policies apply
-	// (default 10 MB/s).
-	ThrottleBps float64
 	// Epochs trains the classifier and every forecast head (default 40).
 	Epochs int
 	Seed   int64
-	// History and Horizons shape the forecaster feeding the proactive and
-	// defer policies (defaults 4 and {1, 2, 4}).
-	History  int
-	Horizons []int
-	// Lead is how many windows ahead a forecast alarm may engage the
-	// proactive policies (default 4); ReleaseAfter the hysteresis release
-	// (default 2 clean windows).
-	Lead         int
-	ReleaseAfter int
 }
 
 func (c *MitigationConfig) applyDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Window == 0 {
-		c.Window = sim.Second
-	}
-	if c.MaxTime == 0 {
-		c.MaxTime = 240 * sim.Second
-	}
 	if c.Reps == 0 {
 		c.Reps = 2
 	}
-	if c.ThrottleBps == 0 {
-		c.ThrottleBps = 10e6
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 40
-	}
-	if c.History == 0 {
-		c.History = 4
-	}
-	if len(c.Horizons) == 0 {
-		c.Horizons = []int{1, 2, 4}
-	}
-	if c.Lead == 0 {
-		c.Lead = 4
-	}
-	if c.ReleaseAfter == 0 {
-		c.ReleaseAfter = 2
 	}
 }
 
@@ -212,19 +181,15 @@ const mitigationArrival = 6 * sim.Second
 // mitigationPolicies is the matrix's policy axis, "none" baseline first.
 var mitigationPolicies = []string{"none", "reactive", "proactive", "defer"}
 
-// newMitigationPolicy constructs the named policy from the study config.
-func newMitigationPolicy(cfg MitigationConfig, name string) (mitigate.Policy, error) {
-	common := []mitigate.PolicyOption{
-		mitigate.WithReleaseAfter(cfg.ReleaseAfter),
-		mitigate.WithLead(cfg.Lead),
-	}
+// newMitigationPolicy constructs the named policy with its default options.
+func newMitigationPolicy(name string) (mitigate.Policy, error) {
 	switch name {
 	case "reactive":
-		return mitigate.NewReactiveThrottle(common...)
+		return mitigate.NewReactiveThrottle()
 	case "proactive":
-		return mitigate.NewProactiveThrottle(common...)
+		return mitigate.NewProactiveThrottle()
 	case "defer":
-		return mitigate.NewDeferBurst(common...)
+		return mitigate.NewDeferBurst()
 	}
 	return nil, fmt.Errorf("experiments: unknown mitigation policy %q", name)
 }
@@ -271,7 +236,7 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 
 	var interfRunners []*workload.Runner
 	if mix != nil {
-		p := interferenceParams(cfg.Scale)
+		p := io500Params(cfg.Scale)
 		for i := 0; i < mix.Instances; i++ {
 			pi := p
 			pi.Dir = fmt.Sprintf("/mit-%s%d", mix.Name, i)
@@ -292,7 +257,7 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 	}
 
 	if policyName != "" && policyName != "none" {
-		policy, err := newMitigationPolicy(cfg, policyName)
+		policy, err := newMitigationPolicy(policyName)
 		if err != nil {
 			panic(err.Error())
 		}
@@ -306,11 +271,11 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 				victims = append(victims, mitigate.Victim{Client: cl.FS.Client(node)})
 			}
 		}
-		opts := []mitigate.ControllerOption{mitigate.WithThrottleBps(cfg.ThrottleBps)}
+		var opts []mitigate.ControllerOption
 		if policyName != "reactive" && fc != nil {
 			opts = append(opts, mitigate.WithForecaster(fc))
 		}
-		ctrl, err = mitigate.NewController(cl, fw, victims, cfg.Window, policy, opts...)
+		ctrl, err = mitigate.NewController(cl, fw, victims, collectWindow, policy, opts...)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: mitigation controller: %v", err))
 		}
@@ -322,7 +287,7 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 		cl.Eng.Schedule(mitigationArrival, r.Start)
 	}
 	target.Start()
-	cl.Eng.RunUntil(cfg.MaxTime)
+	cl.Eng.RunUntil(collectMaxTime)
 
 	cell := MitigationCell{
 		Policy:         policyName,
@@ -330,7 +295,7 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 		InterferenceMB: float64(*interfBytes) / 1e6,
 	}
 	if cell.TargetDuration == 0 {
-		cell.TargetDuration = cfg.MaxTime // did not finish; charge the cap
+		cell.TargetDuration = collectMaxTime // did not finish; charge the cap
 	}
 	if ctrl != nil {
 		ctrl.Stop()
@@ -346,15 +311,9 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 // mid-stream) and trains the classifier plus the forecaster feeding the
 // proactive policies.
 func mitigationTrain(cfg MitigationConfig) (*core.Framework, *forecast.Forecaster) {
-	dc := DatasetConfig{
-		Scale:   cfg.Scale,
-		Window:  cfg.Window,
-		MaxTime: cfg.MaxTime,
-		Reps:    cfg.Reps,
-		Seed:    cfg.Seed,
-	}
+	dc := DatasetConfig{Scale: cfg.Scale, Reps: cfg.Reps, Seed: cfg.Seed}
 	dc.applyDefaults()
-	ds := collectFor(dc, "protected", mitigationTarget(), leadtimeSweep(cfg.Scale))
+	ds := collectFor(dc, "protected", mitigationTarget(), leadtimeSweep.variants(cfg.Scale))
 
 	fw, _, err := core.TrainFrameworkE(ds, core.FrameworkConfig{
 		Seed:  cfg.Seed,
@@ -364,9 +323,8 @@ func mitigationTrain(cfg MitigationConfig) (*core.Framework, *forecast.Forecaste
 		panic(fmt.Sprintf("experiments: mitigation classifier: %v", err))
 	}
 	fc, _, err := core.TrainForecasterCtx(context.Background(), ds, core.ForecasterConfig{
-		Forecast: forecast.Config{History: cfg.History, Horizons: cfg.Horizons},
-		Train:    ml.TrainConfig{Epochs: cfg.Epochs, Seed: cfg.Seed},
-		Seed:     cfg.Seed,
+		Train: ml.TrainConfig{Epochs: cfg.Epochs, Seed: cfg.Seed},
+		Seed:  cfg.Seed,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: mitigation forecaster: %v", err))
@@ -388,8 +346,8 @@ func MitigationStudy(cfg MitigationConfig) *MitigationResult {
 	mixes := mitigationMixes()
 	res := &MitigationResult{
 		Policies:         mitigationPolicies,
-		FrameworkDigest:  weightsDigest(fw.ExportWeights()),
-		ForecasterDigest: weightsDigest(fc.ExportWeights()),
+		FrameworkDigest:  ml.WeightsDigest(fw.ExportWeights()),
+		ForecasterDigest: ml.WeightsDigest(fc.ExportWeights()),
 	}
 	for _, m := range mixes {
 		res.Mixes = append(res.Mixes, m.Name)

@@ -12,14 +12,8 @@ import (
 
 // PhaseStudyConfig controls the multi-phase slowdown study.
 type PhaseStudyConfig struct {
-	Scale Scale
-	// Interference is the single background task every phase runs under
-	// (default ior-hard-write, the paper's §II-A example).
-	Interference io500.Task
-	Instances    int // default 3
-	Ranks        int // target ranks, default 2
-	MaxTime      sim.Time
-	interfSet    bool
+	Scale     Scale
+	Instances int // interference instances, default 3
 }
 
 func (c *PhaseStudyConfig) applyDefaults() {
@@ -29,13 +23,14 @@ func (c *PhaseStudyConfig) applyDefaults() {
 	if c.Instances == 0 {
 		c.Instances = 3
 	}
-	if c.Ranks == 0 {
-		c.Ranks = 2
-	}
-	if c.MaxTime == 0 {
-		c.MaxTime = 600 * sim.Second
-	}
 }
+
+// phaseInterference is the single background task every phase runs under:
+// ior-hard-write, the paper's §II-A example.
+const phaseInterference = io500.IorHardWrite
+
+// phaseRanks sizes the multi-phase target.
+const phaseRanks = 2
 
 // PhaseStudyResult reports per-phase slowdown of one multi-phase run.
 type PhaseStudyResult struct {
@@ -104,22 +99,18 @@ func PhaseStudy(cfg PhaseStudyConfig) *PhaseStudyResult {
 	mk := func() *workload.Sequence {
 		var gens []workload.Generator
 		for _, task := range io500.AllTasks() {
-			gens = append(gens, io500.New(task, io500.Params{
-				Dir:           "/phase-" + task.String(),
-				Ranks:         cfg.Ranks,
-				EasyFileBytes: cfg.Scale.Bytes(32 << 20),
-				HardOps:       cfg.Scale.Count(300),
-				MdtFiles:      cfg.Scale.Count(200),
-			}))
+			p := io500Params(cfg.Scale)
+			p.Dir, p.Ranks = "/phase-"+task.String(), phaseRanks
+			gens = append(gens, io500.New(task, p))
 		}
 		return workload.NewSequence("io500-sequence", gens...)
 	}
 
+	// Runs are capped by the scenario's default MaxTime.
 	run := func(seq *workload.Sequence, interf []core.InterferenceSpec) []sim.Time {
 		res := mustRun(core.Scenario{
-			Target:       core.TargetSpec{Gen: seq, Nodes: targetNodes, Ranks: cfg.Ranks},
+			Target:       core.TargetSpec{Gen: seq, Nodes: targetNodes, Ranks: phaseRanks},
 			Interference: interf,
-			MaxTime:      cfg.MaxTime,
 		})
 		perPhase := make([]sim.Time, seq.Phases())
 		for _, rec := range res.Records {
@@ -128,22 +119,15 @@ func PhaseStudy(cfg PhaseStudyConfig) *PhaseStudyResult {
 		return perPhase
 	}
 
-	interfTask := cfg.Interference
-	if !cfg.interfSet && interfTask == io500.IorEasyRead {
-		// Default: the paper's ior-hard-write example. (IorEasyRead is the
-		// zero Task value; an explicit IorEasyRead via WithInterference
-		// keeps it.)
-		interfTask = io500.IorHardWrite
-	}
 	baseSeq := mk()
 	base := run(baseSeq, nil)
 	contSeq := mk()
-	specs := IO500Instances(interfTask, cfg.Instances, 6,
-		interferenceParams(cfg.Scale), "/phasebg")
+	specs := IO500Instances(phaseInterference, cfg.Instances, 6,
+		io500Params(cfg.Scale), "/phasebg")
 	contended := run(contSeq, specs)
 
 	res := &PhaseStudyResult{
-		Interference:  interfTask.String(),
+		Interference:  phaseInterference.String(),
 		BaselineTime:  base,
 		ContendedTime: contended,
 	}
@@ -151,12 +135,4 @@ func PhaseStudy(cfg PhaseStudyConfig) *PhaseStudyResult {
 		res.Phases = append(res.Phases, t.String())
 	}
 	return res
-}
-
-// WithInterference fixes the interference task explicitly (including
-// ior-easy-read, which is otherwise the ambiguous zero value).
-func (c PhaseStudyConfig) WithInterference(t io500.Task) PhaseStudyConfig {
-	c.Interference = t
-	c.interfSet = true
-	return c
 }

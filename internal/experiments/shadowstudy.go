@@ -16,38 +16,28 @@ import (
 // N-way champion/challenger gate (internal/shadow) separates candidates of
 // different quality on a live labeled stream, and where the verdict lands.
 type ShadowStudyConfig struct {
-	// ChampionEpochs trains the serving champion (default 2 — deliberately
-	// undertrained, the model a fleet would want to replace).
-	ChampionEpochs int
-	// ChallengerEpochs trains one challenger per entry (default 4, 16, 8);
-	// challengers are named c0, c1, ... in this order.
-	ChallengerEpochs []int
 	// Snapshots is how many evenly spaced scoreboard snapshots to record
 	// over the stream (default 4); the last snapshot is the final state.
 	Snapshots int
-	// Margin and MinSamples are the gate's promotion bar (defaults 0.01, 32).
-	Margin     float64
+	// MinSamples is the gate's minimum labeled count before it may promote
+	// (default: shadow.Config's); the promotion margin is shadow.Config's.
 	MinSamples int
 	Seed       int64
 }
 
 func (c *ShadowStudyConfig) applyDefaults() {
-	if c.ChampionEpochs == 0 {
-		c.ChampionEpochs = 2
-	}
-	if len(c.ChallengerEpochs) == 0 {
-		c.ChallengerEpochs = []int{4, 16, 8}
-	}
 	if c.Snapshots == 0 {
 		c.Snapshots = 4
 	}
-	if c.Margin == 0 {
-		c.Margin = 0.01
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 32
-	}
 }
+
+// shadowChampionEpochs trains the serving champion: deliberately
+// undertrained, the model a fleet would want to replace.
+const shadowChampionEpochs = 2
+
+// shadowChallengerEpochs trains one challenger per entry; challengers are
+// named c0, c1, ... in this order.
+var shadowChallengerEpochs = []int{4, 16, 8}
 
 // ShadowStudyResult holds the convergence table and the final verdict.
 type ShadowStudyResult struct {
@@ -94,21 +84,20 @@ func ShadowStudy(ds *dataset.Dataset, cfg ShadowStudyConfig) *ShadowStudyResult 
 
 	res := &ShadowStudyResult{
 		Names:         []string{"champion"},
-		Epochs:        []int{cfg.ChampionEpochs},
+		Epochs:        []int{shadowChampionEpochs},
 		TrainSamples:  train.Len(),
 		StreamSamples: stream.Len(),
 	}
-	champion := trainCandidate(train, cfg.Seed, cfg.ChampionEpochs)
+	champion := trainCandidate(train, cfg.Seed, shadowChampionEpochs)
 	res.Digests = []string{ml.WeightsDigest(champion.ExportWeights())}
 
 	ev, err := shadow.New(champion, shadow.Config{
-		Seed: cfg.Seed, QueueCap: stream.Len() + 1,
-		Margin: cfg.Margin, MinSamples: cfg.MinSamples,
+		Seed: cfg.Seed, QueueCap: stream.Len() + 1, MinSamples: cfg.MinSamples,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: shadow evaluator: %v", err))
 	}
-	for i, epochs := range cfg.ChallengerEpochs {
+	for i, epochs := range shadowChallengerEpochs {
 		name := fmt.Sprintf("c%d", i)
 		cand := trainCandidate(train, cfg.Seed+int64(i)+1, epochs)
 		if err := ev.AddChallenger(name, cand); err != nil {

@@ -19,7 +19,7 @@ type TableIConfig struct {
 	// Instances is the number of concurrent interfering runs (the paper
 	// keeps 3 active).
 	Instances int
-	// RanksPerInstance sizes each interfering run (default 4).
+	// RanksPerInstance sizes each interfering run (default 6).
 	RanksPerInstance int
 	// TargetRanks sizes the measured task (default 4).
 	TargetRanks int
@@ -73,13 +73,8 @@ func TableI(cfg TableIConfig) *TableIResult {
 		Standalone: make([]sim.Time, len(tasks)),
 		Slowdown:   make([][]float64, len(tasks)),
 	}
-	targetParams := io500.Params{
-		Dir:           "/target",
-		Ranks:         cfg.TargetRanks,
-		EasyFileBytes: cfg.Scale.Bytes(32 << 20),
-		HardOps:       cfg.Scale.Count(300),
-		MdtFiles:      cfg.Scale.Count(200),
-	}
+	targetParams := io500Params(cfg.Scale)
+	targetParams.Dir, targetParams.Ranks = "/target", cfg.TargetRanks
 	for _, t := range tasks {
 		res.Tasks = append(res.Tasks, t.String())
 	}
@@ -98,7 +93,7 @@ func TableI(cfg TableIConfig) *TableIResult {
 		i, j := k/n, k%n
 		interf := tasks[j]
 		specs := IO500Instances(interf, cfg.Instances, cfg.RanksPerInstance,
-			interferenceParams(cfg.Scale), fmt.Sprintf("/bg-%s", interf))
+			io500Params(cfg.Scale), fmt.Sprintf("/bg-%s", interf))
 		run := mustRun(targetScenario(tasks[i], targetParams, specs, cfg.MaxTime, profile))
 		res.Slowdown[i][j] = float64(run.Duration) / float64(res.Standalone[i])
 	})

@@ -39,7 +39,7 @@ func TableII(scale Scale) *TableIIResult {
 			Nodes: targetNodes,
 			Ranks: 4,
 		},
-		Interference: IO500Instances(io500.MdtHardWrite, 1, 4, interferenceParams(scale), "/t2bg"),
+		Interference: IO500Instances(io500.MdtHardWrite, 1, 4, io500Params(scale), "/t2bg"),
 		MaxTime:      60 * sim.Second,
 	})
 	// Pick the busiest finalized window (max total activity).

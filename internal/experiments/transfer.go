@@ -7,7 +7,6 @@ import (
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
 	"quanterference/internal/ml"
-	"quanterference/internal/sim"
 	"quanterference/internal/workload/io500"
 )
 
@@ -21,25 +20,9 @@ type TransferConfig struct {
 	Profiles []string
 	// Scale shrinks workload volumes (default 1.0).
 	Scale Scale
-	// Window is the monitor aggregation window (default 1 s).
-	Window sim.Time
-	// MaxTime caps each collection run (default 240 s).
-	MaxTime sim.Time
-	// Reps repeats each profile's sweep with rotated OST placement
-	// (default 2 — trimmed against DatasetConfig's 3 because the study
-	// multiplies everything by the profile count).
-	Reps int
 	// Epochs trains each in-domain model (default 40).
 	Epochs int
-	// FineTuneEpochs is the warm-started adaptation pass on the target
-	// profile's data (default 12, a fraction of Epochs — the point of
-	// transfer is paying less than full retraining).
-	FineTuneEpochs int
-	Seed           int64
-	// MatrixTasks is the per-profile mini interference matrix's task subset
-	// (default ior-easy-write, ior-easy-read, mdt-hard-write: one bulk
-	// writer, one bulk reader, one metadata row).
-	MatrixTasks []io500.Task
+	Seed   int64
 }
 
 func (c *TransferConfig) applyDefaults() {
@@ -49,27 +32,26 @@ func (c *TransferConfig) applyDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.Window == 0 {
-		c.Window = sim.Second
-	}
-	if c.MaxTime == 0 {
-		c.MaxTime = 240 * sim.Second
-	}
-	if c.Reps == 0 {
-		c.Reps = 2
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 40
 	}
-	if c.FineTuneEpochs == 0 {
-		c.FineTuneEpochs = 12
-	}
-	if len(c.MatrixTasks) == 0 {
-		c.MatrixTasks = []io500.Task{
-			io500.IorEasyWrite, io500.IorEasyRead, io500.MdtHardWrite,
-		}
-	}
 }
+
+const (
+	// transferReps repeats each profile's sweep with rotated OST placement,
+	// trimmed against DatasetConfig's 3 because the study multiplies
+	// everything by the profile count.
+	transferReps = 2
+	// transferFineTuneEpochs is the warm-started adaptation pass on the
+	// target profile's data, a fraction of the default 40 training epochs:
+	// the point of transfer is paying less than full retraining.
+	transferFineTuneEpochs = 12
+)
+
+// transferTasks are each profile's dataset targets and the rows and columns
+// of its mini interference matrix: one bulk writer, one bulk reader, one
+// metadata task.
+var transferTasks = []io500.Task{io500.IorEasyWrite, io500.IorEasyRead, io500.MdtHardWrite}
 
 // TransferResult holds the study's accuracy table and the per-profile
 // interference matrices.
@@ -88,9 +70,9 @@ type TransferResult struct {
 	// briefly on profile b's data before evaluating on the same test set
 	// (diagonal = InDomain).
 	FineTuned [][]float64
-	// Matrices are the per-profile mini interference matrices (MatrixTasks
-	// subset of Table I), showing how the contention patterns themselves
-	// shift across hardware.
+	// Matrices are the per-profile mini interference matrices
+	// (transferTasks subset of Table I), showing how the contention
+	// patterns themselves shift across hardware.
 	Matrices []*TableIResult
 }
 
@@ -103,62 +85,21 @@ func (r *TransferResult) Gap(a, b int) float64 {
 // transferSweep is a trimmed interference sweep — one intensity per
 // contention class — keeping the per-profile collection cost proportionate to
 // the number of profiles the study multiplies it by.
-func transferSweep(s Scale) []core.Variant {
-	type entry struct {
-		task      io500.Task
-		instances int
-		ranks     int
-	}
-	entries := []entry{
-		{io500.IorEasyRead, 1, 4},
-		{io500.IorEasyRead, 2, 4},
-		{io500.IorEasyWrite, 1, 4},
-		{io500.IorHardWrite, 1, 4},
-		{io500.MdtHardWrite, 1, 4},
-	}
-	var out []core.Variant
-	for i, e := range entries {
-		out = append(out, core.Variant{
-			Name: fmt.Sprintf("%s-x%dr%d", e.task, e.instances, e.ranks),
-			Interference: IO500Instances(e.task, e.instances, e.ranks,
-				interferenceParams(s), fmt.Sprintf("/tsweep%d", i)),
-		})
-	}
-	return out
-}
+var transferSweep = sweep{dir: "/tsweep", entries: []sweepEntry{
+	{task: io500.IorEasyRead, instances: 1, ranks: 4},
+	{task: io500.IorEasyRead, instances: 2, ranks: 4},
+	{task: io500.IorEasyWrite, instances: 1, ranks: 4},
+	{task: io500.IorHardWrite, instances: 1, ranks: 4},
+	{task: io500.MdtHardWrite, instances: 1, ranks: 4},
+}}
 
-// transferDataset collects one profile's labelled windows: three IO500
-// targets (bulk write, bulk read, metadata) against the trimmed sweep.
+// transferDataset collects one profile's labelled windows: the transferTasks
+// targets against the trimmed sweep.
 func transferDataset(cfg TransferConfig, profile string) *dataset.Dataset {
-	dc := DatasetConfig{
-		Scale:   cfg.Scale,
-		Window:  cfg.Window,
-		MaxTime: cfg.MaxTime,
-		Reps:    cfg.Reps,
-		Seed:    cfg.Seed,
-		Profile: profile,
-	}
+	dc := DatasetConfig{Scale: cfg.Scale, Reps: transferReps, Seed: cfg.Seed, Profile: profile}
 	dc.applyDefaults()
-	variants := transferSweep(cfg.Scale)
-	var all *dataset.Dataset
-	for _, task := range []io500.Task{io500.IorEasyWrite, io500.IorEasyRead, io500.MdtHardWrite} {
-		p := io500.Params{
-			Dir:           "/tfr-" + task.String(),
-			Ranks:         4,
-			EasyFileBytes: cfg.Scale.Bytes(32 << 20),
-			HardOps:       cfg.Scale.Count(300),
-			MdtFiles:      cfg.Scale.Count(200),
-		}
-		target := core.TargetSpec{Gen: io500.New(task, p), Nodes: targetNodes, Ranks: 4}
-		ds := collectFor(dc, task.String(), target, variants)
-		if all == nil {
-			all = ds
-		} else {
-			all.Merge(ds)
-		}
-	}
-	all.Profile = profile
-	return all
+	targets := io500Targets("/tfr-", io500Params(dc.Scale), transferTasks...)
+	return collectTargets(dc, targets, transferSweep.variants(dc.Scale))
 }
 
 // TransferStudy runs the cross-profile experiment end to end: per-profile
@@ -196,13 +137,15 @@ func TransferStudy(cfg TransferConfig) *TransferResult {
 		}
 		fw[i] = f
 		res.InDomain[i] = cm.Accuracy()
+		// Matrix runs are capped like the collection runs, not at
+		// TableI's own 300 s default.
 		res.Matrices[i] = TableI(TableIConfig{
 			Scale:            cfg.Scale,
 			Instances:        1,
 			RanksPerInstance: 4,
-			MaxTime:          cfg.MaxTime,
+			MaxTime:          collectMaxTime,
 			Profile:          name,
-			Tasks:            cfg.MatrixTasks,
+			Tasks:            transferTasks,
 		})
 	}
 
@@ -226,7 +169,7 @@ func TransferStudy(cfg TransferConfig) *TransferResult {
 
 			_, cm, err := core.TrainFrameworkE(ds[b], core.FrameworkConfig{
 				Seed:  cfg.Seed,
-				Train: ml.TrainConfig{Epochs: cfg.FineTuneEpochs, Seed: cfg.Seed},
+				Train: ml.TrainConfig{Epochs: transferFineTuneEpochs, Seed: cfg.Seed},
 			}, core.WithWarmStart(fw[a]))
 			if err != nil {
 				panic(fmt.Sprintf("experiments: transfer fine-tune %s->%s: %v",
