@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 verify fuzz bench bench-json docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
+.PHONY: build test tier1 verify fuzz bench bench-collect bench-json docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ fuzz:
 
 bench:
 	$(GO) test -bench BenchmarkRun -benchmem -count 5 -run '^$$'
+
+# bench-collect times one reduced-scale Figure 3(a) study (IO500 collection
+# plus training) five times, reporting bytes, allocations and gcs/op — the
+# garbage-collection cost of a collection.
+bench-collect:
+	$(GO) test -bench '^BenchmarkFigure3aIO500$$' -count 5 -run '^$$'
 
 # bench-json runs the whole benchmark suite through cmd/bench and writes a
 # machine-readable BENCH_<date>.json for committing alongside perf changes.

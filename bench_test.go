@@ -7,6 +7,7 @@ package quanterference_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,14 +79,21 @@ func benchDatasetCfg() experiments.DatasetConfig {
 }
 
 // BenchmarkFigure3aIO500 collects the IO500 dataset and trains the binary
-// model (Figure 3a).
+// model (Figure 3a). Besides allocations it reports gcs/op, the garbage
+// collections one study triggers: collection cost is mostly the collector's
+// (make bench-collect runs it five times).
 func BenchmarkFigure3aIO500(b *testing.B) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		ev := experiments.Figure3a(benchDatasetCfg(), 20)
 		if ev.Confusion.Total() == 0 {
 			b.Fatal("empty eval")
 		}
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }
 
 // BenchmarkFigure3bDLIO collects the DLIO dataset and trains the binary
@@ -201,14 +209,15 @@ func BenchmarkDiskService(b *testing.B) {
 func BenchmarkNetTransfer(b *testing.B) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	for _, n := range []string{"a", "b", "c", "d", "srv"} {
-		net.AddNode(n, 0)
+	var srcs []netsim.Endpoint
+	for _, n := range []string{"a", "b", "c", "d"} {
+		srcs = append(srcs, net.AddNode(n, 0))
 	}
-	srcs := []string{"a", "b", "c", "d"}
+	srv := net.AddNode("srv", 0)
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {
-		net.Transfer(srcs[i%4], "srv", 1<<20, func() { done++ })
+		net.Transfer(srcs[i%4], srv, 1<<20, func() { done++ })
 		if (i+1)%8 == 0 {
 			eng.Run()
 		}

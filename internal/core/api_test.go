@@ -2,15 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"quanterference/internal/fault"
 	"quanterference/internal/label"
 	"quanterference/internal/lustre"
+	"quanterference/internal/ml"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
 	"quanterference/internal/workload/io500"
@@ -139,6 +142,48 @@ func TestRunEWithSinkAggregates(t *testing.T) {
 	}
 }
 
+// TestCollectWithoutSinkIsUninstrumented pins the uninstrumented collection
+// path: the run function a collection without WithSink uses registers no
+// metric and snapshots nothing, simulates exactly what an instrumented RunE
+// does, and the collection's dataset is identical to the same collection
+// on a sink.
+func TestCollectWithoutSinkIsUninstrumented(t *testing.T) {
+	base := Scenario{Target: smallTarget()}
+	variants := []Variant{{Interference: readInstances(2, 6)}}
+	sink := obs.New()
+	traced, err := CollectDatasetE(base, variants, CollectorConfig{IncludeBaseline: true}, WithSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.Snapshot().CounterTotal("engine", "events_executed") == 0 {
+		t.Fatal("a collection WithSink left its sink empty")
+	}
+	plain, err := CollectDatasetE(base, variants, CollectorConfig{IncludeBaseline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plain.Digest(), traced.Digest(); got != want {
+		t.Fatalf("uninstrumented collection digest %s, instrumented %s", got, want)
+	}
+
+	bare, err := simulate(context.Background(), base, &options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bare.Stats.Empty() {
+		t.Fatalf("uninstrumented run registered metrics: %d counters, %d gauges, %d histograms",
+			len(bare.Stats.Counters), len(bare.Stats.Gauges), len(bare.Stats.Histograms))
+	}
+	inst, err := RunE(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Duration != inst.Duration || !reflect.DeepEqual(bare.Records, inst.Records) ||
+		!reflect.DeepEqual(bare.Windows, inst.Windows) {
+		t.Fatal("the uninstrumented run simulated differently from RunE")
+	}
+}
+
 // TestTraceCoversAllLayers encodes the acceptance criterion that a traced
 // run exports Chrome trace events from the disk, blockqueue, netsim, and
 // lustre (ost + mds) layers.
@@ -242,6 +287,20 @@ func TestTrainFrameworkEErrors(t *testing.T) {
 	}
 }
 
+// noScalerFramework is a framework file with a valid header and model but
+// no scaler, which Predict would index out of range.
+func noScalerFramework(t *testing.T) string {
+	spec, err := ml.Snapshot(ml.NewKernelModel(ml.KernelConfig{NTargets: 3, NFeat: 5, Classes: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(frameworkSpec{Format: FrameworkFormat, Version: FrameworkFormatVersion, Model: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 func TestLoadFrameworkRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -258,6 +317,15 @@ func TestLoadFrameworkRejectsBadFiles(t *testing.T) {
 		{"unrelated.json", `{"weights": [1, 2, 3]}`, "format"},
 		{"future.json", `{"format": "quanterference.framework", "version": 99}`, "version 99"},
 		{"preversion.json", `{"format": "quanterference.framework", "model": {}}`, "version 0"},
+		// Header-valid files that used to panic the loader.
+		{"nomodel.json", `{"format": "quanterference.framework", "version": 1}`, "model"},
+		{"zerotargets.json", `{"format": "quanterference.framework", "version": 1, "model": ` +
+			`{"kind": "kernel", "n_targets": 0, "n_feat": 5, "classes": 2}}`, "out of bounds"},
+		{"hugedims.json", `{"format": "quanterference.framework", "version": 1, "model": ` +
+			`{"kind": "flat", "n_targets": 1000, "n_feat": 1000, "classes": 2}}`, "out of bounds"},
+		{"badweights.json", `{"format": "quanterference.framework", "version": 1, "model": ` +
+			`{"kind": "kernel", "n_targets": 3, "n_feat": 5, "classes": 2, "weights": [[1]]}}`, ""},
+		{"noscaler.json", noScalerFramework(t), "scaler"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,7 +76,8 @@ type CollectReport struct {
 // scenarios return ErrInvalidScenario/ErrInvalidTopology. Options override
 // the config's zero-ambiguous fields (WithBins, WithMinOpsPerWindow,
 // WithBaselineSamples) and WithSink aggregates observability across the
-// baseline and every variant run.
+// baseline and every variant run. Without WithSink the runs are
+// uninstrumented, which changes no simulated event and no sample.
 //
 // Variant runs degrade gracefully: a variant that fails — its scenario is
 // invalid, its worker panics, or (typical under Scenario.Faults) the target
@@ -106,7 +107,9 @@ func CollectDatasetCtx(ctx context.Context, base Scenario, variants []Variant, c
 	base.applyDefaults()
 	base.Interference = nil
 
-	baseRes, err := RunCtx(ctx, base, opts...)
+	// simulate, not RunCtx: without WithSink the runs stay uninstrumented,
+	// since every per-run Stats would be discarded.
+	baseRes, err := simulate(ctx, base, &o)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +174,7 @@ func CollectDatasetCtx(ctx context.Context, base Scenario, variants []Variant, c
 		}
 		run := base
 		run.Interference = variants[i].Interference
-		res, err := RunCtx(ctx, run, opts...)
+		res, err := simulate(ctx, run, &o)
 		if err != nil {
 			errs[i] = err
 			return err

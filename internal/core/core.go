@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"quanterference/internal/bb"
 	"quanterference/internal/fault"
@@ -291,8 +292,10 @@ type RunResult struct {
 	// NTargets is the storage-target count of the cluster.
 	NTargets int
 	// Stats is the end-of-run observability snapshot: engine, disk,
-	// blockqueue, netsim, OST, MDS, and client metrics. Never empty — when
-	// no WithSink option is given the run instruments a private sink.
+	// blockqueue, netsim, OST, MDS, and client metrics. RunE and RunCtx
+	// always populate it — when no WithSink option is given the run
+	// instruments a private sink. (CollectDatasetE's own runs are
+	// uninstrumented without WithSink; it returns no RunResult.)
 	Stats *obs.Snapshot
 }
 
@@ -313,6 +316,17 @@ func RunE(s Scenario, opts ...Option) (*RunResult, error) {
 // identical to RunE.
 func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error) {
 	o := applyOptions(opts)
+	if o.sink == nil {
+		o.sink = obs.New()
+	}
+	return simulate(ctx, s, &o)
+}
+
+// simulate is RunCtx on resolved options. A nil o.sink leaves the cluster
+// uninstrumented: every metric handle stays nil, so the hot path pays one
+// branch per event, and Stats is an empty snapshot. Collection runs without
+// WithSink take that path, since nothing reads their Stats.
+func simulate(ctx context.Context, s Scenario, o *options) (*RunResult, error) {
 	if o.hardware != nil && s.Hardware.IsZero() {
 		s.Hardware = *o.hardware
 	}
@@ -320,18 +334,12 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	sink := o.sink
-	if sink == nil {
-		sink = obs.New()
+	cl := NewClusterNet(s.Topology, s.FSConfig, netsim.Config{Latency: s.Hardware.Net.Latency})
+	if o.sink != nil {
+		cl.Instrument(o.sink)
 	}
-	cl := NewClusterNet(s.Topology, s.FSConfig,
-		netsim.Config{Latency: s.Hardware.Net.Latency}).Instrument(sink)
-	if len(s.Faults) > 0 {
-		inj := fault.NewInjector(cl.Eng, faultEndpoints(cl))
-		inj.Instrument(sink)
-		if err := inj.Inject(s.Faults); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidScenario, err)
-		}
+	if err := cl.InjectFaults(s.Faults); err != nil {
+		return nil, err
 	}
 	for i := 0; i < s.OSTSkew; i++ {
 		cl.FS.Populate(fmt.Sprintf("/.skew%d", i), 1, 1)
@@ -396,6 +404,9 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 		},
 	}
 	target.Start()
+	// The target does not loop, so one pass of its streams bounds its
+	// records: size the trace once instead of growing it by doubling.
+	res.Records = slices.Grow(res.Records, target.IOOps()-len(res.Records))
 
 	// Run to the window boundary after the target completes, so the last
 	// window's server metrics are finalized.
@@ -425,6 +436,6 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 		v, _ := sm.Window(idx)
 		res.ServerWindows[idx] = v
 	}
-	res.Stats = sink.Snapshot()
+	res.Stats = cl.Sink.Snapshot()
 	return res, nil
 }

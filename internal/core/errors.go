@@ -35,7 +35,8 @@ var (
 	ErrEmptyDataset = errors.New("core: dataset has no samples")
 
 	// ErrBadFrameworkFile reports a framework file that is not in this
-	// build's persistence format (wrong format tag or version).
+	// build's persistence format (wrong format tag or version) or whose
+	// model or scaler cannot be rebuilt.
 	ErrBadFrameworkFile = errors.New("core: unrecognized framework file")
 
 	// ErrWarmStartMismatch reports a WithWarmStart framework whose model

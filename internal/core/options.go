@@ -39,7 +39,9 @@ func applyOptions(opts []Option) options {
 // instrumented on it, and RunResult.Stats snapshots it. When runs fan out
 // in parallel (CollectDatasetE variants), the shared sink aggregates across
 // them; all sink mutation is atomic, so this is race-free. Without this
-// option each run gets a private sink, so Stats is still populated.
+// option RunE and RunCtx instrument a private sink, so Stats is still
+// populated, while CollectDatasetE runs uninstrumented: it would discard
+// every per-run snapshot, so it registers no metric at all.
 func WithSink(s *obs.Sink) Option {
 	return func(o *options) { o.sink = s }
 }

@@ -51,8 +51,10 @@ func (f *Framework) Save(path string) error {
 }
 
 // LoadFramework restores a framework written by Save. Files without the
-// format header (including pre-versioned ones) or with a version this build
-// does not read return an error wrapping ErrBadFrameworkFile.
+// format header (including pre-versioned ones), with a version this build
+// does not read, or whose model or scaler cannot be rebuilt (missing,
+// out-of-bounds dimensions, mismatched weights) return an error wrapping
+// ErrBadFrameworkFile — never a panic, since a reload must survive any file.
 func LoadFramework(path string) (*Framework, error) {
 	file, err := os.Open(path)
 	if err != nil {
@@ -73,7 +75,10 @@ func LoadFramework(path string) (*Framework, error) {
 	}
 	model, err := ml.Restore(spec.Model)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadFrameworkFile, path, err)
+	}
+	if nf := spec.Model.NFeat; spec.Scaler == nil || len(spec.Scaler.Mean) != nf || len(spec.Scaler.Std) != nf {
+		return nil, fmt.Errorf("%w: %s: scaler does not cover the model's %d features", ErrBadFrameworkFile, path, nf)
 	}
 	return &Framework{
 		Bins:   label.Bins{Thresholds: spec.Thresholds},

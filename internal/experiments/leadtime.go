@@ -62,6 +62,10 @@ type LeadTimeResult struct {
 	// shorter than History+Horizon contribute nothing).
 	Samples       []int
 	LaggedSamples [][]int
+	// Skipped[i][j] marks a horizon with no lead-labeled window on profile
+	// i (no run spans History+Horizons[j] windows): no head is trained for
+	// it, and its accuracy and alarm scores stay zero.
+	Skipped [][]bool
 	// Baseline is the current-window classifier's holdout accuracy — the
 	// k=0 point every forecast horizon is measured against. Baseline and
 	// forecast splits share a seed, so the comparison is like for like.
@@ -75,7 +79,8 @@ type LeadTimeResult struct {
 	AlarmPrecision [][]float64
 	AlarmRecall    [][]float64
 	// WeightsDigest is a sha256 over each profile's forecaster weights —
-	// the determinism pin: same seed, same digest, bit for bit.
+	// the determinism pin: same seed, same digest, bit for bit ("none" when
+	// every horizon was skipped).
 	WeightsDigest []string
 }
 
@@ -116,7 +121,8 @@ func leadtimeDataset(cfg LeadTimeConfig, profile string) *dataset.Dataset {
 // trimmed interference sweep), train the current-window classifier as the
 // k=0 baseline, train one forecast head per horizon
 // (core.TrainForecasterCtx), and score each head's class accuracy and
-// degradation-alarm precision/recall on its holdout.
+// degradation-alarm precision/recall on its holdout. A horizon no run is
+// long enough to lead-label on a profile is skipped and reported as such.
 func LeadTimeStudy(cfg LeadTimeConfig) *LeadTimeResult {
 	cfg.applyDefaults()
 	fcfg := forecast.Config{History: cfg.History, Horizons: cfg.Horizons}
@@ -128,6 +134,7 @@ func LeadTimeStudy(cfg LeadTimeConfig) *LeadTimeResult {
 		Horizons:       fcfg.Horizons,
 		Samples:        make([]int, n),
 		LaggedSamples:  make([][]int, n),
+		Skipped:        make([][]bool, n),
 		Baseline:       make([]float64, n),
 		Accuracy:       make([][]float64, n),
 		AlarmPrecision: make([][]float64, n),
@@ -148,23 +155,44 @@ func LeadTimeStudy(cfg LeadTimeConfig) *LeadTimeResult {
 		}
 		res.Baseline[i] = cm.Accuracy()
 
+		res.LaggedSamples[i] = make([]int, m)
+		res.Skipped[i] = make([]bool, m)
+		res.Accuracy[i] = make([]float64, m)
+		res.AlarmPrecision[i] = make([]float64, m)
+		res.AlarmRecall[i] = make([]float64, m)
+		// Each head trains from its own seed, so leaving out a horizon
+		// changes no other head.
+		trained := fcfg
+		trained.Horizons = nil
+		for j, k := range fcfg.Horizons {
+			res.LaggedSamples[i][j] = forecast.BuildLagged(ds, fcfg.History, k).Len()
+			if res.LaggedSamples[i][j] == 0 {
+				res.Skipped[i][j] = true
+				continue
+			}
+			trained.Horizons = append(trained.Horizons, k)
+		}
+		if len(trained.Horizons) == 0 {
+			res.WeightsDigest[i] = "none"
+			continue
+		}
 		fc, cms, err := core.TrainForecasterCtx(context.Background(), ds, core.ForecasterConfig{
-			Forecast: fcfg,
+			Forecast: trained,
 			Train:    ml.TrainConfig{Epochs: cfg.Epochs, Seed: cfg.Seed},
 			Seed:     cfg.Seed,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: leadtime forecaster on %s: %v", profile, err))
 		}
-		res.LaggedSamples[i] = make([]int, m)
-		res.Accuracy[i] = make([]float64, m)
-		res.AlarmPrecision[i] = make([]float64, m)
-		res.AlarmRecall[i] = make([]float64, m)
-		for j, k := range fcfg.Horizons {
-			res.LaggedSamples[i][j] = forecast.BuildLagged(ds, fcfg.History, k).Len()
-			res.Accuracy[i][j] = cms[j].Accuracy()
-			res.AlarmPrecision[i][j] = cms[j].Precision(1)
-			res.AlarmRecall[i][j] = cms[j].Recall(1)
+		for j := range fcfg.Horizons {
+			if res.Skipped[i][j] {
+				continue
+			}
+			cm := cms[0]
+			cms = cms[1:]
+			res.Accuracy[i][j] = cm.Accuracy()
+			res.AlarmPrecision[i][j] = cm.Precision(1)
+			res.AlarmRecall[i][j] = cm.Recall(1)
 		}
 		res.WeightsDigest[i] = ml.WeightsDigest(fc.ExportWeights())
 	}
@@ -190,6 +218,11 @@ func (r *LeadTimeResult) Render() string {
 		fmt.Fprintf(&b, "%-10s%10d%10.3f%10s%12s%12s\n",
 			"now", r.Samples[i], r.Baseline[i], "-", "-", "-")
 		for j, k := range r.Horizons {
+			if r.Skipped[i][j] {
+				fmt.Fprintf(&b, "%-10s%10d  skipped: no run spans %d windows\n",
+					fmt.Sprintf("+%dw", k), 0, r.History+k)
+				continue
+			}
 			fmt.Fprintf(&b, "%-10s%10d%10.3f%+10.3f%12.3f%12.3f\n",
 				fmt.Sprintf("+%dw", k), r.LaggedSamples[i][j], r.Accuracy[i][j],
 				r.Delta(i, j), r.AlarmPrecision[i][j], r.AlarmRecall[i][j])
@@ -199,13 +232,18 @@ func (r *LeadTimeResult) Render() string {
 }
 
 // CSV emits one row per (profile, horizon) point — horizon 0 is the
-// current-window baseline — plus one digest row per profile.
+// current-window baseline, and a skipped horizon reads "skipped" in the
+// accuracy column — plus one digest row per profile.
 func (r *LeadTimeResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("profile,horizon,samples,accuracy,delta_vs_now,alarm_precision,alarm_recall\n")
 	for i, p := range r.Profiles {
 		fmt.Fprintf(&b, "%s,0,%d,%.4f,0.0000,,\n", p, r.Samples[i], r.Baseline[i])
 		for j, k := range r.Horizons {
+			if r.Skipped[i][j] {
+				fmt.Fprintf(&b, "%s,%d,0,skipped,,,\n", p, k)
+				continue
+			}
 			fmt.Fprintf(&b, "%s,%d,%d,%.4f,%+.4f,%.4f,%.4f\n",
 				p, k, r.LaggedSamples[i][j], r.Accuracy[i][j], r.Delta(i, j),
 				r.AlarmPrecision[i][j], r.AlarmRecall[i][j])

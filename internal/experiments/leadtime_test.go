@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quanterference/internal/hw"
 )
 
 func tinyLeadTimeConfig() LeadTimeConfig {
@@ -94,5 +97,59 @@ func TestLeadTimeDeterministic(t *testing.T) {
 	}
 	if string(want) != csv1 {
 		t.Fatalf("leadtime curves drifted from golden (refresh with UPDATE_GOLDEN=1 if intended):\n--- golden\n%s\n--- got\n%s", want, csv1)
+	}
+}
+
+// TestLeadTimeEveryProfile runs the study at smoke scale, at the default
+// history and horizons, on every hardware profile: no profile may fail the
+// study, every horizon is either trained or reported as skipped, and a
+// horizon is skipped exactly when it has no lead-labeled window.
+func TestLeadTimeEveryProfile(t *testing.T) {
+	cfg := tinyLeadTimeConfig()
+	cfg.History, cfg.Horizons = 0, nil
+	cfg.Profiles = hw.Names()
+	r := LeadTimeStudy(cfg)
+	csv := r.CSV()
+	t.Logf("\n%s", csv)
+	for i, p := range r.Profiles {
+		if r.Samples[i] == 0 || r.Baseline[i] < 0 || r.Baseline[i] > 1 {
+			t.Errorf("%s: %d windows, baseline accuracy %.3f", p, r.Samples[i], r.Baseline[i])
+		}
+		for j, k := range r.Horizons {
+			if r.Skipped[i][j] != (r.LaggedSamples[i][j] == 0) {
+				t.Errorf("%s +%dw: skipped %v with %d lead-labeled samples", p, k, r.Skipped[i][j], r.LaggedSamples[i][j])
+			}
+			if r.Skipped[i][j] {
+				t.Logf("%s +%dw skipped", p, k)
+				if !strings.Contains(csv, fmt.Sprintf("%s,%d,0,skipped,,,\n", p, k)) {
+					t.Errorf("%s +%dw skipped but not reported as such:\n%s", p, k, csv)
+				}
+			} else if a := r.Accuracy[i][j]; a <= 0 || a > 1 {
+				t.Errorf("%s +%dw accuracy %.3f", p, k, a)
+			}
+		}
+	}
+}
+
+// TestLeadTimeReportsSkippedHorizons pins how a skipped horizon renders: a
+// "skipped" row in the table and in the CSV, and no accuracy or delta.
+func TestLeadTimeReportsSkippedHorizons(t *testing.T) {
+	r := &LeadTimeResult{
+		Profiles: []string{"nvme"}, History: 4, Horizons: []int{1, 2},
+		Samples: []int{88}, LaggedSamples: [][]int{{12, 0}}, Skipped: [][]bool{{false, true}},
+		Baseline: []float64{0.9}, Accuracy: [][]float64{{0.8, 0}},
+		AlarmPrecision: [][]float64{{1, 0}}, AlarmRecall: [][]float64{{0.5, 0}},
+		WeightsDigest: []string{"abc"},
+	}
+	wantCSV := "profile,horizon,samples,accuracy,delta_vs_now,alarm_precision,alarm_recall\n" +
+		"nvme,0,88,0.9000,0.0000,,\n" +
+		"nvme,1,12,0.8000,-0.1000,1.0000,0.5000\n" +
+		"nvme,2,0,skipped,,,\n" +
+		"digest,nvme,abc\n"
+	if got := r.CSV(); got != wantCSV {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", got, wantCSV)
+	}
+	if out := r.Render(); !strings.Contains(out, "+2w                0  skipped: no run spans 6 windows") {
+		t.Fatalf("render does not report the skipped horizon:\n%s", out)
 	}
 }

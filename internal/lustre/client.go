@@ -3,6 +3,7 @@ package lustre
 import (
 	"fmt"
 
+	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
 )
@@ -14,6 +15,7 @@ import (
 type Client struct {
 	Node string
 
+	ep    netsim.Endpoint // Node, resolved once
 	fs    *FS
 	slots []*sim.Resource // one per target (OSTs then MDT)
 	// bucket throttles bulk data when a QoS rule is set (see SetRateLimit).
@@ -64,12 +66,12 @@ type raChunk struct {
 	waiters []func()
 }
 
-func newClient(fs *FS, node string) *Client {
+func newClient(fs *FS, node string, ep netsim.Endpoint) *Client {
 	var nodeMix int64
 	for _, b := range node {
 		nodeMix = nodeMix*131 + int64(b)
 	}
-	c := &Client{Node: node, fs: fs, rng: sim.NewRNG(fs.cfg.Seed ^ 0xc11e27 ^ nodeMix)}
+	c := &Client{Node: node, ep: ep, fs: fs, rng: sim.NewRNG(fs.cfg.Seed ^ 0xc11e27 ^ nodeMix)}
 	c.slots = make([]*sim.Resource, fs.NumTargets())
 	for i := range c.slots {
 		c.slots[i] = sim.NewResource(fs.Eng, fs.cfg.MaxRPCsInFlight)
@@ -140,7 +142,7 @@ func (c *Client) metaRPC(op MetaOp, path string, stripeCount int, opened func(*H
 
 func (m *metaCall) send() {
 	c := m.c
-	c.fs.Net.Transfer(c.Node, c.fs.mds.Node, c.fs.cfg.ReqMsgBytes, m.arrived)
+	c.fs.Net.Transfer(c.ep, c.fs.mds.ep, c.fs.cfg.ReqMsgBytes, m.arrived)
 }
 
 func (m *metaCall) arrive() { m.c.fs.mds.handle(m) }
@@ -424,7 +426,7 @@ func (b *bulkRPC) send() {
 	if b.write {
 		bytes += b.length
 	}
-	c.fs.Net.Transfer(c.Node, b.ost.OSS.Node, bytes, b.arrived)
+	c.fs.Net.Transfer(c.ep, b.ost.OSS.ep, bytes, b.arrived)
 }
 
 func (b *bulkRPC) arrive() { b.ost.OSS.Threads.Acquire(b.granted) }
@@ -449,7 +451,7 @@ func (b *bulkRPC) reply() {
 		b.ost.OSS.Threads.Release()
 		bytes += b.length
 	}
-	c.fs.Net.Transfer(b.ost.OSS.Node, c.Node, bytes, b.replied)
+	c.fs.Net.Transfer(b.ost.OSS.ep, c.ep, bytes, b.replied)
 }
 
 func (b *bulkRPC) complete() {

@@ -35,26 +35,26 @@ func New(eng *sim.Engine, net *netsim.Network, topo Topology, cfg Config) *FS {
 		topo:    topo,
 		clients: make(map[string]*Client),
 	}
-	ensure := func(node string) {
+	ensure := func(node string) netsim.Endpoint {
 		if !net.HasNode(node) {
-			net.AddNode(node, topo.NICBps)
+			return net.AddNode(node, topo.NICBps)
 		}
+		return net.Endpoint(node)
 	}
-	ensure(topo.MDSNode)
+	mdsEP := ensure(topo.MDSNode)
 	rng := sim.NewRNG(cfg.Seed ^ 0x10557)
 	ostID := 0
 	for _, spec := range topo.OSS {
-		ensure(spec.Node)
-		oss := &OSS{Node: spec.Node, Threads: sim.NewResource(eng, cfg.OSSThreads)}
+		oss := &OSS{Node: spec.Node, Threads: sim.NewResource(eng, cfg.OSSThreads), ep: ensure(spec.Node)}
 		for i := 0; i < spec.OSTs; i++ {
-			ost := newOST(eng, &fs.cfg, ostID, oss, rng.Derive(int64(ostID)).Int63n(1<<62))
+			ost := newOST(eng, &fs.cfg, ostID, oss, rng.DeriveSeed(int64(ostID)))
 			oss.OSTs = append(oss.OSTs, ost)
 			fs.osts = append(fs.osts, ost)
 			ostID++
 		}
 		fs.osss = append(fs.osss, oss)
 	}
-	fs.mds = newMDS(eng, &fs.cfg, topo.MDSNode, len(fs.osts), rng.Derive(9999).Int63n(1<<62))
+	fs.mds = newMDS(eng, &fs.cfg, topo.MDSNode, mdsEP, len(fs.osts), rng.DeriveSeed(9999))
 	// Unlink destroys the file's OST objects (asynchronous in real Lustre;
 	// modelled as immediate metadata cleanup — sectors are not reclaimed,
 	// like deferred ldiskfs truncation).
@@ -64,8 +64,7 @@ func New(eng *sim.Engine, net *netsim.Network, topo Topology, cfg Config) *FS {
 		}
 	}
 	for _, cn := range topo.Clients {
-		ensure(cn)
-		fs.clients[cn] = newClient(fs, cn)
+		fs.clients[cn] = newClient(fs, cn, ensure(cn))
 	}
 	return fs
 }
@@ -139,7 +138,7 @@ func (fs *FS) Populate(path string, size int64, stripeCount int) *Inode {
 	}
 	// A just-written file is warm in the MDS cache, exactly as if the
 	// preceding (unsimulated) write phase had created it.
-	fs.mds.cacheTouch(path)
+	fs.mds.cacheTouch(ino)
 	if size > ino.Size {
 		ino.Size = size
 	}

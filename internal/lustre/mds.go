@@ -1,11 +1,11 @@
 package lustre
 
 import (
-	"container/list"
 	"fmt"
 
 	"quanterference/internal/blockqueue"
 	"quanterference/internal/disk"
+	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
 )
@@ -37,6 +37,11 @@ type Inode struct {
 	ObjID      uint64 // per-OST object key
 
 	inodeSector int64
+	// The MDS inode cache is an LRU list threaded through the inodes
+	// themselves: every cached path is in the namespace, so no side map
+	// and no list element is needed.
+	cached       bool
+	newer, older *Inode
 }
 
 // MDSStats are cumulative metadata-server counters.
@@ -52,13 +57,16 @@ type MDS struct {
 	Node    string
 	Threads *sim.Resource
 
+	ep netsim.Endpoint // Node, resolved once
+
 	eng *sim.Engine
 	cfg *Config
 	q   *blockqueue.Queue
 
 	namespace map[string]*Inode
-	lru       *list.List               // most-recent at front; values are paths
-	lruIndex  map[string]*list.Element // path -> element
+	// The inode cache's LRU list: newest at the front, oldest at the back.
+	lruFront, lruBack *Inode
+	lruLen            int
 
 	journalLen  int64
 	journalHead int64
@@ -84,7 +92,7 @@ type MDS struct {
 	hOpNS    [len(metaOpNames)]*obs.Histogram
 }
 
-func newMDS(eng *sim.Engine, cfg *Config, node string, nOSTs int, seed int64) *MDS {
+func newMDS(eng *sim.Engine, cfg *Config, node string, ep netsim.Endpoint, nOSTs int, seed int64) *MDS {
 	dc := cfg.Disk
 	dc.Seed = seed
 	d := disk.New(eng, dc)
@@ -95,13 +103,12 @@ func newMDS(eng *sim.Engine, cfg *Config, node string, nOSTs int, seed int64) *M
 	const journalLen = 512 << 10 // 256 MiB of journal in sectors
 	return &MDS{
 		Node:       node,
+		ep:         ep,
 		Threads:    sim.NewResource(eng, cfg.MDSThreads),
 		eng:        eng,
 		cfg:        cfg,
 		q:          q,
 		namespace:  make(map[string]*Inode),
-		lru:        list.New(),
-		lruIndex:   make(map[string]*list.Element),
 		journalLen: journalLen,
 		tableBase:  journalLen,
 		tableLen:   (int64(1) << 31) - journalLen,
@@ -147,27 +154,57 @@ func (m *MDS) SetOpCPUFactor(factor float64) {
 // use Client metadata ops for timed access.
 func (m *MDS) Lookup(path string) *Inode { return m.namespace[path] }
 
-// cacheTouch marks path as recently used, evicting the LRU entry if the
-// cache is over capacity. Returns whether the path was already cached.
-func (m *MDS) cacheTouch(path string) bool {
-	if el, ok := m.lruIndex[path]; ok {
-		m.lru.MoveToFront(el)
+// cacheTouch marks ino as recently used, evicting the least recently used
+// inode if the cache is over capacity. Returns whether ino was already
+// cached.
+func (m *MDS) cacheTouch(ino *Inode) bool {
+	if ino.cached {
+		if m.lruFront != ino {
+			m.lruUnlink(ino)
+			m.lruPushFront(ino)
+		}
 		return true
 	}
-	m.lruIndex[path] = m.lru.PushFront(path)
-	for m.lru.Len() > m.cfg.InodeCacheEntries {
-		back := m.lru.Back()
-		m.lru.Remove(back)
-		delete(m.lruIndex, back.Value.(string))
+	ino.cached = true
+	m.lruLen++
+	m.lruPushFront(ino)
+	for m.lruLen > m.cfg.InodeCacheEntries {
+		m.cacheDrop(m.lruBack)
 	}
 	return false
 }
 
-func (m *MDS) cacheDrop(path string) {
-	if el, ok := m.lruIndex[path]; ok {
-		m.lru.Remove(el)
-		delete(m.lruIndex, path)
+// cacheDrop evicts ino from the cache, if it is cached.
+func (m *MDS) cacheDrop(ino *Inode) {
+	if ino.cached {
+		ino.cached = false
+		m.lruLen--
+		m.lruUnlink(ino)
 	}
+}
+
+func (m *MDS) lruUnlink(ino *Inode) {
+	if ino.newer != nil {
+		ino.newer.older = ino.older
+	} else {
+		m.lruFront = ino.older
+	}
+	if ino.older != nil {
+		ino.older.newer = ino.newer
+	} else {
+		m.lruBack = ino.newer
+	}
+	ino.newer, ino.older = nil, nil
+}
+
+func (m *MDS) lruPushFront(ino *Inode) {
+	ino.older = m.lruFront
+	if m.lruFront != nil {
+		m.lruFront.newer = ino
+	} else {
+		m.lruBack = ino
+	}
+	m.lruFront = ino
 }
 
 // journalWrite appends to the (circular) journal; sequential by design.
@@ -247,7 +284,7 @@ func (call *metaCall) service() {
 		if !ok {
 			ino = m.allocInode(path, op == MetaMkdir, call.stripeCount)
 		}
-		m.cacheTouch(path)
+		m.cacheTouch(ino)
 		call.ino = ino
 		m.journalWrite(call.served)
 	case MetaOpen, MetaStat:
@@ -256,7 +293,7 @@ func (call *metaCall) service() {
 			panic(fmt.Sprintf("lustre: %s of missing path %q", op, path))
 		}
 		call.ino = ino
-		if m.cacheTouch(path) {
+		if m.cacheTouch(ino) {
 			m.stats.CacheHits++
 			m.cHits.Inc()
 			call.reply()
@@ -273,7 +310,7 @@ func (call *metaCall) service() {
 			panic(fmt.Sprintf("lustre: unlink of missing path %q", path))
 		}
 		delete(m.namespace, path)
-		m.cacheDrop(path)
+		m.cacheDrop(ino)
 		if m.destroyObjects != nil && !ino.Dir {
 			m.destroyObjects(ino)
 		}
@@ -293,5 +330,5 @@ func (call *metaCall) reply() {
 	m.sink.Span("mds", "mdt", call.op.String(), call.arrival, latency)
 	m.Threads.Release()
 	c := call.c
-	c.fs.Net.Transfer(m.Node, c.Node, c.fs.cfg.ReqMsgBytes, call.replied)
+	c.fs.Net.Transfer(m.ep, c.ep, c.fs.cfg.ReqMsgBytes, call.replied)
 }

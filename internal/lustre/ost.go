@@ -6,6 +6,7 @@ import (
 
 	"quanterference/internal/blockqueue"
 	"quanterference/internal/disk"
+	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
 )
@@ -100,6 +101,8 @@ type OSS struct {
 	Node    string
 	Threads *sim.Resource
 	OSTs    []*OST
+
+	ep netsim.Endpoint // Node, resolved once
 }
 
 // OST is one object storage target: a disk with its request queue, an object

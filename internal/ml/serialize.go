@@ -2,6 +2,7 @@ package ml
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -66,8 +67,41 @@ func Snapshot(m Model) (*ModelSpec, error) {
 	return spec, nil
 }
 
-// Restore rebuilds the model a Snapshot described.
+// Dimension bounds Restore checks before it allocates anything. They sit far
+// above every model this repository builds (7 targets × 34 features, a few
+// classes), so only a corrupt or hostile spec reaches them; below them every
+// constructor accepts the spec and the parameters stay a few megabytes.
+const (
+	maxSpecTargets = 1 << 10
+	maxSpecFeat    = 1 << 10
+	maxSpecInputs  = 1 << 14 // targets × features: the flat model's input width
+	maxSpecClasses = 1 << 10
+)
+
+// checkDims rejects dimensions no model constructor accepts, or whose
+// parameter tensors would be unreasonably large.
+func (s *ModelSpec) checkDims() error {
+	if s.NTargets < 1 || s.NTargets > maxSpecTargets ||
+		s.NFeat < 1 || s.NFeat > maxSpecFeat ||
+		s.NTargets*s.NFeat > maxSpecInputs ||
+		s.Classes < 2 || s.Classes > maxSpecClasses {
+		return fmt.Errorf("ml: model spec of %d targets x %d features x %d classes is out of bounds "+
+			"(at most %d targets, %d features, %d inputs, 2 to %d classes)",
+			s.NTargets, s.NFeat, s.Classes, maxSpecTargets, maxSpecFeat, maxSpecInputs, maxSpecClasses)
+	}
+	return nil
+}
+
+// Restore rebuilds the model a Snapshot described. A missing spec, an
+// unknown kind, out-of-bounds dimensions or weights of the wrong shape return
+// an error; nothing is allocated for a spec whose dimensions are rejected.
 func Restore(spec *ModelSpec) (Model, error) {
+	if spec == nil {
+		return nil, errors.New("ml: missing model spec")
+	}
+	if err := spec.checkDims(); err != nil {
+		return nil, err
+	}
 	var m Model
 	switch spec.Kind {
 	case "kernel":

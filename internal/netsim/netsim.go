@@ -8,6 +8,12 @@
 // instantaneous rate is its max-min fair share across both. Rates are
 // recomputed whenever a flow starts or finishes (the classic progressive-
 // filling algorithm), and the completion event is rescheduled accordingly.
+//
+// Nodes, links and flows live in slices addressed by int32 index, and every
+// worklist is a slice of indices, so the per-flow hot path stores no
+// pointer: the garbage collector never scans the fabric's scratch and no
+// write barrier guards it. Callers resolve a node name to an Endpoint once
+// and pass endpoints to Transfer.
 package netsim
 
 import (
@@ -46,9 +52,14 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// link is one direction of a node's NIC.
+// Endpoint is a registered node's index in the network: AddNode returns it
+// and Endpoint resolves a name to it. Transfer takes endpoints, so moving
+// bytes involves no name lookup.
+type Endpoint int32
+
+// link is one direction of a node's NIC. Node e's uplink is links[2e] and
+// its downlink links[2e+1].
 type link struct {
-	name  string
 	cap   float64
 	scale float64 // fault-injected capacity multiplier in (0, 1]
 
@@ -65,41 +76,18 @@ func (l *link) effCap() float64 { return l.cap * l.scale }
 
 type node struct {
 	name string
-	up   *link
-	down *link
 	// Counters for the monitors.
 	bytesSent uint64
 	bytesRecv uint64
 }
 
+// flow is one active transfer. It holds no pointer: its completion callback
+// lives at the same index of Network.dones.
 type flow struct {
-	id        uint64 // creation order, for deterministic completion order
-	src, dst  *node
+	up, down  int32   // the sender's uplink and the receiver's downlink
 	remaining float64 // bytes
 	rate      float64 // bytes/sec, recomputed on every change
-	done      func()
-	start     sim.Time // creation time, for observability
-	bytes     int64    // original size, for observability
-}
-
-// timer is one armed completion check. Its fire func is bound once, when the
-// timer is made, so re-arming allocates nothing; a timer returns to its
-// network's pool as it fires.
-type timer struct {
-	n    *Network
-	gen  uint64 // the n.gen this check was armed for
-	fire func()
-}
-
-func (t *timer) run() {
-	n := t.n
-	gen := t.gen
-	n.freeTimers = append(n.freeTimers, t)
-	if gen != n.gen {
-		return // superseded by a later topology change
-	}
-	n.advance()
-	n.finishDrained()
+	start     sim.Time
 }
 
 // NodeStats reports cumulative traffic through a node.
@@ -110,25 +98,38 @@ type NodeStats struct {
 
 // Network is the fabric.
 type Network struct {
-	eng   *sim.Engine
-	cfg   Config
-	nodes map[string]*node
-	// flows holds active transfers in creation (id) order: every loop over
-	// it — draining, bottleneck search, completion — is deterministic by
-	// construction, and removal compacts in place.
-	flows []*flow
+	eng    *sim.Engine
+	cfg    Config
+	byName map[string]Endpoint
+	nodes  []node
+	links  []link
+
+	// flows is a pool of transfer slots, dones their completion callbacks;
+	// freeFlows lists the unused slots. active holds the live slots in
+	// creation order: every loop over it — draining, bottleneck search,
+	// completion — is deterministic by construction, and removal compacts
+	// in place.
+	flows     []flow
+	dones     []func()
+	freeFlows []int32
+	active    []int32
 
 	lastAdvance sim.Time
 	gen         uint64 // invalidates stale completion events
-	nextFlowID  uint64
 
-	// Reusable scratch and free lists for the recompute/finish hot path.
-	epoch       uint64
-	freeFlows   []*flow
-	freeTimers  []*timer
-	linksBuf    []*link
-	unfrozenBuf []*flow
-	finishedBuf []*flow
+	// Completion timers: timerGens[t] is the n.gen timer t was armed for,
+	// timerFires[t] its event callback, bound once; a timer returns to
+	// freeTimers as it fires, so re-arming allocates nothing.
+	timerGens  []uint64
+	timerFires []func()
+	freeTimers []int32
+
+	// Recompute and finish scratch: touched links in first-touch order,
+	// unfrozen and finished flow slots.
+	epoch    uint64
+	touched  []int32
+	unfrozen []int32
+	finished []int32
 
 	// Observability handles; nil unless Instrument attached a sink.
 	sink        *obs.Sink
@@ -143,9 +144,9 @@ type Network struct {
 func New(eng *sim.Engine, cfg Config) *Network {
 	cfg.applyDefaults()
 	return &Network{
-		eng:   eng,
-		cfg:   cfg,
-		nodes: make(map[string]*node),
+		eng:    eng,
+		cfg:    cfg,
+		byName: make(map[string]Endpoint),
 	}
 }
 
@@ -164,19 +165,29 @@ func (n *Network) Instrument(s *obs.Sink) {
 	n.hFlowNS = s.Histogram("netsim", "", "flow_ns", obs.TimeBuckets())
 }
 
-// AddNode registers a node; bps == 0 uses the default NIC speed.
-func (n *Network) AddNode(name string, bps float64) {
-	if _, ok := n.nodes[name]; ok {
+// AddNode registers a node and returns its endpoint; bps == 0 uses the
+// default NIC speed.
+func (n *Network) AddNode(name string, bps float64) Endpoint {
+	if _, ok := n.byName[name]; ok {
 		panic("netsim: duplicate node " + name)
 	}
 	if bps == 0 {
 		bps = n.cfg.DefaultBps
 	}
-	n.nodes[name] = &node{
-		name: name,
-		up:   &link{name: name + "/up", cap: bps, scale: 1},
-		down: &link{name: name + "/down", cap: bps, scale: 1},
+	e := Endpoint(len(n.nodes))
+	n.byName[name] = e
+	n.nodes = append(n.nodes, node{name: name})
+	n.links = append(n.links, link{cap: bps, scale: 1}, link{cap: bps, scale: 1})
+	return e
+}
+
+// Endpoint resolves a registered node name; an unknown name panics.
+func (n *Network) Endpoint(name string) Endpoint {
+	e, ok := n.byName[name]
+	if !ok {
+		panic("netsim: unknown node " + name)
 	}
+	return e
 }
 
 // SetBandwidthScale degrades (or, with scale 1, heals) one node's NIC: both
@@ -193,72 +204,65 @@ func (n *Network) SetBandwidthScale(name string, scale float64) error {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("%w: %g for node %q", ErrBadScale, scale, name)
 	}
-	nd, ok := n.nodes[name]
+	e, ok := n.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, name)
 	}
 	n.advance()
-	nd.up.scale = scale
-	nd.down.scale = scale
+	n.links[2*e].scale = scale
+	n.links[2*e+1].scale = scale
 	n.reschedule()
 	return nil
 }
 
 // HasNode reports whether the node exists.
 func (n *Network) HasNode(name string) bool {
-	_, ok := n.nodes[name]
+	_, ok := n.byName[name]
 	return ok
 }
 
 // Stats returns cumulative per-node traffic counters.
 func (n *Network) Stats(name string) NodeStats {
-	nd := n.node(name)
+	nd := &n.nodes[n.Endpoint(name)]
 	return NodeStats{BytesSent: nd.bytesSent, BytesRecv: nd.bytesRecv}
 }
 
 // ActiveFlows returns the number of in-progress transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
-
-func (n *Network) node(name string) *node {
-	nd, ok := n.nodes[name]
-	if !ok {
-		panic("netsim: unknown node " + name)
-	}
-	return nd
-}
+func (n *Network) ActiveFlows() int { return len(n.active) }
 
 // Transfer moves bytes from src to dst, invoking done after the last byte
 // arrives (including the fixed latency). Zero-byte transfers model pure
-// control messages and cost one latency.
-func (n *Network) Transfer(src, dst string, bytes int64, done func()) {
+// control messages and cost one latency. An endpoint this network did not
+// return panics.
+func (n *Network) Transfer(src, dst Endpoint, bytes int64, done func()) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("netsim: negative transfer size %d", bytes))
 	}
 	if done == nil {
 		panic("netsim: nil completion")
 	}
-	s, d := n.node(src), n.node(dst)
-	if bytes == 0 || s == d {
+	s, d := &n.nodes[src], &n.nodes[dst]
+	if bytes == 0 || src == dst {
 		n.eng.Schedule(n.cfg.Latency, done)
 		return
 	}
 	s.bytesSent += uint64(bytes)
 	d.bytesRecv += uint64(bytes)
-	n.nextFlowID++
-	var f *flow
-	if k := len(n.freeFlows); k > 0 {
-		f = n.freeFlows[k-1]
-		n.freeFlows = n.freeFlows[:k-1]
-	} else {
-		f = &flow{}
+	if len(n.freeFlows) == 0 {
+		n.freeFlows = append(n.freeFlows, int32(len(n.flows)))
+		n.flows = append(n.flows, flow{})
+		n.dones = append(n.dones, nil)
 	}
-	*f = flow{id: n.nextFlowID, src: s, dst: d, remaining: float64(bytes), done: done,
-		start: n.eng.Now(), bytes: bytes}
+	i := n.freeFlows[len(n.freeFlows)-1]
+	n.freeFlows = n.freeFlows[:len(n.freeFlows)-1]
+	n.flows[i] = flow{up: 2 * int32(src), down: 2*int32(dst) + 1,
+		remaining: float64(bytes), start: n.eng.Now()}
+	n.dones[i] = done
 	n.cFlows.Inc()
 	n.cBytes.Add(uint64(bytes))
 	n.advance()
-	n.flows = append(n.flows, f) // ids increase, so the slice stays id-sorted
-	n.gActiveMax.Max(float64(len(n.flows)))
+	n.active = append(n.active, i) // creation order
+	n.gActiveMax.Max(float64(len(n.active)))
 	n.reschedule()
 }
 
@@ -270,7 +274,8 @@ func (n *Network) advance() {
 	if dt <= 0 {
 		return
 	}
-	for _, f := range n.flows {
+	for _, i := range n.active {
+		f := &n.flows[i]
 		f.remaining -= f.rate * dt
 		if f.remaining < 0 {
 			f.remaining = 0
@@ -278,83 +283,92 @@ func (n *Network) advance() {
 	}
 }
 
+// touch stamps link l into the current recompute epoch on its first touch,
+// resetting its scratch and listing it in first-touch order.
+func (n *Network) touch(l int32) {
+	lk := &n.links[l]
+	if lk.epoch != n.epoch {
+		lk.epoch = n.epoch
+		lk.remCap = lk.effCap()
+		lk.unfrozen = 0
+		n.touched = append(n.touched, l)
+	}
+	lk.unfrozen++
+}
+
 // recompute assigns max-min fair rates via progressive filling. Link state
-// lives on the links themselves (epoch-stamped) and the worklists reuse the
-// network's scratch slices, so the whole pass is allocation-free; every
-// iteration runs in flow-id or first-touch order, so ties resolve the same
-// way on every run.
+// lives on the links themselves (epoch-stamped) and the worklists are the
+// network's index slices, appended and resliced in place, so the whole pass
+// allocates nothing and stores no pointer; every iteration runs in flow
+// creation or link first-touch order, so ties resolve the same way on every
+// run.
 func (n *Network) recompute() {
-	if len(n.flows) == 0 {
+	if len(n.active) == 0 {
 		return
 	}
 	n.cRecomputes.Inc()
 	n.epoch++
-	links := n.linksBuf[:0]
-	touch := func(l *link) {
-		if l.epoch != n.epoch {
-			l.epoch = n.epoch
-			l.remCap = l.effCap()
-			l.unfrozen = 0
-			links = append(links, l)
-		}
+	n.touched = n.touched[:0]
+	n.unfrozen = n.unfrozen[:0]
+	for _, i := range n.active {
+		n.unfrozen = append(n.unfrozen, i)
+		f := &n.flows[i]
+		n.touch(f.up)
+		n.touch(f.down)
 	}
-	unfrozen := n.unfrozenBuf[:0]
-	for _, f := range n.flows {
-		unfrozen = append(unfrozen, f)
-		touch(f.src.up)
-		f.src.up.unfrozen++
-		touch(f.dst.down)
-		f.dst.down.unfrozen++
-	}
-	for len(unfrozen) > 0 {
+	links := n.links
+	for len(n.unfrozen) > 0 {
 		// Find the bottleneck link: minimum fair share.
-		var bottleneck *link
+		bottleneck := int32(-1)
 		minShare := math.Inf(1)
-		for _, l := range links {
-			if l.unfrozen == 0 {
+		for _, l := range n.touched {
+			lk := &links[l]
+			if lk.unfrozen == 0 {
 				continue
 			}
-			share := l.remCap / float64(l.unfrozen)
+			share := lk.remCap / float64(lk.unfrozen)
 			if share < minShare {
 				minShare = share
 				bottleneck = l
 			}
 		}
-		if bottleneck == nil {
+		if bottleneck < 0 {
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at minShare,
 		// compacting the survivors in place.
-		keep := unfrozen[:0]
-		for _, f := range unfrozen {
-			if f.src.up != bottleneck && f.dst.down != bottleneck {
-				keep = append(keep, f)
+		keep := 0
+		for _, i := range n.unfrozen {
+			f := &n.flows[i]
+			if f.up != bottleneck && f.down != bottleneck {
+				n.unfrozen[keep] = i
+				keep++
 				continue
 			}
 			f.rate = minShare
-			for _, l := range [2]*link{f.src.up, f.dst.down} {
-				l.remCap -= minShare
-				if l.remCap < 0 {
-					l.remCap = 0
+			for _, l := range [2]int32{f.up, f.down} {
+				lk := &links[l]
+				lk.remCap -= minShare
+				if lk.remCap < 0 {
+					lk.remCap = 0
 				}
-				l.unfrozen--
+				lk.unfrozen--
 			}
 		}
-		unfrozen = keep
+		n.unfrozen = n.unfrozen[:keep]
 	}
-	n.linksBuf = links[:0]
-	n.unfrozenBuf = unfrozen[:0]
 }
 
 // reschedule recomputes rates and arms the next completion event.
 func (n *Network) reschedule() {
 	n.recompute()
-	if len(n.flows) == 0 {
+	if len(n.active) == 0 {
 		return
 	}
 	// Earliest completion among active flows.
 	soonest := math.Inf(1)
-	for _, f := range n.flows {
+	for _, i := range n.active {
+		f := &n.flows[i]
 		if f.rate <= 0 {
 			continue
 		}
@@ -371,48 +385,64 @@ func (n *Network) reschedule() {
 		delay = 1
 	}
 	n.gen++
-	var t *timer
-	if k := len(n.freeTimers); k > 0 {
-		t = n.freeTimers[k-1]
-		n.freeTimers = n.freeTimers[:k-1]
-	} else {
-		t = &timer{n: n}
-		t.fire = t.run
+	if len(n.freeTimers) == 0 {
+		n.addTimer()
 	}
-	t.gen = n.gen
-	n.eng.Schedule(delay, t.fire)
+	t := n.freeTimers[len(n.freeTimers)-1]
+	n.freeTimers = n.freeTimers[:len(n.freeTimers)-1]
+	n.timerGens[t] = n.gen
+	n.eng.Schedule(delay, n.timerFires[t])
+}
+
+// addTimer grows the timer pool by one free timer.
+func (n *Network) addTimer() {
+	t := int32(len(n.timerFires))
+	n.timerGens = append(n.timerGens, 0)
+	n.timerFires = append(n.timerFires, func() { n.fire(t) })
+	n.freeTimers = append(n.freeTimers, t)
+}
+
+// fire runs completion timer t, returning it to the pool.
+func (n *Network) fire(t int32) {
+	n.freeTimers = append(n.freeTimers, t)
+	if n.timerGens[t] != n.gen {
+		return // superseded by a later topology change
+	}
+	n.advance()
+	n.finishDrained()
 }
 
 // finishDrained completes flows whose bytes have drained and reschedules.
-// n.flows is id-sorted, so splitting it preserves creation order — the
+// n.active is in creation order, so splitting it preserves that order — the
 // stable completion order reproducibility requires — without sorting.
 func (n *Network) finishDrained() {
 	const eps = 1.0 // within one byte counts as done
-	finished := n.finishedBuf[:0]
-	active := n.flows[:0]
-	for _, f := range n.flows {
-		if f.remaining <= eps {
-			finished = append(finished, f)
+	n.finished = n.finished[:0]
+	keep := 0
+	for _, i := range n.active {
+		if n.flows[i].remaining <= eps {
+			n.finished = append(n.finished, i)
 		} else {
-			active = append(active, f)
+			n.active[keep] = i
+			keep++
 		}
 	}
-	n.flows = active
+	n.active = n.active[:keep]
 	now := n.eng.Now()
 	traceOn := n.sink.TraceEnabled()
-	for _, f := range finished {
+	for _, i := range n.finished {
+		f := &n.flows[i]
 		n.hFlowNS.Observe(float64(now - f.start))
 		if traceOn {
-			n.sink.Span("netsim", f.dst.name, "flow:"+f.src.name, f.start, now-f.start)
+			n.sink.Span("netsim", n.nodes[f.down/2].name, "flow:"+n.nodes[f.up/2].name,
+				f.start, now-f.start)
 		}
 	}
 	n.reschedule()
-	for i, f := range finished {
-		n.eng.Schedule(n.cfg.Latency, f.done)
-		// The engine holds the done closure, not the flow: recycle it.
-		f.done = nil
-		finished[i] = nil
-		n.freeFlows = append(n.freeFlows, f)
+	for _, i := range n.finished {
+		n.eng.Schedule(n.cfg.Latency, n.dones[i])
+		// The engine holds the callback now: free the slot.
+		n.dones[i] = nil
+		n.freeFlows = append(n.freeFlows, i)
 	}
-	n.finishedBuf = finished[:0]
 }

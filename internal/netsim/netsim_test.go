@@ -17,10 +17,24 @@ func newNet(names ...string) (*sim.Engine, *Network) {
 	return eng, n
 }
 
+// transferNamed is Transfer between nodes given by name.
+func transferNamed(n *Network, src, dst string, bytes int64, done func()) {
+	n.Transfer(n.Endpoint(src), n.Endpoint(dst), bytes, done)
+}
+
+// activeRates lists every active flow's rate in creation order.
+func activeRates(n *Network) []float64 {
+	out := make([]float64, 0, len(n.active))
+	for _, i := range n.active {
+		out = append(out, n.flows[i].rate)
+	}
+	return out
+}
+
 func TestSingleTransferTime(t *testing.T) {
 	eng, n := newNet("a", "b")
 	done := sim.Time(0)
-	n.Transfer("a", "b", 125_000_000, func() { done = eng.Now() }) // 1 s at 125 MB/s
+	transferNamed(n, "a", "b", 125_000_000, func() { done = eng.Now() }) // 1 s at 125 MB/s
 	eng.Run()
 	want := sim.Second + 100*sim.Microsecond
 	if diff := done - want; diff < -sim.Millisecond || diff > sim.Millisecond {
@@ -31,7 +45,7 @@ func TestSingleTransferTime(t *testing.T) {
 func TestZeroByteTransferCostsLatency(t *testing.T) {
 	eng, n := newNet("a", "b")
 	done := sim.Time(0)
-	n.Transfer("a", "b", 0, func() { done = eng.Now() })
+	transferNamed(n, "a", "b", 0, func() { done = eng.Now() })
 	eng.Run()
 	if done != 100*sim.Microsecond {
 		t.Fatalf("control message at %d, want 100us", done)
@@ -43,8 +57,8 @@ func TestTwoFlowsShareReceiverNIC(t *testing.T) {
 	// so both take ~2x the solo time.
 	eng, n := newNet("a", "b", "dst")
 	var times []sim.Time
-	n.Transfer("a", "dst", 125_000_000, func() { times = append(times, eng.Now()) })
-	n.Transfer("b", "dst", 125_000_000, func() { times = append(times, eng.Now()) })
+	transferNamed(n, "a", "dst", 125_000_000, func() { times = append(times, eng.Now()) })
+	transferNamed(n, "b", "dst", 125_000_000, func() { times = append(times, eng.Now()) })
 	eng.Run()
 	for _, tt := range times {
 		if tt < sim.Seconds(1.9) || tt > sim.Seconds(2.1) {
@@ -56,8 +70,8 @@ func TestTwoFlowsShareReceiverNIC(t *testing.T) {
 func TestIndependentPathsDontInterfere(t *testing.T) {
 	eng, n := newNet("a", "b", "c", "d")
 	var times []sim.Time
-	n.Transfer("a", "b", 125_000_000, func() { times = append(times, eng.Now()) })
-	n.Transfer("c", "d", 125_000_000, func() { times = append(times, eng.Now()) })
+	transferNamed(n, "a", "b", 125_000_000, func() { times = append(times, eng.Now()) })
+	transferNamed(n, "c", "d", 125_000_000, func() { times = append(times, eng.Now()) })
 	eng.Run()
 	for _, tt := range times {
 		if tt > sim.Seconds(1.1) {
@@ -71,8 +85,8 @@ func TestShortFlowFinishesEarlyAndRatesRecover(t *testing.T) {
 	// long one speeds back up, so total time < 2x solo.
 	eng, n := newNet("a", "b", "dst")
 	var longDone sim.Time
-	n.Transfer("a", "dst", 125_000_000, func() { longDone = eng.Now() })
-	n.Transfer("b", "dst", 12_500_000, func() {}) // 10% of the long flow
+	transferNamed(n, "a", "dst", 125_000_000, func() { longDone = eng.Now() })
+	transferNamed(n, "b", "dst", 12_500_000, func() {}) // 10% of the long flow
 	eng.Run()
 	// Long flow: shares for 0.2s (drains 12.5MB), then full rate for the
 	// remaining 100MB: ~0.2 + 0.8 = 1.1s total.
@@ -87,7 +101,7 @@ func TestHeterogeneousNICBottleneck(t *testing.T) {
 	n.AddNode("fast", 250e6)
 	n.AddNode("slow", 25e6)
 	var done sim.Time
-	n.Transfer("fast", "slow", 25_000_000, func() { done = eng.Now() })
+	transferNamed(n, "fast", "slow", 25_000_000, func() { done = eng.Now() })
 	eng.Run()
 	if done < sim.Seconds(0.95) || done > sim.Seconds(1.1) {
 		t.Fatalf("bottleneck not respected: %v s", sim.ToSeconds(done))
@@ -101,7 +115,7 @@ func TestManyToOneFairness(t *testing.T) {
 	finished := 0
 	var last sim.Time
 	for _, s := range []string{"s1", "s2", "s3", "s4", "s5"} {
-		n.Transfer(s, "oss", 25_000_000, func() {
+		transferNamed(n, s, "oss", 25_000_000, func() {
 			finished++
 			last = eng.Now()
 		})
@@ -117,8 +131,8 @@ func TestManyToOneFairness(t *testing.T) {
 
 func TestNodeStats(t *testing.T) {
 	eng, n := newNet("a", "b")
-	n.Transfer("a", "b", 1000, func() {})
-	n.Transfer("a", "b", 500, func() {})
+	transferNamed(n, "a", "b", 1000, func() {})
+	transferNamed(n, "a", "b", 500, func() {})
 	eng.Run()
 	if st := n.Stats("a"); st.BytesSent != 1500 || st.BytesRecv != 0 {
 		t.Fatalf("a stats %+v", st)
@@ -135,7 +149,7 @@ func TestUnknownNodePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	n.Transfer("a", "ghost", 10, func() {})
+	transferNamed(n, "a", "ghost", 10, func() {})
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
@@ -166,7 +180,7 @@ func TestPropertyAllTransfersComplete(t *testing.T) {
 			bytes := int64(sz) * 100
 			delay := sim.Time(rng.Intn(1000)) * sim.Microsecond
 			eng.Schedule(delay, func() {
-				n.Transfer(src, "srv", bytes, func() { completed++ })
+				transferNamed(n, src, "srv", bytes, func() { completed++ })
 			})
 		}
 		eng.Run()
@@ -183,7 +197,7 @@ func TestPropertyContentionNeverSpeedsUp(t *testing.T) {
 	solo := func() sim.Time {
 		eng, n := newNet("a", "b", "dst")
 		var done sim.Time
-		n.Transfer("a", "dst", 50_000_000, func() { done = eng.Now() })
+		transferNamed(n, "a", "dst", 50_000_000, func() { done = eng.Now() })
 		eng.Run()
 		return done
 	}()
@@ -191,8 +205,8 @@ func TestPropertyContentionNeverSpeedsUp(t *testing.T) {
 		bg := int64(bgRaw)*100_000 + 1000
 		eng, n := newNet("a", "b", "dst")
 		var done sim.Time
-		n.Transfer("a", "dst", 50_000_000, func() { done = eng.Now() })
-		n.Transfer("b", "dst", bg, func() {})
+		transferNamed(n, "a", "dst", 50_000_000, func() { done = eng.Now() })
+		transferNamed(n, "b", "dst", bg, func() {})
 		eng.Run()
 		return done >= solo
 	}
@@ -208,7 +222,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			sz := int64(1_000_000 * (i + 1))
 			src := []string{"c1", "c2", "c3"}[i%3]
-			n.Transfer(src, "srv", sz, func() { times = append(times, eng.Now()) })
+			transferNamed(n, src, "srv", sz, func() { times = append(times, eng.Now()) })
 		}
 		eng.Run()
 		return times
@@ -243,7 +257,7 @@ func TestSetBandwidthScaleErrors(t *testing.T) {
 	}
 	// A degraded NIC slows an in-range transfer by the scale factor.
 	done := sim.Time(0)
-	n.Transfer("a", "b", 125_000_000, func() { done = eng.Now() }) // 1 s healthy
+	transferNamed(n, "a", "b", 125_000_000, func() { done = eng.Now() }) // 1 s healthy
 	eng.Run()
 	if done < sim.Seconds(1.9) || done > sim.Seconds(2.1) {
 		t.Fatalf("transfer on half-speed NIC finished at %v, want ~2s", sim.ToSeconds(done))
@@ -256,18 +270,19 @@ func TestSetBandwidthScaleErrors(t *testing.T) {
 // timer in the queue.
 func TestTransferSteadyStateAllocs(t *testing.T) {
 	eng, n := newNet("a", "b", "c")
+	a, b, c := n.Endpoint("a"), n.Endpoint("b"), n.Endpoint("c")
 	done := func() {}
 	for _, tc := range []struct {
 		name string
 		run  func()
 	}{
 		{"one flow", func() {
-			n.Transfer("a", "c", 1<<20, done)
+			n.Transfer(a, c, 1<<20, done)
 			eng.Run()
 		}},
 		{"shared NIC", func() {
-			n.Transfer("a", "c", 1<<20, done)
-			n.Transfer("b", "c", 1<<19, done)
+			n.Transfer(a, c, 1<<20, done)
+			n.Transfer(b, c, 1<<19, done)
 			eng.Run()
 		}},
 	} {

@@ -156,10 +156,30 @@ func (g *Gen) mdtHardPath(rank, f int) string {
 	return fmt.Sprintf("%s/mdt-hard/r%d.f%d", g.p.Dir, rank, f)
 }
 
+// numOps is the length of every rank's stream, so Ops allocates it once.
+func (g *Gen) numOps() int {
+	p := g.p
+	switch g.task {
+	case IorEasyWrite, IorEasyRead:
+		n := 2
+		if p.EasyFileBytes > 0 {
+			n += int((p.EasyFileBytes + p.EasyXfer - 1) / p.EasyXfer)
+		}
+		return n
+	case IorHardWrite, IorHardRead:
+		return 2 + max(p.HardOps, 0)
+	case MdtEasyWrite:
+		return 1 + 2*max(p.MdtFiles, 0)
+	case MdtHardWrite, MdtHardRead:
+		return 3 * max(p.MdtFiles, 0)
+	}
+	return max(p.MdtFiles, 0) // the stat and delete phases: one op per file
+}
+
 // Ops implements workload.Generator.
 func (g *Gen) Ops(rank int) []workload.Op {
 	p := g.p
-	var ops []workload.Op
+	ops := make([]workload.Op, 0, g.numOps())
 	switch g.task {
 	case IorEasyWrite:
 		path := g.easyPath(rank)

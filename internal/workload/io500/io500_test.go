@@ -244,3 +244,22 @@ func TestBadTaskPanics(t *testing.T) {
 	}()
 	New(numTableITasks, Params{})
 }
+
+// TestOpsExactLength pins Ops to one allocation: every task's stream is
+// allocated at exactly its final length, at two scales and for every rank.
+func TestOpsExactLength(t *testing.T) {
+	for _, p := range []Params{
+		{Ranks: 4, EasyFileBytes: 3<<20 + 5, HardOps: 9, MdtFiles: 7},
+		{Ranks: 2, EasyFileBytes: 32 << 20, EasyXfer: 3 << 19, HardOps: 300, MdtFiles: 200},
+	} {
+		for _, task := range ExtendedTasks() {
+			g := New(task, p)
+			for rank := 0; rank < p.Ranks; rank++ {
+				ops := g.Ops(rank)
+				if len(ops) == 0 || len(ops) != cap(ops) {
+					t.Fatalf("%s rank %d (%+v): len %d cap %d", task, rank, p, len(ops), cap(ops))
+				}
+			}
+		}
+	}
+}

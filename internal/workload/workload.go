@@ -123,6 +123,8 @@ type Runner struct {
 	stopped bool
 	active  int
 	started bool
+	// ioOps counts the I/O ops in one pass of every rank's stream.
+	ioOps int
 	// mdt is the Targets of every metadata record, shared by all of them.
 	mdt []int
 
@@ -168,6 +170,11 @@ func (r *Runner) HeldBytes() int64 { return r.heldBytes }
 
 // Running reports whether any rank is still executing.
 func (r *Runner) Running() bool { return r.active > 0 }
+
+// IOOps is the number of I/O operations in one pass of every rank's stream,
+// known once Start has built the streams: a runner without Loop emits at
+// most this many records, so a caller can size its record buffer once.
+func (r *Runner) IOOps() int { return r.ioOps }
 
 // Start prepares the generator and launches all ranks.
 func (r *Runner) Start() {
@@ -216,6 +223,11 @@ func (r *Runner) runRank(id int, node string) {
 		r: r, id: id, client: client, write: client.Write,
 		handles: make(map[string]*lustre.Handle),
 		ops:     r.Gen.Ops(id),
+	}
+	for i := range k.ops {
+		if k.ops[i].Kind.IsIO() {
+			r.ioOps++
+		}
 	}
 	if r.WriteViaFor != nil {
 		if w := r.WriteViaFor(node); w != nil {

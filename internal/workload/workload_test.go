@@ -413,3 +413,24 @@ func TestRankStepAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerIOOpsBoundsRecords pins IOOps, the count a caller sizes its
+// record buffer with: a runner without Loop emits exactly one record per
+// I/O op of every rank's stream, and Compute ops do not count.
+func TestRunnerIOOpsBoundsRecords(t *testing.T) {
+	eng, fs := newFS()
+	records := 0
+	r := &Runner{
+		FS: fs, Name: "basic", Nodes: []string{"c0", "c1"}, Ranks: 3,
+		Gen:      scriptGen{name: "basic", ops: basicScript},
+		OnRecord: func(Record) { records++ },
+	}
+	r.Start()
+	if r.IOOps() != 15 {
+		t.Fatalf("IOOps = %d after Start, want 3 ranks x 5 I/O ops", r.IOOps())
+	}
+	eng.Run()
+	if records != r.IOOps() {
+		t.Fatalf("%d records, IOOps %d", records, r.IOOps())
+	}
+}

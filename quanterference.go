@@ -263,7 +263,8 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 // ErrBaselineUnfinished (wrapped) when the baseline hits MaxTime and
 // scenario-validation errors instead of panicking. Options override the
 // config's ambiguous zero values (WithBins, WithMinOpsPerWindow,
-// WithBaselineSamples); WithSink aggregates metrics across all runs.
+// WithBaselineSamples); WithSink aggregates metrics across all runs, and
+// without it the runs are uninstrumented (same samples, no metrics).
 func CollectDatasetE(base Scenario, variants []Variant, cfg CollectorConfig, opts ...Option) (*Dataset, error) {
 	return core.CollectDatasetE(base, variants, cfg, opts...)
 }
