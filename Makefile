@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 verify fuzz bench bench-collect bench-json docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
+.PHONY: build test tier1 verify fuzz bench bench-collect docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
 
 build:
 	$(GO) build ./...
@@ -22,14 +22,18 @@ verify: docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigat
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=1 ./internal/par ./internal/obs ./internal/fault ./internal/ml ./internal/serve ./internal/online ./internal/mitigate ./internal/fleet ./internal/shadow
 
-# fuzz runs each serving fuzz target for 10s: arbitrary /v1/predict and
-# /v1/forecast bodies must never panic the handler or answer a 5xx. Not part
-# of verify (it is open-ended by nature); crashers land in
-# internal/serve/testdata/fuzz and then replay in every go test run. The
-# minimize cap keeps the 1 MiB oversized seed from stalling the run.
+# fuzz runs each fuzz target for 10s: arbitrary /v1/predict and /v1/forecast
+# bodies must never panic the handler or answer a 5xx, and any framework or
+# forecaster file a loader accepts must serve a well-shaped input without
+# panicking. Not part of verify (it is open-ended by nature); crashers land in
+# the package's testdata/fuzz and then replay in every go test run. The
+# minimize caps keep the 1 MiB oversized seed, and the model files whose
+# every minimization step is a file round trip, from stalling the run.
 fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzHandlePredict$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzHandleForecast$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadFramework$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
+	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 
 bench:
 	$(GO) test -bench BenchmarkRun -benchmem -count 5 -run '^$$'
@@ -39,11 +43,6 @@ bench:
 # garbage-collection cost of a collection.
 bench-collect:
 	$(GO) test -bench '^BenchmarkFigure3aIO500$$' -count 5 -run '^$$'
-
-# bench-json runs the whole benchmark suite through cmd/bench and writes a
-# machine-readable BENCH_<date>.json for committing alongside perf changes.
-bench-json:
-	$(GO) run ./cmd/bench
 
 # docs-check gates formatting, static analysis, and documentation integrity:
 # every relative markdown link and internal/... path reference in the repo's

@@ -13,10 +13,11 @@
 // in-flight requests; SIGINT/SIGTERM drain gracefully. -smoke trains a tiny
 // synthetic model in-process and serves it — used by `make serve-smoke`.
 //
-// -forecast additionally serves a forecaster file (core.SaveForecaster /
-// forecast.Save) on /v1/forecast: POST a history of window matrices, get the
-// predicted slowdown class per horizon plus the lead to degradation. -smoke
-// trains a tiny forecaster too, so the smoke server answers both endpoints.
+// -forecast additionally serves a forecaster file (forecast.Save) on
+// /v1/forecast: POST a history of window matrices, get the predicted slowdown
+// class per horizon plus the lead to degradation. The forecaster loads once
+// at startup; reloads swap only the framework. -smoke trains a tiny
+// forecaster too, so the smoke server answers both endpoints.
 package main
 
 import (

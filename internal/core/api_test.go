@@ -289,7 +289,7 @@ func TestTrainFrameworkEErrors(t *testing.T) {
 
 // noScalerFramework is a framework file with a valid header and model but
 // no scaler, which Predict would index out of range.
-func noScalerFramework(t *testing.T) string {
+func noScalerFramework(t testing.TB) string {
 	spec, err := ml.Snapshot(ml.NewKernelModel(ml.KernelConfig{NTargets: 3, NFeat: 5, Classes: 2}))
 	if err != nil {
 		t.Fatal(err)
@@ -326,6 +326,14 @@ func TestLoadFrameworkRejectsBadFiles(t *testing.T) {
 		{"badweights.json", `{"format": "quanterference.framework", "version": 1, "model": ` +
 			`{"kind": "kernel", "n_targets": 3, "n_feat": 5, "classes": 2, "weights": [[1]]}}`, ""},
 		{"noscaler.json", noScalerFramework(t), "scaler"},
+		// Files that loaded but then panicked every /v1/predict: bins that
+		// do not name the model's classes (see rebinned).
+		{"nothresholds.json", rebinned(t, label.BinaryBins(), []float64{}), "thresholds"},
+		{"nullthresholds.json", rebinned(t, label.BinaryBins(), nil), "thresholds"},
+		{"extrathreshold.json", rebinned(t, label.BinaryBins(), []float64{2, 5}), "thresholds"},
+		{"missingthreshold.json", rebinned(t, label.SeverityBins(), []float64{2}), "thresholds"},
+		{"descending.json", rebinned(t, label.SeverityBins(), []float64{5, 2}), "ascending"},
+		{"repeated.json", rebinned(t, label.SeverityBins(), []float64{2, 2}), "ascending"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

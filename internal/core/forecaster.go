@@ -15,9 +15,9 @@ type ForecasterConfig struct {
 	// Forecast fixes the temporal shape: history length, horizon set, and
 	// degradation threshold (zero value = forecast package defaults).
 	Forecast forecast.Config
-	// Bins label the lead windows (default binary; warm starts reuse the
-	// incumbent's bins). The dataset must already be labeled under them —
-	// BuildLagged reads stored labels, it does not rebin.
+	// Bins label the lead windows (default binary). The dataset must already
+	// be labeled under them — BuildLagged reads stored labels, it does not
+	// rebin.
 	Bins label.Bins
 	// TestFrac is each horizon's holdout fraction (default 0.2, split with
 	// TrainFramework's seed so forecast and classifier accuracies are
@@ -38,8 +38,7 @@ type ForecasterConfig struct {
 // ErrEmptyDataset, a horizon whose lead-labeled dataset is empty (no run has
 // History consecutive windows plus one Horizon ahead) returns
 // ErrForecastHorizon, and cancellation wraps ErrCanceled. WithBins overrides
-// cfg.Bins; WithWarmForecaster starts every head from an incumbent
-// forecaster's weights and scalers.
+// cfg.Bins.
 func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg ForecasterConfig, opts ...Option) (*forecast.Forecaster, []*ml.Confusion, error) {
 	o := applyOptions(opts)
 	if o.bins != nil {
@@ -62,14 +61,6 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 	if err := fc.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if o.warmFc != nil {
-		if err := checkWarmForecaster(o.warmFc, ds, fc); err != nil {
-			return nil, nil, err
-		}
-		if o.bins == nil {
-			cfg.Bins = o.warmFc.Bins
-		}
-	}
 	if cfg.Bins.Thresholds == nil {
 		cfg.Bins = label.BinaryBins()
 	}
@@ -83,29 +74,14 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 				ErrForecastHorizon, k, fc.History, ds.Len())
 		}
 
-		var model ml.Model
-		var scaler *dataset.Scaler
-		if o.warmFc != nil {
-			head := o.warmFc.Heads[i]
-			m, err := ml.CloneModel(head.Model)
-			if err != nil {
-				return nil, nil, err
-			}
-			model = m
-			scaler = &dataset.Scaler{
-				Mean: append([]float64(nil), head.Scaler.Mean...),
-				Std:  append([]float64(nil), head.Scaler.Std...),
-			}
-		} else {
-			model = ml.NewKernelModel(ml.KernelConfig{
-				NTargets: fc.History,
-				NFeat:    len(lagged.FeatureNames),
-				Classes:  lagged.Classes,
-				// A distinct seed per horizon keeps the heads independently
-				// initialized while staying a pure function of (Seed, k).
-				Seed: cfg.Seed ^ int64(k)*0x4643,
-			})
-		}
+		model := ml.NewKernelModel(ml.KernelConfig{
+			NTargets: fc.History,
+			NFeat:    len(lagged.FeatureNames),
+			Classes:  lagged.Classes,
+			// A distinct seed per horizon keeps the heads independently
+			// initialized while staying a pure function of (Seed, k).
+			Seed: cfg.Seed ^ int64(k)*0x4643,
+		})
 
 		// Same split seed as trainFramework, so a forecast head's holdout
 		// accuracy is measured the same way the classifier's is.
@@ -115,9 +91,7 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 			return nil, nil, fmt.Errorf("%w: horizon %d: %d lead-labeled samples leave an empty training split",
 				ErrForecastHorizon, k, lagged.Len())
 		}
-		if scaler == nil {
-			scaler = dataset.FitScaler(train)
-		}
+		scaler := dataset.FitScaler(train)
 		scaler.Transform(train)
 		scaler.Transform(test)
 
@@ -131,38 +105,4 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 		cms[i] = ml.Evaluate(model, test)
 	}
 	return f, cms, nil
-}
-
-// checkWarmForecaster verifies the incumbent forecaster reads the same
-// sequence shape the requested training would produce: history length,
-// horizon set, pooled feature width, and class count.
-func checkWarmForecaster(inc *forecast.Forecaster, ds *dataset.Dataset, fc forecast.Config) error {
-	if inc == nil || len(inc.Heads) == 0 {
-		return fmt.Errorf("%w: nil or headless forecaster", ErrWarmStartMismatch)
-	}
-	if inc.History != fc.History {
-		return fmt.Errorf("%w: forecaster history %d, training requests %d",
-			ErrWarmStartMismatch, inc.History, fc.History)
-	}
-	got := inc.Horizons()
-	if len(got) != len(fc.Horizons) {
-		return fmt.Errorf("%w: forecaster has horizons %v, training requests %v",
-			ErrWarmStartMismatch, got, fc.Horizons)
-	}
-	for i := range got {
-		if got[i] != fc.Horizons[i] {
-			return fmt.Errorf("%w: forecaster has horizons %v, training requests %v",
-				ErrWarmStartMismatch, got, fc.Horizons)
-		}
-	}
-	_, nFeat := inc.Dims()
-	if nFeat != len(ds.FeatureNames) {
-		return fmt.Errorf("%w: forecaster trained on %d raw features, dataset has %d",
-			ErrWarmStartMismatch, nFeat, len(ds.FeatureNames))
-	}
-	if inc.Classes() != ds.Classes {
-		return fmt.Errorf("%w: forecaster has %d classes, dataset has %d",
-			ErrWarmStartMismatch, inc.Classes(), ds.Classes)
-	}
-	return nil
 }

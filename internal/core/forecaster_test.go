@@ -129,52 +129,3 @@ func TestTrainForecasterCanceled(t *testing.T) {
 		t.Fatalf("pre-canceled ctx: %v", err)
 	}
 }
-
-func TestTrainForecasterWarmStart(t *testing.T) {
-	ds := forecastDS(4, 12)
-	cfg := smallForecastCfg()
-	inc, _, err := TrainForecasterCtx(context.Background(), ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incWeights := inc.ExportWeights()
-
-	warmed, _, err := TrainForecasterCtx(context.Background(), ds, cfg, WithWarmForecaster(inc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The incumbent must be untouched (warm start clones), and the warmed
-	// candidate must have moved off the incumbent's weights.
-	after := inc.ExportWeights()
-	for i := range incWeights {
-		for j := range incWeights[i] {
-			if incWeights[i][j] != after[i][j] {
-				t.Fatal("warm start mutated the incumbent")
-			}
-		}
-	}
-	moved := false
-	ww := warmed.ExportWeights()
-	for i := range ww {
-		for j := range ww[i] {
-			if ww[i][j] != incWeights[i][j] {
-				moved = true
-			}
-		}
-	}
-	if !moved {
-		t.Fatal("warmed forecaster identical to incumbent — no training happened")
-	}
-
-	// Shape mismatches are rejected.
-	bad := cfg
-	bad.Forecast.History = 5
-	if _, _, err := TrainForecasterCtx(context.Background(), ds, bad, WithWarmForecaster(inc)); !errors.Is(err, ErrWarmStartMismatch) {
-		t.Fatalf("history mismatch: %v", err)
-	}
-	bad = cfg
-	bad.Forecast.Horizons = []int{1, 3}
-	if _, _, err := TrainForecasterCtx(context.Background(), ds, bad, WithWarmForecaster(inc)); !errors.Is(err, ErrWarmStartMismatch) {
-		t.Fatalf("horizon mismatch: %v", err)
-	}
-}

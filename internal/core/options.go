@@ -1,7 +1,6 @@
 package core
 
 import (
-	"quanterference/internal/forecast"
 	"quanterference/internal/hw"
 	"quanterference/internal/label"
 	"quanterference/internal/obs"
@@ -21,7 +20,6 @@ type options struct {
 	baseline *bool
 	report   *CollectReport
 	warm     *Framework
-	warmFc   *forecast.Forecaster
 	hardware *hw.Profile
 }
 
@@ -81,17 +79,6 @@ func WithBaselineSamples(include bool) Option {
 // TrainFrameworkE and TrainFrameworkCtx.
 func WithWarmStart(fw *Framework) Option {
 	return func(o *options) { o.warm = fw }
-}
-
-// WithWarmForecaster is WithWarmStart for TrainForecasterCtx: every horizon
-// head starts from an independent clone of the incumbent forecaster's
-// weights and scaler, and the incumbent's bins are reused unless WithBins is
-// also given. The incumbent must have been trained with the same history,
-// horizon set, raw feature width, and class count as the requested training;
-// a mismatch returns an error wrapping ErrWarmStartMismatch. Applies to
-// TrainForecasterCtx only.
-func WithWarmForecaster(f *forecast.Forecaster) Option {
-	return func(o *options) { o.warmFc = f }
 }
 
 // WithHardware runs the scenario on the given hardware profile when the

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"quanterference/internal/dataset"
@@ -52,9 +53,10 @@ func (f *Framework) Save(path string) error {
 
 // LoadFramework restores a framework written by Save. Files without the
 // format header (including pre-versioned ones), with a version this build
-// does not read, or whose model or scaler cannot be rebuilt (missing,
-// out-of-bounds dimensions, mismatched weights) return an error wrapping
-// ErrBadFrameworkFile — never a panic, since a reload must survive any file.
+// does not read, whose model or scaler cannot be rebuilt (missing,
+// out-of-bounds dimensions, mismatched weights), or whose bins do not name
+// the model's classes return an error wrapping ErrBadFrameworkFile — never
+// a panic, since a reload must survive any file and then serve.
 func LoadFramework(path string) (*Framework, error) {
 	file, err := os.Open(path)
 	if err != nil {
@@ -80,9 +82,27 @@ func LoadFramework(path string) (*Framework, error) {
 	if nf := spec.Model.NFeat; spec.Scaler == nil || len(spec.Scaler.Mean) != nf || len(spec.Scaler.Std) != nf {
 		return nil, fmt.Errorf("%w: %s: scaler does not cover the model's %d features", ErrBadFrameworkFile, path, nf)
 	}
+	if err := checkBins(spec.Thresholds, spec.Model.Classes); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadFrameworkFile, path, err)
+	}
 	return &Framework{
 		Bins:   label.Bins{Thresholds: spec.Thresholds},
 		Model:  model,
 		Scaler: spec.Scaler,
 	}, nil
+}
+
+// checkBins requires ascending, finite thresholds that name exactly the
+// model's classes, so every class the model predicts has a bin name.
+func checkBins(thresholds []float64, classes int) error {
+	if len(thresholds)+1 != classes {
+		return fmt.Errorf("%d thresholds name %d classes, the model predicts %d",
+			len(thresholds), len(thresholds)+1, classes)
+	}
+	for i, t := range thresholds {
+		if math.IsNaN(t) || math.IsInf(t, 0) || (i > 0 && t <= thresholds[i-1]) {
+			return fmt.Errorf("thresholds %v are not ascending and finite", thresholds)
+		}
+	}
+	return nil
 }

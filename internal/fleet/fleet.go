@@ -36,9 +36,9 @@
 //     version preflight, and the first failure rolls every already-promoted
 //     replica back to its captured incumbent clone. The fleet lands on
 //     either "everyone serves the candidate" or "everyone serves the
-//     incumbent", never a torn version set (the one exception: a failed
-//     first-time forecaster rollout cannot unload earlier replicas, and is
-//     reported instead).
+//     incumbent", never a torn version set. Forecasters are not rolled out:
+//     each replica loads its own at startup, and Status flags replicas that
+//     started on different ones.
 //
 // Every routing, promotion, and rollback decision is appended to a timeline
 // of plain strings — replica names and digests only, no ports or timestamps
@@ -66,7 +66,6 @@ import (
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
-	"quanterference/internal/forecast"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/online"
@@ -99,11 +98,8 @@ var (
 // it.
 type Admin interface {
 	Framework() *core.Framework
-	Forecaster() *forecast.Forecaster
 	ModelDigest() string
-	ForecasterDigest() string
 	ReloadFramework(*core.Framework) error
-	ReloadForecaster(*forecast.Forecaster) error
 }
 
 // Replica is one serving instance as the coordinator sees it: a name (the
@@ -301,41 +297,26 @@ func cause(err error) string {
 }
 
 // Predict routes one window matrix by key: the rendezvous-ranked replicas
-// are tried in order until one answers. A bad-input or too-large rejection
-// is the caller's mistake and is not failed over. Every attempt lands on the
-// timeline ("route key replica", with "retry key replica cause" lines for
-// the replicas that lost their turn).
+// are tried in order until one answers. Every attempt lands on the timeline
+// ("route key replica", with "retry key replica cause" lines for the
+// replicas that lost their turn).
 func (c *Coordinator) Predict(ctx context.Context, key string, mat window.Matrix) (*serve.PredictResponse, error) {
-	var errs []error
-	for _, r := range c.rank(key) {
-		resp, err := r.client.Predict(ctx, mat)
-		if err == nil {
-			c.event("route %s %s", key, r.name)
-			c.mu.Lock()
-			c.accepted++
-			c.mu.Unlock()
-			return resp, nil
-		}
-		if errors.Is(err, serve.ErrBadInput) || errors.Is(err, serve.ErrTooLarge) {
-			c.event("reject %s %s", key, cause(err))
-			return nil, err
-		}
-		c.event("retry %s %s %s", key, r.name, cause(err))
-		c.noteFail(r.name, cause(err))
-		errs = append(errs, fmt.Errorf("%s: %w", r.name, err))
-	}
-	c.event("drop %s", key)
-	c.mu.Lock()
-	c.dropped++
-	c.mu.Unlock()
-	return nil, fmt.Errorf("%w for key %q: %w", ErrAllReplicasFailed, key, errors.Join(errs...))
+	return route(c, key, func(cl *serve.Client) (*serve.PredictResponse, error) { return cl.Predict(ctx, mat) })
 }
 
 // Forecast routes a window history the same way Predict routes a matrix.
 func (c *Coordinator) Forecast(ctx context.Context, key string, history []window.Matrix) (*serve.ForecastResponse, error) {
+	return route(c, key, func(cl *serve.Client) (*serve.ForecastResponse, error) { return cl.Forecast(ctx, history) })
+}
+
+// route walks key's rendezvous ranking, calling each replica until one
+// answers. A bad-input, too-large or no-forecaster rejection is the caller's
+// mistake and is not failed over; every other failure hands the key to the
+// next replica, and a key no replica answers is dropped.
+func route[T any](c *Coordinator, key string, call func(*serve.Client) (*T, error)) (*T, error) {
 	var errs []error
 	for _, r := range c.rank(key) {
-		resp, err := r.client.Forecast(ctx, history)
+		resp, err := call(r.client)
 		if err == nil {
 			c.event("route %s %s", key, r.name)
 			c.mu.Lock()
@@ -465,8 +446,7 @@ func (c *Coordinator) preflight(ctx context.Context, r *Replica) error {
 // promoted records one completed rollout step for rollback.
 type promoted struct {
 	r   *Replica
-	inc *core.Framework      // incumbent clone captured before the step
-	fc  *forecast.Forecaster // incumbent forecaster clone (nil = none was loaded)
+	inc *core.Framework // incumbent clone captured before the step
 }
 
 // Promote rolls a candidate framework across the fleet replica by replica,
@@ -525,17 +505,11 @@ func (c *Coordinator) stepFramework(ctx context.Context, r *Replica, cand *core.
 func (c *Coordinator) rollback(done []promoted) {
 	for i := len(done) - 1; i >= 0; i-- {
 		d := done[i]
-		if d.inc != nil {
-			if err := d.r.admin.ReloadFramework(d.inc); err != nil {
-				c.event("rollback-failed %s", d.r.name)
-				continue
-			}
-			c.event("rollback %s %s", d.r.name, ml.WeightsDigest(d.inc.ExportWeights()))
+		if err := d.r.admin.ReloadFramework(d.inc); err != nil {
+			c.event("rollback-failed %s", d.r.name)
 			continue
 		}
-		// Forecaster rollout whose incumbent was "none": a loaded forecaster
-		// cannot be unloaded, so the first load is sticky.
-		c.event("rollback %s none", d.r.name)
+		c.event("rollback %s %s", d.r.name, ml.WeightsDigest(d.inc.ExportWeights()))
 	}
 }
 
@@ -563,74 +537,6 @@ func (c *Coordinator) PromoteShadowed(ctx context.Context, verdict online.GateRe
 	}
 	c.event("shadow-promote %s", verdict.Winner)
 	return c.Promote(ctx, cand)
-}
-
-// PromoteForecaster rolls a candidate forecaster across the fleet with the
-// same preflight / per-replica clone / reverse rollback discipline as
-// Promote. One asymmetry: a replica whose incumbent had no forecaster
-// cannot be rolled back to "none" (the serving layer cannot unload), so a
-// failed first-time rollout leaves earlier replicas on the candidate and
-// records "rollback <name> none"; Status then reports the fleet
-// inconsistent until a retry lands everywhere.
-func (c *Coordinator) PromoteForecaster(ctx context.Context, cand *forecast.Forecaster) error {
-	if cand == nil {
-		return errors.New("fleet: nil candidate forecaster")
-	}
-	c.promoteMu.Lock()
-	defer c.promoteMu.Unlock()
-
-	digest := ml.WeightsDigest(cand.ExportWeights())
-	var done []promoted
-	for _, r := range c.snapshot() {
-		if err := c.stepForecaster(ctx, r, cand, digest, &done); err != nil {
-			c.rollbackForecasters(done)
-			return fmt.Errorf("%w: halted at %s: %v (rolled back %d replica(s))",
-				ErrPromotionFailed, r.name, err, len(done))
-		}
-	}
-	return nil
-}
-
-func (c *Coordinator) stepForecaster(ctx context.Context, r *Replica, cand *forecast.Forecaster, digest string, done *[]promoted) error {
-	if err := c.preflight(ctx, r); err != nil {
-		c.event("promote-failed %s %s", r.name, cause(err))
-		return err
-	}
-	var inc *forecast.Forecaster
-	if cur := r.admin.Forecaster(); cur != nil {
-		var err error
-		if inc, err = cur.Clone(); err != nil {
-			c.event("promote-failed %s clone", r.name)
-			return err
-		}
-	}
-	clone, err := cand.Clone()
-	if err != nil {
-		c.event("promote-failed %s clone", r.name)
-		return err
-	}
-	if err := r.admin.ReloadForecaster(clone); err != nil {
-		c.event("promote-failed %s reload", r.name)
-		return err
-	}
-	c.event("promote %s %s", r.name, digest)
-	*done = append(*done, promoted{r: r, fc: inc})
-	return nil
-}
-
-func (c *Coordinator) rollbackForecasters(done []promoted) {
-	for i := len(done) - 1; i >= 0; i-- {
-		d := done[i]
-		if d.fc == nil {
-			c.event("rollback %s none", d.r.name)
-			continue
-		}
-		if err := d.r.admin.ReloadForecaster(d.fc); err != nil {
-			c.event("rollback-failed %s", d.r.name)
-			continue
-		}
-		c.event("rollback %s %s", d.r.name, ml.WeightsDigest(d.fc.ExportWeights()))
-	}
 }
 
 // MergedDataset exports every replica's labeled reservoir under its own

@@ -106,6 +106,12 @@ func testMatrix(rng *sim.RNG) window.Matrix {
 	return mat
 }
 
+// testHistory is a deterministic forecast input: trainedForecaster's three
+// windows.
+func testHistory(rng *sim.RNG) []window.Matrix {
+	return []window.Matrix{testMatrix(rng), testMatrix(rng), testMatrix(rng)}
+}
+
 // testFleet is the in-process multi-replica harness: n serve.Servers behind
 // httptest listeners, each with an online loop, fronted by one coordinator.
 type testFleet struct {
@@ -117,8 +123,9 @@ type testFleet struct {
 }
 
 // newTestFleet spins up n replicas all serving clones of the same trained
-// framework (a consistent fleet), with per-replica online loops.
-func newTestFleet(tb testing.TB, n int, seed int64) *testFleet {
+// framework (a consistent fleet), with per-replica online loops. Replica i
+// starts on forecasters[i] when forecasters are given (one per replica).
+func newTestFleet(tb testing.TB, n int, seed int64, forecasters ...*forecast.Forecaster) *testFleet {
 	tb.Helper()
 	master := trainedFramework(tb, seed)
 	f := &testFleet{}
@@ -128,7 +135,11 @@ func newTestFleet(tb testing.TB, n int, seed int64) *testFleet {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		s := serve.New(fw, serve.Config{})
+		var cfg serve.Config
+		if forecasters != nil {
+			cfg.Forecaster = forecasters[i]
+		}
+		s := serve.New(fw, cfg)
 		ts := httptest.NewServer(s.Handler())
 		loop, err := online.NewLoop(s, online.Config{Seed: seed + int64(i)})
 		if err != nil {
@@ -284,6 +295,89 @@ func TestOversizedNotFailedOver(t *testing.T) {
 	}
 }
 
+// TestForecastRouting pins forecast routing over replicas started with
+// forecasters: a key's forecasts land on the replica its predicts do, a
+// killed replica's forecast keys fail over without drops, a fleet without
+// forecasters rejects once without retrying, and replicas started on
+// different forecasters make the fleet inconsistent.
+func TestForecastRouting(t *testing.T) {
+	ctx := context.Background()
+	fc := trainedForecaster(t, 92)
+	fcDigest := ml.WeightsDigest(fc.ExportWeights())
+	clone := func() *forecast.Forecaster {
+		c, err := fc.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	f := newTestFleet(t, 3, 91, clone(), clone(), clone())
+	rng := sim.NewRNG(8)
+
+	for i := 0; i < 12; i++ {
+		key := fmt.Sprintf("w%02d", i)
+		if _, err := f.c.Predict(ctx, key, testMatrix(rng)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := f.c.Forecast(ctx, key, testHistory(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ModelDigest != fcDigest || len(resp.Horizons) != 2 {
+			t.Fatalf("forecast %s answered %+v, want digest %s over 2 horizons", key, resp, fcDigest)
+		}
+		tl := f.c.Timeline()
+		if p, fr := tl[len(tl)-2], tl[len(tl)-1]; p != fr || !strings.HasPrefix(fr, "route "+key+" ") {
+			t.Fatalf("key %s: predict %q, forecast %q, want one route", key, p, fr)
+		}
+	}
+	if st := f.c.Status(ctx); !st.Consistent || st.ForecasterDigest != fcDigest {
+		t.Fatalf("status %+v, want consistent on forecaster %s", st, fcDigest)
+	}
+
+	f.https[1].Close()
+	mark := len(f.c.Timeline())
+	for i := 0; i < 12; i++ {
+		if _, err := f.c.Forecast(ctx, fmt.Sprintf("w%02d", i), testHistory(rng)); err != nil {
+			t.Fatalf("forecast %d dropped: %v", i, err)
+		}
+	}
+	sawRetry := false
+	for _, ev := range f.c.Timeline()[mark:] {
+		if strings.HasPrefix(ev, "retry ") {
+			if !strings.HasSuffix(ev, " r1 unreachable") {
+				t.Fatalf("retry event %q does not blame the killed replica", ev)
+			}
+			sawRetry = true
+		}
+		if strings.HasSuffix(ev, " r1") {
+			t.Fatalf("killed replica still answered: %q", ev)
+		}
+	}
+	if !sawRetry {
+		t.Fatal("no forecast key preferred the killed replica")
+	}
+	if got := f.c.Dropped(); got != 0 {
+		t.Fatalf("dropped %d forecasts with two healthy replicas", got)
+	}
+
+	bare := newTestFleet(t, 3, 93)
+	if _, err := bare.c.Forecast(ctx, "w00", testHistory(rng)); !errors.Is(err, serve.ErrNoForecaster) {
+		t.Fatalf("forecast without forecasters = %v, want serve.ErrNoForecaster", err)
+	}
+	if tl := bare.c.Timeline(); len(tl) != 1 || tl[0] != "reject w00 no-forecaster" {
+		t.Fatalf("timeline %q, want one reject without retries", tl)
+	}
+	if got := bare.c.Dropped(); got != 0 {
+		t.Fatalf("dropped %d: a fleet without forecasters rejects, it does not drop", got)
+	}
+
+	mixed := newTestFleet(t, 3, 94, clone(), clone(), trainedForecaster(t, 95))
+	if st := mixed.c.Status(ctx); st.Healthy != 3 || st.Consistent || st.ForecasterDigest != "" {
+		t.Fatalf("replicas on different forecasters: status %+v, want 3 healthy, inconsistent", st)
+	}
+}
+
 // TestStatusAggregation pins the health view: a consistent fleet, then a
 // killed replica (still consistent among the healthy), then a divergent
 // model digest (inconsistent).
@@ -423,13 +517,6 @@ func (f *flakyAdmin) ReloadFramework(fw *core.Framework) error {
 	return f.Admin.ReloadFramework(fw)
 }
 
-func (f *flakyAdmin) ReloadForecaster(fc *forecast.Forecaster) error {
-	if f.failReload {
-		return errInjected
-	}
-	return f.Admin.ReloadForecaster(fc)
-}
-
 // TestPromoteRollsBack walks the rolling promotion through a mid-fleet
 // failure: the already-promoted replica returns to the incumbent digest,
 // the untouched replica never changes, and a later retry lands everywhere.
@@ -513,45 +600,6 @@ func TestPromoteRefusesUnreachable(t *testing.T) {
 	tl := f.c.Timeline()
 	if tl[len(tl)-2] != "promote-failed r1 unreachable" || tl[len(tl)-1] != "rollback r0 "+incDigest {
 		t.Fatalf("timeline tail %q", tl[len(tl)-2:])
-	}
-}
-
-// TestPromoteForecaster pins the forecaster rollout: a clean first load
-// lands everywhere with one digest, and the sticky-first-load rollback
-// asymmetry is reported rather than hidden.
-func TestPromoteForecaster(t *testing.T) {
-	ctx := context.Background()
-	f := newTestFleet(t, 3, 91)
-	cand := trainedForecaster(t, 92)
-	candDigest := ml.WeightsDigest(cand.ExportWeights())
-
-	if err := f.c.PromoteForecaster(ctx, cand); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range f.servers {
-		if got := s.ForecasterDigest(); got != candDigest {
-			t.Fatalf("replica r%d forecaster %s, want %s", i, got, candDigest)
-		}
-	}
-	if st := f.c.Status(ctx); !st.Consistent || st.ForecasterDigest != candDigest {
-		t.Fatalf("status %+v, want consistent forecaster %s", st, candDigest)
-	}
-
-	// Second rollout that fails mid-fleet rolls the promoted replica back to
-	// the previous forecaster (a real incumbent now exists).
-	flaky := &flakyAdmin{Admin: f.servers[1], failReload: true}
-	if err := f.c.Rebind("r1", flaky, serve.NewClient(f.https[1].URL), nil); err != nil {
-		t.Fatal(err)
-	}
-	next := trainedForecaster(t, 93)
-	err := f.c.PromoteForecaster(ctx, next)
-	if !errors.Is(err, ErrPromotionFailed) {
-		t.Fatalf("forecaster rollout with failing r1 = %v", err)
-	}
-	for i, s := range f.servers {
-		if got := s.ForecasterDigest(); got != candDigest {
-			t.Fatalf("replica r%d forecaster %s after rollback, want %s", i, got, candDigest)
-		}
 	}
 }
 

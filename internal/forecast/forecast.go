@@ -11,9 +11,8 @@
 // max across targets, so the sequence positions play the role the per-server
 // rows play in the classifier, and the shared kernel becomes a weight-shared
 // temporal encoder. Reusing the ml stack means every head inherits Replica
-// (data-parallel training), warm starts, ExportWeights, and CloneModel, so
-// the continuous-learning loop can retrain and hot-promote forecasters
-// exactly like frameworks.
+// (data-parallel training), ExportWeights, and CloneModel, so forecasters
+// train, digest, and clone exactly like frameworks.
 //
 // Determinism contract: BuildLagged emits samples in the source dataset's
 // order, training is seeded, and Predict is pure arithmetic — same seed and

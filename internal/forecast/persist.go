@@ -3,6 +3,7 @@ package forecast
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"quanterference/internal/dataset"
@@ -62,8 +63,11 @@ func (f *Forecaster) Save(path string) error {
 }
 
 // Load restores a forecaster written by Save. Files without the format
-// header or with a version this build does not read return an error
-// wrapping ErrBadSpec.
+// header, with a version this build does not read, or whose heads could not
+// run Predict (a model or scaler that cannot be rebuilt or does not match the
+// history and pooled feature width, horizons that are not ascending leads,
+// bins that do not name the model's classes) return an error wrapping
+// ErrBadSpec — never a forecaster that panics once served.
 func Load(path string) (*Forecaster, error) {
 	file, err := os.Open(path)
 	if err != nil {
@@ -81,19 +85,50 @@ func Load(path string) (*Forecaster, error) {
 		return nil, fmt.Errorf("%w: %s: format version %d, this build reads version %d",
 			ErrBadSpec, path, spec.Version, FormatVersion)
 	}
+	f, err := spec.forecaster()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadSpec, path, err)
+	}
+	return f, nil
+}
+
+// forecaster rebuilds the heads, checking every shape Predict relies on.
+func (spec *forecasterSpec) forecaster() (*Forecaster, error) {
 	if spec.History < 1 || len(spec.Heads) == 0 {
-		return nil, fmt.Errorf("%w: %s: history %d with %d heads",
-			ErrBadSpec, path, spec.History, len(spec.Heads))
+		return nil, fmt.Errorf("history %d with %d heads", spec.History, len(spec.Heads))
+	}
+	if spec.Threshold < 0 {
+		return nil, fmt.Errorf("negative threshold %d", spec.Threshold)
+	}
+	for i, t := range spec.Thresholds {
+		if math.IsNaN(t) || math.IsInf(t, 0) || (i > 0 && t <= spec.Thresholds[i-1]) {
+			return nil, fmt.Errorf("thresholds %v are not ascending and finite", spec.Thresholds)
+		}
 	}
 	f := &Forecaster{
 		History:   spec.History,
 		Threshold: spec.Threshold,
 		Bins:      label.Bins{Thresholds: spec.Thresholds},
 	}
-	for _, hs := range spec.Heads {
+	for i, hs := range spec.Heads {
+		if hs.Horizon < 1 || (i > 0 && hs.Horizon <= spec.Heads[i-1].Horizon) {
+			return nil, fmt.Errorf("head %d: horizon %d (horizons are ascending leads >= 1)", i, hs.Horizon)
+		}
 		m, err := ml.Restore(hs.Model)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("head %d: %v", i, err)
+		}
+		ms := hs.Model
+		switch {
+		case ms.NTargets != spec.History:
+			return nil, fmt.Errorf("head %d: model reads %d windows, history is %d", i, ms.NTargets, spec.History)
+		case ms.NFeat%2 != 0 || ms.NFeat != spec.Heads[0].Model.NFeat:
+			return nil, fmt.Errorf("head %d: model reads %d pooled features, want an even width shared by every head", i, ms.NFeat)
+		case hs.Scaler == nil || len(hs.Scaler.Mean) != ms.NFeat || len(hs.Scaler.Std) != ms.NFeat:
+			return nil, fmt.Errorf("head %d: scaler does not cover the model's %d features", i, ms.NFeat)
+		case ms.Classes != f.Bins.Classes():
+			return nil, fmt.Errorf("head %d: %d thresholds name %d classes, the model predicts %d",
+				i, len(spec.Thresholds), f.Bins.Classes(), ms.Classes)
 		}
 		f.Heads = append(f.Heads, &Head{Horizon: hs.Horizon, Model: m, Scaler: hs.Scaler})
 	}

@@ -1,10 +1,8 @@
 package ml
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"quanterference/internal/nn"
 )
@@ -22,16 +20,8 @@ type ModelSpec struct {
 
 // ExportWeights snapshots every parameter tensor of a model, in Params
 // order, into freshly allocated slices — the bit-exact weight state, suitable
-// for equality comparison across runs (the determinism tests) or for feeding
-// back through ImportWeights.
+// for equality comparison across runs (the determinism tests).
 func ExportWeights(m Model) [][]float64 { return nn.SnapshotParams(m.Params()) }
-
-// ImportWeights restores an ExportWeights snapshot into a model with the
-// same architecture. Shapes must match exactly; a failed import leaves the
-// model untouched.
-func ImportWeights(m Model, weights [][]float64) error {
-	return nn.RestoreParams(m.Params(), weights)
-}
 
 // CloneModel builds an independent copy of a model: same architecture, same
 // weights, private gradient state and scratch. Unlike Replica (which shares
@@ -121,32 +111,4 @@ func Restore(spec *ModelSpec) (Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// SaveModel writes a model snapshot as JSON.
-func SaveModel(m Model, path string) error {
-	spec, err := Snapshot(m)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return json.NewEncoder(f).Encode(spec)
-}
-
-// LoadModel reads a snapshot written by SaveModel.
-func LoadModel(path string) (Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var spec ModelSpec
-	if err := json.NewDecoder(f).Decode(&spec); err != nil {
-		return nil, err
-	}
-	return Restore(&spec)
 }

@@ -1,7 +1,7 @@
 package ml
 
 import (
-	"path/filepath"
+	"encoding/json"
 	"testing"
 
 	"quanterference/internal/nn"
@@ -15,9 +15,10 @@ func modelsUnderTest() map[string]Model {
 	}
 }
 
+// TestSaveLoadEveryKind round-trips every model kind through the persisted
+// form frameworks and forecasters embed: Snapshot, JSON, Restore.
 func TestSaveLoadEveryKind(t *testing.T) {
 	vectors := [][]float64{{1, 0, -1, 2, 0.5}, {0, 1, 1, -2, 0}, {2, 2, 0, 0, 1}}
-	dir := t.TempDir()
 	for kind, m := range modelsUnderTest() {
 		// Train a step so weights differ from initialization.
 		m.LossAndGrad(vectors, 1, 1)
@@ -28,13 +29,21 @@ func TestSaveLoadEveryKind(t *testing.T) {
 			}
 		}
 		wantProbs := m.ProbsInto(make([]float64, 2), vectors)
-		path := filepath.Join(dir, kind+".json")
-		if err := SaveModel(m, path); err != nil {
-			t.Fatalf("%s: save: %v", kind, err)
-		}
-		got, err := LoadModel(path)
+		spec, err := Snapshot(m)
 		if err != nil {
-			t.Fatalf("%s: load: %v", kind, err)
+			t.Fatalf("%s: snapshot: %v", kind, err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", kind, err)
+		}
+		var back ModelSpec
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%s: decode: %v", kind, err)
+		}
+		got, err := Restore(&back)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", kind, err)
 		}
 		gotProbs := got.ProbsInto(make([]float64, 2), vectors)
 		for i := range wantProbs {
@@ -43,8 +52,7 @@ func TestSaveLoadEveryKind(t *testing.T) {
 					kind, gotProbs, wantProbs)
 			}
 		}
-		spec, _ := Snapshot(got)
-		if spec.Kind != kind {
+		if spec, _ := Snapshot(got); spec.Kind != kind {
 			t.Fatalf("kind %q round-tripped as %q", kind, spec.Kind)
 		}
 	}

@@ -27,8 +27,6 @@ import (
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
-	"quanterference/internal/forecast"
-	"quanterference/internal/mitigate"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
@@ -66,21 +64,6 @@ type Config struct {
 	// stamped with it, so online-retrained data merges cleanly with offline
 	// collections instead of reading as unstamped.
 	Profile string
-	// Forecaster, when set, is fed every OfferWindow matrix through a
-	// sliding history tracker; once warm, each Step's Decision carries its
-	// latest Prediction, so drift decisions can cite "degradation predicted
-	// in k windows". The Loop owns it (single-goroutine scratch) — clone
-	// before sharing one with a serving layer.
-	Forecaster *forecast.Forecaster
-	// Policy, when set, closes the actuation loop from inside the learning
-	// loop: each Step classifies the latest offered window with the
-	// incumbent, hands the class plus the current forecast to the policy,
-	// and reports its Verdict on the Decision (it does not actuate — wire
-	// the verdict into a mitigate.Controller or scheduler to act on it).
-	// The Loop owns the policy's hysteresis state; policies are
-	// deterministic state machines, so same-seed replays produce the same
-	// verdict timeline. Combine with Forecaster for proactive policies.
-	Policy mitigate.Policy
 	// Drift tunes the detector, Gate the promotion gate, Train the retrain
 	// (epochs, LR, Workers — warm starts reuse the incumbent architecture).
 	Drift DriftConfig
@@ -139,11 +122,6 @@ type Decision struct {
 	// Action is the verdict; Score the drift evaluation behind it.
 	Action Action
 	Score  Score
-	// Forecast is the loop forecaster's latest prediction (nil when no
-	// forecaster is configured or its window history is not yet warm): the
-	// slowdown class k windows ahead per horizon, and the derived
-	// time-to-degradation.
-	Forecast *forecast.Prediction
 	// Gate and CandidateWeights are set when a retrain ran: the gate verdict
 	// and the candidate's bit-exact weight snapshot (the determinism tests
 	// compare these across same-seed runs).
@@ -152,40 +130,21 @@ type Decision struct {
 	// Rollback marks a promotion the promoter refused (the candidate cleared
 	// the gate but the reload failed); the incumbent was kept.
 	Rollback bool
-	// Mitigation is the configured policy's verdict on the latest window
-	// (nil when no Config.Policy is set, or before the first OfferWindow):
-	// what the actuation layer should be doing right now, with the policy's
-	// deterministic reason string.
-	Mitigation *mitigate.Verdict
 }
 
 // String renders the decision for logs.
 func (d Decision) String() string {
-	var s string
 	if d.Gate == nil {
 		if d.Score.Drifted {
-			s = fmt.Sprintf("w%d none (drift %q pending examples)", d.Window, d.Score.Reason)
-		} else {
-			s = fmt.Sprintf("w%d none", d.Window)
+			return fmt.Sprintf("w%d none (drift %q pending examples)", d.Window, d.Score.Reason)
 		}
-	} else {
-		s = fmt.Sprintf("w%d %s (drift %q, cand %.3f vs inc %.3f on %d held out, margin %g)",
-			d.Window, d.Action, d.Score.Reason,
-			d.Gate.CandidateAccuracy, d.Gate.IncumbentAccuracy, d.Gate.Holdout, d.Gate.Margin)
-		if d.Rollback {
-			s += " [rollback: reload refused]"
-		}
+		return fmt.Sprintf("w%d none", d.Window)
 	}
-	if d.Forecast != nil && d.Forecast.Degrading() {
-		s += fmt.Sprintf(" [degradation predicted in %d window(s)]", d.Forecast.LeadWindows)
-	}
-	if d.Mitigation != nil && d.Mitigation.Engaged() {
-		switch {
-		case d.Mitigation.Defer:
-			s += fmt.Sprintf(" [mitigate: defer (%s)]", d.Mitigation.Reason)
-		default:
-			s += fmt.Sprintf(" [mitigate: throttle (%s)]", d.Mitigation.Reason)
-		}
+	s := fmt.Sprintf("w%d %s (drift %q, cand %.3f vs inc %.3f on %d held out, margin %g)",
+		d.Window, d.Action, d.Score.Reason,
+		d.Gate.CandidateAccuracy, d.Gate.IncumbentAccuracy, d.Gate.Holdout, d.Gate.Margin)
+	if d.Rollback {
+		s += " [rollback: reload refused]"
 	}
 	return s
 }
@@ -204,13 +163,7 @@ type Loop struct {
 	refAcc    float64
 	det       *Detector
 	buf       *Buffer
-	tracker   *forecast.Tracker // nil unless Config.Forecaster is set
 	retrains  int
-
-	// lastWindow is the most recent OfferWindow matrix, kept so a configured
-	// policy can be fed the incumbent's class for it at the next Step.
-	lastWindow window.Matrix
-	seenWin    int
 
 	mWindows    *obs.Counter
 	mLabeled    *obs.Counter
@@ -219,11 +172,7 @@ type Loop struct {
 	mPromotions *obs.Counter
 	mRejections *obs.Counter
 	mRollbacks  *obs.Counter
-	mForecasts  *obs.Counter
-	mMitEngage  *obs.Counter
 	gBuffer     *obs.Gauge
-	gLead       *obs.Gauge
-	gMitEngaged *obs.Gauge
 	hDriftFrac  *obs.Histogram
 	hRollAcc    *obs.Histogram
 	hGateAcc    *obs.Histogram
@@ -254,18 +203,11 @@ func NewLoop(p Promoter, cfg Config) (*Loop, error) {
 		mPromotions: cfg.Sink.Counter("online", "", "promotions"),
 		mRejections: cfg.Sink.Counter("online", "", "rejections"),
 		mRollbacks:  cfg.Sink.Counter("online", "", "rollbacks"),
-		mForecasts:  cfg.Sink.Counter("online", "", "forecasts"),
-		mMitEngage:  cfg.Sink.Counter("online", "", "mitigation_engagements"),
 		gBuffer:     cfg.Sink.Gauge("online", "", "buffer_fill"),
-		gLead:       cfg.Sink.Gauge("online", "", "forecast_lead_windows"),
-		gMitEngaged: cfg.Sink.Gauge("online", "", "mitigation_engaged"),
 		hDriftFrac:  cfg.Sink.Histogram("online", "", "feature_drift_frac", obs.UnitBuckets()),
 		hRollAcc:    cfg.Sink.Histogram("online", "", "rolling_accuracy", obs.UnitBuckets()),
 		hGateAcc:    cfg.Sink.Histogram("online", "", "gate_candidate_accuracy", obs.UnitBuckets()),
 		hRetrainNS:  cfg.Sink.Histogram("online", "", "retrain_ns", obs.TimeBuckets()),
-	}
-	if cfg.Forecaster != nil {
-		l.tracker = forecast.NewTracker(cfg.Forecaster)
 	}
 	return l, nil
 }
@@ -333,13 +275,6 @@ func (l *Loop) SetGateMargin(m float64) { l.cfg.Gate.Margin = m }
 // stream.
 func (l *Loop) OfferWindow(mat window.Matrix) {
 	l.det.ObserveWindow(mat)
-	if l.tracker != nil {
-		l.tracker.Offer(mat)
-	}
-	if l.cfg.Policy != nil {
-		l.lastWindow = mat
-	}
-	l.seenWin++
 	l.mWindows.Inc()
 }
 
@@ -369,28 +304,6 @@ func (l *Loop) Step(ctx context.Context) (Decision, error) {
 		l.hRollAcc.Observe(score.RollingAccuracy)
 	}
 	d := Decision{Window: -1, Action: ActionNone, Score: score}
-	if l.tracker != nil && l.tracker.Ready() {
-		p, err := l.tracker.Predict()
-		if err != nil {
-			return d, fmt.Errorf("online: forecast: %w", err)
-		}
-		d.Forecast = p
-		l.mForecasts.Inc()
-		l.gLead.Set(float64(p.LeadWindows))
-	}
-	if l.cfg.Policy != nil && l.lastWindow != nil {
-		class, _ := l.incumbent.Predict(l.lastWindow)
-		v := l.cfg.Policy.Decide(mitigate.Observation{
-			Window: l.seenWin - 1, Class: class, Forecast: d.Forecast,
-		})
-		d.Mitigation = &v
-		if v.Engaged() {
-			l.gMitEngaged.Set(1)
-			l.mMitEngage.Inc()
-		} else {
-			l.gMitEngaged.Set(0)
-		}
-	}
 	if !score.Drifted || l.buf.Len() < l.cfg.MinExamples {
 		return d, nil
 	}

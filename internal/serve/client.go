@@ -16,12 +16,12 @@ import (
 // service instead of loading a framework file themselves. It speaks the
 // versioned /v1/ surface only.
 type Client struct {
-	base      string
-	hc        *http.Client
-	userAgent string
-	retries   int
-	retryGap  time.Duration
+	base string
+	hc   *http.Client
 }
+
+// userAgent names this client on every request.
+const userAgent = "quanterference-client/" + APIVersion
 
 // ClientOption configures a Client at construction (NewClient).
 type ClientOption func(*Client)
@@ -32,32 +32,13 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.hc.Timeout = d }
 }
 
-// WithRetry retries a request up to n extra times when the transport fails
-// or the server sheds it with 503 overloaded (not when it is shutting down —
-// a draining instance will not recover; route elsewhere instead). gap is the
-// pause between attempts; the server's retry-after hint is used instead when
-// it is shorter. Default is no retries.
-func WithRetry(n int, gap time.Duration) ClientOption {
-	return func(c *Client) { c.retries, c.retryGap = n, gap }
-}
-
-// WithUserAgent sets the User-Agent header on every request — how fleet
-// replicas distinguish coordinator traffic from direct clients in logs.
-func WithUserAgent(ua string) ClientOption {
-	return func(c *Client) { c.userAgent = ua }
-}
-
 // NewClient targets base (e.g. "http://localhost:8080"). A trailing slash
 // is tolerated.
 func NewClient(base string, opts ...ClientOption) *Client {
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]
 	}
-	c := &Client{
-		base:      base,
-		hc:        &http.Client{Timeout: 30 * time.Second},
-		userAgent: "quanterference-client/" + APIVersion,
-	}
+	c := &Client{base: base, hc: &http.Client{Timeout: 30 * time.Second}}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -104,10 +85,6 @@ func (e *APIError) Unwrap() error {
 	return nil
 }
 
-// retryable reports whether a failed attempt is worth repeating: transient
-// queue pressure is, a draining server or a caller mistake is not.
-func (e *APIError) retryable() bool { return e.Code == codeOverloaded }
-
 // v1 prefixes a route with the versioned mount point.
 func v1(path string) string { return "/" + APIVersion + path }
 
@@ -116,38 +93,11 @@ func (c *Client) post(ctx context.Context, path string, body, out interface{}) e
 	if err != nil {
 		return err
 	}
-	return c.roundTrip(ctx, http.MethodPost, path, payload, out)
+	return c.do(ctx, http.MethodPost, path, payload, out)
 }
 
 func (c *Client) get(ctx context.Context, path string, out interface{}) error {
-	return c.roundTrip(ctx, http.MethodGet, path, nil, out)
-}
-
-// roundTrip sends one logical request, retrying per WithRetry. The payload
-// is kept as bytes so every attempt re-sends an identical body.
-func (c *Client) roundTrip(ctx context.Context, method, path string, payload []byte, out interface{}) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.do(ctx, method, path, payload, out)
-		if err == nil || attempt >= c.retries {
-			return err
-		}
-		apiErr, ok := err.(*APIError)
-		if ok && !apiErr.retryable() {
-			return err
-		}
-		gap := c.retryGap
-		if ok && apiErr.RetryAfter > 0 && apiErr.RetryAfter < gap {
-			gap = apiErr.RetryAfter
-		}
-		if gap > 0 {
-			select {
-			case <-time.After(gap):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-	}
+	return c.do(ctx, http.MethodGet, path, nil, out)
 }
 
 func (c *Client) do(ctx context.Context, method, path string, payload []byte, out interface{}) error {
@@ -158,7 +108,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ou
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("User-Agent", c.userAgent)
+	req.Header.Set("User-Agent", userAgent)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err

@@ -146,62 +146,6 @@ func TestForecastWithoutForecaster(t *testing.T) {
 	}
 }
 
-// TestReloadForecaster: first load turns forecasting on, a shape-compatible
-// swap changes answers for later requests only, and an incompatible shape is
-// rejected with the old forecaster still serving.
-func TestReloadForecaster(t *testing.T) {
-	fw, _ := trainedFramework(t, 3, 5)
-	s := New(fw, Config{})
-	defer s.Shutdown(context.Background())
-	ctx := context.Background()
-	hist := testHistories(1, 4, 3, 5)[0]
-
-	if err := s.ReloadForecaster(nil); err == nil {
-		t.Fatal("nil forecaster accepted")
-	}
-	fc1 := testForecaster(4, 5, []int{1, 2})
-	if err := s.ReloadForecaster(fc1); err != nil {
-		t.Fatalf("first load: %v", err)
-	}
-	p1, err := s.Forecast(ctx, hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Different weights, same shape: accepted, answers change.
-	fc2 := testForecaster(4, 5, []int{1, 2})
-	fc2.Heads[0].Model = ml.NewKernelModel(ml.KernelConfig{
-		NTargets: 4, NFeat: 10, Classes: 2, Seed: 999,
-	})
-	if err := s.ReloadForecaster(fc2); err != nil {
-		t.Fatalf("compatible reload: %v", err)
-	}
-	p2, err := s.Forecast(ctx, hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for j := range p1.Probs[0] {
-		if p1.Probs[0][j] != p2.Probs[0][j] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("reload did not change served forecaster")
-	}
-
-	// Wrong shape: rejected, fc2 keeps serving.
-	if err := s.ReloadForecaster(testForecaster(6, 5, []int{1})); err == nil {
-		t.Fatal("history-mismatched forecaster accepted")
-	}
-	if err := s.ReloadForecaster(testForecaster(4, 9, []int{1})); err == nil {
-		t.Fatal("feature-mismatched forecaster accepted")
-	}
-	if got := s.Forecaster(); got != fc2 {
-		t.Fatal("failed reload disturbed the served forecaster")
-	}
-}
-
 // TestForecastConcurrentDeterministic is the forecast twin of the batching
 // correctness pin: concurrent forecasts (serialized by the model lock) and
 // predictions (through the batcher) interleave on one server, and every

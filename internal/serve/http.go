@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"quanterference/internal/monitor/window"
@@ -141,8 +142,9 @@ type Health struct {
 // load, so one second is a conservative round number.
 const retryAfterSeconds = 1
 
-// maxBodyBytes caps /v1/predict and /v1/forecast request bodies, so an
-// oversized matrix is refused with 413 before it is fully decoded.
+// maxBodyBytes caps every POST body (/v1/predict, /v1/forecast,
+// /v1/admin/reload), so an oversized one is refused with 413 before it is
+// fully decoded.
 const maxBodyBytes = 1 << 20
 
 // reloadRequest optionally overrides the reload path.
@@ -236,9 +238,11 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody decodes a POST body of at most maxBodyBytes into v. On failure
-// it writes the error response itself (405, 413, or 400) and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// decodeBody decodes a POST body of at most maxBodyBytes into v. An empty
+// body is malformed unless emptyOK, which leaves v at its zero value. On
+// failure it writes the error response itself (405, 413, or 400 bad_input)
+// and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK bool) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return false
@@ -246,19 +250,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
-	case err == nil:
+	case err == nil, emptyOK && err == io.EOF:
 		return true
 	case errors.As(err, &tooLarge):
 		writeServeError(w, fmt.Errorf("%w: over %d bytes", ErrTooLarge, maxBodyBytes))
 	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error(), Code: codeBadInput})
 	}
 	return false
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	class, probs, err := s.Predict(r.Context(), window.Matrix(req.Matrix))
@@ -275,7 +279,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	var req ForecastRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	hist := make([]window.Matrix, len(req.History))
@@ -287,10 +291,9 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		writeServeError(w, err)
 		return
 	}
-	fc := s.fc.Load()
 	labels := make([]string, len(pred.Classes))
 	for i, c := range pred.Classes {
-		labels[i] = fc.Bins.Name(c)
+		labels[i] = s.fc.Bins.Name(c)
 	}
 	writeJSON(w, http.StatusOK, ForecastResponse{
 		Horizons:    pred.Horizons,
@@ -299,7 +302,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		Probs:       pred.Probs,
 		LeadWindows: pred.LeadWindows,
 		Degrading:   pred.Degrading(),
-		ModelDigest: s.ForecasterDigest(),
+		ModelDigest: s.fcDigest,
 	})
 }
 
@@ -315,10 +318,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Classes:     fw.Classes(),
 		Thresholds:  fw.Bins.Thresholds,
 	}
-	if fc := s.fc.Load(); fc != nil {
-		h.ForecastHistory, _ = fc.Dims()
-		h.ForecastHorizons = fc.Horizons()
-		h.ForecasterDigest = s.ForecasterDigest()
+	if s.fc != nil {
+		h.ForecastHistory, _ = s.fc.Dims()
+		h.ForecastHorizons = s.fc.Horizons()
+		h.ForecasterDigest = s.fcDigest
 	}
 	writeJSON(w, http.StatusOK, h)
 }
@@ -341,14 +344,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
-		return
-	}
+	// An empty body means "reload the configured path".
 	var req reloadRequest
-	if r.Body != nil {
-		// An empty body means "reload the configured path".
-		_ = json.NewDecoder(r.Body).Decode(&req)
+	if !decodeBody(w, r, &req, true) {
+		return
 	}
 	if err := s.Reload(req.Path); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -137,66 +136,6 @@ func TestClientTypedErrors(t *testing.T) {
 	}
 	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError || ae.Code != "" {
 		t.Fatalf("untyped 500 = %+v, want bare APIError{Status: 500}", err)
-	}
-}
-
-// TestClientRetry pins WithRetry: transient 503 overloaded sheds are
-// retried with the configured gap (bounded by the server hint), draining
-// servers are not.
-func TestClientRetry(t *testing.T) {
-	var mu sync.Mutex
-	var calls int
-	var failures int
-	var code string
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		if n <= failures {
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: "shed", Code: code, RetryAfterSeconds: 0.001})
-			return
-		}
-		writeJSON(w, http.StatusOK, PredictResponse{Class: 1, Probs: []float64{0, 1}})
-	}))
-	defer stub.Close()
-	ctx := context.Background()
-	mat := window.Matrix{{1}}
-
-	// Two sheds, then success: three attempts fit in WithRetry(2, ...).
-	c := NewClient(stub.URL, WithRetry(2, time.Millisecond))
-	mu.Lock()
-	calls, failures, code = 0, 2, codeOverloaded
-	mu.Unlock()
-	resp, err := c.Predict(ctx, mat)
-	if err != nil || resp.Class != 1 {
-		t.Fatalf("retried predict = %+v, %v; want success after 2 sheds", resp, err)
-	}
-	if calls != 3 {
-		t.Fatalf("server saw %d calls, want 3", calls)
-	}
-
-	// More sheds than retries: the final overloaded error surfaces.
-	mu.Lock()
-	calls, failures = 0, 5
-	mu.Unlock()
-	if _, err := c.Predict(ctx, mat); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("exhausted retries = %v, want ErrOverloaded", err)
-	}
-	if calls != 3 {
-		t.Fatalf("server saw %d calls, want 3 (1 + 2 retries)", calls)
-	}
-
-	// Shutting down is not retryable: one attempt only.
-	mu.Lock()
-	calls, failures, code = 0, 5, codeShuttingDown
-	mu.Unlock()
-	if _, err := c.Predict(ctx, mat); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("draining server = %v, want ErrShuttingDown", err)
-	}
-	if calls != 1 {
-		t.Fatalf("server saw %d calls, want 1 (no retry while draining)", calls)
 	}
 }
 

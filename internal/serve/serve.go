@@ -15,8 +15,9 @@
 //
 // Hot reload swaps an atomic framework pointer: in-flight batches keep the
 // framework they loaded (each Framework owns its own scratch), so a reload
-// never drops or corrupts a request. Shutdown closes an admission gate,
-// waits for in-flight requests to drain, then stops the batcher.
+// never drops or corrupts a request. The forecaster is fixed at New. Shutdown
+// closes an admission gate, waits for in-flight requests to drain, then stops
+// the batcher.
 package serve
 
 import (
@@ -49,8 +50,8 @@ var (
 	// loaded model.
 	ErrBadInput = errors.New("serve: bad input matrix")
 
-	// ErrNoForecaster reports a Forecast call on a server that has no
-	// forecaster loaded (Config.Forecaster nil and no ReloadForecaster yet).
+	// ErrNoForecaster reports a Forecast call on a server started without a
+	// forecaster (Config.Forecaster nil).
 	ErrNoForecaster = errors.New("serve: no forecaster loaded")
 
 	// ErrNoShadow reports a /v1/shadow request on a server that mirrors no
@@ -81,8 +82,8 @@ type Config struct {
 	// Forecaster optionally serves /v1/forecast alongside /v1/predict: the
 	// early-warning sequence head answering "slowdown in k windows?" from the
 	// last History window matrices. Nil disables forecasting (requests get
-	// ErrNoForecaster) until ReloadForecaster loads one. Like the framework,
-	// ownership transfers to the server.
+	// ErrNoForecaster). It is fixed for the server's lifetime and, like the
+	// framework, ownership transfers to the server.
 	Forecaster *forecast.Forecaster
 	// Shadow optionally mirrors every answered prediction into a shadow
 	// evaluator (*shadow.Evaluator in practice): the batcher taps Mirror —
@@ -132,8 +133,12 @@ type Server struct {
 	cfg Config
 
 	fw    atomic.Pointer[core.Framework]
-	fc    atomic.Pointer[forecast.Forecaster]
 	queue chan *request
+
+	// fc and fcDigest are the forecaster set at New (nil when forecasting is
+	// disabled) and its weight digest.
+	fc       *forecast.Forecaster
+	fcDigest string
 
 	// fslots admits up to MaxInflight forecasts at once; fmu is a one-slot
 	// channel lock around Forecaster.Predict, which reuses scratch. A channel
@@ -141,14 +146,13 @@ type Server struct {
 	fslots chan struct{}
 	fmu    chan struct{}
 
-	// fwDigest / fcDigest are the weight digests (ml.WeightsDigest) of the
-	// served framework / forecaster, recomputed on every swap and stamped on
-	// replies and /v1/healthz so clients — and the fleet coordinator — can tell
-	// exactly which model version answered. Stored separately from the model
-	// pointers; each is updated before its pointer, so a reply can briefly
-	// carry the digest of the model that is about to serve, never a stale one.
+	// fwDigest is the served framework's weight digest (ml.WeightsDigest),
+	// recomputed on every swap and stamped on replies and /v1/healthz so
+	// clients — and the fleet coordinator — can tell exactly which model
+	// version answered. Stored separately from the framework pointer and
+	// updated before it, so a reply can briefly carry the digest of the model
+	// that is about to serve, never a stale one.
 	fwDigest atomic.Pointer[string]
-	fcDigest atomic.Pointer[string]
 
 	gateMu   sync.RWMutex
 	stopping bool
@@ -182,6 +186,7 @@ func New(fw *core.Framework, cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{
 		cfg:    cfg,
+		fc:     cfg.Forecaster,
 		queue:  make(chan *request, cfg.MaxInflight),
 		fslots: make(chan struct{}, cfg.MaxInflight),
 		fmu:    make(chan struct{}, 1),
@@ -204,8 +209,8 @@ func New(fw *core.Framework, cfg Config) *Server {
 		batchMats: make([]window.Matrix, 0, cfg.MaxBatch),
 	}
 	s.setFramework(fw)
-	if cfg.Forecaster != nil {
-		s.setForecaster(cfg.Forecaster)
+	if s.fc != nil {
+		s.fcDigest = ml.WeightsDigest(s.fc.ExportWeights())
 	}
 	go s.batcher()
 	return s
@@ -219,31 +224,12 @@ func (s *Server) setFramework(fw *core.Framework) {
 	s.fw.Store(fw)
 }
 
-func (s *Server) setForecaster(f *forecast.Forecaster) {
-	d := ml.WeightsDigest(f.ExportWeights())
-	s.fcDigest.Store(&d)
-	s.fc.Store(f)
-}
-
 // ModelDigest returns the served framework's weight digest — the model
 // version identity stamped on every /v1/predict reply and /v1/healthz.
 func (s *Server) ModelDigest() string { return *s.fwDigest.Load() }
 
-// ForecasterDigest returns the served forecaster's weight digest, empty when
-// forecasting is disabled.
-func (s *Server) ForecasterDigest() string {
-	if d := s.fcDigest.Load(); d != nil {
-		return *d
-	}
-	return ""
-}
-
 // Framework returns the currently served framework (hot-reload aware).
 func (s *Server) Framework() *core.Framework { return s.fw.Load() }
-
-// Forecaster returns the currently served forecaster, nil when forecasting
-// is not enabled.
-func (s *Server) Forecaster() *forecast.Forecaster { return s.fc.Load() }
 
 // Shadow returns the attached shadow evaluator, nil when the server mirrors
 // no traffic.
@@ -308,12 +294,11 @@ func (s *Server) Predict(ctx context.Context, mat window.Matrix) (class int, pro
 func (s *Server) Forecast(ctx context.Context, history []window.Matrix) (*forecast.Prediction, error) {
 	start := time.Now()
 	s.mForecasts.Inc()
-	fc := s.fc.Load()
-	if fc == nil {
+	if s.fc == nil {
 		s.mErrors.Inc()
 		return nil, ErrNoForecaster
 	}
-	if err := validateHistory(fc, history); err != nil {
+	if err := validateHistory(s.fc, history); err != nil {
 		s.mErrors.Inc()
 		return nil, err
 	}
@@ -343,7 +328,7 @@ func (s *Server) Forecast(ctx context.Context, history []window.Matrix) (*foreca
 	}
 	s.hFWaitNS.Observe(float64(time.Since(start)))
 	mstart := time.Now()
-	pred, err := s.fc.Load().Predict(history)
+	pred, err := s.fc.Predict(history)
 	<-s.fmu
 	s.hFModelNS.Observe(float64(time.Since(mstart)))
 	if err == nil && !finite(pred.Probs...) {
@@ -397,30 +382,6 @@ func (s *Server) ReloadFramework(fw *core.Framework) error {
 			newT, newF, oldT, oldF)
 	}
 	s.setFramework(fw)
-	s.mReloads.Inc()
-	return nil
-}
-
-// ReloadForecaster atomically swaps in a forecaster — what the
-// continuous-learning loop calls to promote a retrained sequence head, and
-// how a server started without one turns forecasting on. In-flight forecasts
-// keep the pointer they loaded, so the swap never disturbs them.
-// Ownership of f transfers to the server. When a forecaster is already
-// serving, the replacement must read the same history length and raw feature
-// width; the first load is unconstrained.
-func (s *Server) ReloadForecaster(f *forecast.Forecaster) error {
-	if f == nil {
-		return errors.New("serve: reload of nil forecaster")
-	}
-	if cur := s.fc.Load(); cur != nil {
-		oldH, oldF := cur.Dims()
-		newH, newF := f.Dims()
-		if oldH != newH || oldF != newF {
-			return fmt.Errorf("serve: forecaster shape %d windows x %d features does not match served %d x %d",
-				newH, newF, oldH, oldF)
-		}
-	}
-	s.setForecaster(f)
 	s.mReloads.Inc()
 	return nil
 }

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -114,6 +116,36 @@ func TestHTTPRoundTripWithReload(t *testing.T) {
 	}
 	check("after failed reload")
 
+	// Reload bodies pass through the same capped decoder as predict: a body
+	// the server cannot read is refused without reloading anything, and an
+	// empty one reloads the configured path.
+	for _, tc := range []struct {
+		name, body, code string
+		status           int
+	}{
+		{"wrong type", `{"path": 5}`, codeBadInput, http.StatusBadRequest},
+		{"not json", "not json", codeBadInput, http.StatusBadRequest},
+		{"oversized", `{"path":"` + strings.Repeat("a", maxBodyBytes) + `"}`, codeTooLarge, http.StatusRequestEntityTooLarge},
+		{"empty", "", "", http.StatusOK},
+	} {
+		before, _ := s.Stats().Counter("serve", "", "reloads")
+		resp, err := http.Post(ts.URL+v1("/admin/reload"), "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorResponse
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || body.Code != tc.code {
+			t.Fatalf("reload body %s: status %d code %q, want %d %q", tc.name, resp.StatusCode, body.Code, tc.status, tc.code)
+		}
+		after, _ := s.Stats().Counter("serve", "", "reloads")
+		if reloaded := after > before; reloaded != (tc.status == http.StatusOK) {
+			t.Fatalf("reload body %s: reloaded = %v with status %d", tc.name, reloaded, resp.StatusCode)
+		}
+	}
+	check("after reload bodies")
+
 	// Bad input shapes are 400s, not panics.
 	if _, err := c.Predict(ctx, window.Matrix{{1, 2}}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("bad shape error = %v", err)
@@ -127,7 +159,7 @@ func TestHTTPRoundTripWithReload(t *testing.T) {
 	if v, ok := snap.Counter("serve", "", "requests"); !ok || v < 5 {
 		t.Fatalf("requests counter = %d, %v", v, ok)
 	}
-	if v, ok := snap.Counter("serve", "", "reloads"); !ok || v != 1 {
+	if v, ok := snap.Counter("serve", "", "reloads"); !ok || v != 2 {
 		t.Fatalf("reloads counter = %d, %v", v, ok)
 	}
 	rec := httptest.NewRecorder()
