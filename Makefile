@@ -17,15 +17,21 @@ tier1: build test
 # pass re-runs the concurrency-critical packages uncached (par's fan-out,
 # obs's shared sink, fault's injection across parallel variant runs, online's
 # loop promoting through the live server under concurrent predictions).
+# cmd/quantbench is a module of its own, so the root ./... never compiles it;
+# the last line vets and tests it, catching a break in an internal API it
+# calls before the benchmark runs.
 verify: docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=1 ./internal/par ./internal/obs ./internal/fault ./internal/ml ./internal/serve ./internal/online ./internal/mitigate ./internal/fleet ./internal/shadow
+	cd cmd/quantbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs each fuzz target for 10s: arbitrary /v1/predict and /v1/forecast
-# bodies must never panic the handler or answer a 5xx, and any framework or
+# bodies must never panic the handler or answer a 5xx, any framework or
 # forecaster file a loader accepts must serve a well-shaped input without
-# panicking. Not part of verify (it is open-ended by nature); crashers land in
+# panicking, any dataset file dataset.Load accepts must train for an epoch
+# without panicking, and any fault list fault.ParseSpecs accepts must run a
+# small scenario to completion or MaxTime without panicking. Not part of verify (it is open-ended by nature); crashers land in
 # the package's testdata/fuzz and then replay in every go test run. The
 # minimize caps keep the 1 MiB oversized seed, and the model files whose
 # every minimization step is a file round trip, from stalling the run.
@@ -34,6 +40,8 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzHandleForecast$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadFramework$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseSpecs$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 
 bench:
 	$(GO) test -bench BenchmarkRun -benchmem -count 5 -run '^$$'

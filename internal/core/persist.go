@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
+	"quanterference/internal/atomicfile"
 	"quanterference/internal/dataset"
 	"quanterference/internal/label"
 	"quanterference/internal/ml"
@@ -31,23 +33,22 @@ type frameworkSpec struct {
 }
 
 // Save persists the trained framework (model weights, scaler, bins) as JSON
-// so prediction can run in a later process (cmd/quantpredict).
+// so prediction can run in a later process (cmd/quantpredict). A failed save
+// (such as a non-finite weight) leaves any previous file at path intact, so
+// a reload keeps finding the last good framework.
 func (f *Framework) Save(path string) error {
 	spec, err := ml.Snapshot(f.Model)
 	if err != nil {
 		return err
 	}
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	return json.NewEncoder(file).Encode(frameworkSpec{
-		Format:     FrameworkFormat,
-		Version:    FrameworkFormatVersion,
-		Model:      spec,
-		Scaler:     f.Scaler,
-		Thresholds: f.Bins.Thresholds,
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(frameworkSpec{
+			Format:     FrameworkFormat,
+			Version:    FrameworkFormatVersion,
+			Model:      spec,
+			Scaler:     f.Scaler,
+			Thresholds: f.Bins.Thresholds,
+		})
 	})
 }
 

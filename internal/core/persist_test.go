@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,4 +69,38 @@ func FuzzLoadFramework(f *testing.F) {
 		class, _ := fw.Predict(mat)
 		fw.Bins.Name(class)
 	})
+}
+
+// TestFailedSaveKeepsPreviousFramework: a save that cannot encode (a NaN
+// weight) returns the error and leaves the framework file it would have
+// replaced byte-identical, so a reload still finds the last good model.
+func TestFailedSaveKeepsPreviousFramework(t *testing.T) {
+	fw, _, err := TrainFrameworkE(warmDataset(40, 3, 5, 2, 3), FrameworkConfig{
+		Seed: 2, Train: ml.TrainConfig{Epochs: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fw.json")
+	if err := fw.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Model.Params()[0].W[0] = math.NaN()
+	if err := fw.Save(path); err == nil {
+		t.Fatal("saving a NaN weight succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the file: %d bytes before, %d after", len(before), len(after))
+	}
+	if _, err := LoadFramework(path); err != nil {
+		t.Fatalf("previous framework no longer loads: %v", err)
+	}
 }

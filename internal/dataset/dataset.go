@@ -7,13 +7,28 @@ package dataset
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 
+	"quanterference/internal/atomicfile"
 	"quanterference/internal/sim"
 )
+
+// ErrBadDataset reports a dataset file that decodes but could not be trained
+// on: a header without targets, features or at least two classes (or with
+// more than maxClasses), or a sample whose shape or label does not match it.
+// Load's errors wrap it with the offending sample.
+var ErrBadDataset = errors.New("dataset: malformed dataset")
+
+// maxClasses bounds the label space Load accepts. Training allocates per-class
+// state up to a classes × classes confusion matrix, so a hostile header
+// could otherwise ask for gigabytes; every bin set here has at most a few
+// classes.
+const maxClasses = 1 << 10
 
 // Sample is one labelled time window.
 type Sample struct {
@@ -43,20 +58,32 @@ func New(featureNames []string, nTargets, classes int) *Dataset {
 	return &Dataset{FeatureNames: featureNames, NTargets: nTargets, Classes: classes}
 }
 
-// Add validates and appends a sample.
+// Add validates and appends a sample; a sample that does not match the
+// schema is a caller bug and panics.
 func (d *Dataset) Add(s *Sample) {
-	if len(s.Vectors) != d.NTargets {
-		panic(fmt.Sprintf("dataset: sample has %d targets, want %d", len(s.Vectors), d.NTargets))
+	if err := d.checkSample(s); err != nil {
+		panic("dataset: " + err.Error())
 	}
-	for _, v := range s.Vectors {
+	d.Samples = append(d.Samples, s)
+}
+
+// checkSample reports why s does not fit d's schema, or nil.
+func (d *Dataset) checkSample(s *Sample) error {
+	if s == nil {
+		return errors.New("sample is null")
+	}
+	if len(s.Vectors) != d.NTargets {
+		return fmt.Errorf("sample has %d targets, want %d", len(s.Vectors), d.NTargets)
+	}
+	for t, v := range s.Vectors {
 		if len(v) != len(d.FeatureNames) {
-			panic(fmt.Sprintf("dataset: vector width %d, want %d", len(v), len(d.FeatureNames)))
+			return fmt.Errorf("target %d: vector width %d, want %d", t, len(v), len(d.FeatureNames))
 		}
 	}
 	if s.Label < 0 || s.Label >= d.Classes {
-		panic(fmt.Sprintf("dataset: label %d out of %d classes", s.Label, d.Classes))
+		return fmt.Errorf("label %d out of %d classes", s.Label, d.Classes)
 	}
-	d.Samples = append(d.Samples, s)
+	return nil
 }
 
 // Len returns the sample count.
@@ -117,18 +144,17 @@ func (d *Dataset) Merge(other *Dataset) {
 	d.Samples = append(d.Samples, other.Samples...)
 }
 
-// Save writes the dataset as JSON.
+// Save writes the dataset as JSON. A failed save leaves any previous file
+// at path intact.
 func (d *Dataset) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	return enc.Encode(d)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(d)
+	})
 }
 
-// Load reads a dataset written by Save.
+// Load reads a dataset written by Save. A file that decodes but could not be
+// trained on — see ErrBadDataset — returns an error wrapping ErrBadDataset
+// that names the offending sample, never a dataset that panics in training.
 func Load(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -138,6 +164,19 @@ func Load(path string) (*Dataset, error) {
 	var d Dataset
 	if err := json.NewDecoder(f).Decode(&d); err != nil {
 		return nil, err
+	}
+	if d.NTargets < 1 || len(d.FeatureNames) == 0 || d.Classes < 2 || d.Classes > maxClasses {
+		return nil, fmt.Errorf("%w: %s: %d targets x %d features, %d classes (want at least 1 x 1 and 2 to %d classes)",
+			ErrBadDataset, path, d.NTargets, len(d.FeatureNames), d.Classes, maxClasses)
+	}
+	for i, s := range d.Samples {
+		if err := d.checkSample(s); err != nil {
+			name := fmt.Sprintf("sample %d", i)
+			if s != nil {
+				name += fmt.Sprintf(" (run %q, window %d)", s.Run, s.Window)
+			}
+			return nil, fmt.Errorf("%w: %s: %s: %v", ErrBadDataset, path, name, err)
+		}
 	}
 	return &d, nil
 }
@@ -255,12 +294,11 @@ func (s *Scaler) Transform(d *Dataset) {
 // SaveCSV writes a flat CSV view: one row per sample with metadata columns
 // followed by every (target, feature) cell — consumable by external tools.
 func (d *Dataset) SaveCSV(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
+	return atomicfile.Write(path, d.writeCSV)
+}
+
+func (d *Dataset) writeCSV(out io.Writer) error {
+	w := bufio.NewWriter(out)
 	fmt.Fprint(w, "workload,run,window,degradation,label")
 	for t := 0; t < d.NTargets; t++ {
 		for _, name := range d.FeatureNames {

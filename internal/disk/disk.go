@@ -206,11 +206,11 @@ func (d *Disk) serviceTime(r *Request) (total, positioning sim.Time) {
 		// Flat-latency device: address-independent access cost, no seek or
 		// rotation. The positioning share is the fixed access time, so the
 		// busy-vs-positioning split the monitors report stays meaningful.
-		return sim.Time(float64(d.cfg.FlatAccess+transfer) * d.slow), d.cfg.FlatAccess
+		return d.slowed(d.cfg.FlatAccess + transfer), d.cfg.FlatAccess
 	}
 	if r.Sector == d.head {
 		// Head already positioned: pure streaming.
-		return sim.Time(float64(transfer) * d.slow), 0
+		return d.slowed(transfer), 0
 	}
 	dist := r.Sector - d.head
 	if dist < 0 {
@@ -223,8 +223,21 @@ func (d *Disk) serviceTime(r *Request) (total, positioning sim.Time) {
 	// Rotational latency: uniform over one revolution.
 	revolution := sim.Time(60.0 / d.cfg.RPM * float64(sim.Second))
 	rot := sim.Time(d.rng.Float64() * float64(revolution))
-	total = sim.Time(float64(seek+rot+transfer) * d.slow)
+	total = d.slowed(seek + rot + transfer)
 	return total, seek + rot
+}
+
+// maxServiceTime caps a slowed service time at about 146 simulated years,
+// leaving as much headroom again before a completion time would wrap
+// sim.Time.
+const maxServiceTime = float64(1 << 62)
+
+// slowed scales a healthy service time by the fail-slow factor. Overlapping
+// fault episodes multiply the factor, so the product saturates at
+// maxServiceTime instead of wrapping sim.Time; below the cap the result is
+// exactly the unclamped product.
+func (d *Disk) slowed(t sim.Time) sim.Time {
+	return sim.Time(min(float64(t)*d.slow, maxServiceTime))
 }
 
 // Submit services the request. The disk must be idle: callers (the block

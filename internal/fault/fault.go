@@ -30,6 +30,19 @@ import (
 	"quanterference/internal/sim"
 )
 
+// maxSeverity bounds every degradation factor: a million-fold slowdown.
+// OSTStall already models a total outage, so no real regime needs more, and
+// the bound keeps one episode's scaled times inside sim.Time: a disk service
+// time, an MDS op cost or a flow's completion time at one millionth of its
+// bandwidth. Overlapping disk-slow episodes multiply, and the disk saturates
+// their product.
+const maxSeverity = 1e6
+
+// maxSpecSeconds bounds a parsed start or duration (about 31 years): far past
+// any scenario's MaxTime, and small enough that start + duration stays inside
+// sim.Time.
+const maxSpecSeconds = 1e9
+
 // Kind enumerates fault classes.
 type Kind int
 
@@ -84,7 +97,7 @@ type Spec struct {
 	Start sim.Time
 	// Duration is how long the degraded window lasts (> 0).
 	Duration sim.Time
-	// Severity is the degradation factor, >= 1: the disk service-time
+	// Severity is the degradation factor, in [1, 1e6]: the disk service-time
 	// multiplier, the write-back-limit divisor, the MDS CPU multiplier, or
 	// the bandwidth divisor. OSTStall ignores it (a stall is total).
 	Severity float64
@@ -105,8 +118,14 @@ func (s Spec) Validate() error {
 	if s.Duration <= 0 {
 		return fmt.Errorf("fault: %s(%s) has non-positive duration %d", s.Kind, s.Target, s.Duration)
 	}
-	if s.Severity < 1 && s.Kind != OSTStall {
-		return fmt.Errorf("fault: %s(%s) severity %g < 1 (1 = healthy)", s.Kind, s.Target, s.Severity)
+	if s.Kind != OSTStall {
+		switch {
+		case s.Severity < 1:
+			return fmt.Errorf("fault: %s(%s) severity %g < 1 (1 = healthy)", s.Kind, s.Target, s.Severity)
+		case !(s.Severity <= maxSeverity): // also NaN
+			return fmt.Errorf("fault: %s(%s) severity %g is not a number in [1, %g]",
+				s.Kind, s.Target, s.Severity, float64(maxSeverity))
+		}
 	}
 	return nil
 }
@@ -137,11 +156,25 @@ func ParseSpec(s string) (Spec, error) {
 		}
 		return f, nil
 	}
-	start, err := num("start", parts[2])
+	// Seconds are range-checked before sim.Seconds converts them, which
+	// would wrap a non-finite or huge value into a meaningless sim.Time.
+	seconds := func(field, v string) (float64, error) {
+		f, err := num(field, v)
+		switch {
+		case err != nil:
+		case f < 0:
+			err = fmt.Errorf("fault: spec %q: negative %s %s", s, field, v)
+		case !(f <= maxSpecSeconds): // also NaN
+			err = fmt.Errorf("fault: spec %q: %s %s is not a number of seconds in [0, %g]",
+				s, field, v, float64(maxSpecSeconds))
+		}
+		return f, err
+	}
+	start, err := seconds("start", parts[2])
 	if err != nil {
 		return Spec{}, err
 	}
-	dur, err := num("duration", parts[3])
+	dur, err := seconds("duration", parts[3])
 	if err != nil {
 		return Spec{}, err
 	}

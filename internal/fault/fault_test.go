@@ -62,6 +62,13 @@ func TestParseSpecErrors(t *testing.T) {
 		{"zero-duration", "disk-slow:ost0:10:0:4", "non-positive duration"},
 		{"sub-one-severity", "disk-slow:ost0:10:5:0.5", "severity 0.5 < 1"},
 		{"empty-target", "disk-slow::10:5:4", "needs a target"},
+		{"nan-severity", "disk-slow:ost0:0:30:NaN", "severity NaN is not a number"},
+		{"inf-severity", "disk-slow:ost0:0:30:Inf", "severity +Inf is not a number"},
+		{"huge-severity", "disk-slow:ost0:0:30:1e300", "severity 1e+300 is not a number"},
+		{"huge-mds-storm", "mds-storm:mdt:0:30:1e300", "severity 1e+300 is not a number"},
+		{"huge-net-collapse", "net-collapse:c0:0:30:1e300", "severity 1e+300 is not a number"},
+		{"nan-start", "disk-slow:ost0:NaN:30:4", "start NaN is not a number of seconds"},
+		{"huge-duration", "disk-slow:ost0:0:1e300:4", "duration 1e300 is not a number of seconds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -225,3 +225,67 @@ func TestSharedSinkUnderFaultedParallelRuns(t *testing.T) {
 			got, want, report.Completed)
 	}
 }
+
+// tinyFaultScenario is the 2-rank IOR-easy-write target the parsed-spec
+// checks run, capped at a minute of simulated time.
+func tinyFaultScenario(specs []fault.Spec) core.Scenario {
+	s := faultedScenario(1)
+	s.Faults = specs
+	s.MaxTime = 60 * sim.Second
+	return s
+}
+
+// TestMaxSeverityRuns: at the largest severity Validate accepts, every kind
+// — and two stacked disk-slow episodes on one disk — runs to completion or
+// to MaxTime with every scaled time inside sim.Time.
+func TestMaxSeverityRuns(t *testing.T) {
+	for _, list := range []string{
+		"disk-slow:ost0:0:30:1e6",
+		"disk-slow:ost0:0:30:1e6,disk-slow:ost0:0:30:1e6,disk-slow:ost0:0:30:1e6",
+		"ost-cache:ost0:0:30:1e6",
+		"mds-storm:mdt:0:30:1e6",
+		"net-collapse:c0:0:30:1e6",
+	} {
+		t.Run(list, func(t *testing.T) {
+			specs, err := fault.ParseSpecs(list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.RunE(tinyFaultScenario(specs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Finished && res.Duration != 60*sim.Second {
+				t.Fatalf("run stopped at %v without finishing", res.Duration)
+			}
+		})
+	}
+}
+
+// FuzzParseSpecs: any spec list ParseSpecs accepts runs the tiny scenario to
+// completion or to MaxTime without panicking; an injection error (a target
+// the cluster lacks) is fine. Run with make fuzz.
+func FuzzParseSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"disk-slow:ost0:1:3:6",
+		"ost-stall:ost1:2:2,ost-cache:ost2:0:4:16",
+		"mds-storm:mdt:0:2:5,net-collapse:oss0:1:2:20",
+		"disk-slow:ost0:0:30:1e6,disk-slow:ost0:0:30:1e6",
+		"net-collapse:c0:0:30:1e6",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		specs, err := fault.ParseSpecs(list)
+		if err != nil {
+			return
+		}
+		res, err := core.RunE(tinyFaultScenario(specs))
+		if err != nil {
+			return
+		}
+		if !res.Finished && res.Duration != 60*sim.Second {
+			t.Fatalf("%q: run stopped at %v without finishing", list, res.Duration)
+		}
+	})
+}

@@ -3,9 +3,11 @@ package forecast
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
+	"quanterference/internal/atomicfile"
 	"quanterference/internal/dataset"
 	"quanterference/internal/label"
 	"quanterference/internal/ml"
@@ -38,7 +40,8 @@ type forecasterSpec struct {
 }
 
 // Save persists the forecaster (per-horizon weights, scalers, bins) as JSON
-// so forecasting can run in a later process (quantserve -forecast).
+// so forecasting can run in a later process (quantserve -forecast). A failed
+// save leaves any previous file at path intact.
 func (f *Forecaster) Save(path string) error {
 	spec := forecasterSpec{
 		Format:     Format,
@@ -54,12 +57,9 @@ func (f *Forecaster) Save(path string) error {
 		}
 		spec.Heads = append(spec.Heads, headSpec{Horizon: h.Horizon, Model: ms, Scaler: h.Scaler})
 	}
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	return json.NewEncoder(file).Encode(spec)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(spec)
+	})
 }
 
 // Load restores a forecaster written by Save. Files without the format

@@ -1,8 +1,10 @@
 package forecast
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -150,4 +152,30 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("accepted forecaster cannot forecast a well-shaped history: %v", err)
 		}
 	})
+}
+
+// TestFailedSaveKeepsPreviousFile: a save that cannot encode (a NaN weight)
+// returns the error and leaves the forecaster file it would have replaced
+// byte-identical.
+func TestFailedSaveKeepsPreviousFile(t *testing.T) {
+	f := testForecaster(3, 2, 2, []int{1, 2})
+	path := filepath.Join(t.TempDir(), "fc.json")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Heads[1].Model.Params()[0].W[0] = math.NaN()
+	if err := f.Save(path); err == nil {
+		t.Fatal("saving a NaN weight succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the file: %d bytes before, %d after", len(before), len(after))
+	}
 }

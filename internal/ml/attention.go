@@ -28,20 +28,26 @@ type AttentionModel struct {
 	d        int
 	classes  int
 
-	ce     nn.CEScratch
-	inf    *attnState // ProbsInto scratch, allocated on first use
-	params []nn.Param // lazily cached Params() slice
+	ce  nn.CEScratch
+	inf *attnState // ProbsInto scratch, allocated on first use
+	paramCache
+}
+
+func newAttentionModel(embed *nn.Sequential, wq, wk, wv *nn.Dense, head *nn.Sequential,
+	nTargets, nFeat, d, classes int) *AttentionModel {
+	return &AttentionModel{
+		Embed: embed, Wq: wq, Wk: wk, Wv: wv, Head: head,
+		nTargets: nTargets, nFeat: nFeat, d: d, classes: classes,
+		paramCache: newParamCache(embed, wq, wk, wv, head),
+	}
 }
 
 // Replica implements Replicable: the returned model shares every weight
 // tensor with m but owns private gradients, caches, and scratch.
 func (m *AttentionModel) Replica() Model {
-	return &AttentionModel{
-		Embed: m.Embed.Replica(),
-		Wq:    m.Wq.Replica(), Wk: m.Wk.Replica(), Wv: m.Wv.Replica(),
-		Head:     m.Head.Replica(),
-		nTargets: m.nTargets, nFeat: m.nFeat, d: m.d, classes: m.classes,
-	}
+	return newAttentionModel(m.Embed.Replica(),
+		m.Wq.Replica(), m.Wk.Replica(), m.Wv.Replica(), m.Head.Replica(),
+		m.nTargets, m.nFeat, m.d, m.classes)
 }
 
 // AttentionConfig sizes the model.
@@ -77,17 +83,13 @@ func NewAttentionModel(cfg AttentionConfig) *AttentionModel {
 	eSizes = append(eSizes, cfg.Dim)
 	hSizes := append([]int{cfg.Dim}, cfg.HeadHidden...)
 	hSizes = append(hSizes, cfg.Classes)
-	return &AttentionModel{
-		Embed:    nn.MLP(rng, eSizes...),
-		Wq:       nn.NewDense(cfg.Dim, cfg.Dim, rng),
-		Wk:       nn.NewDense(cfg.Dim, cfg.Dim, rng),
-		Wv:       nn.NewDense(cfg.Dim, cfg.Dim, rng),
-		Head:     nn.MLP(rng, hSizes...),
-		nTargets: cfg.NTargets,
-		nFeat:    cfg.NFeat,
-		d:        cfg.Dim,
-		classes:  cfg.Classes,
-	}
+	// Construction order fixes the RNG draws: embedder, Q, K, V, head.
+	embed := nn.MLP(rng, eSizes...)
+	wq := nn.NewDense(cfg.Dim, cfg.Dim, rng)
+	wk := nn.NewDense(cfg.Dim, cfg.Dim, rng)
+	wv := nn.NewDense(cfg.Dim, cfg.Dim, rng)
+	head := nn.MLP(rng, hSizes...)
+	return newAttentionModel(embed, wq, wk, wv, head, cfg.NTargets, cfg.NFeat, cfg.Dim, cfg.Classes)
 }
 
 // attnState holds one pass's attention intermediates: the training forward
@@ -202,6 +204,7 @@ func (m *AttentionModel) attend(st *attnState) {
 // backward propagates dlogits through the attention block and all layers,
 // accumulating parameter gradients and consuming the forward caches.
 func (m *AttentionModel) backward(st *attnState, dlogits []float64) {
+	m.ensureGrads()
 	n, d := m.nTargets, m.d
 	dpooled := m.Head.Backward(dlogits)
 	// dZ[i][a] = dpooled[a]/n for every row i.
@@ -282,15 +285,6 @@ func (m *AttentionModel) LossAndGrad(vectors [][]float64, label int, weight floa
 }
 
 // Params implements Model.
-func (m *AttentionModel) Params() []nn.Param {
-	if m.params == nil {
-		out := m.Embed.Params()
-		out = append(out, m.Wq.Params()...)
-		out = append(out, m.Wk.Params()...)
-		out = append(out, m.Wv.Params()...)
-		m.params = append(out, m.Head.Params()...)
-	}
-	return m.params
-}
+func (m *AttentionModel) Params() []nn.Param { return m.params }
 
 var _ Replicable = (*AttentionModel)(nil)

@@ -35,7 +35,8 @@ func inferTestDataset(n int) *dataset.Dataset {
 
 // forwardProbs is the reference ProbsInto is pinned to: the softmax of the
 // model's training forward pass, after which a zero-gradient backward pops
-// the layer caches it pushed.
+// the layer caches it pushed, and the accumulators that backward created are
+// dropped again.
 func forwardProbs(m Model, vectors [][]float64) []float64 {
 	var p []float64
 	switch t := m.(type) {
@@ -55,7 +56,7 @@ func forwardProbs(m Model, vectors [][]float64) []float64 {
 	default:
 		panic(fmt.Sprintf("forwardProbs: unknown model %T", m))
 	}
-	nn.ZeroGrads(m.Params())
+	m.(gradModel).dropGrads()
 	return p
 }
 

@@ -30,8 +30,63 @@ type Model interface {
 	// LossAndGrad accumulates parameter gradients for one sample and
 	// returns its weighted loss.
 	LossAndGrad(vectors [][]float64, label int, weight float64) float64
-	// Params exposes the trainable parameters.
+	// Params exposes the trainable parameters. Outside a training call a
+	// model of this package holds no gradient accumulators, so every G is
+	// nil.
 	Params() []nn.Param
+}
+
+// gradModel is a model whose gradient accumulators exist only inside a
+// training call: every model in this package, through paramCache.
+type gradModel interface {
+	ensureGrads()
+	dropGrads()
+}
+
+// paramCache is a model's cached Params slice over its trainable layers, in
+// Params order, so the per-batch opt.Step(m.Params(), …) allocates nothing.
+// The layers' gradient accumulators exist only while the model trains: the
+// first backward pass creates them (ensureGrads) and the training call drops
+// them on return (dropGrads). Each transition rebuilds the cache into a fresh
+// slice; nothing rebuilds it per batch.
+type paramCache struct {
+	layers []nn.GradLayer
+	params []nn.Param
+}
+
+func newParamCache(layers ...nn.GradLayer) paramCache {
+	c := paramCache{layers: layers}
+	c.rebuild()
+	return c
+}
+
+func (c *paramCache) rebuild() {
+	params := make([]nn.Param, 0, len(c.params))
+	for _, l := range c.layers {
+		params = nn.AppendParams(params, l)
+	}
+	c.params = params
+}
+
+// ensureGrads gives every layer its accumulators, keeping any a direct
+// layer Backward already created, and rebuilds the cache. The cache only
+// ever holds all accumulators or none, so its first entry tells which.
+func (c *paramCache) ensureGrads() {
+	if c.params[0].G != nil {
+		return
+	}
+	for _, l := range c.layers {
+		l.AllocGrads()
+	}
+	c.rebuild()
+}
+
+// dropGrads releases every layer's accumulators and rebuilds the cache.
+func (c *paramCache) dropGrads() {
+	for _, l := range c.layers {
+		l.DropGrads()
+	}
+	c.rebuild()
 }
 
 // Dims reports a model's input/output shape — what a serving layer needs to
@@ -74,10 +129,10 @@ type KernelModel struct {
 
 	// Reusable per-model scratch; replicas get their own, keeping the
 	// training and inference hot loops allocation-free.
-	z      []float64  // kernel outputs / head input
-	dzt    [1]float64 // per-target backward seed
-	ce     nn.CEScratch
-	params []nn.Param // cached Params() slice
+	z   []float64  // kernel outputs / head input
+	dzt [1]float64 // per-target backward seed
+	ce  nn.CEScratch
+	paramCache
 }
 
 // KernelConfig sizes the model.
@@ -113,16 +168,15 @@ func NewKernelModel(cfg KernelConfig) *KernelModel {
 }
 
 func newKernelModel(kernel, head *nn.Sequential, nTargets, nFeat, classes int) *KernelModel {
-	m := &KernelModel{
-		Kernel:   kernel,
-		Head:     head,
-		nTargets: nTargets,
-		nFeat:    nFeat,
-		classes:  classes,
-		z:        make([]float64, nTargets),
+	return &KernelModel{
+		Kernel:     kernel,
+		Head:       head,
+		nTargets:   nTargets,
+		nFeat:      nFeat,
+		classes:    classes,
+		z:          make([]float64, nTargets),
+		paramCache: newParamCache(kernel, head),
 	}
-	m.params = append(m.Kernel.Params(), m.Head.Params()...)
-	return m
 }
 
 // Replica implements Replicable.
@@ -158,6 +212,7 @@ func (m *KernelModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 
 // LossAndGrad implements Model.
 func (m *KernelModel) LossAndGrad(vectors [][]float64, label int, weight float64) float64 {
+	m.ensureGrads()
 	logits := m.forward(vectors)
 	loss, dlogits := m.ce.SoftmaxCE(logits, label, weight)
 	dz := m.Head.Backward(dlogits)
@@ -181,9 +236,9 @@ type FlatModel struct {
 	nFeat    int
 	classes  int
 
-	flat   []float64 // flatten scratch
-	ce     nn.CEScratch
-	params []nn.Param
+	flat []float64 // flatten scratch
+	ce   nn.CEScratch
+	paramCache
 }
 
 // NewFlatModel builds the baseline with a comparable parameter budget.
@@ -198,13 +253,12 @@ func NewFlatModel(nTargets, nFeat, classes int, hidden []int, seed int64) *FlatM
 }
 
 func newFlatModel(net *nn.Sequential, nTargets, nFeat, classes int) *FlatModel {
-	m := &FlatModel{
+	return &FlatModel{
 		Net:      net,
 		nTargets: nTargets, nFeat: nFeat, classes: classes,
-		flat: make([]float64, 0, nTargets*nFeat),
+		flat:       make([]float64, 0, nTargets*nFeat),
+		paramCache: newParamCache(net),
 	}
-	m.params = m.Net.Params()
-	return m
 }
 
 // Replica implements Replicable.
@@ -228,6 +282,7 @@ func (m *FlatModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 
 // LossAndGrad implements Model.
 func (m *FlatModel) LossAndGrad(vectors [][]float64, label int, weight float64) float64 {
+	m.ensureGrads()
 	logits := m.Net.Forward(m.flatten(vectors))
 	loss, dlogits := m.ce.SoftmaxCE(logits, label, weight)
 	m.Net.BackwardNoDX(dlogits)

@@ -19,16 +19,20 @@ type KernelRegressor struct {
 
 	nTargets int
 	nFeat    int
+	paramCache
 }
 
 // NewKernelRegressor sizes the regressor like NewKernelModel.
 func NewKernelRegressor(nTargets, nFeat int, seed int64) *KernelRegressor {
 	rng := sim.NewRNG(seed ^ 0x4e57)
+	kernel := nn.MLP(rng, nFeat, 32, 16, 1)
+	head := nn.MLP(rng, nTargets, 16, 1)
 	return &KernelRegressor{
-		Kernel:   nn.MLP(rng, nFeat, 32, 16, 1),
-		Head:     nn.MLP(rng, nTargets, 16, 1),
-		nTargets: nTargets,
-		nFeat:    nFeat,
+		Kernel:     kernel,
+		Head:       head,
+		nTargets:   nTargets,
+		nFeat:      nFeat,
+		paramCache: newParamCache(kernel, head),
 	}
 }
 
@@ -46,6 +50,7 @@ func (m *KernelRegressor) forward(vectors [][]float64, apply func(*nn.Sequential
 }
 
 func (m *KernelRegressor) backward(dout float64) {
+	m.ensureGrads()
 	dz := m.Head.Backward([]float64{dout})
 	for t := m.nTargets - 1; t >= 0; t-- {
 		m.Kernel.Backward([]float64{dz[t]})
@@ -58,10 +63,9 @@ func (m *KernelRegressor) PredictLog2(vectors [][]float64) float64 {
 	return m.forward(vectors, (*nn.Sequential).Infer)
 }
 
-// Params exposes trainable parameters.
-func (m *KernelRegressor) Params() []nn.Param {
-	return append(m.Kernel.Params(), m.Head.Params()...)
-}
+// Params exposes trainable parameters; every G is nil outside
+// TrainRegressor, as for Model.
+func (m *KernelRegressor) Params() []nn.Param { return m.params }
 
 // Log2Degradation is the regression target for a sample.
 func Log2Degradation(deg float64) float64 {
@@ -72,12 +76,14 @@ func Log2Degradation(deg float64) float64 {
 }
 
 // TrainRegressor fits the regressor with Adam and MSE on log2(degradation).
-// It returns the final epoch's mean squared error.
+// It returns the final epoch's mean squared error, and leaves the regressor
+// without gradient accumulators, like TrainCtx.
 func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig) float64 {
 	cfg.applyDefaults()
 	if train.Len() == 0 {
 		panic("ml: empty training set")
 	}
+	defer m.dropGrads()
 	opt := nn.NewAdam(cfg.LR)
 	rng := sim.NewRNG(cfg.Seed ^ 0x9e57)
 	var last float64

@@ -24,7 +24,9 @@ type ModelSpec struct {
 func ExportWeights(m Model) [][]float64 { return nn.SnapshotParams(m.Params()) }
 
 // CloneModel builds an independent copy of a model: same architecture, same
-// weights, private gradient state and scratch. Unlike Replica (which shares
+// weights, private gradient state and scratch. Like every model outside a
+// training call, the clone holds weights and inference scratch only; its
+// gradient accumulators appear when it trains. Unlike Replica (which shares
 // weight storage for data-parallel training), a clone may be trained or used
 // for inference without affecting the original — the primitive behind
 // warm-started retraining, where a candidate starts from the incumbent's

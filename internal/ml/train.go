@@ -90,10 +90,18 @@ func Train(m Model, train *dataset.Dataset, cfg TrainConfig) float64 {
 // are exactly the epochs Train would have run — cancellation never perturbs
 // the RNG stream or the gradient arithmetic, so an uncancelled TrainCtx is
 // bit-identical to Train.
+//
+// Gradient accumulators belong to the call, not the model: a model of this
+// package gets them on its first backward pass and loses them on every
+// return, cancelled or not, so a trained model holds weights and inference
+// scratch only.
 func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainConfig) (float64, error) {
 	cfg.applyDefaults()
 	if train.Len() == 0 {
 		panic("ml: empty training set")
+	}
+	if g, ok := m.(gradModel); ok {
+		defer g.dropGrads()
 	}
 	weights := classWeights(train, cfg.BalanceClasses)
 	if cfg.Workers >= 1 {
@@ -152,11 +160,16 @@ func shardBounds(n, ns, s int) (int, int) {
 func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg TrainConfig, weights []float64) (float64, error) {
 	opt := nn.NewAdam(cfg.LR)
 	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
+	// The reduction reads Params slices taken here, before any backward
+	// pass, and the main model never runs one: every model needs its
+	// accumulators now.
+	ensureGrads(m)
 	mainParams := m.Params()
 	replicas := make([]Model, gradShards)
 	repParams := make([][]nn.Param, gradShards)
 	for i := range replicas {
 		replicas[i] = m.Replica()
+		ensureGrads(replicas[i])
 		repParams[i] = replicas[i].Params()
 	}
 	losses := make([]float64, gradShards)
@@ -208,6 +221,13 @@ func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg
 		}
 	}
 	return lastLoss, nil
+}
+
+// ensureGrads gives a model of this package its gradient accumulators now.
+func ensureGrads(m Model) {
+	if g, ok := m.(gradModel); ok {
+		g.ensureGrads()
+	}
 }
 
 // Confusion is a square confusion matrix: M[true][pred].

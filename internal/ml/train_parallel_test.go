@@ -162,6 +162,8 @@ func TestAccumulateGrads(t *testing.T) {
 	if &a.W[0] != &b.W[0] {
 		t.Fatal("replica does not share weights")
 	}
+	a.AllocGrads()
+	b.AllocGrads()
 	a.GW[0], b.GW[0] = 1.5, 2.25
 	a.GB[1], b.GB[1] = -1, 0.5
 	nn.AccumulateGrads(a.Params(), b.Params())

@@ -25,14 +25,24 @@
 // this by construction. Buffer reuse changes no arithmetic: serial training
 // produces bit-identical weights to the pre-pooling implementation.
 //
+// # Gradient accumulators
+//
+// A layer holds its weights and its inference scratch only; gradient
+// accumulators exist only while it trains. A Backward creates zeroed
+// accumulators on demand, AllocGrads creates them up front, and DropGrads
+// releases them, after which Params reports a nil G. internal/ml builds on
+// this: a model outside a training call (constructed, restored, cloned,
+// loaded, or trained and returned) holds weights and inference scratch only.
+//
 // # Replicas
 //
 // Data-parallel training (internal/ml's TrainConfig.Workers) runs one model
 // replica per gradient shard. Dense.Replica, ReLU.Replica, and
 // Sequential.Replica return layers that share the trainable weight slices
-// with the original but own private gradient accumulators, caches, and
-// scratch pools, so replicas may run forward/backward concurrently as long
-// as weights are only updated between batches.
+// with the original but own private gradient accumulators (created on
+// demand, like the original's), caches, and scratch pools, so replicas may
+// run forward/backward concurrently as long as weights are only updated
+// between batches.
 package nn
 
 import (
@@ -42,7 +52,8 @@ import (
 	"quanterference/internal/sim"
 )
 
-// Param couples a weight slice with its gradient accumulator.
+// Param couples a weight slice with its gradient accumulator. G is nil
+// while the layer holds no accumulators (see the package comment).
 type Param struct {
 	W []float64
 	G []float64
@@ -57,6 +68,17 @@ type Layer interface {
 	Backward(dy []float64) []float64
 	// Params exposes trainable parameters with their gradients.
 	Params() []Param
+}
+
+// GradLayer is a layer whose gradient accumulators exist only while it
+// trains. Dense and Sequential implement it.
+type GradLayer interface {
+	Layer
+	// AllocGrads gives every parameter a zeroed accumulator if it has none;
+	// existing accumulators are kept.
+	AllocGrads()
+	// DropGrads releases the accumulators; Params then reports a nil G.
+	DropGrads()
 }
 
 // LayerReplicator is the extension hook for custom layers that support
@@ -107,7 +129,8 @@ func (p *bufPool) get(depth, n int) []float64 {
 	return b[:n]
 }
 
-// Dense is a fully connected layer: y = Wx + b.
+// Dense is a fully connected layer: y = Wx + b. GW and GB, its gradient
+// accumulators, are nil outside training (see the package comment).
 type Dense struct {
 	In, Out int
 	W, B    []float64
@@ -123,10 +146,8 @@ type Dense struct {
 func NewDense(in, out int, rng *sim.RNG) *Dense {
 	d := &Dense{
 		In: in, Out: out,
-		W:  make([]float64, in*out),
-		B:  make([]float64, out),
-		GW: make([]float64, in*out),
-		GB: make([]float64, out),
+		W: make([]float64, in*out),
+		B: make([]float64, out),
 	}
 	scale := math.Sqrt(2.0 / float64(in))
 	for i := range d.W {
@@ -135,16 +156,23 @@ func NewDense(in, out int, rng *sim.RNG) *Dense {
 	return d
 }
 
-// Replica returns a Dense sharing W and B with d but owning fresh gradient
-// accumulators, caches, and scratch buffers (see the package comment).
+// Replica returns a Dense sharing W and B with d but owning its own
+// gradient accumulators, caches, and scratch buffers (see the package
+// comment).
 func (d *Dense) Replica() *Dense {
-	return &Dense{
-		In: d.In, Out: d.Out,
-		W: d.W, B: d.B,
-		GW: make([]float64, len(d.GW)),
-		GB: make([]float64, len(d.GB)),
+	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B}
+}
+
+// AllocGrads implements GradLayer.
+func (d *Dense) AllocGrads() {
+	if d.GW == nil {
+		d.GW = make([]float64, len(d.W))
+		d.GB = make([]float64, len(d.B))
 	}
 }
+
+// DropGrads implements GradLayer.
+func (d *Dense) DropGrads() { d.GW, d.GB = nil, nil }
 
 // Forward implements Layer. The returned slice is pooled; see the package
 // comment for its lifetime.
@@ -228,6 +256,7 @@ func (d *Dense) backward(dy []float64, needDX bool) []float64 {
 	if len(d.inputs) == 0 {
 		panic("nn: dense backward without forward")
 	}
+	d.AllocGrads()
 	x := d.inputs[len(d.inputs)-1]
 	d.inputs = d.inputs[:len(d.inputs)-1]
 	n := d.In
@@ -477,12 +506,41 @@ func (s *Sequential) BackwardNoDX(dy []float64) {
 }
 
 // Params implements Layer.
-func (s *Sequential) Params() []Param {
-	var out []Param
+func (s *Sequential) Params() []Param { return AppendParams(nil, s) }
+
+// AllocGrads implements GradLayer for every layer of s that is a GradLayer.
+func (s *Sequential) AllocGrads() {
 	for _, l := range s.Layers {
-		out = append(out, l.Params()...)
+		if g, ok := l.(GradLayer); ok {
+			g.AllocGrads()
+		}
 	}
-	return out
+}
+
+// DropGrads implements GradLayer for every layer of s that is a GradLayer.
+func (s *Sequential) DropGrads() {
+	for _, l := range s.Layers {
+		if g, ok := l.(GradLayer); ok {
+			g.DropGrads()
+		}
+	}
+}
+
+// AppendParams appends l's Params to dst and returns the extended slice.
+// Unlike Params it builds no intermediate slices for the built-in layers, so
+// a caller that caches a model's parameter list rebuilds it with one
+// allocation.
+func AppendParams(dst []Param, l Layer) []Param {
+	switch t := l.(type) {
+	case *Dense:
+		return append(dst, Param{W: t.W, G: t.GW}, Param{W: t.B, G: t.GB})
+	case *Sequential:
+		for _, sub := range t.Layers {
+			dst = AppendParams(dst, sub)
+		}
+		return dst
+	}
+	return append(dst, l.Params()...)
 }
 
 // SoftmaxInto writes the normalized class distribution for logits into dst,

@@ -34,6 +34,49 @@ func TestDenseWrongInputPanics(t *testing.T) {
 	d.Forward([]float64{1, 2, 3})
 }
 
+// TestGradientsExistOnlyWhileTraining: a new or replicated layer holds its
+// weights only; Backward creates zeroed accumulators on demand and fills
+// them, AllocGrads creates them up front, and DropGrads releases them.
+func TestGradientsExistOnlyWhileTraining(t *testing.T) {
+	noGrads := func(when string, l Layer) {
+		t.Helper()
+		for i, p := range l.Params() {
+			if p.G != nil {
+				t.Fatalf("%s: param %d has a gradient buffer", when, i)
+			}
+		}
+	}
+	d := NewDense(3, 2, sim.NewRNG(1))
+	rep := d.Replica()
+	noGrads("new", d)
+	noGrads("replica", rep)
+	x := []float64{1, 2, 3}
+	d.Forward(x)
+	d.Backward([]float64{1, -1})
+	wantGW := []float64{1, 2, 3, -1, -2, -3}
+	for i, w := range wantGW {
+		if d.GW[i] != w {
+			t.Fatalf("GW = %v after one backward, want %v", d.GW, wantGW)
+		}
+	}
+	if d.GB[0] != 1 || d.GB[1] != -1 {
+		t.Fatalf("GB = %v after one backward, want [1 -1]", d.GB)
+	}
+	noGrads("replica after the original's backward", rep)
+	d.DropGrads()
+	noGrads("dropped", d)
+
+	mlp := MLP(sim.NewRNG(2), 4, 5, 3)
+	mlp.AllocGrads()
+	for i, p := range mlp.Params() {
+		if len(p.G) != len(p.W) {
+			t.Fatalf("param %d: AllocGrads gave %d accumulators for %d weights", i, len(p.G), len(p.W))
+		}
+	}
+	mlp.DropGrads()
+	noGrads("dropped MLP", mlp)
+}
+
 func snapshotGrads(params []Param) [][]float64 {
 	out := make([][]float64, len(params))
 	for i, p := range params {

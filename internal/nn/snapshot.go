@@ -8,7 +8,8 @@ import "fmt"
 // (internal/ml's Snapshot/Restore) and warm-started retraining
 // (internal/online): a snapshot taken between optimizer steps captures the
 // exact bits, so restoring it reproduces the model's predictions identically.
-// Gradient accumulators are not captured; they are transient within a batch.
+// Both read and write W only: snapshotting or restoring never touches or
+// allocates gradient accumulators, which exist only while a model trains.
 func SnapshotParams(params []Param) [][]float64 {
 	out := make([][]float64, len(params))
 	for i, p := range params {
