@@ -54,7 +54,9 @@ bench-collect:
 
 # docs-check gates formatting, static analysis, and documentation integrity:
 # every relative markdown link and internal/... path reference in the repo's
-# *.md files must point at something that exists.
+# *.md files must point at something that exists, and every exported pkg.Name
+# in a code span or go block must name a declaration of that internal (or the
+# root) package.
 docs-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -623,7 +623,7 @@ func BenchmarkCaseStudyMitigation(b *testing.B) {
 func BenchmarkPolicyDecide(b *testing.B) {
 	obs := make([]mitigate.Observation, 8)
 	for i := range obs {
-		obs[i] = mitigate.Observation{Window: i, Class: (i + 1) % 2}
+		obs[i] = mitigate.Observation{Class: (i + 1) % 2}
 		if i%3 == 0 {
 			obs[i].Forecast = &forecast.Prediction{
 				Horizons: []int{1, 2}, Classes: []int{1, 0},
@@ -631,20 +631,17 @@ func BenchmarkPolicyDecide(b *testing.B) {
 			}
 		}
 	}
-	mk := map[string]func() (mitigate.Policy, error){
-		"reactive":  func() (mitigate.Policy, error) { return mitigate.NewReactiveThrottle() },
-		"proactive": func() (mitigate.Policy, error) { return mitigate.NewProactiveThrottle() },
-		"defer":     func() (mitigate.Policy, error) { return mitigate.NewDeferBurst() },
+	mk := map[string]func() *mitigate.Policy{
+		"reactive":  mitigate.NewReactiveThrottle,
+		"proactive": mitigate.NewProactiveThrottle,
+		"defer":     mitigate.NewDeferBurst,
 	}
 	for _, name := range []string{"reactive", "proactive", "defer"} {
-		p, err := mk[name]()
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := mk[name]()
 		b.Run(name, func(b *testing.B) {
 			engaged := 0
 			for i := 0; i < b.N; i++ {
-				if p.Decide(obs[i%len(obs)]).Engaged() {
+				if v := p.Decide(obs[i%len(obs)]); v.Throttle || v.Defer {
 					engaged++
 				}
 			}

@@ -52,15 +52,21 @@ func main() {
 
 	// The fail-slow condition strikes the writer's OSTs at t=2s and heals
 	// at t=8s.
+	var faults []quant.FaultSpec
+	for _, ost := range []string{"ost0", "ost1"} {
+		faults = append(faults, quant.FaultSpec{
+			Kind: quant.DiskSlow, Target: ost,
+			Start: quant.Seconds(2), Duration: quant.Seconds(6), Severity: 8,
+		})
+	}
+	if err := cl.InjectFaults(faults); err != nil {
+		log.Fatal(err)
+	}
 	cl.Eng.Schedule(quant.Seconds(2), func() {
 		fmt.Println("--- ost0+ost1 degrade 8x (fail-slow), no interference anywhere ---")
-		cl.FS.InjectFailSlow(0, 8)
-		cl.FS.InjectFailSlow(1, 8)
 	})
 	cl.Eng.Schedule(quant.Seconds(8), func() {
 		fmt.Println("--- disks healed ---")
-		cl.FS.InjectFailSlow(0, 1)
-		cl.FS.InjectFailSlow(1, 1)
 	})
 
 	cl.Eng.RunUntil(quant.Seconds(12))

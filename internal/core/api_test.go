@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"quanterference/internal/dataset"
 	"quanterference/internal/fault"
 	"quanterference/internal/label"
 	"quanterference/internal/lustre"
@@ -245,25 +246,33 @@ func TestCollectDatasetEInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestCollectDatasetEOptions checks the collector config and the report
+// option together: severity bins label three classes, IncludeBaseline adds
+// the baseline's windows, and the report counts both origins.
 func TestCollectDatasetEOptions(t *testing.T) {
 	base := Scenario{Target: smallTarget()}
 	variants := []Variant{{Interference: []InterferenceSpec{readInterference("/bgo", 6)}}}
-	ds, err := CollectDatasetE(base, variants, CollectorConfig{},
-		WithBins(label.SeverityBins()), WithBaselineSamples(true), WithMinOpsPerWindow(1))
+	var report CollectReport
+	ds, err := CollectDatasetE(base, variants,
+		CollectorConfig{Bins: label.SeverityBins(), IncludeBaseline: true}, WithCollectReport(&report))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.Classes != 3 {
-		t.Fatalf("WithBins(SeverityBins) gave %d classes, want 3", ds.Classes)
+		t.Fatalf("SeverityBins gave %d classes, want 3", ds.Classes)
 	}
-	sawBaseline := false
+	baseline := 0
 	for _, s := range ds.Samples {
 		if s.Run == "baseline" {
-			sawBaseline = true
+			baseline++
 		}
 	}
-	if !sawBaseline {
-		t.Fatal("WithBaselineSamples(true) produced no baseline samples")
+	if baseline == 0 {
+		t.Fatal("IncludeBaseline produced no baseline samples")
+	}
+	if report.Completed != 1 || report.BaselineSamples != baseline ||
+		report.BaselineSamples+report.VariantSamples != ds.Len() {
+		t.Fatalf("report %+v does not account for %d samples (%d baseline)", report, ds.Len(), baseline)
 	}
 }
 
@@ -277,9 +286,6 @@ func TestTrainFrameworkEErrors(t *testing.T) {
 	}, CollectorConfig{IncludeBaseline: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := TrainFrameworkE(ds, FrameworkConfig{TestFrac: 1.5}); err == nil {
-		t.Fatal("TestFrac 1.5 accepted")
 	}
 	fw, cm, err := TrainFrameworkE(ds, FrameworkConfig{Seed: 3, Train: TrainConfigQuick()})
 	if err != nil || fw == nil || cm == nil {
@@ -384,5 +390,43 @@ func TestSavedFrameworkCarriesVersionHeader(t *testing.T) {
 	}
 	if _, err := LoadFramework(path); err != nil {
 		t.Fatalf("round-trip load: %v", err)
+	}
+}
+
+// threeClassDS builds a 90-sample, 3-class dataset: three runs of 30
+// consecutive windows whose labels step 0, 1, 2 through each run, with
+// features that track the label.
+func threeClassDS() *dataset.Dataset {
+	ds := dataset.New([]string{"f0", "f1", "f2"}, 2, 3)
+	rng := sim.NewRNG(5)
+	for r := 0; r < 3; r++ {
+		for w := 0; w < 30; w++ {
+			lbl := w / 10
+			vecs := make([][]float64, 2)
+			for t := range vecs {
+				vecs[t] = []float64{float64(lbl) + rng.Float64(), rng.Float64(), rng.Float64()}
+			}
+			ds.Add(&dataset.Sample{
+				Workload: "ior", Run: string(rune('a' + r)), Window: w,
+				Degradation: []float64{1.2, 2.5, 6}[lbl], Label: lbl, Vectors: vecs,
+			})
+		}
+	}
+	return ds
+}
+
+// TestTrainFrameworkRejectsBinsMismatch pins that training refuses bins
+// that cannot name every class the dataset's labels use: the default binary
+// bins over a 3-class dataset would yield a model whose class 2 Bins.Name
+// cannot render and whose saved file LoadFramework refuses.
+func TestTrainFrameworkRejectsBinsMismatch(t *testing.T) {
+	ds := threeClassDS()
+	cfg := FrameworkConfig{Seed: 1, Train: ml.TrainConfig{Epochs: 3}}
+	if _, _, err := TrainFrameworkE(ds, cfg); !errors.Is(err, ErrBinsMismatch) {
+		t.Fatalf("binary bins over 3 classes: err = %v, want ErrBinsMismatch", err)
+	}
+	cfg.Bins = label.SeverityBins()
+	if _, _, err := TrainFrameworkE(ds, cfg); err != nil {
+		t.Fatalf("severity bins over 3 classes: %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"quanterference/internal/label"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/par"
-	"quanterference/internal/workload"
 )
 
 // Variant is one interference configuration used during training-data
@@ -21,25 +20,18 @@ type Variant struct {
 	Interference []InterferenceSpec
 }
 
+// minOpsPerWindow drops windows with fewer matched ops than this from a
+// collected dataset: too few ops make a window's degradation noise.
+const minOpsPerWindow = 3
+
 // CollectorConfig controls §III-D data generation.
 type CollectorConfig struct {
 	// Bins discretize degradation into classes (default: binary >=2x).
 	Bins label.Bins
-	// MinOpsPerWindow drops windows with too few matched ops (default 3).
-	MinOpsPerWindow int
 	// IncludeBaseline adds the baseline run's own windows as label-0
 	// samples (degradation 1.0), teaching the model what "no
 	// interference" looks like.
 	IncludeBaseline bool
-}
-
-func (c *CollectorConfig) applyDefaults() {
-	if c.Bins.Thresholds == nil {
-		c.Bins = label.BinaryBins()
-	}
-	if c.MinOpsPerWindow == 0 {
-		c.MinOpsPerWindow = 3
-	}
 }
 
 // SkippedVariant records one variant run CollectDatasetE dropped instead of
@@ -73,11 +65,11 @@ type CollectReport struct {
 
 // CollectDatasetE implements §III-D data generation with error reporting:
 // an unfinished baseline returns ErrBaselineUnfinished (wrapped), invalid
-// scenarios return ErrInvalidScenario/ErrInvalidTopology. Options override
-// the config's zero-ambiguous fields (WithBins, WithMinOpsPerWindow,
-// WithBaselineSamples) and WithSink aggregates observability across the
-// baseline and every variant run. Without WithSink the runs are
-// uninstrumented, which changes no simulated event and no sample.
+// scenarios return ErrInvalidScenario/ErrInvalidTopology. WithSink
+// aggregates observability across the baseline and every variant run.
+// Without WithSink the runs are uninstrumented, which changes no simulated
+// event and no sample. Every variant run copies base, so base.Hardware
+// covers them all and is recorded in the dataset header.
 //
 // Variant runs degrade gracefully: a variant that fails — its scenario is
 // invalid, its worker panics, or (typical under Scenario.Faults) the target
@@ -96,13 +88,8 @@ func CollectDatasetE(base Scenario, variants []Variant, cfg CollectorConfig, opt
 // CollectDatasetCtx is identical to CollectDatasetE.
 func CollectDatasetCtx(ctx context.Context, base Scenario, variants []Variant, cfg CollectorConfig, opts ...Option) (*dataset.Dataset, error) {
 	o := applyOptions(opts)
-	o.applyCollector(&cfg)
-	cfg.applyDefaults()
-	// Resolve the hardware option here (not just in RunCtx): applyDefaults
-	// pins Hardware to the paper profile, which would mask the option on the
-	// per-variant RunCtx calls below.
-	if o.hardware != nil && base.Hardware.IsZero() {
-		base.Hardware = *o.hardware
+	if cfg.Bins.Thresholds == nil {
+		cfg.Bins = label.BinaryBins()
 	}
 	base.applyDefaults()
 	base.Interference = nil
@@ -117,7 +104,7 @@ func CollectDatasetCtx(ctx context.Context, base Scenario, variants []Variant, c
 		return nil, fmt.Errorf("%w (MaxTime %v, target %s)",
 			ErrBaselineUnfinished, base.MaxTime, base.Target.Gen.Name())
 	}
-	labeler := label.New(baseRes.Records, base.WindowSize, cfg.MinOpsPerWindow)
+	labeler := label.New(baseRes.Records, base.WindowSize, minOpsPerWindow)
 
 	ds := dataset.New(window.FeatureNames(), baseRes.NTargets, cfg.Bins.Classes())
 	ds.Profile = base.Hardware.DisplayName()
@@ -219,14 +206,4 @@ func CollectDatasetCtx(ctx context.Context, base Scenario, variants []Variant, c
 			report.Skipped[0].Index, report.Skipped[0].Name, report.Skipped[0].Err)
 	}
 	return ds, nil
-}
-
-// MatchRate reports the fraction of a run's records that matched the
-// baseline — a data-quality diagnostic.
-func MatchRate(baseline, interf []workload.Record) float64 {
-	if len(interf) == 0 {
-		return 0
-	}
-	l := label.New(baseline, 1, 1)
-	return float64(l.Matched(interf)) / float64(len(interf))
 }

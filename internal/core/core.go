@@ -327,9 +327,6 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 // branch per event, and Stats is an empty snapshot. Collection runs without
 // WithSink take that path, since nothing reads their Stats.
 func simulate(ctx context.Context, s Scenario, o *options) (*RunResult, error) {
-	if o.hardware != nil && s.Hardware.IsZero() {
-		s.Hardware = *o.hardware
-	}
 	s.applyDefaults()
 	if err := s.validate(); err != nil {
 		return nil, err

@@ -252,20 +252,6 @@ func TestLiveMonitorEmitsWindows(t *testing.T) {
 	}
 }
 
-func TestMatchRate(t *testing.T) {
-	recs := []workload.Record{
-		{Rank: 0, Seq: 0, Op: workload.Op{Kind: workload.Read}, End: 5},
-		{Rank: 0, Seq: 1, Op: workload.Op{Kind: workload.Read}, End: 5},
-	}
-	other := []workload.Record{
-		{Rank: 0, Seq: 0, Op: workload.Op{Kind: workload.Read}, End: 9},
-		{Rank: 9, Seq: 9, Op: workload.Op{Kind: workload.Read}, End: 9},
-	}
-	if r := MatchRate(recs, other); r != 0.5 {
-		t.Fatalf("match rate %f", r)
-	}
-}
-
 func TestBinsPlumbing(t *testing.T) {
 	// Multi-class collection uses SeverityBins end to end.
 	base := Scenario{Target: smallTarget()}

@@ -45,6 +45,11 @@ var (
 	// candidate reads the same input space as the incumbent.
 	ErrWarmStartMismatch = errors.New("core: warm-start framework does not match dataset shape")
 
+	// ErrBinsMismatch reports a training request whose bins name a different
+	// number of classes than the dataset's labels use: the trained model
+	// would predict classes the bins cannot name.
+	ErrBinsMismatch = errors.New("core: bins do not match the dataset's classes")
+
 	// ErrForecastHorizon reports a TrainForecasterCtx horizon no run in the
 	// dataset can label: no window has History consecutive predecessors plus
 	// a window Horizon ahead. Collect longer runs or shrink History/Horizons.

@@ -18,40 +18,34 @@ type ForecasterConfig struct {
 	// Bins label the lead windows (default binary). The dataset must already
 	// be labeled under them — BuildLagged reads stored labels, it does not
 	// rebin.
-	Bins label.Bins
-	// TestFrac is each horizon's holdout fraction (default 0.2, split with
-	// TrainFramework's seed so forecast and classifier accuracies are
-	// comparable).
-	TestFrac float64
-	Train    ml.TrainConfig
-	Seed     int64
+	Bins  label.Bins
+	Train ml.TrainConfig
+	Seed  int64
 }
 
 // TrainForecasterCtx trains the forecast sequence head from the same
 // window-labeled dataset CollectDatasetCtx produces: for every horizon it
 // builds the lead-labeled lagged dataset (forecast.BuildLagged), splits it
-// 80/20, standardizes on the training portion, and trains one kernel head,
-// returning the forecaster plus each horizon's test-set confusion matrix
-// (index-aligned with Forecaster.Horizons()).
+// 80/20 with TrainFrameworkCtx's split seed (so forecast and classifier
+// accuracies are comparable), standardizes on the training portion, and
+// trains one kernel head, returning the forecaster plus each horizon's
+// test-set confusion matrix (index-aligned with Forecaster.Horizons()).
 //
 // Validation mirrors TrainFrameworkCtx: nil/empty datasets return
-// ErrEmptyDataset, a horizon whose lead-labeled dataset is empty (no run has
+// ErrEmptyDataset, bins whose class count differs from the dataset's return
+// ErrBinsMismatch, a horizon whose lead-labeled dataset is empty (no run has
 // History consecutive windows plus one Horizon ahead) returns
-// ErrForecastHorizon, and cancellation wraps ErrCanceled. WithBins overrides
-// cfg.Bins.
-func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg ForecasterConfig, opts ...Option) (*forecast.Forecaster, []*ml.Confusion, error) {
-	o := applyOptions(opts)
-	if o.bins != nil {
-		cfg.Bins = *o.bins
-	}
+// ErrForecastHorizon, and cancellation wraps ErrCanceled.
+func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg ForecasterConfig) (*forecast.Forecaster, []*ml.Confusion, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil, ErrEmptyDataset
 	}
-	if cfg.TestFrac < 0 || cfg.TestFrac >= 1 {
-		return nil, nil, fmt.Errorf("core: TestFrac %g outside [0, 1)", cfg.TestFrac)
+	if cfg.Bins.Thresholds == nil {
+		cfg.Bins = label.BinaryBins()
 	}
-	if cfg.TestFrac == 0 {
-		cfg.TestFrac = 0.2
+	if cfg.Bins.Classes() != ds.Classes {
+		return nil, nil, fmt.Errorf("%w: bins name %d classes, the dataset has %d",
+			ErrBinsMismatch, cfg.Bins.Classes(), ds.Classes)
 	}
 	if cfg.Train.Seed == 0 {
 		cfg.Train.Seed = cfg.Seed
@@ -60,9 +54,6 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 	fc.ApplyDefaults()
 	if err := fc.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if cfg.Bins.Thresholds == nil {
-		cfg.Bins = label.BinaryBins()
 	}
 
 	f := &forecast.Forecaster{History: fc.History, Threshold: fc.Threshold, Bins: cfg.Bins}
@@ -85,7 +76,7 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 
 		// Same split seed as trainFramework, so a forecast head's holdout
 		// accuracy is measured the same way the classifier's is.
-		train, test := lagged.Split(cfg.TestFrac, cfg.Seed^0x5717)
+		train, test := lagged.Split(testFrac, cfg.Seed^0x5717)
 		train, test = train.Copy(), test.Copy()
 		if train.Len() == 0 {
 			return nil, nil, fmt.Errorf("%w: horizon %d: %d lead-labeled samples leave an empty training split",

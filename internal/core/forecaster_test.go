@@ -7,6 +7,7 @@ import (
 
 	"quanterference/internal/dataset"
 	"quanterference/internal/forecast"
+	"quanterference/internal/label"
 	"quanterference/internal/ml"
 	"quanterference/internal/sim"
 )
@@ -113,12 +114,6 @@ func TestTrainForecasterValidation(t *testing.T) {
 	if _, _, err := TrainForecasterCtx(context.Background(), forecastDS(2, 12), cfg); !errors.Is(err, forecast.ErrBadConfig) {
 		t.Fatalf("bad history: %v", err)
 	}
-
-	cfg = smallForecastCfg()
-	cfg.TestFrac = 1.5
-	if _, _, err := TrainForecasterCtx(context.Background(), forecastDS(2, 12), cfg); err == nil {
-		t.Fatal("TestFrac 1.5 accepted")
-	}
 }
 
 func TestTrainForecasterCanceled(t *testing.T) {
@@ -127,5 +122,19 @@ func TestTrainForecasterCanceled(t *testing.T) {
 	_, _, err := TrainForecasterCtx(ctx, forecastDS(3, 12), smallForecastCfg())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled ctx: %v", err)
+	}
+}
+
+// TestTrainForecasterRejectsBinsMismatch is TestTrainFrameworkRejectsBinsMismatch
+// for the forecast heads, which read the same stored labels.
+func TestTrainForecasterRejectsBinsMismatch(t *testing.T) {
+	ds := threeClassDS()
+	cfg := smallForecastCfg()
+	if _, _, err := TrainForecasterCtx(context.Background(), ds, cfg); !errors.Is(err, ErrBinsMismatch) {
+		t.Fatalf("binary bins over 3 classes: err = %v, want ErrBinsMismatch", err)
+	}
+	cfg.Bins = label.SeverityBins()
+	if _, _, err := TrainForecasterCtx(context.Background(), ds, cfg); err != nil {
+		t.Fatalf("severity bins over 3 classes: %v", err)
 	}
 }

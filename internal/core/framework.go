@@ -27,11 +27,15 @@ type Framework struct {
 	batch batchScratch // PredictBatch's amortized buffers
 }
 
+// testFrac is the held-out share of every training split: the paper's
+// 80/20 split.
+const testFrac = 0.2
+
 // FrameworkConfig controls training.
 type FrameworkConfig struct {
-	Bins     label.Bins // default binary
-	TestFrac float64    // default 0.2, the paper's split
-	Train    ml.TrainConfig
+	// Bins must name every class the dataset's labels use (default binary).
+	Bins  label.Bins
+	Train ml.TrainConfig
 	// NewModel, when set, replaces the paper's kernel model (e.g. the flat
 	// ablation baseline or the attention extension).
 	NewModel func(nTargets, nFeat, classes int, seed int64) ml.Model
@@ -41,28 +45,23 @@ type FrameworkConfig struct {
 // TrainFrameworkE splits the dataset 80/20, standardizes on the training
 // portion, trains the model, and returns the framework plus the test-set
 // confusion matrix (the paper's Figures 3-5). It validates its inputs — a
-// nil or empty dataset returns ErrEmptyDataset (wrapped), a TestFrac outside
-// [0, 1) is rejected. WithBins overrides cfg.Bins.
+// nil or empty dataset returns ErrEmptyDataset (wrapped), and bins whose
+// class count differs from the dataset's return ErrBinsMismatch (wrapped).
 func TrainFrameworkE(ds *dataset.Dataset, cfg FrameworkConfig, opts ...Option) (*Framework, *ml.Confusion, error) {
 	return trainFramework(context.Background(), ds, cfg, opts)
 }
 
 func trainFramework(ctx context.Context, ds *dataset.Dataset, cfg FrameworkConfig, opts []Option) (*Framework, *ml.Confusion, error) {
 	o := applyOptions(opts)
-	if o.bins != nil {
-		cfg.Bins = *o.bins
-	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil, ErrEmptyDataset
-	}
-	if cfg.TestFrac < 0 || cfg.TestFrac >= 1 {
-		return nil, nil, fmt.Errorf("core: TestFrac %g outside [0, 1)", cfg.TestFrac)
 	}
 	if cfg.Bins.Thresholds == nil {
 		cfg.Bins = label.BinaryBins()
 	}
-	if cfg.TestFrac == 0 {
-		cfg.TestFrac = 0.2
+	if o.warm == nil && cfg.Bins.Classes() != ds.Classes {
+		return nil, nil, fmt.Errorf("%w: bins name %d classes, the dataset has %d",
+			ErrBinsMismatch, cfg.Bins.Classes(), ds.Classes)
 	}
 	if cfg.Train.Seed == 0 {
 		cfg.Train.Seed = cfg.Seed
@@ -88,9 +87,7 @@ func trainFramework(ctx context.Context, ds *dataset.Dataset, cfg FrameworkConfi
 			Mean: append([]float64(nil), o.warm.Scaler.Mean...),
 			Std:  append([]float64(nil), o.warm.Scaler.Std...),
 		}
-		if o.bins == nil {
-			cfg.Bins = o.warm.Bins
-		}
+		cfg.Bins = o.warm.Bins
 	} else {
 		if cfg.NewModel != nil {
 			model = cfg.NewModel(ds.NTargets, nFeat, ds.Classes, cfg.Seed)
@@ -101,7 +98,7 @@ func trainFramework(ctx context.Context, ds *dataset.Dataset, cfg FrameworkConfi
 		}
 	}
 
-	train, test := ds.Split(cfg.TestFrac, cfg.Seed^0x5717)
+	train, test := ds.Split(testFrac, cfg.Seed^0x5717)
 	// Standardize copies: the caller's dataset must stay in raw units so
 	// Framework.Predict (which scales its own input) sees raw vectors.
 	train, test = train.Copy(), test.Copy()
@@ -268,6 +265,7 @@ type LiveMonitor struct {
 
 	nTargets int
 	ticker   *sim.Ticker
+	stopped  bool
 }
 
 // AttachLive starts live monitoring on the cluster. Wire Record into the
@@ -284,6 +282,9 @@ func AttachLive(cl *Cluster, windowSize sim.Time, onWindow func(idx int, mat win
 		// (same instant) finalizes the window first.
 		idx := int(now/windowSize) - 1
 		cl.Eng.Schedule(0, func() {
+			if lm.stopped {
+				return // Stop ran between the tick and this emission
+			}
 			cw, _ := lm.cm.Window(idx)
 			sw, _ := lm.sm.Window(idx)
 			onWindow(idx, window.Assemble(lm.nTargets, cw, sw))
@@ -295,8 +296,10 @@ func AttachLive(cl *Cluster, windowSize sim.Time, onWindow func(idx int, mat win
 // Record is the client-monitor hook.
 func (lm *LiveMonitor) Record(rec workload.Record) { lm.cm.Record(rec) }
 
-// Stop halts sampling and window emission.
+// Stop halts sampling and window emission, including an emission already
+// queued for the current instant: no onWindow call follows Stop.
 func (lm *LiveMonitor) Stop() {
+	lm.stopped = true
 	lm.ticker.Stop()
 	lm.sm.Stop()
 }

@@ -71,36 +71,6 @@ func TestZeroScenarioGetsPaperProfile(t *testing.T) {
 	}
 }
 
-// TestWithHardwareOption checks the option fills only scenarios that carry no
-// profile of their own.
-func TestWithHardwareOption(t *testing.T) {
-	o := applyOptions([]Option{WithHardware(hw.NVMeProfile())})
-	if o.hardware == nil || o.hardware.Name != "nvme" {
-		t.Fatalf("option did not capture the profile: %+v", o.hardware)
-	}
-
-	res, err := RunE(Scenario{Target: smallTarget()}, WithHardware(hw.FastNICProfile()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Finished {
-		t.Fatal("fastnic run truncated")
-	}
-
-	// Explicit Scenario.Hardware wins over the option: the run must behave
-	// like the explicit profile, not the option's.
-	explicit := func(opts ...Option) sim.Time {
-		res, err := RunE(Scenario{Target: smallTarget(), Hardware: hw.PaperProfile()}, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Duration
-	}
-	if explicit() != explicit(WithHardware(hw.NVMeProfile())) {
-		t.Fatal("WithHardware overrode an explicit Scenario.Hardware")
-	}
-}
-
 // TestInvalidProfileRejected checks validation surfaces profile errors as
 // ErrInvalidScenario instead of a mid-run panic.
 func TestInvalidProfileRejected(t *testing.T) {
@@ -134,7 +104,7 @@ func TestBurstBufferProfileAbsorbsWrites(t *testing.T) {
 }
 
 // TestCollectDatasetRecordsProfile checks the dataset header carries the
-// profile name through collection (option path) and defaults to paper.
+// base scenario's profile name through collection and defaults to paper.
 func TestCollectDatasetRecordsProfile(t *testing.T) {
 	base := Scenario{
 		Target: TargetSpec{
@@ -143,8 +113,9 @@ func TestCollectDatasetRecordsProfile(t *testing.T) {
 			Ranks: 2,
 		},
 	}
-	ds, err := CollectDatasetE(base, nil, CollectorConfig{IncludeBaseline: true},
-		WithHardware(hw.NVMeProfile()))
+	nvme := base
+	nvme.Hardware = hw.NVMeProfile()
+	ds, err := CollectDatasetE(nvme, nil, CollectorConfig{IncludeBaseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

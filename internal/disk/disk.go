@@ -155,19 +155,11 @@ func (d *Disk) Instrument(s *obs.Sink, instance string) {
 	d.hServiceNS = s.Histogram("disk", instance, "service_ns", obs.TimeBuckets())
 }
 
-// SetSlowdown injects (or clears, with factor 1) a fail-slow condition:
-// every subsequent request's service time is multiplied by factor.
-func (d *Disk) SetSlowdown(factor float64) {
-	if factor < 1 {
-		factor = 1
-	}
-	d.slow = factor
-}
-
-// ScaleSlowdown multiplies the current fail-slow factor by factor, clamping
-// at 1 (healthy). Fault episodes stack multiplicatively: applying severity s
-// and later scaling by 1/s restores the pre-episode factor even when
-// episodes overlap.
+// ScaleSlowdown injects or heals a fail-slow condition: every request's
+// service time is multiplied by the disk's fail-slow factor, and
+// ScaleSlowdown multiplies that factor by factor, clamping at 1 (healthy).
+// Fault episodes stack multiplicatively: applying severity s and later
+// scaling by 1/s restores the pre-episode factor even when episodes overlap.
 func (d *Disk) ScaleSlowdown(factor float64) {
 	if factor <= 0 {
 		panic(fmt.Sprintf("disk: non-positive slowdown scale %g", factor))

@@ -208,7 +208,7 @@ func TestFailSlowInjection(t *testing.T) {
 	run4x := func(factor float64) sim.Time {
 		eng := sim.NewEngine()
 		d := New(eng, Config{Seed: 1, TransferBps: 100e6})
-		d.SetSlowdown(factor)
+		d.ScaleSlowdown(factor)
 		done := false
 		d.Submit(&Request{Op: Read, Sector: 0, Sectors: 2048, Done: func() { done = true }})
 		eng.Run()
@@ -241,7 +241,7 @@ func TestFailSlowMidRun(t *testing.T) {
 		d.Submit(&Request{Op: Read, Sector: int64(i) * 2048, Sectors: 2048, Done: func() {
 			times = append(times, eng.Now()-start)
 			if i == 1 {
-				d.SetSlowdown(10) // degradation strikes mid-run
+				d.ScaleSlowdown(10) // degradation strikes mid-run
 			}
 			issue(i + 1)
 		}})

@@ -31,11 +31,6 @@ func (c *CaseStudyConfig) applyDefaults() {
 	}
 }
 
-// caseStudyThrottleBps is the static policy's per-client limit on the
-// interfering nodes: the rate the predictive policy's controller throttles
-// to by default.
-const caseStudyThrottleBps = 10e6
-
 // CaseStudyMode is one policy under comparison.
 type CaseStudyMode struct {
 	Name string
@@ -242,11 +237,12 @@ func caseStudyRunBB(cfg CaseStudyConfig) (appDone sim.Time, interfMB float64, dr
 	return *done, float64(*interfBytes) / 1e6, drained
 }
 
-// caseStudyRunStatic applies the throttle from t=0, unconditionally.
+// caseStudyRunStatic applies the controller's throttle rate to the
+// interfering nodes from t=0, unconditionally.
 func caseStudyRunStatic(cfg CaseStudyConfig) (sim.Time, float64, int) {
 	cl, start, interfBytes, done, _ := caseStudySetup(cfg, true, nil)
 	for _, node := range interferenceNodesCS {
-		cl.FS.Client(node).SetRateLimit(caseStudyThrottleBps)
+		cl.FS.Client(node).SetRateLimit(mitigate.ThrottleBps)
 	}
 	start()
 	cl.Eng.RunUntil(600 * sim.Second)
@@ -263,14 +259,7 @@ func caseStudyRunPredictive(cfg CaseStudyConfig, fw *core.Framework) (sim.Time, 
 	for _, node := range interferenceNodesCS {
 		victims = append(victims, mitigate.Victim{Client: cl.FS.Client(node)})
 	}
-	policy, err := mitigate.NewReactiveThrottle()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: mitigation policy: %v", err))
-	}
-	ctrl, err = mitigate.NewController(cl, fw, victims, sim.Second, policy)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: mitigation controller: %v", err))
-	}
+	ctrl = mitigate.NewController(cl, fw, victims, sim.Second, mitigate.NewReactiveThrottle(), nil)
 	start()
 	cl.Eng.RunUntil(600 * sim.Second)
 	ctrl.Stop()

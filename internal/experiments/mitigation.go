@@ -21,10 +21,9 @@ import (
 // and compared with a no-action baseline on the same cell.
 //
 // The study runs with its owners' defaults: the forecaster's history and
-// horizons (forecast.Config), the policies' lead and release hysteresis
-// (mitigate.PolicyOption), the controller's throttle rate
-// (mitigate.NewController), and the collection window and cap for both
-// training and every measured cell.
+// horizons (forecast.Config), the policies' lead and release hysteresis and
+// the controller's throttle rate (mitigate), and the collection window and
+// cap for both training and every measured cell.
 type MitigationConfig struct {
 	// Scale trims the interference workloads (default 1.0). The protected
 	// target is time-sized and NOT scaled — see mitigationTarget.
@@ -181,17 +180,11 @@ const mitigationArrival = 6 * sim.Second
 // mitigationPolicies is the matrix's policy axis, "none" baseline first.
 var mitigationPolicies = []string{"none", "reactive", "proactive", "defer"}
 
-// newMitigationPolicy constructs the named policy with its default options.
-func newMitigationPolicy(name string) (mitigate.Policy, error) {
-	switch name {
-	case "reactive":
-		return mitigate.NewReactiveThrottle()
-	case "proactive":
-		return mitigate.NewProactiveThrottle()
-	case "defer":
-		return mitigate.NewDeferBurst()
-	}
-	return nil, fmt.Errorf("experiments: unknown mitigation policy %q", name)
+// newMitigationPolicy maps a policy-axis name to its constructor.
+var newMitigationPolicy = map[string]func() *mitigate.Policy{
+	"reactive":  mitigate.NewReactiveThrottle,
+	"proactive": mitigate.NewProactiveThrottle,
+	"defer":     mitigate.NewDeferBurst,
 }
 
 // mitigationRun measures one cell: the protected target against one fault
@@ -257,10 +250,6 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 	}
 
 	if policyName != "" && policyName != "none" {
-		policy, err := newMitigationPolicy(policyName)
-		if err != nil {
-			panic(err.Error())
-		}
 		var victims []mitigate.Victim
 		if policyName == "defer" {
 			for _, r := range interfRunners {
@@ -271,14 +260,13 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 				victims = append(victims, mitigate.Victim{Client: cl.FS.Client(node)})
 			}
 		}
-		var opts []mitigate.ControllerOption
-		if policyName != "reactive" && fc != nil {
-			opts = append(opts, mitigate.WithForecaster(fc))
+		// The reactive policy ignores forecasts, so it runs without one.
+		var forecaster *forecast.Forecaster
+		if policyName != "reactive" {
+			forecaster = fc
 		}
-		ctrl, err = mitigate.NewController(cl, fw, victims, collectWindow, policy, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: mitigation controller: %v", err))
-		}
+		ctrl = mitigate.NewController(cl, fw, victims, collectWindow,
+			newMitigationPolicy[policyName](), forecaster)
 	}
 
 	// Interference arrives mid-stream; the target starts immediately.

@@ -151,13 +151,6 @@ func (fs *FS) Populate(path string, size int64, stripeCount int) *Inode {
 	return ino
 }
 
-// InjectFailSlow degrades (or, with factor 1, heals) one OST's disk: every
-// request is served factor times slower — the fail-slow condition whose
-// severity classes (Lu et al.) the paper's bins are modelled on.
-func (fs *FS) InjectFailSlow(ostID int, factor float64) {
-	fs.osts[ostID].Queue().Device().SetSlowdown(factor)
-}
-
 // PopulateDir instantly creates a directory entry.
 func (fs *FS) PopulateDir(path string) *Inode {
 	ino, ok := fs.mds.namespace[path]

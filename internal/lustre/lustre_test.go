@@ -470,7 +470,7 @@ func TestFailSlowOSTVisibleInQueueMetrics(t *testing.T) {
 		fs.Populate("/fs0", 16<<20, 1) // ost0
 		fs.Populate("/fs1", 16<<20, 1) // ost1
 		if inject {
-			fs.InjectFailSlow(0, 8)
+			fs.OST(0).Queue().Device().ScaleSlowdown(8)
 		}
 		c := fs.Client("c0")
 		read := func(path string) {

@@ -10,12 +10,13 @@ import (
 	"quanterference/internal/monitor/window"
 )
 
+// holdFrac is the fraction of the example buffer held out of retraining and
+// used to score candidate vs incumbent. The holdout is split off before
+// training, so the candidate never sees it.
+const holdFrac = 0.25
+
 // GateConfig tunes the candidate evaluation gate.
 type GateConfig struct {
-	// HoldFrac is the fraction of the example buffer held out of retraining
-	// and used to score candidate vs incumbent (default 0.25). The holdout is
-	// split off before training, so the candidate never sees it.
-	HoldFrac float64
 	// Margin is how much holdout accuracy the candidate may give up relative
 	// to the incumbent and still be promoted: promote iff
 	// candidate >= incumbent - Margin (default 0.02). A negative margin
@@ -26,9 +27,6 @@ type GateConfig struct {
 }
 
 func (c *GateConfig) applyDefaults() {
-	if c.HoldFrac == 0 {
-		c.HoldFrac = 0.25
-	}
 	if c.Margin == 0 {
 		c.Margin = 0.02
 	}

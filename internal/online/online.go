@@ -44,6 +44,11 @@ type Promoter interface {
 	ReloadFramework(fw *core.Framework) error
 }
 
+// streamProfile is the hardware profile stamped on every dataset the loop
+// assembles from its reservoir, so online-retrained data merges cleanly with
+// offline collections instead of reading as unstamped.
+const streamProfile = "paper"
+
 // Config tunes the Loop. The zero value is usable everywhere except
 // RefAccuracy, which should carry the incumbent's training holdout accuracy
 // (0 leaves the quality-decay signal disabled until the first promotion).
@@ -59,11 +64,6 @@ type Config struct {
 	// MinExamples is how many buffered examples a retrain needs; drift trips
 	// below it stay pending until enough labels arrive (default 32).
 	MinExamples int
-	// Profile names the hardware profile the stream's windows come from
-	// (default "paper"); retrain datasets assembled from the reservoir are
-	// stamped with it, so online-retrained data merges cleanly with offline
-	// collections instead of reading as unstamped.
-	Profile string
 	// Drift tunes the detector, Gate the promotion gate, Train the retrain
 	// (epochs, LR, Workers — warm starts reuse the incumbent architecture).
 	Drift DriftConfig
@@ -80,9 +80,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MinExamples == 0 {
 		c.MinExamples = 32
-	}
-	if c.Profile == "" {
-		c.Profile = "paper"
 	}
 	c.Gate.applyDefaults()
 	if c.Sink == nil {
@@ -246,7 +243,7 @@ func (l *Loop) bufferSchema() (names []string, nTargets, classes int) {
 // matrices (read-only); Save the export for a disk round trip.
 func (l *Loop) ExportBuffer(instance string) *dataset.Dataset {
 	names, nTargets, classes := l.bufferSchema()
-	return l.buf.DatasetAs(instance, names, nTargets, classes, l.cfg.Profile)
+	return l.buf.DatasetAs(instance, names, nTargets, classes, streamProfile)
 }
 
 // ImportBuffer replays an exported reservoir dataset (another instance's
@@ -362,8 +359,8 @@ func (l *Loop) retrain(ctx context.Context) (*core.Framework, GateResult, error)
 	seed := l.cfg.Seed ^ int64(l.retrains)*0x9e3779b9
 
 	names, nTargets, classes := l.bufferSchema()
-	ds := l.buf.Dataset(names, nTargets, classes, l.cfg.Profile)
-	trainDS, holdout := ds.Split(l.cfg.Gate.HoldFrac, seed^0x60a7)
+	ds := l.buf.Dataset(names, nTargets, classes, streamProfile)
+	trainDS, holdout := ds.Split(holdFrac, seed^0x60a7)
 	if trainDS.Len() == 0 || holdout.Len() == 0 {
 		return nil, GateResult{}, fmt.Errorf("online: degenerate holdout split (%d train / %d held out of %d)",
 			trainDS.Len(), holdout.Len(), ds.Len())

@@ -27,19 +27,6 @@ func TestGoldenTracePaperProfile(t *testing.T) {
 	goldenCompare(t, "golden_run.dxt", encodeTrace(res))
 }
 
-// TestGoldenTraceWithHardwareOption checks the option path lands on the same
-// bits as the field path.
-func TestGoldenTraceWithHardwareOption(t *testing.T) {
-	res, err := quant.RunE(goldenScenario(), quant.WithHardware(quant.PaperProfile()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Finished {
-		t.Fatal("golden run truncated")
-	}
-	goldenCompare(t, "golden_run.dxt", encodeTrace(res))
-}
-
 // TestProfileDeterminism runs the golden scenario twice on every named
 // profile: same seed + same profile must reproduce the trace byte for byte.
 func TestProfileDeterminism(t *testing.T) {

@@ -19,12 +19,12 @@
 //	// The same scenario on NVMe-class storage (hardware profiles bundle
 //	// disk, network, burst-buffer, and server parameters; the zero value
 //	// is the paper's testbed).
-//	res, err = quanterference.RunE(scenario,
-//		quanterference.WithHardware(quanterference.NVMeProfile()))
+//	scenario.Hardware = quanterference.NVMeProfile()
+//	res, err = quanterference.RunE(scenario)
 //
 //	// Collect a labelled dataset (§III-D) and train the model.
 //	ds, err := quanterference.CollectDatasetE(base, variants,
-//		quanterference.CollectorConfig{}, quanterference.WithBaselineSamples(true))
+//		quanterference.CollectorConfig{IncludeBaseline: true})
 //	fw, confusion, err := quanterference.TrainFrameworkE(ds, quanterference.FrameworkConfig{})
 //
 //	// Predict online.
@@ -109,7 +109,7 @@ type (
 
 	// HardwareProfile bundles the simulated storage hardware — disk model,
 	// NIC speed/latency, optional client burst buffers, and server-side
-	// costs — as one serializable value (Scenario.Hardware, WithHardware).
+	// costs — as one serializable value (Scenario.Hardware).
 	// The zero value, like PaperProfile, is the paper's testbed.
 	HardwareProfile = hw.Profile
 
@@ -166,6 +166,7 @@ var (
 	ErrVariantUnfinished  = core.ErrVariantUnfinished
 	ErrAllVariantsFailed  = core.ErrAllVariantsFailed
 	ErrEmptyDataset       = core.ErrEmptyDataset
+	ErrBinsMismatch       = core.ErrBinsMismatch
 	ErrBadFrameworkFile   = core.ErrBadFrameworkFile
 	// ErrWarmStartMismatch marks a WithWarmStart framework whose shape does
 	// not match the dataset being retrained on.
@@ -204,34 +205,18 @@ func ProfileByName(name string) (HardwareProfile, error) { return hw.ByName(name
 // entry points. Each option states which entry points it applies to; an
 // option passed to an entry point it does not apply to is silently ignored.
 //
-//	WithSink             RunE/Ctx, CollectDatasetE/Ctx — instrument on a shared sink
-//	WithHardware         RunE/Ctx, CollectDatasetE/Ctx — default hardware profile
-//	WithBins             CollectDatasetE/Ctx, TrainFrameworkE/Ctx — degradation bins
-//	WithMinOpsPerWindow  CollectDatasetE/Ctx — window labelling threshold
-//	WithBaselineSamples  CollectDatasetE/Ctx — include label-0 baseline windows
-//	WithCollectReport    CollectDatasetE/Ctx — per-variant completion accounting
-//	WithWarmStart        TrainFrameworkE/Ctx — retrain from an incumbent framework
+//	WithSink           RunE/Ctx, CollectDatasetE/Ctx — instrument on a shared sink
+//	WithCollectReport  CollectDatasetE/Ctx — per-variant completion accounting
+//	WithWarmStart      TrainFrameworkE/Ctx — retrain from an incumbent framework
+//
+// Everything else is a field of the call's own config: Scenario.Hardware
+// picks the hardware profile, CollectorConfig.Bins and FrameworkConfig.Bins
+// the degradation bins, and CollectorConfig.IncludeBaseline adds the
+// baseline's label-0 windows.
 
 // WithSink attaches an observability sink to every cluster the call builds;
 // RunResult.Stats snapshots it, and parallel collection runs aggregate on it.
 func WithSink(s *Sink) Option { return core.WithSink(s) }
-
-// WithHardware runs scenarios on the given hardware profile when the
-// scenario's own Hardware field is zero (an explicit Scenario.Hardware wins).
-// In CollectDatasetE the profile covers the baseline and every variant run
-// and is recorded in the dataset header.
-func WithHardware(p HardwareProfile) Option { return core.WithHardware(p) }
-
-// WithBins selects the degradation bins (default: the paper's binary >=2x).
-func WithBins(b Bins) Option { return core.WithBins(b) }
-
-// WithMinOpsPerWindow sets the minimum matched operations a window needs to
-// be labelled (default 3).
-func WithMinOpsPerWindow(n int) Option { return core.WithMinOpsPerWindow(n) }
-
-// WithBaselineSamples includes the baseline run's own windows as label-0
-// samples, teaching the model what "no interference" looks like.
-func WithBaselineSamples(on bool) Option { return core.WithBaselineSamples(on) }
 
 // WithCollectReport fills r with per-variant completion accounting after
 // CollectDatasetE returns.
@@ -261,10 +246,9 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 
 // CollectDatasetE implements §III-D data generation, returning
 // ErrBaselineUnfinished (wrapped) when the baseline hits MaxTime and
-// scenario-validation errors instead of panicking. Options override the
-// config's ambiguous zero values (WithBins, WithMinOpsPerWindow,
-// WithBaselineSamples); WithSink aggregates metrics across all runs, and
-// without it the runs are uninstrumented (same samples, no metrics).
+// scenario-validation errors instead of panicking. WithSink aggregates
+// metrics across all runs, and without it the runs are uninstrumented (same
+// samples, no metrics).
 func CollectDatasetE(base Scenario, variants []Variant, cfg CollectorConfig, opts ...Option) (*Dataset, error) {
 	return core.CollectDatasetE(base, variants, cfg, opts...)
 }
@@ -278,8 +262,8 @@ func CollectDatasetCtx(ctx context.Context, base Scenario, variants []Variant, c
 
 // TrainFrameworkE trains the kernel-based model with the paper's 80/20
 // split and returns the framework plus the held-out confusion matrix. It
-// returns ErrEmptyDataset on nil/empty input and rejects malformed configs
-// with an error.
+// returns ErrEmptyDataset on nil/empty input and ErrBinsMismatch when the
+// config's bins name a different number of classes than the dataset has.
 func TrainFrameworkE(ds *Dataset, cfg FrameworkConfig, opts ...Option) (*Framework, *Confusion, error) {
 	return core.TrainFrameworkE(ds, cfg, opts...)
 }
