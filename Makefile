@@ -30,8 +30,10 @@ verify: docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigat
 # bodies must never panic the handler or answer a 5xx, any framework or
 # forecaster file a loader accepts must serve a well-shaped input without
 # panicking, any dataset file dataset.Load accepts must train for an epoch
-# without panicking, and any fault list fault.ParseSpecs accepts must run a
-# small scenario to completion or MaxTime without panicking. Not part of verify (it is open-ended by nature); crashers land in
+# without panicking, any fault list fault.ParseSpecs accepts must run a
+# small scenario to completion or MaxTime without panicking, and any trace
+# trace.Read accepts must be non-negative and survive write → read unchanged,
+# as must any valid record. Not part of verify (it is open-ended by nature); crashers land in
 # the package's testdata/fuzz and then replay in every go test run. The
 # minimize caps keep the 1 MiB oversized seed, and the model files whose
 # every minimization step is a file round trip, from stalling the run.
@@ -42,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseSpecs$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 
 bench:
 	$(GO) test -bench BenchmarkRun -benchmem -count 5 -run '^$$'

@@ -186,13 +186,9 @@ func runSmoke(seed int64, requests int) error {
 	return nil
 }
 
-// Shadow episode sizing: enough labeled traffic per epoch to clear the
-// gate's minimum sample count with a determinate accuracy lead.
-const (
-	shadowRequests   = 96
-	shadowMinSamples = 32
-	shadowMargin     = 0.01
-)
+// shadowRequests sizes each shadow epoch: enough labeled traffic to clear
+// the gate's 32-sample minimum with a determinate accuracy lead.
+const shadowRequests = 96
 
 // runShadow is the shadow-evaluation episode: a weak champion serves a
 // 3-replica fleet while three challengers are scored on the mirrored live
@@ -229,10 +225,7 @@ func runShadow(seed int64) error {
 	// One shared evaluator tapped into every replica's batcher, sharing one
 	// sink so the mirror counters surface on each replica's /v1/stats.
 	sink := obs.New()
-	ev, err := shadowpkg.New(champion, shadowpkg.Config{
-		Seed: seed, QueueCap: 4 * shadowRequests,
-		MinSamples: shadowMinSamples, Margin: shadowMargin, Sink: sink,
-	})
+	ev, err := shadowpkg.New(champion, shadowpkg.Config{Seed: seed, QueueCap: 4 * shadowRequests, Sink: sink})
 	if err != nil {
 		return err
 	}

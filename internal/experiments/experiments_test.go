@@ -158,8 +158,10 @@ func TestIO500DatasetAndBinaryModel(t *testing.T) {
 	}
 	ev := TrainEval("io500", ds, cfg.Bins, 60, 1)
 	t.Logf("\n%s", ev.Render())
-	if acc := ev.Confusion.Accuracy(); acc < 0.7 {
-		t.Fatalf("accuracy %.3f", acc)
+	// The paper's claim for the IO500 binary model (Figure 3(a)): F1 above
+	// 0.90. Here it reads 0.945 (5 errors in 91 held-out windows).
+	if f1 := ev.Confusion.MacroF1(); !(f1 > 0.90) {
+		t.Fatalf("macro-F1 %.3f, paper claims > 0.90 (accuracy %.3f)", f1, ev.Confusion.Accuracy())
 	}
 	// Figure 4 path: rebin to 3 classes without re-simulating.
 	ev4 := Figure4From(ds, cfg, 40)

@@ -15,21 +15,15 @@ import (
 // ShadowStudyConfig controls the shadow-evaluation study: how quickly the
 // N-way champion/challenger gate (internal/shadow) separates candidates of
 // different quality on a live labeled stream, and where the verdict lands.
+// The gate is the shadow evaluator's own: 32 labeled samples and a 0.01
+// accuracy lead before a challenger may promote.
 type ShadowStudyConfig struct {
-	// Snapshots is how many evenly spaced scoreboard snapshots to record
-	// over the stream (default 4); the last snapshot is the final state.
-	Snapshots int
-	// MinSamples is the gate's minimum labeled count before it may promote
-	// (default: shadow.Config's); the promotion margin is shadow.Config's.
-	MinSamples int
-	Seed       int64
+	Seed int64
 }
 
-func (c *ShadowStudyConfig) applyDefaults() {
-	if c.Snapshots == 0 {
-		c.Snapshots = 4
-	}
-}
+// shadowSnapshots is how many evenly spaced scoreboard snapshots the study
+// records over the stream; the last snapshot is the final state.
+const shadowSnapshots = 4
 
 // shadowChampionEpochs trains the serving champion: deliberately
 // undertrained, the model a fleet would want to replace.
@@ -70,8 +64,6 @@ type ShadowStudyResult struct {
 // quarter of the corpus (every 4th sample), so no candidate is scored on
 // traffic it trained on.
 func ShadowStudy(ds *dataset.Dataset, cfg ShadowStudyConfig) *ShadowStudyResult {
-	cfg.applyDefaults()
-
 	train := dataset.New(ds.FeatureNames, ds.NTargets, ds.Classes)
 	stream := dataset.New(ds.FeatureNames, ds.NTargets, ds.Classes)
 	for i, s := range ds.Samples {
@@ -91,9 +83,7 @@ func ShadowStudy(ds *dataset.Dataset, cfg ShadowStudyConfig) *ShadowStudyResult 
 	champion := trainCandidate(train, cfg.Seed, shadowChampionEpochs)
 	res.Digests = []string{ml.WeightsDigest(champion.ExportWeights())}
 
-	ev, err := shadow.New(champion, shadow.Config{
-		Seed: cfg.Seed, QueueCap: stream.Len() + 1, MinSamples: cfg.MinSamples,
-	})
+	ev, err := shadow.New(champion, shadow.Config{Seed: cfg.Seed, QueueCap: stream.Len() + 1})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: shadow evaluator: %v", err))
 	}
@@ -111,7 +101,7 @@ func ShadowStudy(ds *dataset.Dataset, cfg ShadowStudyConfig) *ShadowStudyResult 
 	// Stream the held-out windows: serve (predict), mirror, then join the
 	// label — the same order the live tap sees. Snapshot the scoreboard at
 	// evenly spaced labeled counts.
-	snapEvery := stream.Len() / cfg.Snapshots
+	snapEvery := stream.Len() / shadowSnapshots
 	if snapEvery == 0 {
 		snapEvery = 1
 	}

@@ -12,7 +12,7 @@ import (
 // same sample count as the champion, and Render/CSV carry the verdict.
 func TestShadowStudy(t *testing.T) {
 	ds := IO500Dataset(DatasetConfig{Scale: 0.25, Seed: 31})
-	cfg := ShadowStudyConfig{Seed: 31, MinSamples: 8, Snapshots: 3}
+	cfg := ShadowStudyConfig{Seed: 31}
 	r := ShadowStudy(ds, cfg)
 
 	if len(r.Names) != 4 || r.Names[0] != "champion" {
@@ -33,6 +33,11 @@ func TestShadowStudy(t *testing.T) {
 				t.Fatalf("snapshot %d candidate %s accuracy %.3f", i, r.Names[j], a)
 			}
 		}
+	}
+	// The stream clears the gate's 32-sample minimum and scores the winner on
+	// all of it, so the verdict is the gate's call, not a lack of evidence.
+	if r.StreamSamples < 32 || r.Verdict.Holdout != r.StreamSamples {
+		t.Fatalf("gate decided on %d of %d stream samples", r.Verdict.Holdout, r.StreamSamples)
 	}
 	if r.Verdict.Promote && r.Winner == "" {
 		t.Fatalf("promoting verdict without a winner: %+v", r.Verdict)
@@ -57,7 +62,7 @@ func TestShadowStudy(t *testing.T) {
 // accuracies, verdict — across two same-seed runs.
 func TestShadowStudyDeterministic(t *testing.T) {
 	ds := IO500Dataset(DatasetConfig{Scale: 0.25, Seed: 32})
-	cfg := ShadowStudyConfig{Seed: 32, MinSamples: 8}
+	cfg := ShadowStudyConfig{Seed: 32}
 	r1 := ShadowStudy(ds, cfg)
 	r2 := ShadowStudy(ds, cfg)
 	if !reflect.DeepEqual(r1, r2) {

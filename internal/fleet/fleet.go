@@ -43,7 +43,8 @@
 // Every routing, promotion, and rollback decision is appended to a timeline
 // of plain strings — replica names and digests only, no ports or timestamps
 // — which is byte-comparable across same-seed runs; make fleet-smoke pins
-// exactly that.
+// exactly that. The coordinator keeps only the newest 512 lines, so its
+// memory does not grow with its traffic.
 //
 // The coordinator is safe for concurrent Predict/Forecast/Status calls
 // (promotions serialize internally), but the timeline's line order is only
@@ -136,13 +137,19 @@ type Config struct {
 	Seed int64
 }
 
+// timelineCap is how many timeline lines a coordinator keeps; each line past
+// it overwrites the oldest. It sits above the ~200 lines either smoke
+// episode writes, so both still print their whole timeline.
+const timelineCap = 512
+
 // Coordinator fronts a set of replicas. Create with New.
 type Coordinator struct {
 	seed int64
 
 	mu       sync.Mutex
 	replicas []*Replica
-	timeline []string
+	timeline []string // ring of the newest timelineCap lines
+	next     int      // timeline slot the next line overwrites once full
 	accepted int
 	dropped  int
 	lastFail map[string]string
@@ -187,7 +194,7 @@ func (c *Coordinator) Rebind(name string, admin Admin, client *serve.Client, loo
 	for i, r := range c.replicas {
 		if r.name == name {
 			c.replicas[i] = NewReplica(name, admin, client, loop)
-			c.timeline = append(c.timeline, "restart "+name)
+			c.appendLocked("restart " + name)
 			return nil
 		}
 	}
@@ -199,17 +206,30 @@ func (c *Coordinator) Rebind(name string, admin Admin, client *serve.Client, loo
 // coordinator itself cannot observe.
 func (c *Coordinator) Note(msg string) {
 	c.mu.Lock()
-	c.timeline = append(c.timeline, msg)
+	c.appendLocked(msg)
 	c.mu.Unlock()
 }
 
-// Timeline returns a copy of every routing/promotion/rollback decision so
-// far, in order. Lines contain replica names and weight digests only —
-// never ports or timestamps — so same-seed episodes byte-compare equal.
+// appendLocked adds one timeline line, overwriting the oldest once the ring
+// holds timelineCap. Caller holds c.mu.
+func (c *Coordinator) appendLocked(line string) {
+	if len(c.timeline) < timelineCap {
+		c.timeline = append(c.timeline, line)
+		return
+	}
+	c.timeline[c.next] = line
+	c.next = (c.next + 1) % timelineCap
+}
+
+// Timeline returns a copy of the newest routing/promotion/rollback lines —
+// all of them until there are 512, then the latest 512 — oldest first.
+// Lines contain replica names and weight digests only — never ports or
+// timestamps — so same-seed episodes byte-compare equal.
 func (c *Coordinator) Timeline() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.timeline...)
+	out := append([]string(nil), c.timeline[c.next:]...)
+	return append(out, c.timeline[:c.next]...)
 }
 
 // Accepted and Dropped count requests the fleet answered / failed outright.
@@ -217,9 +237,7 @@ func (c *Coordinator) Accepted() int { c.mu.Lock(); defer c.mu.Unlock(); return 
 func (c *Coordinator) Dropped() int  { c.mu.Lock(); defer c.mu.Unlock(); return c.dropped }
 
 func (c *Coordinator) event(format string, args ...interface{}) {
-	c.mu.Lock()
-	c.timeline = append(c.timeline, fmt.Sprintf(format, args...))
-	c.mu.Unlock()
+	c.Note(fmt.Sprintf(format, args...))
 }
 
 // noteFail remembers the most recent routing-failure cause per replica, so

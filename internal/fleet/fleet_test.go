@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -766,5 +767,44 @@ func TestConcurrentRoutingDuringPromotion(t *testing.T) {
 	}
 	if got := f.c.Dropped(); got != 0 {
 		t.Fatalf("dropped %d requests during a hot promotion", got)
+	}
+}
+
+// TestTimelineKeepsNewestLines pins the timeline's bound: a coordinator that
+// routes 3 × timelineCap requests keeps exactly the newest timelineCap lines,
+// oldest first, so its memory does not grow with its traffic.
+func TestTimelineKeepsNewestLines(t *testing.T) {
+	ctx := context.Background()
+	s := serve.New(trainedFramework(t, 60), serve.Config{MaxBatch: 1}) // no batch window to wait out
+	ts := httptest.NewServer(s.Handler())
+	defer s.Shutdown(ctx)
+	defer ts.Close()
+	c, err := New(Config{Seed: 60}, NewReplica("r0", s, serve.NewClient(ts.URL), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Note("start") // moves the ring's wrap point off slot 0
+	want := []string{"start"}
+	mat := testMatrix(sim.NewRNG(61))
+	for i := 0; i < 3*timelineCap; i++ {
+		key := fmt.Sprintf("k%04d", i)
+		if _, err := c.Predict(ctx, key, mat); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "route "+key+" r0")
+		if len(want) == timelineCap/2 {
+			if got := c.Timeline(); !slices.Equal(got, want) {
+				t.Fatalf("timeline below the cap is not every line in order: %d lines, want %d", len(got), len(want))
+			}
+		}
+	}
+	want = want[len(want)-timelineCap:]
+	got := c.Timeline()
+	if !slices.Equal(got, want) {
+		t.Fatalf("timeline holds %d lines from %q to %q, want the newest %d from %q to %q",
+			len(got), got[0], got[len(got)-1], timelineCap, want[0], want[len(want)-1])
+	}
+	if c.Accepted() != 3*timelineCap {
+		t.Fatalf("accepted %d, want %d", c.Accepted(), 3*timelineCap)
 	}
 }

@@ -8,63 +8,50 @@ import (
 	"quanterference/internal/monitor/window"
 )
 
-// DriftConfig tunes the Detector. The zero value is usable: every field
-// defaults to the values the continuous-learning loop ships with.
+// The detector's fixed thresholds.
+const (
+	// zCrit is the per-feature z threshold on the streaming-mean test. The z
+	// statistic grows with sqrt(observations), so the MinEffect gate keeps
+	// tiny-but-significant shifts from tripping.
+	zCrit = 8
+	// varRatio flags a feature whose streaming variance exceeds the training
+	// variance by this factor. The test is high-side only: a narrowing
+	// distribution (e.g. a quiet stretch of a pooled training mix) is not
+	// actionable drift.
+	varRatio = 16
+	// minWindows is the number of observed windows before the distribution
+	// test is live.
+	minWindows = 8
+	// qualityWindow is the rolling window, in labeled samples, of the
+	// prediction-quality signal.
+	qualityWindow = 32
+	// minLabeled is the number of labeled samples before the quality test is
+	// live.
+	minLabeled = 16
+	// accuracyDrop trips the quality signal when rolling accuracy falls this
+	// far below the reference accuracy.
+	accuracyDrop = 0.2
+)
+
+// DriftConfig tunes the Detector's distribution signal. The zero value is
+// usable: every field defaults to the value the continuous-learning loop
+// ships with.
 type DriftConfig struct {
-	// ZCrit is the per-feature z threshold on the streaming-mean test
-	// (default 8). The z statistic grows with sqrt(observations), so the
-	// effect-size gate below keeps tiny-but-significant shifts from tripping.
-	ZCrit float64
 	// MinEffect is the minimum standardized mean shift |mean-ref|/refStd a
 	// feature needs to count as drifted (default 0.75 reference standard
 	// deviations), so high-volume streams still need a material shift.
 	MinEffect float64
-	// VarRatio flags a feature whose streaming variance exceeds the training
-	// variance by this factor (default 16). The test is high-side only: a
-	// narrowing distribution (e.g. a quiet stretch of a pooled training mix)
-	// is not actionable drift.
-	VarRatio float64
 	// FeatureFrac is the fraction of features that must drift to trip the
 	// distribution signal (default 0.25).
 	FeatureFrac float64
-	// MinWindows is the number of observed windows before the distribution
-	// test is live (default 8).
-	MinWindows int
-	// QualityWindow is the rolling window, in labeled samples, of the
-	// prediction-quality signal (default 32).
-	QualityWindow int
-	// MinLabeled is the number of labeled samples before the quality test is
-	// live (default 16).
-	MinLabeled int
-	// AccuracyDrop trips the quality signal when rolling accuracy falls this
-	// far below the reference accuracy (default 0.2).
-	AccuracyDrop float64
 }
 
 func (c *DriftConfig) applyDefaults() {
-	if c.ZCrit == 0 {
-		c.ZCrit = 8
-	}
 	if c.MinEffect == 0 {
 		c.MinEffect = 0.75
 	}
-	if c.VarRatio == 0 {
-		c.VarRatio = 16
-	}
 	if c.FeatureFrac == 0 {
 		c.FeatureFrac = 0.25
-	}
-	if c.MinWindows == 0 {
-		c.MinWindows = 8
-	}
-	if c.QualityWindow == 0 {
-		c.QualityWindow = 32
-	}
-	if c.MinLabeled == 0 {
-		c.MinLabeled = 16
-	}
-	if c.AccuracyDrop == 0 {
-		c.AccuracyDrop = 0.2
 	}
 }
 
@@ -96,10 +83,11 @@ type Score struct {
 //
 //   - distribution shift: per-feature streaming mean/variance tested against
 //     the incumbent's scaler snapshot (the training set's mean/std), with a
-//     z-test gated by a minimum effect size;
-//   - prediction-quality decay: rolling accuracy and cross-entropy over
-//     delayed-labeled windows, compared to the reference (training holdout)
-//     accuracy.
+//     z-test gated by a minimum effect size and a variance-ratio test, live
+//     after minWindows windows;
+//   - prediction-quality decay: rolling accuracy and cross-entropy over the
+//     last qualityWindow delayed-labeled windows, compared to the reference
+//     (training holdout) accuracy, live after minLabeled labels.
 //
 // A Detector is deterministic (pure arithmetic over its observations) and is
 // not goroutine-safe; the Loop owns one and calls it from a single
@@ -181,11 +169,11 @@ func (d *Detector) ObserveWindow(mat window.Matrix) {
 // quality stream: whether the incumbent classified the window correctly, and
 // its cross-entropy on the true label.
 func (d *Detector) ObserveLabeled(correct bool, crossEntropy float64) {
-	if len(d.correct) < d.cfg.QualityWindow {
+	if len(d.correct) < qualityWindow {
 		d.correct = append(d.correct, correct)
 		d.ces = append(d.ces, crossEntropy)
 	} else {
-		i := d.labeled % d.cfg.QualityWindow
+		i := d.labeled % qualityWindow
 		d.correct[i] = correct
 		d.ces[i] = crossEntropy
 	}
@@ -196,7 +184,7 @@ func (d *Detector) ObserveLabeled(correct bool, crossEntropy float64) {
 func (d *Detector) Score() Score {
 	s := Score{Windows: d.nWin, Labeled: d.labeled}
 
-	if d.nWin >= d.cfg.MinWindows && d.n > 1 {
+	if d.nWin >= minWindows && d.n > 1 {
 		drifted := 0
 		for f := range d.refM {
 			mean := d.mean[f]
@@ -211,8 +199,7 @@ func (d *Detector) Score() Score {
 			}
 			refVar := d.refS[f] * d.refS[f]
 			ratio := (variance + 1e-12) / (refVar + 1e-12)
-			if (z > d.cfg.ZCrit && effect > d.cfg.MinEffect) ||
-				ratio > d.cfg.VarRatio {
+			if (z > zCrit && effect > d.cfg.MinEffect) || ratio > varRatio {
 				drifted++
 			}
 		}
@@ -233,8 +220,8 @@ func (d *Detector) Score() Score {
 	}
 
 	features := s.FeatureFrac >= d.cfg.FeatureFrac
-	quality := d.refAcc > 0 && d.labeled >= d.cfg.MinLabeled &&
-		d.refAcc-s.RollingAccuracy > d.cfg.AccuracyDrop
+	quality := d.refAcc > 0 && d.labeled >= minLabeled &&
+		d.refAcc-s.RollingAccuracy > accuracyDrop
 	switch {
 	case features && quality:
 		s.Drifted, s.Reason = true, "features+quality"

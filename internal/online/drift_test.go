@@ -1,6 +1,7 @@
 package online
 
 import (
+	"math"
 	"testing"
 
 	"quanterference/internal/dataset"
@@ -42,16 +43,16 @@ func TestDetectorVarianceLargeOffset(t *testing.T) {
 // TestDetectorVarianceMatchesDirect pins the streaming variance against a
 // direct two-pass computation on ordinary-scale data: these values have
 // population variance exactly 116/16 = 7.25 around a mean of exactly 5, so
-// with a reference variance of 1 the ratio signal must trip at a 7.24x
-// threshold and stay quiet at 7.26x.
+// against a reference variance of v/16 the 16x ratio signal must trip at
+// v = 7.24 and stay quiet at v = 7.26.
 func TestDetectorVarianceMatchesDirect(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}
-	ref := &dataset.Scaler{Mean: []float64{5}, Std: []float64{1}}
 	for _, tc := range []struct {
-		ratio float64
-		want  bool
+		v    float64
+		want bool
 	}{{7.24, true}, {7.26, false}} {
-		d := NewDetector(ref, 0, DriftConfig{VarRatio: tc.ratio})
+		ref := &dataset.Scaler{Mean: []float64{5}, Std: []float64{math.Sqrt(tc.v / varRatio)}}
+		d := NewDetector(ref, 0, DriftConfig{})
 		for _, v := range vals {
 			d.ObserveWindow(window.Matrix{{v}})
 		}
@@ -60,8 +61,8 @@ func TestDetectorVarianceMatchesDirect(t *testing.T) {
 			t.Fatalf("mean shifted (effect %g); values average to the reference", s.MaxEffect)
 		}
 		if s.Drifted != tc.want {
-			t.Fatalf("VarRatio %g: drifted=%v, want %v (streaming variance should be 7.25)",
-				tc.ratio, s.Drifted, tc.want)
+			t.Fatalf("reference variance %g/%d: drifted=%v, want %v (streaming variance should be 7.25)",
+				tc.v, varRatio, s.Drifted, tc.want)
 		}
 	}
 }

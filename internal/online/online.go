@@ -49,9 +49,18 @@ type Promoter interface {
 // offline collections instead of reading as unstamped.
 const streamProfile = "paper"
 
+const (
+	// bufferCap bounds the labeled-example reservoir.
+	bufferCap = 256
+	// minExamples is how many buffered examples a retrain needs; drift trips
+	// below it stay pending until enough labels arrive.
+	minExamples = 32
+)
+
 // Config tunes the Loop. The zero value is usable everywhere except
 // RefAccuracy, which should carry the incumbent's training holdout accuracy
 // (0 leaves the quality-decay signal disabled until the first promotion).
+// The reservoir holds 256 labeled examples, and a retrain needs 32 of them.
 type Config struct {
 	// Seed drives every stochastic choice (reservoir, splits, retrain
 	// shuffling); same seed + same stream = same decisions and weights.
@@ -59,11 +68,6 @@ type Config struct {
 	// RefAccuracy is the incumbent's holdout accuracy at training time — the
 	// baseline the quality-decay drift signal compares against.
 	RefAccuracy float64
-	// BufferCap bounds the labeled-example reservoir (default 256).
-	BufferCap int
-	// MinExamples is how many buffered examples a retrain needs; drift trips
-	// below it stay pending until enough labels arrive (default 32).
-	MinExamples int
 	// Drift tunes the detector, Gate the promotion gate, Train the retrain
 	// (epochs, LR, Workers — warm starts reuse the incumbent architecture).
 	Drift DriftConfig
@@ -75,12 +79,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.BufferCap == 0 {
-		c.BufferCap = 256
-	}
-	if c.MinExamples == 0 {
-		c.MinExamples = 32
-	}
 	c.Gate.applyDefaults()
 	if c.Sink == nil {
 		c.Sink = obs.New()
@@ -191,7 +189,7 @@ func NewLoop(p Promoter, cfg Config) (*Loop, error) {
 		incumbent: inc,
 		refAcc:    cfg.RefAccuracy,
 		det:       NewDetector(inc.Scaler, cfg.RefAccuracy, cfg.Drift),
-		buf:       NewBuffer(cfg.BufferCap, cfg.Seed^0xb0ffe4),
+		buf:       NewBuffer(bufferCap, cfg.Seed^0xb0ffe4),
 
 		mWindows:    cfg.Sink.Counter("online", "", "windows"),
 		mLabeled:    cfg.Sink.Counter("online", "", "labeled"),
@@ -301,7 +299,7 @@ func (l *Loop) Step(ctx context.Context) (Decision, error) {
 		l.hRollAcc.Observe(score.RollingAccuracy)
 	}
 	d := Decision{Window: -1, Action: ActionNone, Score: score}
-	if !score.Drifted || l.buf.Len() < l.cfg.MinExamples {
+	if !score.Drifted || l.buf.Len() < minExamples {
 		return d, nil
 	}
 	l.mDriftTrips.Inc()

@@ -97,12 +97,15 @@ func quickConfig(seed int64) Config {
 	return Config{
 		Seed:        seed,
 		RefAccuracy: 0.95,
-		BufferCap:   64,
-		MinExamples: 8,
-		Drift:       DriftConfig{MinWindows: 4, MinLabeled: 4, MinEffect: 1.0, FeatureFrac: 0.3},
+		Drift:       DriftConfig{MinEffect: 1.0, FeatureFrac: 0.3},
 		Train:       ml.TrainConfig{Epochs: 10},
 	}
 }
+
+// driftWindows is how many drifted labeled windows the loop tests feed: past
+// minExamples for the first retrain, then enough detector cooldowns of
+// minWindows for several more.
+const driftWindows = 2 * minExamples
 
 // feedDrift pushes n drifted labeled windows through the loop, stepping
 // after each, and returns every non-none decision.
@@ -146,7 +149,7 @@ func TestLoopPromotesOnDrift(t *testing.T) {
 		}
 	}
 
-	actions := feedDrift(t, l, sim.NewRNG(3), 30)
+	actions := feedDrift(t, l, sim.NewRNG(3), driftWindows)
 	if len(actions) == 0 {
 		t.Fatal("drifted stream never tripped")
 	}
@@ -187,7 +190,7 @@ func TestLoopForcedRejectKeepsIncumbent(t *testing.T) {
 	}
 	l.SetGateMargin(-2) // impossible bar: accuracy cannot exceed incumbent + 2
 
-	actions := feedDrift(t, l, sim.NewRNG(3), 30)
+	actions := feedDrift(t, l, sim.NewRNG(3), driftWindows)
 	if len(actions) == 0 {
 		t.Fatal("drifted stream never tripped")
 	}
@@ -212,7 +215,7 @@ func TestLoopRollbackOnRefusedReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	actions := feedDrift(t, l, sim.NewRNG(3), 30)
+	actions := feedDrift(t, l, sim.NewRNG(3), driftWindows)
 	if len(actions) == 0 {
 		t.Fatal("drifted stream never tripped")
 	}
@@ -248,7 +251,7 @@ func TestLoopDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return feedDrift(t, l, sim.NewRNG(3), 30)
+		return feedDrift(t, l, sim.NewRNG(3), driftWindows)
 	}
 	a, b := run(1), run(1)
 	if len(a) == 0 {
@@ -273,7 +276,7 @@ func TestLoopWaitsForExamples(t *testing.T) {
 	// can fire.
 	rng := sim.NewRNG(3)
 	sawDrift := false
-	for i := 0; i < 10; i++ {
+	for i := 0; i < minWindows+2; i++ {
 		l.OfferWindow(driftedMatrix(rng))
 		d, err := l.Step(context.Background())
 		if err != nil {
@@ -300,7 +303,7 @@ func TestLoopObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedDrift(t, l, sim.NewRNG(3), 30)
+	feedDrift(t, l, sim.NewRNG(3), driftWindows)
 	snap := sink.Snapshot()
 	for _, name := range []string{"windows", "labeled", "drift_trips", "retrains"} {
 		if got, ok := snap.Counter("online", "", name); !ok || got == 0 {
@@ -399,7 +402,7 @@ func TestBufferDataset(t *testing.T) {
 
 func TestDetectorDistributionShift(t *testing.T) {
 	ref := &dataset.Scaler{Mean: []float64{0, 0, 0}, Std: []float64{1, 1, 1}}
-	cfg := DriftConfig{MinWindows: 4, FeatureFrac: 0.5, MinEffect: 1.0}
+	cfg := DriftConfig{FeatureFrac: 0.5, MinEffect: 1.0}
 	d := NewDetector(ref, 0, cfg)
 
 	inDist := window.Matrix{{0.1, -0.1, 0.05}, {-0.2, 0.1, 0}}
@@ -423,7 +426,7 @@ func TestDetectorDistributionShift(t *testing.T) {
 		t.Fatalf("unexpected score: %+v", s)
 	}
 
-	// Reset is a cooldown: the statistics are gone until MinWindows
+	// Reset is a cooldown: the statistics are gone until minWindows
 	// re-accumulate.
 	d.Reset(ref, 0)
 	if s := d.Score(); s.Drifted || s.Windows != 0 {
@@ -433,9 +436,9 @@ func TestDetectorDistributionShift(t *testing.T) {
 
 func TestDetectorVarianceExplosion(t *testing.T) {
 	ref := &dataset.Scaler{Mean: []float64{0, 0}, Std: []float64{1, 1}}
-	d := NewDetector(ref, 0, DriftConfig{MinWindows: 4, FeatureFrac: 0.5, VarRatio: 4})
-	// Zero-mean but wildly spread: the mean z-test stays quiet, the
-	// variance ratio must not.
+	d := NewDetector(ref, 0, DriftConfig{FeatureFrac: 0.5})
+	// Zero-mean but wildly spread (variance ~100, past the 16x ratio): the
+	// mean z-test stays quiet, the variance ratio must not.
 	rng := sim.NewRNG(1)
 	for i := 0; i < 50; i++ {
 		x := rng.NormFloat64() * 10
@@ -449,17 +452,17 @@ func TestDetectorVarianceExplosion(t *testing.T) {
 
 func TestDetectorQualityDecay(t *testing.T) {
 	ref := &dataset.Scaler{Mean: []float64{0}, Std: []float64{1}}
-	cfg := DriftConfig{MinLabeled: 8, QualityWindow: 16, AccuracyDrop: 0.2}
+	cfg := DriftConfig{}
 	d := NewDetector(ref, 0.95, cfg)
-	// Accurate labels first: no trip.
-	for i := 0; i < 16; i++ {
+	// Accurate labels first, past minLabeled: no trip.
+	for i := 0; i < qualityWindow; i++ {
 		d.ObserveLabeled(true, 0.05)
 	}
 	if s := d.Score(); s.Drifted {
 		t.Fatalf("accurate stream tripped: %+v", s)
 	}
-	// Then the model falls apart; the rolling window must trip.
-	for i := 0; i < 16; i++ {
+	// Then the model falls apart for a whole rolling window; it must trip.
+	for i := 0; i < qualityWindow; i++ {
 		d.ObserveLabeled(false, 3.0)
 	}
 	s := d.Score()
@@ -472,7 +475,7 @@ func TestDetectorQualityDecay(t *testing.T) {
 
 	// With no reference accuracy the quality signal stays disabled.
 	d2 := NewDetector(ref, 0, cfg)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < qualityWindow; i++ {
 		d2.ObserveLabeled(false, 3.0)
 	}
 	if s := d2.Score(); s.Drifted {

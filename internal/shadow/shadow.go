@@ -21,11 +21,16 @@
 //     but it is paid off the serving path.
 //
 //   - Labels join mirrored events by matrix content hash, so the label feed
-//     needs no request IDs from the serving layer, and the join table keeps
-//     only the hash and the served class — never the matrix. Only traffic
-//     that was actually mirrored is scored: a label whose matrix was never
-//     served (or whose mirror event was dropped) counts as unmatched,
+//     needs no request IDs from the serving layer, and the join table — one
+//     FIFO of at most 4096 pending events, oldest evicted first — keeps only
+//     the hash and the served class, never the matrix. Only traffic that was
+//     actually mirrored is scored: a label whose matrix was never served (or
+//     whose mirror event was dropped or evicted) counts as unmatched,
 //     keeping every candidate judged on the same live sample set.
+//
+// The gate is fixed: at most 8 challengers, and a winner needs 32 labeled
+// samples behind its score and the champion's and a 0.01 accuracy lead
+// (SetMargin moves the lead for the forced-reject drill).
 //
 // Determinism: per-candidate scores are cumulative totals (permutation
 // invariant in the mirrored set), labels are scored in the caller's feed
@@ -71,31 +76,33 @@ var (
 	// differs from the champion's — it could never serve the same traffic.
 	ErrShapeMismatch = errors.New("shadow: challenger shape mismatch")
 
-	// ErrTooManyChallengers reports an AddChallenger beyond Config.MaxChallengers.
+	// ErrTooManyChallengers reports an AddChallenger beyond the cap of 8
+	// challengers.
 	ErrTooManyChallengers = errors.New("shadow: too many challengers")
 )
 
-// Config tunes an Evaluator. The zero value is usable: every field defaults
-// to the values quantfleet -shadow ships with.
+// The evaluator's fixed bounds and gate.
+const (
+	// pendingCap bounds the label-join FIFO of mirrored-but-unlabeled
+	// events; the oldest pending event is evicted first.
+	pendingCap = 4096
+	// maxChallengers caps the challenger set.
+	maxChallengers = 8
+	// minSamples is how many labeled samples the champion and the winning
+	// challenger each need before a verdict can promote.
+	minSamples = 32
+	// defaultMargin is how much live accuracy the winning challenger must
+	// beat the champion by to be promoted, until SetMargin moves it.
+	defaultMargin = 0.01
+)
+
+// Config tunes an Evaluator. The zero value is usable.
 type Config struct {
 	// Seed drives the gate's deterministic tie-breaking.
 	Seed int64
 	// QueueCap bounds the async mirror queue (default 1024). Offers beyond
 	// it are dropped and counted, never blocked on.
 	QueueCap int
-	// PendingCap bounds the label-join table of mirrored-but-unlabeled
-	// events (default 4096); the oldest pending event is evicted first.
-	PendingCap int
-	// MaxChallengers caps the challenger set (default 8).
-	MaxChallengers int
-	// MinSamples is how many labeled samples the champion and the winning
-	// challenger each need before a verdict can promote (default 32).
-	MinSamples int
-	// Margin is how much live accuracy the winning challenger must beat the
-	// champion by to be promoted (default 0.01). A margin above 1 is an
-	// impossible bar that force-rejects every challenger — the rollback
-	// drill knob quantfleet -shadow exercises.
-	Margin float64
 	// Sink receives the evaluator's counters and gauges. Pass the serving
 	// layer's sink to surface them on /v1/stats; nil allocates a private
 	// sink so Stats always works.
@@ -105,18 +112,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
-	}
-	if c.PendingCap <= 0 {
-		c.PendingCap = 4096
-	}
-	if c.MaxChallengers <= 0 {
-		c.MaxChallengers = 8
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	if c.Margin == 0 {
-		c.Margin = 0.01
 	}
 	if c.Sink == nil {
 		c.Sink = obs.New()
@@ -132,13 +127,14 @@ type event struct {
 	class int
 }
 
-// pend is one mirrored event awaiting its delayed label. It keeps the
-// matrix's content hash, not the matrix: Label scores the matrix its caller
-// passes in, which a matching hash says is the one that was served, so the
-// join table's memory does not grow with the matrix size.
+// pend is one mirrored event awaiting its delayed label, held by value in
+// the join FIFO. It keeps the matrix's content hash, not the matrix: Label
+// scores the matrix its caller passes in, which a matching hash says is the
+// one that was served, so the join table's memory does not grow with the
+// matrix size.
 type pend struct {
 	hash     uint64
-	class    int
+	class    int32
 	consumed bool
 }
 
@@ -198,11 +194,11 @@ type Evaluator struct {
 	dropped  atomic.Uint64
 
 	mu          sync.Mutex
+	margin      float64
 	champion    *core.Framework // private evaluation clone of the served champion
 	champ       score
 	challengers []*challenger
-	pending     map[uint64][]*pend
-	fifo        []*pend
+	fifo        []pend // mirrored events in arrival order; fifo[:head] are gone
 	head        int
 	live        int // unconsumed events awaiting a label
 	dead        int // consumed events still occupying fifo slots past head
@@ -235,8 +231,8 @@ func New(champion *core.Framework, cfg Config) (*Evaluator, error) {
 	return &Evaluator{
 		cfg:      cfg,
 		queue:    make(chan event, cfg.QueueCap),
+		margin:   defaultMargin,
 		champion: clone,
-		pending:  make(map[uint64][]*pend),
 
 		mMirrored:   cfg.Sink.Counter("shadow", "", "mirrored"),
 		mDropped:    cfg.Sink.Counter("shadow", "", "mirror_drops"),
@@ -260,8 +256,8 @@ func (e *Evaluator) AddChallenger(name string, fw *core.Framework) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.challengers) >= e.cfg.MaxChallengers {
-		return fmt.Errorf("%w: %d registered, cap %d", ErrTooManyChallengers, len(e.challengers), e.cfg.MaxChallengers)
+	if len(e.challengers) >= maxChallengers {
+		return fmt.Errorf("%w: %d registered, cap %d", ErrTooManyChallengers, len(e.challengers), maxChallengers)
 	}
 	for _, c := range e.challengers {
 		if c.name == name {
@@ -326,70 +322,47 @@ func matHash(mat window.Matrix) uint64 {
 	return h.Sum64()
 }
 
-// drainLocked moves everything queued into the pending join table, evicting
-// the oldest pending events beyond PendingCap. Caller holds e.mu.
+// drainLocked moves everything queued into the join FIFO, evicting the
+// oldest pending events beyond pendingCap. Caller holds e.mu.
 func (e *Evaluator) drainLocked() {
 	for {
 		select {
 		case ev := <-e.queue:
-			p := &pend{hash: matHash(ev.mat), class: ev.class}
-			e.pending[p.hash] = append(e.pending[p.hash], p)
-			e.fifo = append(e.fifo, p)
+			e.fifo = append(e.fifo, pend{hash: matHash(ev.mat), class: int32(ev.class)})
 			e.live++
 		default:
 			e.evictLocked()
 			e.gQueueDepth.Set(float64(len(e.queue)))
-			e.gPending.Set(float64(e.pendingLenLocked()))
+			e.gPending.Set(float64(e.live))
 			return
 		}
 	}
 }
 
-func (e *Evaluator) pendingLenLocked() int { return e.live }
-
 func (e *Evaluator) evictLocked() {
-	for e.live > e.cfg.PendingCap && e.head < len(e.fifo) {
+	for e.live > pendingCap && e.head < len(e.fifo) {
 		p := e.fifo[e.head]
-		e.fifo[e.head] = nil
 		e.head++
 		if p.consumed {
 			e.dead--
 			continue
 		}
-		e.removePendingLocked(p)
 		e.live--
 		e.evicted++
 		e.mEvicted.Inc()
 	}
 	// Compact once dropped-prefix and consumed slots dominate, so a long
-	// episode never grows the slice without bound: live entries are the only
-	// ones kept, and a labeled stream that keeps up stays near-empty.
+	// episode never grows the slice without bound — it holds at most about
+	// 2 × pendingCap entries: live entries are the only ones kept, and a
+	// labeled stream that keeps up stays near-empty.
 	if e.head+e.dead >= len(e.fifo)/2 && e.head+e.dead > 0 {
 		kept := e.fifo[:0]
 		for _, p := range e.fifo[e.head:] {
-			if p != nil && !p.consumed {
+			if !p.consumed {
 				kept = append(kept, p)
 			}
 		}
-		for i := len(kept); i < len(e.fifo); i++ {
-			e.fifo[i] = nil
-		}
 		e.fifo, e.head, e.dead = kept, 0, 0
-	}
-}
-
-func (e *Evaluator) removePendingLocked(p *pend) {
-	list := e.pending[p.hash]
-	for i, q := range list {
-		if q == p {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(e.pending, p.hash)
-	} else {
-		e.pending[p.hash] = list
 	}
 }
 
@@ -417,10 +390,13 @@ func (e *Evaluator) Label(mat window.Matrix, degradation float64) bool {
 	defer e.mu.Unlock()
 	e.drainLocked()
 
+	// Join the oldest unconsumed event with this hash: a scan of at most
+	// about 2 × pendingCap entries, paid here beside the candidates'
+	// predictions rather than on the serving path.
 	h := matHash(mat)
 	var p *pend
-	for _, q := range e.pending[h] {
-		if !q.consumed {
+	for i := e.head; i < len(e.fifo); i++ {
+		if q := &e.fifo[i]; q.hash == h && !q.consumed {
 			p = q
 			break
 		}
@@ -431,14 +407,13 @@ func (e *Evaluator) Label(mat window.Matrix, degradation float64) bool {
 		return false
 	}
 	p.consumed = true
-	e.removePendingLocked(p)
 	e.live--
 	e.dead++
-	e.gPending.Set(float64(e.pendingLenLocked()))
+	e.gPending.Set(float64(e.live))
 
 	truth := e.champion.Bins.Label(degradation)
 	cls, probs := e.champion.Predict(mat)
-	if cls != p.class {
+	if cls != int(p.class) {
 		// The mirrored reply disagrees with our champion clone: the serving
 		// layer promoted a new champion without a Reset. Count it — a
 		// mounting mismatch rate means the scoreboard is judging the wrong
@@ -460,17 +435,19 @@ func crossEntropy(probs []float64, truth int) float64 {
 	return -math.Log(math.Max(probs[truth], 1e-12))
 }
 
-// SetMargin adjusts the promotion margin between verdicts — the knob the
-// forced-reject drill uses (see Config.Margin).
+// SetMargin adjusts the promotion margin (0.01 until set) between verdicts:
+// how much live accuracy the winning challenger must beat the champion by. A
+// margin above 1 is an impossible bar that force-rejects every challenger —
+// the rollback drill quantfleet -shadow exercises.
 func (e *Evaluator) SetMargin(m float64) {
 	e.mu.Lock()
-	e.cfg.Margin = m
+	e.margin = m
 	e.mu.Unlock()
 }
 
 // Verdict evaluates the N-way champion/challenger gate at the current
 // scoreboard: the ranked challengers against the champion, under the
-// configured margin and minimum sample count. The result is a pure function
+// current margin and the 32-sample minimum. The result is a pure function
 // of (seed, labeled outcomes), so same-seed replays of the same stream emit
 // identical verdicts.
 func (e *Evaluator) Verdict() online.GateResult {
@@ -480,7 +457,7 @@ func (e *Evaluator) Verdict() online.GateResult {
 	for i, c := range e.challengers {
 		scores[i] = c.sc.candidate(c.name)
 	}
-	g := online.EvaluateShadowGate(e.cfg.Seed, e.champ.candidate("champion"), scores, e.cfg.Margin, e.cfg.MinSamples)
+	g := online.EvaluateShadowGate(e.cfg.Seed, e.champ.candidate("champion"), scores, e.margin, minSamples)
 	e.verdicts++
 	e.mVerdicts.Inc()
 	return g
@@ -504,8 +481,7 @@ func (e *Evaluator) Reset(champion *core.Framework) error {
 			e.champion = clone
 			e.champ = score{}
 			e.challengers = nil
-			e.pending = make(map[uint64][]*pend)
-			e.fifo, e.head, e.live, e.dead = nil, 0, 0, 0
+			e.fifo, e.head, e.live, e.dead = e.fifo[:0], 0, 0, 0
 			e.gQueueDepth.Set(0)
 			e.gPending.Set(0)
 			return nil
@@ -524,14 +500,14 @@ func (e *Evaluator) Status() serve.ShadowStatus {
 		Mirrored:   e.mirrored.Load(),
 		Dropped:    e.dropped.Load(),
 		QueueDepth: len(e.queue),
-		Pending:    e.pendingLenLocked(),
+		Pending:    e.live,
 		Labeled:    e.labeled,
 		Unmatched:  e.unmatched,
 		Evicted:    e.evicted,
 		Mismatches: e.mismatches,
 		Verdicts:   e.verdicts,
-		MinSamples: e.cfg.MinSamples,
-		Margin:     e.cfg.Margin,
+		MinSamples: minSamples,
+		Margin:     e.margin,
 	}
 	for _, c := range e.challengers {
 		st.Challengers = append(st.Challengers, candidateStatus(c.sc.candidate(c.name)))

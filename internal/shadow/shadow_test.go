@@ -81,7 +81,7 @@ func labeledStream(rng *sim.RNG, n int) ([]window.Matrix, []float64) {
 // counters line up.
 func TestScoringCorrectness(t *testing.T) {
 	champ := trainedFramework(t, 1, 5)
-	ev, err := New(champ, Config{Seed: 1, MinSamples: 8})
+	ev, err := New(champ, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestScoringCorrectness(t *testing.T) {
 // shape mismatches, and the challenger cap are all refused.
 func TestAddChallengerValidation(t *testing.T) {
 	champ := trainedFramework(t, 3, 2)
-	ev, err := New(champ, Config{MaxChallengers: 2})
+	ev, err := New(champ, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,16 @@ func TestAddChallengerValidation(t *testing.T) {
 	if err := ev.AddChallenger("", champ); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := ev.AddChallenger("c1", champ); err != nil {
-		t.Fatal(err)
+	for i := 1; i < maxChallengers; i++ {
+		if err := ev.AddChallenger(fmt.Sprintf("c%d", i), champ); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ev.AddChallenger("c2", champ); !errors.Is(err, ErrTooManyChallengers) {
+	if err := ev.AddChallenger("over", champ); !errors.Is(err, ErrTooManyChallengers) {
 		t.Fatalf("over-cap registration = %v", err)
+	}
+	if n := len(ev.Challengers()); n != maxChallengers {
+		t.Fatalf("%d challengers registered, want the cap %d", n, maxChallengers)
 	}
 }
 
@@ -176,34 +181,35 @@ func TestMirrorDropPath(t *testing.T) {
 }
 
 // TestPendingEviction pins the bounded join table: pending events beyond
-// PendingCap evict oldest-first, an evicted event's label comes back
+// pendingCap evict oldest-first, an evicted event's label comes back
 // unmatched, and the newest events stay joinable.
 func TestPendingEviction(t *testing.T) {
 	champ := trainedFramework(t, 6, 2)
-	ev, err := New(champ, Config{PendingCap: 4})
+	n := pendingCap + 6
+	ev, err := New(champ, Config{QueueCap: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mats, degs := labeledStream(sim.NewRNG(8), 10)
+	mats, degs := labeledStream(sim.NewRNG(8), n)
 	for _, mat := range mats {
 		ev.Mirror(mat, 0)
 	}
 	ev.Sync()
-	if st := ev.Status(); st.Pending != 4 || st.Evicted != 6 {
-		t.Fatalf("pending %d evicted %d, want 4/6", st.Pending, st.Evicted)
+	if st := ev.Status(); st.Pending != pendingCap || st.Evicted != 6 {
+		t.Fatalf("pending %d evicted %d, want %d/6", st.Pending, st.Evicted, pendingCap)
 	}
 	if ev.Label(mats[0], degs[0]) {
 		t.Fatal("evicted event still labeled")
 	}
-	if !ev.Label(mats[9], degs[9]) {
+	if !ev.Label(mats[n-1], degs[n-1]) {
 		t.Fatal("newest event lost to eviction")
 	}
 }
 
 // TestPendingHoldsNoMatrices pins the join table's memory: a full table of
-// PendingCap mirrored 7x34 matrices costs well under the matrices' own size
-// (~2 KB each here, ~3.6 KB JSON-decoded), because a pending event keeps
-// only the matrix's hash and the served class.
+// pendingCap mirrored 7x34 matrices costs well under the matrices' own size
+// (~2 KB each here, ~3.6 KB JSON-decoded), because a pending event is one
+// 16-byte FIFO value holding the matrix's hash and the served class.
 func TestPendingHoldsNoMatrices(t *testing.T) {
 	ev, err := New(trainedFramework(t, 7, 1), Config{})
 	if err != nil {
@@ -215,7 +221,7 @@ func TestPendingHoldsNoMatrices(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	n := ev.cfg.PendingCap
+	n := pendingCap
 	before := heap()
 	for i := 0; i < n; i++ {
 		mat := make(window.Matrix, 7)
@@ -236,8 +242,9 @@ func TestPendingHoldsNoMatrices(t *testing.T) {
 	if st := ev.Status(); st.Pending != n || st.Dropped != 0 {
 		t.Fatalf("pending %d dropped %d, want %d/0", st.Pending, st.Dropped, n)
 	}
-	if perEvent >= 512 {
-		t.Fatalf("join table holds %d B per pending event, want < 512: matrices are being retained", perEvent)
+	t.Logf("%d B per pending event", perEvent)
+	if perEvent >= 64 {
+		t.Fatalf("join table holds %d B per pending event, want < 64: matrices or per-event heap entries are being retained", perEvent)
 	}
 }
 
@@ -246,7 +253,7 @@ func TestPendingHoldsNoMatrices(t *testing.T) {
 // margin keeps the incumbent on the same scoreboard.
 func TestVerdictMarginAndForceReject(t *testing.T) {
 	champ := trainedFramework(t, 10, 1) // barely trained champion
-	ev, err := New(champ, Config{Seed: 10, MinSamples: 16, Margin: 0.01})
+	ev, err := New(champ, Config{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestVerdictMarginAndForceReject(t *testing.T) {
 // champion from zero.
 func TestResetStartsNewEpoch(t *testing.T) {
 	champ := trainedFramework(t, 13, 2)
-	ev, err := New(champ, Config{MinSamples: 4})
+	ev, err := New(champ, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +336,7 @@ func TestDeterminismConcurrentMirror(t *testing.T) {
 	}
 
 	run := func() (serve.ShadowStatus, online.GateResult) {
-		ev, err := New(champ, Config{Seed: 20, QueueCap: 256, MinSamples: 16})
+		ev, err := New(champ, Config{Seed: 20, QueueCap: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +387,7 @@ func TestServeMirrorTapAndEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := New(champ, Config{Seed: 30, MinSamples: 4})
+	ev, err := New(champ, Config{Seed: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,16 @@
 // interchange format, letting cmd/simrun dump traces and the labeller
 // consume them later.
 //
-// Format (tab-separated, one record per line, '#' comment header):
+// Format (tab-separated, one record per line; a line starting with '#' is a
+// comment and blank lines are skipped):
 //
 //	workload  rank  iter  seq  kind  path  offset  size  start_ns  end_ns  targets(comma)
+//
+// Every number is a non-negative decimal, end_ns is not before start_ns, and
+// an op that touched no target writes "-". Names are written as they are,
+// except that an empty name is "-", a name that is "-" or starts with '#' or
+// '\' gets a '\' prefix, and tabs and newlines become '_' — so a record
+// whose names hold no tab or newline reads back exactly.
 package trace
 
 import (
@@ -53,8 +60,8 @@ func (t *Writer) Write(rec workload.Record) {
 		targetField = "-" // keep the line exactly 11 fields
 	}
 	_, t.err = fmt.Fprintf(t.w, "%s\t%d\t%d\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%s\n",
-		sanitize(rec.Workload), rec.Rank, rec.Iter, rec.Seq,
-		rec.Op.Kind, sanitize(rec.Op.Path), rec.Op.Offset, rec.Op.Size,
+		encodeName(rec.Workload), rec.Rank, rec.Iter, rec.Seq,
+		rec.Op.Kind, encodeName(rec.Op.Path), rec.Op.Offset, rec.Op.Size,
 		rec.Start, rec.End, targetField)
 	if t.err == nil {
 		t.n++
@@ -72,20 +79,25 @@ func (t *Writer) Flush() error {
 	return t.w.Flush()
 }
 
-// sanitize keeps the format line-oriented and tab-separated.
-func sanitize(s string) string {
+// encodeName keeps the format line-oriented and tab-separated, and escapes
+// the names a reader would otherwise take for an empty name or a comment.
+func encodeName(s string) string {
 	if s == "" {
 		return "-"
 	}
 	s = strings.ReplaceAll(s, "\t", "_")
-	return strings.ReplaceAll(s, "\n", "_")
+	s = strings.ReplaceAll(s, "\n", "_")
+	if s == "-" || s[0] == '#' || s[0] == '\\' {
+		return "\\" + s
+	}
+	return s
 }
 
-func unsanitize(s string) string {
+func decodeName(s string) string {
 	if s == "-" {
 		return ""
 	}
-	return s
+	return strings.TrimPrefix(s, "\\")
 }
 
 // Read parses an entire trace stream.
@@ -96,8 +108,8 @@ func Read(r io.Reader) ([]workload.Record, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := sc.Text()
+		if strings.TrimSpace(text) == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
 		rec, err := parseLine(text)
@@ -128,16 +140,19 @@ func parseLine(text string) (workload.Record, error) {
 		if err != nil {
 			return rec, fmt.Errorf("field %d: %w", idx, err)
 		}
+		if v < 0 {
+			return rec, fmt.Errorf("field %d: negative value %d", idx, v)
+		}
 		ints = append(ints, v)
 	}
 	rec = workload.Record{
-		Workload: unsanitize(fields[0]),
+		Workload: decodeName(fields[0]),
 		Rank:     int(ints[0]),
 		Iter:     int(ints[1]),
 		Seq:      int(ints[2]),
 		Op: workload.Op{
 			Kind:   kind,
-			Path:   unsanitize(fields[5]),
+			Path:   decodeName(fields[5]),
 			Offset: ints[3],
 			Size:   ints[4],
 		},
@@ -152,6 +167,9 @@ func parseLine(text string) (workload.Record, error) {
 			v, err := strconv.Atoi(t)
 			if err != nil {
 				return rec, fmt.Errorf("target %q: %w", t, err)
+			}
+			if v < 0 {
+				return rec, fmt.Errorf("negative target %d", v)
 			}
 			rec.Targets = append(rec.Targets, v)
 		}
