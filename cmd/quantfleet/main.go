@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -66,11 +67,11 @@ func main() {
 	flag.Parse()
 	switch {
 	case *smoke:
-		if err := runSmoke(*seed, *requests); err != nil {
+		if err := runSmoke(os.Stdout, *seed, *requests); err != nil {
 			fatal(err)
 		}
 	case *shadow:
-		if err := runShadow(*seed); err != nil {
+		if err := runShadow(os.Stdout, *seed); err != nil {
 			fatal(err)
 		}
 	case *status:
@@ -87,9 +88,9 @@ func main() {
 // failure leaves both promoted and untouched replicas to verify against.
 const replicaCount = 3
 
-func runSmoke(seed int64, requests int) error {
+func runSmoke(w io.Writer, seed int64, requests int) error {
 	ctx := context.Background()
-	fmt.Printf("fleet-smoke: %d replicas, seed %d\n", replicaCount, seed)
+	fmt.Fprintf(w, "fleet-smoke: %d replicas, seed %d\n", replicaCount, seed)
 
 	ep, err := buildEpisode(train(corpus(seed), seed, 5), seed, serve.Config{}, true)
 	if err != nil {
@@ -97,7 +98,7 @@ func runSmoke(seed int64, requests int) error {
 	}
 	defer ep.close()
 	incDigest := ml.WeightsDigest(ep.master.ExportWeights())
-	fmt.Println("incumbent", incDigest)
+	fmt.Fprintln(w, "incumbent", incDigest)
 
 	// Each replica labels its own stream slice into its reservoir.
 	feedLoops(ep, 20)
@@ -163,26 +164,26 @@ func runSmoke(seed int64, requests int) error {
 	if merged.Digest() != back.Digest() {
 		orderOK = "DIVERGED"
 	}
-	fmt.Printf("merged %d samples digest %s (order-independent: %s)\n", merged.Len(), merged.Digest(), orderOK)
+	fmt.Fprintf(w, "merged %d samples digest %s (order-independent: %s)\n", merged.Len(), merged.Digest(), orderOK)
 
 	// Retrain on the fleet's combined history and roll it out cleanly.
 	cand := train(merged, seed+200, 5)
-	fmt.Println("retrained candidate", ml.WeightsDigest(cand.ExportWeights()))
+	fmt.Fprintln(w, "retrained candidate", ml.WeightsDigest(cand.ExportWeights()))
 	if err := ep.coord.Promote(ctx, cand); err != nil {
 		return fmt.Errorf("final rollout: %w", err)
 	}
 
 	for _, ev := range ep.coord.Timeline() {
-		fmt.Println(ev)
+		fmt.Fprintln(w, ev)
 	}
 	st := ep.coord.Status(ctx)
-	fmt.Printf("fleet consistent: %v %s model %s\n", st.Consistent, st.APIVersion, st.ModelDigest)
-	fmt.Printf("accepted %d/%d dropped %d\n", ep.coord.Accepted(), requests, ep.coord.Dropped())
+	fmt.Fprintf(w, "fleet consistent: %v %s model %s\n", st.Consistent, st.APIVersion, st.ModelDigest)
+	fmt.Fprintf(w, "accepted %d/%d dropped %d\n", ep.coord.Accepted(), requests, ep.coord.Dropped())
 	if st.Healthy != replicaCount || !st.Consistent || ep.coord.Dropped() != 0 {
 		return fmt.Errorf("episode did not converge: %d healthy, consistent %v, %d dropped",
 			st.Healthy, st.Consistent, ep.coord.Dropped())
 	}
-	fmt.Println("fleet-smoke: OK")
+	fmt.Fprintln(w, "fleet-smoke: OK")
 	return nil
 }
 
@@ -194,9 +195,9 @@ const shadowRequests = 96
 // 3-replica fleet while three challengers are scored on the mirrored live
 // traffic, and the gate verdict drives the fleet-wide rollout. A second
 // epoch under a forced-reject margin keeps the new incumbent.
-func runShadow(seed int64) error {
+func runShadow(w io.Writer, seed int64) error {
 	ctx := context.Background()
-	fmt.Printf("shadow-smoke: %d replicas, 3 challengers, seed %d\n", replicaCount, seed)
+	fmt.Fprintf(w, "shadow-smoke: %d replicas, 3 challengers, seed %d\n", replicaCount, seed)
 
 	// Weak champion: one epoch on the shared corpus. Challengers train on the
 	// same corpus at different depths and seeds; the gate picks whichever
@@ -204,7 +205,7 @@ func runShadow(seed int64) error {
 	data := corpus(seed)
 	champion := train(data, seed, 1)
 	champDigest := ml.WeightsDigest(champion.ExportWeights())
-	fmt.Println("champion", champDigest)
+	fmt.Fprintln(w, "champion", champDigest)
 	challengers := []struct {
 		name   string
 		epochs int
@@ -219,7 +220,7 @@ func runShadow(seed int64) error {
 		c := &challengers[i]
 		c.fw = train(data, seed+int64(i)+1, c.epochs)
 		cands[c.name] = c.fw
-		fmt.Printf("challenger %s epochs %d %s\n", c.name, c.epochs, ml.WeightsDigest(c.fw.ExportWeights()))
+		fmt.Fprintf(w, "challenger %s epochs %d %s\n", c.name, c.epochs, ml.WeightsDigest(c.fw.ExportWeights()))
 	}
 
 	// One shared evaluator tapped into every replica's batcher, sharing one
@@ -249,14 +250,14 @@ func runShadow(seed int64) error {
 	if err := shadowEpochTraffic(ctx, coord, ev, rng, 0, shadowRequests); err != nil {
 		return err
 	}
-	printScoreboard(ev)
+	printScoreboard(w, ev)
 
 	verdict := ev.Verdict()
 	if !verdict.Promote {
 		return fmt.Errorf("no challenger cleared the gate (champion %.4f, best %.4f); episode expects a winner",
 			verdict.IncumbentAccuracy, verdict.CandidateAccuracy)
 	}
-	fmt.Printf("verdict: promote %s (lead %.4f over champion %.4f, margin %.2f, n %d)\n",
+	fmt.Fprintf(w, "verdict: promote %s (lead %.4f over champion %.4f, margin %.2f, n %d)\n",
 		verdict.Winner, verdict.CandidateAccuracy, verdict.IncumbentAccuracy, verdict.Margin, verdict.Holdout)
 	if err := coord.PromoteShadowed(ctx, verdict, cands); err != nil {
 		return fmt.Errorf("shadow-gated rollout: %w", err)
@@ -267,7 +268,7 @@ func runShadow(seed int64) error {
 			return fmt.Errorf("replica %s serves %s after rollout, want winner %s", ep.names[i], got, winDigest)
 		}
 	}
-	fmt.Printf("promoted %s fleet-wide: %s\n", verdict.Winner, winDigest)
+	fmt.Fprintf(w, "promoted %s fleet-wide: %s\n", verdict.Winner, winDigest)
 
 	// Epoch 2: the winner is the new champion; fresh challengers are scored
 	// under a forced-reject margin (the drill), so the incumbent must hold.
@@ -282,29 +283,29 @@ func runShadow(seed int64) error {
 	if err := shadowEpochTraffic(ctx, coord, ev, rng, shadowRequests, shadowRequests); err != nil {
 		return err
 	}
-	printScoreboard(ev)
+	printScoreboard(w, ev)
 	drillVerdict := ev.Verdict()
 	if err := coord.PromoteShadowed(ctx, drillVerdict, map[string]*core.Framework{"drill": drill}); !errors.Is(err, fleet.ErrShadowRejected) {
 		return fmt.Errorf("forced-reject drill promoted anyway: %v", err)
 	}
-	fmt.Println("verdict: keep incumbent (forced-reject margin)")
+	fmt.Fprintln(w, "verdict: keep incumbent (forced-reject margin)")
 	for i, s := range ep.servers {
 		if got := s.ModelDigest(); got != winDigest {
 			return fmt.Errorf("replica %s serves %s after the drill, want incumbent %s", ep.names[i], got, winDigest)
 		}
 	}
 
-	fmt.Println("timeline:")
+	fmt.Fprintln(w, "timeline:")
 	for _, e := range coord.Timeline() {
-		fmt.Println(e)
+		fmt.Fprintln(w, e)
 	}
 	st := ev.Status()
-	fmt.Printf("mirrored %d dropped %d labeled %d unmatched %d\n", st.Mirrored, st.Dropped, st.Labeled, st.Unmatched)
+	fmt.Fprintf(w, "mirrored %d dropped %d labeled %d unmatched %d\n", st.Mirrored, st.Dropped, st.Labeled, st.Unmatched)
 	if st.Dropped != 0 || st.Unmatched != 0 || coord.Dropped() != 0 {
 		return fmt.Errorf("episode shed traffic: %d mirror drops, %d unmatched labels, %d route drops",
 			st.Dropped, st.Unmatched, coord.Dropped())
 	}
-	fmt.Println("shadow-smoke: OK")
+	fmt.Fprintln(w, "shadow-smoke: OK")
 	return nil
 }
 
@@ -326,12 +327,12 @@ func shadowEpochTraffic(ctx context.Context, coord *fleet.Coordinator, ev *shado
 
 // printScoreboard prints every candidate's live score, champion first, in
 // registration order — digest-free and deterministic for byte comparison.
-func printScoreboard(ev *shadowpkg.Evaluator) {
+func printScoreboard(w io.Writer, ev *shadowpkg.Evaluator) {
 	st := ev.Status()
-	fmt.Println("scoreboard:")
+	fmt.Fprintln(w, "scoreboard:")
 	rows := append([]serve.ShadowCandidate{st.Champion}, st.Challengers...)
 	for _, r := range rows {
-		fmt.Printf("  %-8s acc %.4f ce %.4f n %d\n", r.Name, r.Accuracy, r.CE, r.Samples)
+		fmt.Fprintf(w, "  %-8s acc %.4f ce %.4f n %d\n", r.Name, r.Accuracy, r.CE, r.Samples)
 	}
 }
 

@@ -2,12 +2,21 @@ package serve
 
 import "time"
 
-// gather collects requests after the first until the batch is full, the
-// batch window elapses, or shutdown begins (which flushes immediately —
-// queued stragglers are answered by drain).
+// gather collects the batch that first opens. The batch window is anchored
+// at the previous cut, not at first's arrival, so it spaces batches at least
+// one BatchWindow apart without holding a request that nothing else joins:
+// when the previous cut is a window old or more, the batcher was idle and
+// first is cut at once, with whatever is already queued. Otherwise gather
+// collects until one window after the previous cut, a full MaxBatch, or
+// shutdown (which flushes immediately — queued stragglers are answered by
+// drain), whichever comes first.
 func (s *Server) gather(first *request) []*request {
 	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-	timer := time.NewTimer(s.cfg.BatchWindow)
+	wait := time.Until(s.lastCut.Add(s.cfg.BatchWindow))
+	if wait <= 0 {
+		return s.takeQueued(batch)
+	}
+	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
@@ -22,39 +31,50 @@ func (s *Server) gather(first *request) []*request {
 	return batch
 }
 
+// takeQueued adds what is already queued to batch, without waiting, until
+// the queue is empty or the batch holds MaxBatch requests.
+func (s *Server) takeQueued(batch []*request) []*request {
+	for len(batch) < s.cfg.MaxBatch {
+		select {
+		case req := <-s.queue:
+			batch = append(batch, req)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
 // drain answers everything still queued at shutdown, in full batches.
 // Requests whose callers already gave up (context canceled between enqueue
 // and gather) are still answered into their buffered channels, so no sender
 // ever blocks and no request is dropped.
 func (s *Server) drain() {
 	for {
-		batch := make([]*request, 0, s.cfg.MaxBatch)
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case req := <-s.queue:
-				batch = append(batch, req)
-			default:
-				if len(batch) > 0 {
-					s.runBatch(batch)
-				}
-				return
-			}
+		batch := s.takeQueued(make([]*request, 0, s.cfg.MaxBatch))
+		if len(batch) == 0 {
+			s.gQueueDepth.Set(0)
+			return
 		}
 		s.runBatch(batch)
 	}
 }
 
 // batcher is the single goroutine with the right to touch a Framework's
-// prediction scratch. It blocks for the first request, gathers more until
-// MaxBatch or BatchWindow, and answers the whole batch from one PredictBatch
-// call. On shutdown it drains whatever is still queued before exiting, so
-// every admitted request is answered.
+// prediction scratch. It blocks for the first request, gathers more as
+// gather decides, and answers the whole batch from one PredictBatch call.
+// It alone reads and writes lastCut, the moment of the previous cut, and it
+// sets the queue-depth gauge after every cut. On shutdown it drains whatever
+// is still queued before exiting, so every admitted request is answered.
 func (s *Server) batcher() {
 	defer close(s.done)
 	for {
 		select {
 		case first := <-s.queue:
-			s.runBatch(s.gather(first))
+			batch := s.gather(first)
+			s.lastCut = time.Now()
+			s.gQueueDepth.Set(float64(len(s.queue)))
+			s.runBatch(batch)
 		case <-s.stop:
 			s.drain()
 			return

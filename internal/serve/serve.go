@@ -6,12 +6,14 @@
 // Concurrency model: the Framework's Predict/PredictBatch reuse internal
 // scratch and are not goroutine-safe, so the server funnels every prediction
 // through a single batcher goroutine. Concurrent requests are gathered into
-// one PredictBatch call, bounded by MaxBatch (size) and BatchWindow
-// (latency). PredictBatch is bit-identical to per-input Predict, so batching
-// composition never changes an answer — a property the tests pin down under
-// -race with dozens of concurrent clients. Forecasts have no batched entry
-// point, so they skip the batcher: each caller takes a one-slot lock and runs
-// Forecaster.Predict itself.
+// one PredictBatch call of at most MaxBatch requests. BatchWindow spaces
+// batches apart: it is anchored at the previous cut, so an idle server
+// answers a request at once, while requests arriving within one window of
+// the previous cut still share a batch. PredictBatch is bit-identical to
+// per-input Predict, so batching composition never changes an answer — a
+// property the tests pin down under -race with dozens of concurrent
+// clients. Forecasts have no batched entry point, so they skip the batcher:
+// each caller takes a one-slot lock and runs Forecaster.Predict itself.
 //
 // Hot reload swaps an atomic framework pointer: in-flight batches keep the
 // framework they loaded (each Framework owns its own scratch), so a reload
@@ -68,9 +70,11 @@ type Config struct {
 	// MaxBatch caps how many requests one PredictBatch call carries
 	// (default 32).
 	MaxBatch int
-	// BatchWindow is how long the batcher waits for more requests after the
-	// first one arrives (default 2ms). Smaller trades throughput for
-	// latency.
+	// BatchWindow is the minimum spacing between batches (default 2ms). A
+	// request that arrives a window or more after the previous cut is
+	// answered at once, with whatever is already queued; one that arrives
+	// sooner waits until a window after that cut, gathering the requests
+	// that arrive meanwhile. Smaller trades throughput for latency.
 	BatchWindow time.Duration
 	// MaxInflight bounds the request queue and, separately, the forecasts
 	// admitted at once; admissions beyond it fail fast with ErrOverloaded
@@ -161,20 +165,23 @@ type Server struct {
 	stop     chan struct{} // closed by Shutdown once admissions drained
 	done     chan struct{} // closed when the batcher exits
 
-	mRequests  *obs.Counter
-	mForecasts *obs.Counter
-	mErrors    *obs.Counter
-	mReloads   *obs.Counter
-	mBatches   *obs.Counter
-	gInflight  *obs.Gauge
-	hBatch     *obs.Histogram
-	hQueueNS   *obs.Histogram
-	hModelNS   *obs.Histogram
-	hFWaitNS   *obs.Histogram
-	hFModelNS  *obs.Histogram
-	hTotalNS   *obs.Histogram
+	mRequests   *obs.Counter
+	mForecasts  *obs.Counter
+	mErrors     *obs.Counter
+	mReloads    *obs.Counter
+	mBatches    *obs.Counter
+	gQueueDepth *obs.Gauge
+	hBatch      *obs.Histogram
+	hQueueNS    *obs.Histogram
+	hModelNS    *obs.Histogram
+	hFWaitNS    *obs.Histogram
+	hFModelNS   *obs.Histogram
+	hTotalNS    *obs.Histogram
 
-	batchMats []window.Matrix // batcher-only scratch
+	// Batcher-only state: PredictBatch's input scratch and the moment of
+	// the previous cut, which anchors the batch window.
+	batchMats []window.Matrix
+	lastCut   time.Time
 }
 
 // New starts a serving loop around fw. The framework must not be used
@@ -193,18 +200,18 @@ func New(fw *core.Framework, cfg Config) *Server {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 
-		mRequests:  cfg.Sink.Counter("serve", "", "requests"),
-		mForecasts: cfg.Sink.Counter("serve", "", "forecasts"),
-		mErrors:    cfg.Sink.Counter("serve", "", "errors"),
-		mReloads:   cfg.Sink.Counter("serve", "", "reloads"),
-		mBatches:   cfg.Sink.Counter("serve", "", "batches"),
-		gInflight:  cfg.Sink.Gauge("serve", "", "queue_depth"),
-		hBatch:     cfg.Sink.Histogram("serve", "", "batch_size", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
-		hQueueNS:   cfg.Sink.Histogram("serve", "", "queue_wait_ns", obs.TimeBuckets()),
-		hModelNS:   cfg.Sink.Histogram("serve", "", "model_ns", obs.TimeBuckets()),
-		hFWaitNS:   cfg.Sink.Histogram("serve", "", "forecast_wait_ns", obs.TimeBuckets()),
-		hFModelNS:  cfg.Sink.Histogram("serve", "", "forecast_model_ns", obs.TimeBuckets()),
-		hTotalNS:   cfg.Sink.Histogram("serve", "", "total_ns", obs.TimeBuckets()),
+		mRequests:   cfg.Sink.Counter("serve", "", "requests"),
+		mForecasts:  cfg.Sink.Counter("serve", "", "forecasts"),
+		mErrors:     cfg.Sink.Counter("serve", "", "errors"),
+		mReloads:    cfg.Sink.Counter("serve", "", "reloads"),
+		mBatches:    cfg.Sink.Counter("serve", "", "batches"),
+		gQueueDepth: cfg.Sink.Gauge("serve", "", "queue_depth"),
+		hBatch:      cfg.Sink.Histogram("serve", "", "batch_size", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
+		hQueueNS:    cfg.Sink.Histogram("serve", "", "queue_wait_ns", obs.TimeBuckets()),
+		hModelNS:    cfg.Sink.Histogram("serve", "", "model_ns", obs.TimeBuckets()),
+		hFWaitNS:    cfg.Sink.Histogram("serve", "", "forecast_wait_ns", obs.TimeBuckets()),
+		hFModelNS:   cfg.Sink.Histogram("serve", "", "forecast_model_ns", obs.TimeBuckets()),
+		hTotalNS:    cfg.Sink.Histogram("serve", "", "total_ns", obs.TimeBuckets()),
 
 		batchMats: make([]window.Matrix, 0, cfg.MaxBatch),
 	}
@@ -239,8 +246,11 @@ func (s *Server) Shadow() ShadowEvaluator { return s.cfg.Shadow }
 func (s *Server) Stats() *obs.Snapshot { return s.cfg.Sink.Snapshot() }
 
 // Predict classifies one raw window matrix, transparently batched with
-// whatever other requests are in flight. The returned probs slice is the
-// caller's to keep. Safe for any number of concurrent callers.
+// whatever other requests are in flight. On an idle server (no batch cut
+// within the last BatchWindow) it is answered at once; otherwise it joins
+// the batch cut one window after the previous one, or sooner if that batch
+// fills. The returned probs slice is the caller's to keep. Safe for any
+// number of concurrent callers.
 func (s *Server) Predict(ctx context.Context, mat window.Matrix) (class int, probs []float64, err error) {
 	start := time.Now()
 	s.mRequests.Inc()
@@ -264,7 +274,7 @@ func (s *Server) Predict(ctx context.Context, mat window.Matrix) (class int, pro
 	req := &request{mat: mat, resp: make(chan response, 1), enq: start}
 	select {
 	case s.queue <- req:
-		s.gInflight.Set(float64(len(s.queue)))
+		s.gQueueDepth.Set(float64(len(s.queue)))
 	default:
 		s.mErrors.Inc()
 		return 0, nil, fmt.Errorf("%w: queue full (%d)", ErrOverloaded, s.cfg.MaxInflight)

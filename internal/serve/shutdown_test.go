@@ -39,6 +39,15 @@ func TestShutdownFlushesPartialGather(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
 	s := New(fw, Config{MaxBatch: 32, BatchWindow: time.Minute, MaxInflight: 64})
 
+	// An idle server cuts a request at once, so the abandoned requests would
+	// never be held. A first request, answered before they queue, anchors the
+	// minute-long window that parks the batcher in gather.
+	actx, acancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer acancel()
+	if _, _, err := s.Predict(actx, mats[0]); err != nil {
+		t.Fatalf("anchoring Predict: %v", err)
+	}
+
 	// Abandoned requests, injected the way a ctx-canceled Predict leaves
 	// them: enqueued, caller gone, not registered with the inflight gate.
 	const n = 5
@@ -79,8 +88,8 @@ func TestShutdownFlushesPartialGather(t *testing.T) {
 		}
 	}
 	hb := histogram(t, s.Stats(), "batch_size")
-	if hb.Count != 1 || hb.Sum != n {
-		t.Fatalf("batch_size count=%d sum=%g, want one batch of %d", hb.Count, hb.Sum, n)
+	if hb.Count != 2 || hb.Sum != 1+n {
+		t.Fatalf("batch_size count=%d sum=%g, want the anchoring batch of 1, then one batch of %d", hb.Count, hb.Sum, n)
 	}
 }
 
