@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 verify fuzz bench bench-collect docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
+.PHONY: build test tier1 verify fuzz bench bench-collect docs-check figures-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ tier1: build test
 # cmd/quantbench is a module of its own, so the root ./... never compiles it;
 # the last line vets and tests it, catching a break in an internal API it
 # calls before the benchmark runs.
-verify: docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke
+verify: docs-check figures-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=1 ./internal/par ./internal/obs ./internal/fault ./internal/ml ./internal/serve ./internal/online ./internal/mitigate ./internal/fleet ./internal/shadow
@@ -65,6 +65,19 @@ docs-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck .
+
+# figures-check regenerates out/ at the documented defaults (about a minute
+# on two cores) and fails if a committed top-level panel changed, or if
+# cmd/figures wrote a top-level .txt, .csv or .svg panel that is not
+# committed. out/ is in .gitignore, so the second check lists ignored files
+# too, and a new panel is committed with git add -f.
+figures-check:
+	$(GO) run ./cmd/figures -scale 1 -epochs 60 -seed 42 -out out > /dev/null
+	@git diff --exit-code --stat -- out/ || \
+		{ echo "figures-check: committed panels changed"; exit 1; }
+	@new=$$(git ls-files --others -- out | grep -E '^out/[^/]+\.(txt|csv|svg)$$'); \
+	[ -z "$$new" ] || { echo "figures-check: uncommitted panels:"; echo "$$new"; exit 1; }
+	@echo "figures-check: OK"
 
 # serve-smoke boots quantserve on a synthetic model, exercises /v1/healthz,
 # /v1/predict, /v1/stats and /v1/forecast over real HTTP, and checks it exits

@@ -604,18 +604,6 @@ func BenchmarkPhaseStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkCaseStudyMitigation runs the four-policy mitigation comparison.
-func BenchmarkCaseStudyMitigation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.CaseStudyMitigation(experiments.CaseStudyConfig{
-			Scale: benchScale, Epochs: 10, Seed: int64(i),
-		})
-		if len(r.Modes) != 4 {
-			b.Fatal("bad modes")
-		}
-	}
-}
-
 // BenchmarkPolicyDecide measures one mitigation-policy decision per window —
 // the per-window cost a live controller pays on the actuation hot path. The
 // observation stream alternates clean/hot windows with a forecast attached,

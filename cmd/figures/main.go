@@ -106,12 +106,6 @@ var experimentList = []experiment{
 		r := experiments.PhaseStudy(experiments.PhaseStudyConfig{Scale: scaleFlag()})
 		emit("phases", r.Render(), r.CSV())
 	}},
-	{"casestudy", "Case study: prediction-driven mitigation", func() {
-		r := experiments.CaseStudyMitigation(experiments.CaseStudyConfig{
-			Scale: scaleFlag(), Epochs: *epochs, Seed: *seed,
-		})
-		emit("casestudy", r.Render(), r.CSV())
-	}},
 	{"robustness", "Robustness: accuracy/F1 across seeds", func() {
 		r := experiments.Robustness(io500(), label.BinaryBins(), *epochs, 5, *seed)
 		emit("robustness", r.Render(), r.CSV())

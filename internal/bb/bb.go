@@ -139,9 +139,38 @@ func (b *Buffer) admitWaiters() {
 	}
 }
 
-// WriteFn adapts the buffer to workload.Runner's write hook.
-func (b *Buffer) WriteFn() func(h *lustre.Handle, off, length int64, done func()) {
-	return func(h *lustre.Handle, off, length int64, done func()) {
-		b.Write(h, off, length, done)
+// Tier fronts every compute node's client with a buffer of its own. A
+// node's buffer is attached on its first Route and shared by every rank
+// that writes from that node; the simulation is single-threaded and
+// deterministic, so the lazy attachment is order-stable.
+type Tier struct {
+	fs   *lustre.FS
+	cfg  Config
+	bufs map[string]*Buffer
+}
+
+// NewTier creates a tier over fs whose buffers are all sized by cfg.
+func NewTier(fs *lustre.FS, cfg Config) *Tier {
+	return &Tier{fs: fs, cfg: cfg, bufs: make(map[string]*Buffer)}
+}
+
+// Route returns node's write path through its buffer, in the shape of
+// workload.Runner's WriteViaFor hook.
+func (t *Tier) Route(node string) func(h *lustre.Handle, off, length int64, done func()) {
+	buf, ok := t.bufs[node]
+	if !ok {
+		buf = Attach(t.fs.Eng, t.fs.Client(node), t.cfg)
+		t.bufs[node] = buf
 	}
+	return buf.Write
+}
+
+// Used is the bytes every node's buffer has absorbed and not yet drained
+// to the PFS.
+func (t *Tier) Used() int64 {
+	var n int64
+	for _, b := range t.bufs {
+		n += b.used
+	}
+	return n
 }

@@ -93,21 +93,26 @@ func TestDrainOrderFIFOPerBuffer(t *testing.T) {
 
 func TestRunnerWriteViaRoutesThroughBuffer(t *testing.T) {
 	eng, fs := newFS()
-	b := Attach(eng, fs.Client("c0"), Config{})
+	tier := NewTier(fs, Config{})
 	g := io500.New(io500.IorEasyWrite, io500.Params{Dir: "/w", Ranks: 1, EasyFileBytes: 8 << 20})
 	finished := false
+	var usedAtDone int64
 	r := &workload.Runner{
 		FS: fs, Name: "bbrun", Nodes: []string{"c0"}, Ranks: 1, Gen: g,
-		WriteVia: b.WriteFn(),
-		OnDone:   func() { finished = true },
+		WriteViaFor: tier.Route,
+		OnDone:      func() { finished, usedAtDone = true, tier.Used() },
 	}
 	r.Start()
 	eng.RunUntil(sim.Seconds(60))
 	if !finished {
 		t.Fatal("runner did not finish")
 	}
-	if b.Stats().Absorbed != 8<<20 {
-		t.Fatalf("buffer absorbed %d, want all writes", b.Stats().Absorbed)
+	if got := tier.bufs["c0"].Stats().Absorbed; got != 8<<20 {
+		t.Fatalf("buffer absorbed %d, want all writes", got)
+	}
+	// The runner finishes at ingest speed, ahead of the drain.
+	if usedAtDone <= 0 || tier.Used() != 0 {
+		t.Fatalf("used %d at completion and %d after the drain, want > 0 then 0", usedAtDone, tier.Used())
 	}
 }
 
@@ -134,8 +139,7 @@ func TestBurstBufferInsulatesFromInterference(t *testing.T) {
 			OnDone: func() { doneAt = eng.Now(); stop = true },
 		}
 		if useBB {
-			b := Attach(eng, fs.Client("c0"), Config{Capacity: 64 << 20})
-			r.WriteVia = b.WriteFn()
+			r.WriteViaFor = NewTier(fs, Config{Capacity: 64 << 20}).Route
 		}
 		r.Start()
 		eng.RunUntil(sim.Seconds(300))

@@ -348,24 +348,15 @@ func simulate(ctx context.Context, s Scenario, o *options) (*RunResult, error) {
 	res := &RunResult{NTargets: cl.FS.NumTargets()}
 
 	// Under a burst-buffer profile every compute node writes through its own
-	// node-local buffer. Buffers are created lazily per node (the sim is
-	// single-threaded and deterministic, so lazy creation is order-stable)
-	// and shared by all ranks — target or interference — on that node.
+	// node-local buffer, shared by all ranks — target or interference — on
+	// that node.
 	var bbRoute func(node string) func(h *lustre.Handle, off, length int64, done func())
 	if s.Hardware.BB.Enabled {
-		bufs := make(map[string]*bb.Buffer)
-		bbRoute = func(node string) func(h *lustre.Handle, off, length int64, done func()) {
-			buf, ok := bufs[node]
-			if !ok {
-				buf = bb.Attach(cl.Eng, cl.FS.Client(node), bb.Config{
-					Capacity:         s.Hardware.BB.CapacityBytes,
-					IngestBps:        s.Hardware.BB.IngestBps,
-					DrainConcurrency: s.Hardware.BB.DrainConcurrency,
-				})
-				bufs[node] = buf
-			}
-			return buf.Write
-		}
+		bbRoute = bb.NewTier(cl.FS, bb.Config{
+			Capacity:         s.Hardware.BB.CapacityBytes,
+			IngestBps:        s.Hardware.BB.IngestBps,
+			DrainConcurrency: s.Hardware.BB.DrainConcurrency,
+		}).Route
 	}
 
 	var interfRunners []*workload.Runner

@@ -85,8 +85,10 @@ func TestInvalidProfileRejected(t *testing.T) {
 // TestBurstBufferProfileAbsorbsWrites checks the burst-buffer profile routes
 // writes through a node-local buffer: the write-heavy target's client-side
 // latency drops relative to the paper testbed under identical contention.
+// The buffered run's exact duration and record count pin the routing, which
+// the burst fits entirely.
 func TestBurstBufferProfileAbsorbsWrites(t *testing.T) {
-	run := func(p hw.Profile) sim.Time {
+	run := func(p hw.Profile) *RunResult {
 		res, err := RunE(Scenario{Target: smallTarget(), Hardware: p})
 		if err != nil {
 			t.Fatal(err)
@@ -94,12 +96,16 @@ func TestBurstBufferProfileAbsorbsWrites(t *testing.T) {
 		if !res.Finished {
 			t.Fatal("run truncated")
 		}
-		return res.Duration
+		return res
 	}
-	paper, buffered := run(hw.PaperProfile()), run(hw.BurstBufferProfile())
-	t.Logf("paper %.2fs, burst buffer %.2fs", sim.ToSeconds(paper), sim.ToSeconds(buffered))
-	if buffered >= paper {
-		t.Fatalf("burst buffer did not speed up the writer: paper %v, bb %v", paper, buffered)
+	paper, buffered := run(hw.PaperProfile()).Duration, run(hw.BurstBufferProfile())
+	t.Logf("paper %.2fs, burst buffer %.2fs", sim.ToSeconds(paper), sim.ToSeconds(buffered.Duration))
+	if buffered.Duration >= paper {
+		t.Fatalf("burst buffer did not speed up the writer: paper %v, bb %v", paper, buffered.Duration)
+	}
+	if buffered.Duration != 34_418_260 || len(buffered.Records) != 132 {
+		t.Fatalf("buffered run took %d ns with %d records, want 34418260 ns and 132",
+			int64(buffered.Duration), len(buffered.Records))
 	}
 }
 

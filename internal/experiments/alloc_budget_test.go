@@ -3,6 +3,10 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"quanterference/internal/core"
+	"quanterference/internal/obs"
+	"quanterference/internal/workload/io500"
 )
 
 // collectionAllocBudget is about 15% above the bytes one scale-0.08,
@@ -29,5 +33,43 @@ func TestCollectionAllocBudget(t *testing.T) {
 	}
 	if got > collectionAllocBudget {
 		t.Fatalf("collection allocated %d bytes, budget %d", got, collectionAllocBudget)
+	}
+}
+
+// The exact work the TestCollectionAllocBudget fixture simulates. The
+// simulator is deterministic, so these totals never vary between runs (the
+// par fan-out included); a change that moves one changes the work every
+// collection does. Re-pin only with a recorded reason.
+const (
+	collectionEngineEvents = 424_663
+	collectionNetsimFlows  = 131_086
+	collectionDiskRequests = 40_552
+)
+
+// TestCollectionWorkPins runs the TestCollectionAllocBudget fixture on an
+// obs sink and pins its engine events, netsim flows and disk requests. The
+// instrumented collection must build the same dataset as IO500Dataset, so
+// the pins describe the real fixture.
+func TestCollectionWorkPins(t *testing.T) {
+	cfg := DatasetConfig{Scale: 0.08, Reps: 1, Seed: 1}
+	sink := obs.New()
+	cfg.applyDefaults()
+	targets := io500Targets("/tgt-", io500Params(cfg.Scale), io500.AllTasks()...)
+	ds := collectTargets(cfg, targets, InterferenceSweep(cfg.Scale), core.WithSink(sink))
+	if got, want := ds.Digest(), IO500Dataset(cfg).Digest(); got != want {
+		t.Fatalf("instrumented collection digest %s, IO500Dataset %s", got, want)
+	}
+	snap := sink.Snapshot()
+	for _, pin := range []struct {
+		component, name string
+		want            uint64
+	}{
+		{"engine", "events_executed", collectionEngineEvents},
+		{"netsim", "flows", collectionNetsimFlows},
+		{"disk", "requests", collectionDiskRequests},
+	} {
+		if got := snap.CounterTotal(pin.component, pin.name); got != pin.want {
+			t.Errorf("%s/%s = %d, want %d", pin.component, pin.name, got, pin.want)
+		}
 	}
 }

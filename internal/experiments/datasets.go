@@ -133,8 +133,9 @@ func InterferenceSweep(s Scale) []core.Variant {
 
 // collectFor runs the collection pipeline for one target generator,
 // repeating the sweep Reps times with the OST allocator rotated so the
-// target lands on different storage targets each repetition.
-func collectFor(cfg DatasetConfig, name string, target core.TargetSpec, variants []core.Variant) *dataset.Dataset {
+// target lands on different storage targets each repetition. opts reach
+// every collection (a test instruments one with core.WithSink).
+func collectFor(cfg DatasetConfig, name string, target core.TargetSpec, variants []core.Variant, opts ...core.Option) *dataset.Dataset {
 	profile := resolveProfile(cfg.Profile)
 	var all *dataset.Dataset
 	for rep := 0; rep < cfg.Reps; rep++ {
@@ -151,7 +152,7 @@ func collectFor(cfg DatasetConfig, name string, target core.TargetSpec, variants
 		ds, err := core.CollectDatasetE(base, variants, core.CollectorConfig{
 			Bins:            cfg.Bins,
 			IncludeBaseline: rep == 0,
-		}, core.WithCollectReport(&report))
+		}, append([]core.Option{core.WithCollectReport(&report)}, opts...)...)
 		if err != nil {
 			panic(err)
 		}
@@ -198,11 +199,11 @@ func io500Targets(dir string, p io500.Params, tasks ...io500.Task) []target {
 
 // collectTargets collects every target against the same variants (see
 // collectFor) and merges the results in target order.
-func collectTargets(cfg DatasetConfig, targets []target, variants []core.Variant) *dataset.Dataset {
+func collectTargets(cfg DatasetConfig, targets []target, variants []core.Variant, opts ...core.Option) *dataset.Dataset {
 	var all *dataset.Dataset
 	for _, t := range targets {
 		spec := core.TargetSpec{Gen: t.gen, Nodes: targetNodes, Ranks: datasetRanks}
-		ds := collectFor(cfg, t.name, spec, variants)
+		ds := collectFor(cfg, t.name, spec, variants, opts...)
 		if all == nil {
 			all = ds
 		} else {

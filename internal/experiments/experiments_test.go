@@ -294,48 +294,6 @@ func TestExtensionRegression(t *testing.T) {
 	}
 }
 
-func TestCaseStudyMitigation(t *testing.T) {
-	r := CaseStudyMitigation(CaseStudyConfig{Scale: 0.5, Seed: 5, Epochs: 30})
-	if len(r.Modes) != 4 {
-		t.Fatalf("modes=%d", len(r.Modes))
-	}
-	byName := map[string]CaseStudyMode{}
-	for _, m := range r.Modes {
-		byName[m.Name] = m
-	}
-	none := byName["no mitigation"]
-	pred := byName["predictive throttle"]
-	static := byName["static throttle"]
-	t.Logf("\n%s", r.Render())
-	// Prediction-driven throttling must recover target performance...
-	if pred.TargetDuration >= none.TargetDuration {
-		t.Fatalf("predictive throttling did not help: %v vs %v",
-			pred.TargetDuration, none.TargetDuration)
-	}
-	// ...while costing the background workloads less than always-on
-	// throttling does.
-	if pred.InterferenceMB <= static.InterferenceMB {
-		t.Fatalf("predictive (%0.1f MB) should preserve more interference work than static (%0.1f MB)",
-			pred.InterferenceMB, static.InterferenceMB)
-	}
-	if pred.Engagements == 0 {
-		t.Fatal("predictive mode never engaged")
-	}
-	// The burst buffer insulates the app entirely, and its drain point is
-	// strictly after the app-visible completion.
-	bbMode := byName["burst buffer"]
-	if bbMode.TargetDuration >= none.TargetDuration {
-		t.Fatal("burst buffer did not insulate the target")
-	}
-	if bbMode.DrainDuration <= bbMode.TargetDuration {
-		t.Fatalf("drain (%v) must come after app completion (%v)",
-			bbMode.DrainDuration, bbMode.TargetDuration)
-	}
-	if !strings.Contains(r.CSV(), "predictive") {
-		t.Fatal("csv missing rows")
-	}
-}
-
 func TestRobustnessAcrossSeeds(t *testing.T) {
 	cfg := DatasetConfig{Scale: 0.25, Seed: 12}
 	ds := IO500Dataset(cfg)

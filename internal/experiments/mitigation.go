@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"quanterference/internal/bb"
 	"quanterference/internal/core"
 	"quanterference/internal/fault"
 	"quanterference/internal/forecast"
@@ -22,8 +23,9 @@ import (
 //
 // The study runs with its owners' defaults: the forecaster's history and
 // horizons (forecast.Config), the policies' lead and release hysteresis and
-// the controller's throttle rate (mitigate), and the collection window and
-// cap for both training and every measured cell.
+// the controller's throttle rate (mitigate), the burst buffers' size and
+// rates (bb), and the collection window and cap for both training and every
+// measured cell.
 type MitigationConfig struct {
 	// Scale trims the interference workloads (default 1.0). The protected
 	// target is time-sized and NOT scaled — see mitigationTarget.
@@ -69,7 +71,9 @@ type MitigationCell struct {
 	InterferenceMB float64
 	CostPct        float64
 	// Engagements, ThrottledWindows, and DeferredMB summarize the
-	// controller's actuation (zero on "none" rows).
+	// controller's actuation (zero on "none" and "static" rows). On a
+	// "burst-buffer" row DeferredMB is instead the protected megabytes still
+	// in the node buffers, not yet on the PFS, when the target finished.
 	Engagements      int
 	ThrottledWindows int
 	DeferredMB       float64
@@ -178,7 +182,10 @@ func mitigationMixes() []mitigationMix {
 const mitigationArrival = 6 * sim.Second
 
 // mitigationPolicies is the matrix's policy axis, "none" baseline first.
-var mitigationPolicies = []string{"none", "reactive", "proactive", "defer"}
+// The last two act without the predictor: "static" caps every interference
+// node at mitigate.ThrottleBps from t = 0, and "burst-buffer" writes the
+// target through node-local buffers at the bb defaults (refs [11,12]).
+var mitigationPolicies = []string{"none", "reactive", "proactive", "defer", "static", "burst-buffer"}
 
 // newMitigationPolicy maps a policy-axis name to its constructor.
 var newMitigationPolicy = map[string]func() *mitigate.Policy{
@@ -205,6 +212,8 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 	var stops []func()
 
 	var ctrl *mitigate.Controller
+	var tier *bb.Tier
+	var buffered int64 // protected bytes still in the buffers at completion
 	spec := mitigationTarget()
 	target := &workload.Runner{
 		FS: cl.FS, Name: "protected", Nodes: spec.Nodes, Ranks: spec.Ranks, Gen: spec.Gen,
@@ -215,6 +224,9 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 		},
 		OnDone: func() {
 			*targetDone = cl.Eng.Now()
+			if tier != nil {
+				buffered = tier.Used()
+			}
 			for _, s := range stops {
 				s()
 			}
@@ -249,7 +261,16 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 		}
 	}
 
-	if policyName != "" && policyName != "none" {
+	switch policyName {
+	case "", "none":
+	case "static":
+		for _, node := range interferenceNodes {
+			cl.FS.Client(node).SetRateLimit(mitigate.ThrottleBps)
+		}
+	case "burst-buffer":
+		tier = bb.NewTier(cl.FS, bb.Config{})
+		target.WriteViaFor = tier.Route
+	default:
 		var victims []mitigate.Victim
 		if policyName == "defer" {
 			for _, r := range interfRunners {
@@ -281,6 +302,7 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 		Policy:         policyName,
 		TargetDuration: *targetDone,
 		InterferenceMB: float64(*interfBytes) / 1e6,
+		DeferredMB:     float64(buffered) / 1e6,
 	}
 	if cell.TargetDuration == 0 {
 		cell.TargetDuration = collectMaxTime // did not finish; charge the cap
@@ -393,7 +415,9 @@ func (r *MitigationResult) Render() string {
 		}
 	}
 	b.WriteString("\n(avoided: no-action slowdown minus this policy's; cost %: interference\n" +
-		" volume the policy cost the background workloads vs running free)\n")
+		" volume the policy cost the background workloads vs running free; defer MB:\n" +
+		" held interference ops, or on burst-buffer rows the protected data still in\n" +
+		" the node buffers when the target finished)\n")
 	return b.String()
 }
 

@@ -23,7 +23,7 @@ func tinyMitigationConfig() MitigationConfig {
 
 // tinyMitigationStudy caches one study run for the whole package: the shape
 // and determinism tests both inspect it, and only the determinism test pays
-// for a second, fresh run to compare against. A full study is ~40 simulated
+// for a second, fresh run to compare against. A full study is ~60 simulated
 // scenarios plus training, which matters under -race.
 var tinyMitigationStudy = sync.OnceValue(func() *MitigationResult {
 	return MitigationStudy(tinyMitigationConfig())
@@ -31,12 +31,16 @@ var tinyMitigationStudy = sync.OnceValue(func() *MitigationResult {
 
 // TestMitigationStudyShape runs the matrix at smoke scale and checks its
 // structure and the study's acceptance bar: every fault×mix cell has all
-// four policy rows, the policies actually engage somewhere, and the
+// six policy rows, the policies actually engage somewhere, and the
 // forecast-driven proactive policy achieves at least the reactive policy's
-// slowdown-avoided on at least one cell.
+// slowdown-avoided on at least one cell. It also checks what the mechanism
+// rows claim: on the bandwidth mixes an always-on throttle helps the target
+// but the reactive policy leaves the background workloads more of their
+// work; a bandwidth cap cannot touch a metadata storm; and the burst buffer
+// still holds protected data when the target finishes.
 func TestMitigationStudyShape(t *testing.T) {
 	r := tinyMitigationStudy()
-	if len(r.Faults) != 3 || len(r.Mixes) != 3 || len(r.Policies) != 4 {
+	if len(r.Faults) != 3 || len(r.Mixes) != 3 || len(r.Policies) != 6 {
 		t.Fatalf("matrix shape %v × %v × %v", r.Faults, r.Mixes, r.Policies)
 	}
 	if want := len(r.Faults) * len(r.Mixes) * len(r.Policies); len(r.Cells) != want {
@@ -62,6 +66,23 @@ func TestMitigationStudyShape(t *testing.T) {
 				if c.Engagements > 0 {
 					engagedSomewhere = true
 				}
+				if p == "burst-buffer" && c.DeferredMB <= 0 {
+					t.Fatalf("burst-buffer cell %s×%s deferred nothing: %+v", f, m, c)
+				}
+			}
+			none, reactive, static := r.Cell(f, m, "none"), r.Cell(f, m, "reactive"), r.Cell(f, m, "static")
+			if m == "meta-storm" {
+				if static.TargetDuration != none.TargetDuration || static.InterferenceMB != none.InterferenceMB {
+					t.Fatalf("static throttle moved the metadata cell %s×%s: %+v vs none %+v", f, m, static, none)
+				}
+				continue
+			}
+			if static.Avoided <= 0 {
+				t.Fatalf("static throttle avoided no slowdown on %s×%s: %+v", f, m, static)
+			}
+			if reactive.InterferenceMB <= static.InterferenceMB {
+				t.Fatalf("reactive (%.1f MB) kept no more interference work than static (%.1f MB) on %s×%s",
+					reactive.InterferenceMB, static.InterferenceMB, f, m)
 			}
 		}
 	}
@@ -73,7 +94,7 @@ func TestMitigationStudyShape(t *testing.T) {
 	}
 
 	out := r.Render()
-	for _, want := range []string{"Mitigation policy", "none", "reactive", "proactive", "defer", "avoided"} {
+	for _, want := range []string{"Mitigation policy", "none", "reactive", "proactive", "defer", "static", "burst-buffer", "avoided"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -111,13 +111,11 @@ type Runner struct {
 	// OnDone fires when every rank has finished: its stream ended (with
 	// Loop, only an empty stream ends) or the runner stopped. May be nil.
 	OnDone func()
-	// WriteVia, when set, replaces direct client writes — e.g. routing
-	// them through a burst buffer tier. It must eventually call done.
-	WriteVia func(h *lustre.Handle, off, length int64, done func())
-	// WriteViaFor, when set, supplies a per-node write route (e.g. that
-	// node's own burst buffer, under a burst-buffer hardware profile). It
-	// is resolved once per rank with the rank's compute node and wins over
-	// WriteVia; returning nil falls back to direct client writes.
+	// WriteViaFor, when set, supplies a per-node write route that replaces
+	// direct client writes (e.g. that node's own burst buffer, bb.Tier's
+	// Route). It is resolved once per rank with the rank's compute node;
+	// returning nil falls back to direct client writes. A route must
+	// eventually call done.
 	WriteViaFor func(node string) func(h *lustre.Handle, off, length int64, done func())
 
 	stopped bool
@@ -233,8 +231,6 @@ func (r *Runner) runRank(id int, node string) {
 		if w := r.WriteViaFor(node); w != nil {
 			k.write = w
 		}
-	} else if r.WriteVia != nil {
-		k.write = r.WriteVia
 	}
 	k.resume, k.computed, k.metaDone = k.exec, k.computeDone, k.metaOpDone
 	k.opened, k.dataDone = k.openDone, k.dataOpDone

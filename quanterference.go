@@ -315,7 +315,6 @@ var (
 	// Extensions beyond the paper.
 	ExtensionArchitectures = experiments.ExtensionArchitectures
 	ExtensionRegression    = experiments.ExtensionRegression
-	CaseStudyMitigation    = experiments.CaseStudyMitigation
 	PhaseStudy             = experiments.PhaseStudy
 	Robustness             = experiments.Robustness
 	// TransferStudy measures cross-profile model transfer: per-profile
