@@ -19,12 +19,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"quanterference/internal/dataset"
 	"quanterference/internal/experiments"
+	"quanterference/internal/hw"
 	"quanterference/internal/label"
 	"quanterference/internal/obs"
 )
@@ -40,6 +42,10 @@ var (
 	pprofA   = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 )
 
+// profileList is -profiles, parsed and checked by main before any
+// experiment runs.
+var profileList []string
+
 // experiment is one entry of the run list: name selects it with -only,
 // title heads its step, and run computes it and emits its panels.
 type experiment struct {
@@ -51,82 +57,83 @@ type experiment struct {
 var experimentList = []experiment{
 	{"table1", "Table I: IO500 slowdown matrix", func() {
 		r := experiments.TableI(experiments.TableIConfig{Scale: scaleFlag()})
-		emit("table1", r.Render(), r.CSV())
+		emit("table1", r.Table())
 		write("table1.svg", r.SVG())
 		task, interf, v := r.MaxCell()
 		fmt.Printf("  most impacted: %s under %s (%.1fx)\n", task, interf, v)
 	}},
 	{"fig1a", "Figure 1(a): Enzo op latency vs interference level", func() {
 		r := experiments.Figure1a(experiments.Figure1Config{Scale: scaleFlag()})
-		emit("fig1a", r.Render(), r.CSV())
+		emit("fig1a", r.Table())
 		write("fig1a.svg", r.SVG())
 	}},
 	{"fig1b", "Figure 1(b): Enzo op latency vs interference type", func() {
 		r := experiments.Figure1b(experiments.Figure1Config{Scale: scaleFlag()})
-		emit("fig1b", r.Render(), r.CSV())
+		emit("fig1b", r.Table())
 		write("fig1b.svg", r.SVG())
 	}},
 	{"table2", "Table II: server-side metrics", func() {
 		r := experiments.TableII(scaleFlag())
-		emit("table2", r.Render(), r.CSV())
+		emit("table2", r.Table())
 	}},
 	{"fig3a", "Figure 3(a): IO500 binary prediction", func() {
 		ev := experiments.TrainEval("Figure 3(a) IO500 binary", io500(), label.BinaryBins(), *epochs, *seed)
-		emit("fig3a", ev.Render(), ev.CSV())
+		emit("fig3a", ev.Table())
 		write("fig3a.svg", ev.SVG())
 	}},
 	{"fig3b", "Figure 3(b): DLIO binary prediction", func() {
 		ev := experiments.Figure3b(datasetConfig(), *epochs)
-		emit("fig3b", ev.Render(), ev.CSV())
+		emit("fig3b", ev.Table())
 		write("fig3b.svg", ev.SVG())
 	}},
 	{"fig4", "Figure 4: IO500 3-class prediction", func() {
 		ev := experiments.Figure4From(io500(), datasetConfig(), *epochs)
-		emit("fig4", ev.Render(), ev.CSV())
+		emit("fig4", ev.Table())
 		write("fig4.svg", ev.SVG())
 	}},
 	{"fig5", "Figure 5: AMReX / Enzo / OpenPMD prediction", func() {
-		var txt, csv strings.Builder
+		fig5 := &experiments.Table{Title: "Figure 5: binary prediction per application"}
 		for i, ev := range experiments.Figure5(datasetConfig(), *epochs) {
-			txt.WriteString(ev.Render() + "\n")
-			csv.WriteString("# " + ev.Name + "\n" + ev.CSV())
+			panel := ev.Table()
+			panel.Label = "# " + ev.Name
+			fig5.Tables = append(fig5.Tables, panel)
 			write(fmt.Sprintf("fig5_%d.svg", i), ev.SVG())
 		}
-		emit("fig5", txt.String(), csv.String())
+		emit("fig5", fig5)
 	}},
 	{"ablation", "Ablations: architecture, feature groups, window size", func() {
 		arch := experiments.AblationArchitecture(io500(), datasetConfig(), *epochs)
-		emit("ablation_architecture", arch.Render(), arch.CSV())
+		emit("ablation_architecture", arch.Table())
 		feats := experiments.AblationFeatures(io500(), datasetConfig(), *epochs)
-		emit("ablation_features", feats.Render(), feats.CSV())
+		emit("ablation_features", feats.Table())
 		win := experiments.AblationWindow(datasetConfig(), *epochs, nil)
-		emit("ablation_window", win.Render(), win.CSV())
+		emit("ablation_window", win.Table())
 	}},
 	{"phases", "Phase study: per-phase slowdown of a multi-phase app", func() {
 		r := experiments.PhaseStudy(experiments.PhaseStudyConfig{Scale: scaleFlag()})
-		emit("phases", r.Render(), r.CSV())
+		emit("phases", r.Table())
 	}},
 	{"robustness", "Robustness: accuracy/F1 across seeds", func() {
 		r := experiments.Robustness(io500(), label.BinaryBins(), *epochs, 5, *seed)
-		emit("robustness", r.Render(), r.CSV())
+		emit("robustness", r.Table())
 	}},
 	{"transfer", "Transfer: cross-profile model transfer", func() {
 		r := experiments.TransferStudy(experiments.TransferConfig{
-			Profiles: strings.Split(*profiles, ","),
+			Profiles: profileList,
 			Scale:    scaleFlag(),
 			Epochs:   *epochs,
 			Seed:     *seed,
 		})
-		emit("transfer", r.Render(), r.CSV())
+		emit("transfer", r.Table())
 	}},
 	{"leadtime", "Lead time: forecast accuracy vs prediction horizon", func() {
 		r := experiments.LeadTimeStudy(experiments.LeadTimeConfig{
-			Profiles: strings.Split(*profiles, ","),
+			Profiles: profileList,
 			Scale:    scaleFlag(),
 			Epochs:   *epochs,
 			Seed:     *seed,
 		})
-		emit("leadtime", r.Render(), r.CSV())
+		emit("leadtime", r.Table())
 	}},
 	{"mitigation", "Mitigation: policy × fault × workload actuation study", func() {
 		r := experiments.MitigationStudy(experiments.MitigationConfig{
@@ -135,14 +142,14 @@ var experimentList = []experiment{
 			Epochs: *epochs,
 			Seed:   *seed,
 		})
-		emit("mitigation", r.Render(), r.CSV())
+		emit("mitigation", r.Table())
 		if !r.ProactiveMatchesReactive() {
 			fmt.Println("  WARNING: proactive policy never matched reactive slowdown-avoided")
 		}
 	}},
 	{"shadow", "Shadow: N-way champion/challenger gate on a live stream", func() {
 		r := experiments.ShadowStudy(io500(), experiments.ShadowStudyConfig{Seed: *seed})
-		emit("shadow", r.Render(), r.CSV())
+		emit("shadow", r.Table())
 		winner := r.Winner
 		if winner == "" {
 			winner = "champion (kept)"
@@ -151,9 +158,9 @@ var experimentList = []experiment{
 	}},
 	{"extensions", "Extensions: attention architecture, exact-slowdown regression", func() {
 		arch := experiments.ExtensionArchitectures(io500(), datasetConfig(), *epochs)
-		emit("extension_architectures", arch.Render(), arch.CSV())
+		emit("extension_architectures", arch.Table())
 		reg := experiments.ExtensionRegression(io500(), datasetConfig(), *epochs)
-		emit("extension_regression", reg.Render(), reg.CSV())
+		emit("extension_regression", reg.Table())
 	}},
 }
 
@@ -181,6 +188,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	var err error
+	if profileList, err = parseProfiles(*profiles); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
 	if *pprofA != "" {
 		go func() {
 			if err := obs.ServeDebug(*pprofA); err != nil {
@@ -196,6 +208,18 @@ func main() {
 		step(e.title, e.run)
 	}
 	fmt.Printf("done; outputs in %s/\n", *outDir)
+}
+
+// parseProfiles splits a -profiles list, rejecting an empty or unknown name.
+func parseProfiles(list string) ([]string, error) {
+	names := strings.Split(list, ",")
+	for _, n := range names {
+		if !slices.Contains(hw.Names(), n) {
+			return nil, fmt.Errorf("unknown profile %q in -profiles (valid: %s)",
+				n, strings.Join(hw.Names(), ", "))
+		}
+	}
+	return names, nil
 }
 
 func scaleFlag() experiments.Scale { return experiments.Scale(*scale) }
@@ -222,10 +246,12 @@ func step(name string, fn func()) {
 	fmt.Printf("   (%.1fs)\n", time.Since(start).Seconds())
 }
 
-func emit(name, txt, csv string) {
+// emit writes a table's text panel (also echoed to stdout) and its CSV.
+func emit(name string, t *experiments.Table) {
+	txt := t.Render()
 	fmt.Print(indent(txt))
 	write(name+".txt", txt)
-	write(name+".csv", csv)
+	write(name+".csv", t.CSV())
 }
 
 func indent(s string) string {

@@ -17,29 +17,18 @@ type AblationResult struct {
 	Evals []*ModelEval
 }
 
-// Render draws one line per configuration plus each panel.
-func (r *AblationResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: %s\n", r.Name)
-	for _, e := range r.Evals {
-		fmt.Fprintf(&b, "  %-34s accuracy %.3f  F1 %.3f\n", e.Name, e.Confusion.Accuracy(), e.F1())
+// Table lays out one row per configuration; the text adds each
+// configuration's confusion panel as a note.
+func (r *AblationResult) Table() *Table {
+	t := &Table{
+		Title:   "Ablation: " + r.Name,
+		Columns: []Column{{Name: "config"}, {"accuracy", "%.4f"}, {"f1", "%.4f"}},
 	}
 	for _, e := range r.Evals {
-		b.WriteString("\n")
-		b.WriteString(e.Render())
+		t.Rows = append(t.Rows, []any{strings.ReplaceAll(e.Name, ",", ";"), e.Confusion.Accuracy(), e.F1()})
+		t.Notes = append(t.Notes, "\n"+e.Table().Render())
 	}
-	return b.String()
-}
-
-// CSV emits one row per configuration.
-func (r *AblationResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("config,accuracy,f1\n")
-	for _, e := range r.Evals {
-		fmt.Fprintf(&b, "%s,%.4f,%.4f\n",
-			strings.ReplaceAll(e.Name, ",", ";"), e.Confusion.Accuracy(), e.F1())
-	}
-	return b.String()
+	return t
 }
 
 // AblationArchitecture compares the paper's kernel-based model against a

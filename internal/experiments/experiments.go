@@ -1,16 +1,26 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation, each running the full pipeline on the simulated
-// cluster and rendering the same rows/series the paper reports:
+// paper's evaluation, and per study built on it, each running the full
+// pipeline on the simulated cluster:
 //
-//	Table I    — IO500 task slowdown matrix under cross-task interference.
-//	Figure 1   — Enzo per-operation I/O times under varying interference
-//	             levels (a) and types (b).
-//	Table II   — the server-side metric catalogue, with live sampled values.
-//	Figure 3   — binary interference prediction on IO500 (a) and DLIO (b).
-//	Figure 4   — 3-class severity prediction on IO500.
-//	Figure 5   — binary prediction on AMReX, Enzo, and OpenPMD.
-//	Ablations  — kernel vs flat model, client/server feature groups, and
-//	             window-size sensitivity (DESIGN.md design choices).
+//	Table I     — IO500 task slowdown matrix under cross-task interference.
+//	Figure 1    — Enzo per-operation I/O times under varying interference
+//	              levels (a) and types (b).
+//	Table II    — the server-side metric catalogue, with live sampled values.
+//	Figure 3    — binary interference prediction on IO500 (a) and DLIO (b).
+//	Figure 4    — 3-class severity prediction on IO500.
+//	Figure 5    — binary prediction on AMReX, Enzo, and OpenPMD.
+//	Ablations   — kernel vs flat model, client/server feature groups, and
+//	              window-size sensitivity (DESIGN.md design choices).
+//	Phases      — per-phase slowdown of one multi-phase application (§II-A).
+//	Robustness  — accuracy and F1 across training seeds.
+//	Extensions  — the attention architecture and exact-slowdown regression.
+//	Transfer    — cross-hardware-profile model transfer.
+//	Lead time   — forecast accuracy against prediction horizon.
+//	Mitigation  — policy × fault × workload actuation study.
+//	Shadow      — the N-way champion/challenger gate on a live stream.
+//
+// Every result type lays its rows out once, as a Table, whose Render and
+// CSV methods write the .txt and .csv panels cmd/figures emits.
 package experiments
 
 import (

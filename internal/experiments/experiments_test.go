@@ -44,13 +44,13 @@ func TestTableIShape(t *testing.T) {
 		t.Errorf("mdt-easy should not hurt reads: %.2f", r.Slowdown[er][mew])
 	}
 	// Renders carry all tasks.
-	out := r.Render()
+	out := r.Table().Render()
 	for _, task := range r.Tasks {
 		if !strings.Contains(out, task) {
 			t.Fatalf("render missing %s", task)
 		}
 	}
-	if !strings.Contains(r.CSV(), "standalone_s") {
+	if !strings.Contains(r.Table().CSV(), "standalone_s") {
 		t.Fatal("csv missing header")
 	}
 	if _, _, v := r.MaxCell(); v <= 1 {
@@ -87,7 +87,7 @@ func TestFigure1aGradedImpact(t *testing.T) {
 			t.Fatalf("baseline window missing %s ops: %v", want, kinds)
 		}
 	}
-	if !strings.Contains(r.CSV(), "baseline_ms") {
+	if !strings.Contains(r.Table().CSV(), "baseline_ms") {
 		t.Fatal("csv missing series")
 	}
 }
@@ -140,7 +140,7 @@ func TestTableIIMetrics(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("no live metric values captured")
 	}
-	out := r.Render()
+	out := r.Table().Render()
 	for _, section := range []string{"I/O speed", "Device metrics", "Read/Write queue"} {
 		if !strings.Contains(out, section) {
 			t.Fatalf("render missing section %q", section)
@@ -157,7 +157,7 @@ func TestIO500DatasetAndBinaryModel(t *testing.T) {
 		t.Fatalf("class starvation: %v", counts)
 	}
 	ev := TrainEval("io500", ds, cfg.Bins, 60, 1)
-	t.Logf("\n%s", ev.Render())
+	t.Logf("\n%s", ev.Table().Render())
 	// The paper's claim for the IO500 binary model (Figure 3(a)): F1 above
 	// 0.90. Here it reads 0.945 (5 errors in 91 held-out windows).
 	if f1 := ev.Confusion.MacroF1(); !(f1 > 0.90) {
@@ -214,13 +214,13 @@ func TestAblationsRun(t *testing.T) {
 	if len(feats.Evals) != 3 {
 		t.Fatalf("feature evals %d", len(feats.Evals))
 	}
-	t.Logf("\n%s", feats.CSV())
+	t.Logf("\n%s", feats.Table().CSV())
 	// Feature widths must actually differ.
-	if !strings.Contains(feats.Render(), "client-side only") {
+	if !strings.Contains(feats.Table().Render(), "client-side only") {
 		t.Fatal("render missing config")
 	}
 	for _, r := range []*AblationResult{arch, feats} {
-		if !strings.Contains(r.CSV(), "accuracy") {
+		if !strings.Contains(r.Table().CSV(), "accuracy") {
 			t.Fatal("csv header missing")
 		}
 	}
@@ -272,7 +272,7 @@ func TestExtensionArchitectures(t *testing.T) {
 			t.Fatalf("%s produced no predictions", e.Name)
 		}
 	}
-	if !strings.Contains(r.Render(), "self-attention") {
+	if !strings.Contains(r.Table().Render(), "self-attention") {
 		t.Fatal("render missing attention row")
 	}
 }
@@ -289,7 +289,7 @@ func TestExtensionRegression(t *testing.T) {
 	if r.BinnedEval.Confusion.Total() != r.ClassifierEval.Confusion.Total() {
 		t.Fatal("regressor and classifier evaluated on different test sets")
 	}
-	if !strings.Contains(r.CSV(), "regressor_binned") {
+	if !strings.Contains(r.Table().CSV(), "regressor_binned") {
 		t.Fatal("csv missing rows")
 	}
 }
@@ -307,7 +307,7 @@ func TestRobustnessAcrossSeeds(t *testing.T) {
 	if r.StdAccuracy() < 0 {
 		t.Fatal("negative std")
 	}
-	if !strings.Contains(r.CSV(), "mean") || !strings.Contains(r.Render(), "seeds") {
+	if !strings.Contains(r.Table().CSV(), "mean") || !strings.Contains(r.Table().Render(), "seeds") {
 		t.Fatal("rendering broken")
 	}
 }
@@ -324,10 +324,10 @@ func TestPhaseStudySpread(t *testing.T) {
 	if hi < 5*lo {
 		t.Fatalf("per-phase impact not spread enough: %.2f..%.2f", lo, hi)
 	}
-	if !strings.Contains(r.Render(), "ior-hard-write") {
+	if !strings.Contains(r.Table().Render(), "ior-hard-write") {
 		t.Fatal("render missing interference name")
 	}
-	if !strings.Contains(r.CSV(), "slowdown") {
+	if !strings.Contains(r.Table().CSV(), "slowdown") {
 		t.Fatal("csv missing header")
 	}
 }

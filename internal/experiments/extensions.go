@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"quanterference/internal/dataset"
 	"quanterference/internal/ml"
 )
@@ -31,29 +28,19 @@ type RegressionResult struct {
 	ClassifierEval *ModelEval // the paper's classifier for comparison
 }
 
-// Render summarizes the comparison.
-func (r *RegressionResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Extension: exact-slowdown regression vs classification\n")
-	fmt.Fprintf(&b, "  regressor MAE %.3f doublings (RMSE %.3f)\n", r.MAELog2, r.RMSELog2)
-	fmt.Fprintf(&b, "  %-34s accuracy %.3f  F1 %.3f\n", "regressor (binned)",
-		r.BinnedEval.Confusion.Accuracy(), r.BinnedEval.F1())
-	fmt.Fprintf(&b, "  %-34s accuracy %.3f  F1 %.3f\n", "classifier (paper)",
-		r.ClassifierEval.Confusion.Accuracy(), r.ClassifierEval.F1())
-	b.WriteString("\n" + r.BinnedEval.Render())
-	b.WriteString("\n" + r.ClassifierEval.Render())
-	return b.String()
-}
-
-// CSV emits the comparison rows.
-func (r *RegressionResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("config,accuracy,f1,mae_log2,rmse_log2\n")
-	fmt.Fprintf(&b, "regressor_binned,%.4f,%.4f,%.4f,%.4f\n",
-		r.BinnedEval.Confusion.Accuracy(), r.BinnedEval.F1(), r.MAELog2, r.RMSELog2)
-	fmt.Fprintf(&b, "classifier,%.4f,%.4f,,\n",
-		r.ClassifierEval.Confusion.Accuracy(), r.ClassifierEval.F1())
-	return b.String()
+// Table lays out the comparison; the text adds both confusion panels as
+// notes.
+func (r *RegressionResult) Table() *Table {
+	return &Table{
+		Title: "Extension: exact-slowdown regression vs classification (mae_log2, rmse_log2: regressor error in doublings)",
+		Columns: []Column{{Name: "config"}, {"accuracy", "%.4f"}, {"f1", "%.4f"},
+			{"mae_log2", "%.4f"}, {"rmse_log2", "%.4f"}},
+		Rows: [][]any{
+			{"regressor_binned", r.BinnedEval.Confusion.Accuracy(), r.BinnedEval.F1(), r.MAELog2, r.RMSELog2},
+			{"classifier", r.ClassifierEval.Confusion.Accuracy(), r.ClassifierEval.F1(), "", ""},
+		},
+		Notes: []string{"\n" + r.BinnedEval.Table().Render(), "\n" + r.ClassifierEval.Table().Render()},
+	}
 }
 
 // ExtensionRegression trains the kernel regressor on log2(degradation) and

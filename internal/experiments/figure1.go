@@ -145,37 +145,29 @@ func (r *Figure1Result) collate(base []workload.Record, runs [][]workload.Record
 	}
 }
 
-// CSV emits op index, kind, and one column per run.
-func (r *Figure1Result) CSV() string {
-	var b strings.Builder
-	b.WriteString("op,kind")
+// Table lays out op index, kind, and one latency column per run. The text
+// adds each series' mean latency and how many ops it slowed at least 2x or
+// left under 1.2x of baseline (non-uniform impact is the paper's point).
+func (r *Figure1Result) Table() *Table {
+	t := &Table{
+		Title:   fmt.Sprintf("Figure 1(%s): %d ops from the baseline window, smoothed latency", r.Panel, len(r.Kinds)),
+		Columns: []Column{{Name: "op"}, {Name: "kind"}},
+	}
 	for _, l := range r.Labels {
-		b.WriteString("," + strings.ReplaceAll(l, " ", "_") + "_ms")
+		t.Columns = append(t.Columns, Column{strings.ReplaceAll(l, " ", "_") + "_ms", "%.4f"})
 	}
-	b.WriteString("\n")
 	for i, kind := range r.Kinds {
-		fmt.Fprintf(&b, "%d,%s", i, kind)
+		row := []any{i, kind}
 		for s := range r.Times {
-			fmt.Fprintf(&b, ",%.4f", r.Times[s][i])
+			row = append(row, r.Times[s][i])
 		}
-		b.WriteString("\n")
+		t.Rows = append(t.Rows, row)
 	}
-	return b.String()
-}
-
-// Render summarizes each series: mean latency and the share of ops slowed
-// at least 2x relative to baseline (non-uniform impact is the paper's
-// point).
-func (r *Figure1Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 1(%s): %d ops from the baseline window\n", r.Panel, len(r.Kinds))
 	baseSeries := r.Times[0]
 	for s, lbl := range r.Labels {
 		series := r.Times[s]
-		var mean float64
 		slowed, unaffected := 0, 0
 		for i := range series {
-			mean += series[i]
 			if baseSeries[i] > 0 {
 				ratio := series[i] / baseSeries[i]
 				if ratio >= 2 {
@@ -185,16 +177,13 @@ func (r *Figure1Result) Render() string {
 				}
 			}
 		}
-		if len(series) > 0 {
-			mean /= float64(len(series))
-		}
-		fmt.Fprintf(&b, "  %-22s mean %8.3f ms   ops>=2x: %4d   ops<1.2x: %4d\n",
-			lbl, mean, slowed, unaffected)
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: mean %.3f ms, ops>=2x %d, ops<1.2x %d",
+			lbl, r.MeanLatency(s), slowed, unaffected))
 	}
-	return b.String()
+	return t
 }
 
-// MeanLatency returns a series' mean op latency in ms (for tests/benches).
+// MeanLatency returns a series' mean op latency in ms.
 func (r *Figure1Result) MeanLatency(series int) float64 {
 	return stats.Mean(r.Times[series])
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
@@ -34,32 +33,29 @@ func (e *ModelEval) F1() float64 {
 	return e.Confusion.MacroF1()
 }
 
-// Render draws the panel.
-func (e *ModelEval) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d, train balance %v, test balance %v)\n",
-		e.Name, e.Samples, e.TrainCounts, e.TestCounts)
-	b.WriteString(e.Confusion.Render(e.ClassNames))
-	return b.String()
-}
-
-// CSV emits the confusion matrix.
-func (e *ModelEval) CSV() string {
-	var b strings.Builder
-	b.WriteString("true\\pred")
-	for _, n := range e.ClassNames {
-		b.WriteString("," + n)
+// Table lays out the panel: confusion counts by true (row) and predicted
+// (column) class, then accuracy and macro-F1. The text adds the class
+// balance and each class's precision, recall and F1.
+func (e *ModelEval) Table() *Table {
+	c := e.Confusion
+	t := &Table{
+		Title: fmt.Sprintf("%s (n=%d, train balance %v, test balance %v)",
+			e.Name, e.Samples, e.TrainCounts, e.TestCounts),
+		Columns: []Column{{Name: "true\\pred"}},
 	}
-	b.WriteString("\n")
-	for i, row := range e.Confusion.M {
-		b.WriteString(e.ClassNames[i])
-		for _, v := range row {
-			fmt.Fprintf(&b, ",%d", v)
+	for i, name := range e.ClassNames {
+		t.Columns = append(t.Columns, Column{name, "%.4f"})
+		row := []any{name}
+		for _, v := range c.M[i] {
+			row = append(row, v)
 		}
-		b.WriteString("\n")
+		t.Rows = append(t.Rows, row)
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: precision %.3f  recall %.3f  F1 %.3f",
+			name, c.Precision(i), c.Recall(i), c.F1(i)))
 	}
-	fmt.Fprintf(&b, "accuracy,%.4f\nmacro_f1,%.4f\n", e.Confusion.Accuracy(), e.Confusion.MacroF1())
-	return b.String()
+	t.Rows = append(t.Rows, []any{"accuracy", c.Accuracy()}, []any{"macro_f1", c.MacroF1()})
+	t.Notes = append(t.Notes, fmt.Sprintf("n=%d held-out windows", c.Total()))
+	return t
 }
 
 // TrainEval trains the paper's model on a dataset and evaluates it on the

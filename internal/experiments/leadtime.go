@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
@@ -206,51 +205,30 @@ func (r *LeadTimeResult) Delta(i, j int) float64 {
 	return r.Accuracy[i][j] - r.Baseline[i]
 }
 
-// Render draws one lead-time-vs-accuracy table per profile, k=0 baseline
-// row first.
-func (r *LeadTimeResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Forecast lead time vs accuracy (history %d windows)\n", r.History)
-	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "\nProfile %s (%d windows, forecaster %s)\n", p, r.Samples[i], r.WeightsDigest[i])
-		fmt.Fprintf(&b, "%-10s%10s%10s%10s%12s%12s\n",
-			"lead", "samples", "accuracy", "delta", "alarm-prec", "alarm-rec")
-		fmt.Fprintf(&b, "%-10s%10d%10.3f%10s%12s%12s\n",
-			"now", r.Samples[i], r.Baseline[i], "-", "-", "-")
-		for j, k := range r.Horizons {
-			if r.Skipped[i][j] {
-				fmt.Fprintf(&b, "%-10s%10d  skipped: no run spans %d windows\n",
-					fmt.Sprintf("+%dw", k), 0, r.History+k)
-				continue
-			}
-			fmt.Fprintf(&b, "%-10s%10d%10.3f%+10.3f%12.3f%12.3f\n",
-				fmt.Sprintf("+%dw", k), r.LaggedSamples[i][j], r.Accuracy[i][j],
-				r.Delta(i, j), r.AlarmPrecision[i][j], r.AlarmRecall[i][j])
-		}
+// Table lays out one row per (profile, horizon) point, then one digest row
+// per profile. Horizon 0 is the current-window baseline, and a skipped
+// horizon reads "skipped" in the accuracy column; the text adds why it was
+// skipped.
+func (r *LeadTimeResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Forecast lead time vs accuracy (history %d windows, horizons in windows)", r.History),
+		Columns: []Column{{Name: "profile"}, {Name: "horizon"}, {Name: "samples"}, {"accuracy", "%.4f"},
+			{"delta_vs_now", "%+.4f"}, {"alarm_precision", "%.4f"}, {"alarm_recall", "%.4f"}},
 	}
-	return b.String()
-}
-
-// CSV emits one row per (profile, horizon) point — horizon 0 is the
-// current-window baseline, and a skipped horizon reads "skipped" in the
-// accuracy column — plus one digest row per profile.
-func (r *LeadTimeResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("profile,horizon,samples,accuracy,delta_vs_now,alarm_precision,alarm_recall\n")
 	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "%s,0,%d,%.4f,0.0000,,\n", p, r.Samples[i], r.Baseline[i])
+		t.Rows = append(t.Rows, []any{p, 0, r.Samples[i], r.Baseline[i], "0.0000", "", ""})
 		for j, k := range r.Horizons {
 			if r.Skipped[i][j] {
-				fmt.Fprintf(&b, "%s,%d,0,skipped,,,\n", p, k)
+				t.Rows = append(t.Rows, []any{p, k, 0, "skipped", "", "", ""})
+				t.Notes = append(t.Notes, fmt.Sprintf("%s +%dw skipped: no run spans %d windows", p, k, r.History+k))
 				continue
 			}
-			fmt.Fprintf(&b, "%s,%d,%d,%.4f,%+.4f,%.4f,%.4f\n",
-				p, k, r.LaggedSamples[i][j], r.Accuracy[i][j], r.Delta(i, j),
-				r.AlarmPrecision[i][j], r.AlarmRecall[i][j])
+			t.Rows = append(t.Rows, []any{p, k, r.LaggedSamples[i][j], r.Accuracy[i][j],
+				r.Delta(i, j), r.AlarmPrecision[i][j], r.AlarmRecall[i][j]})
 		}
 	}
 	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "digest,%s,%s\n", p, r.WeightsDigest[i])
+		t.Rows = append(t.Rows, []any{"digest", p, r.WeightsDigest[i]})
 	}
-	return b.String()
+	return t
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -50,13 +51,13 @@ func TestLeadTimeCurves(t *testing.T) {
 			r.Accuracy[0][0], -d, r.Baseline[0])
 	}
 
-	out := r.Render()
-	for _, want := range []string{"Forecast lead time", "now", "+1w", "+4w", "alarm-prec"} {
+	out := r.Table().Render()
+	for _, want := range []string{"Forecast lead time", "delta_vs_now", "alarm_precision", "digest"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	csv := r.CSV()
+	csv := r.Table().CSV()
 	if !strings.HasPrefix(csv, "profile,horizon,samples,accuracy,delta_vs_now,alarm_precision,alarm_recall\n") {
 		t.Fatalf("csv header wrong:\n%s", csv)
 	}
@@ -72,7 +73,7 @@ func TestLeadTimeCurves(t *testing.T) {
 func TestLeadTimeDeterministic(t *testing.T) {
 	r1 := LeadTimeStudy(tinyLeadTimeConfig())
 	r2 := LeadTimeStudy(tinyLeadTimeConfig())
-	csv1, csv2 := r1.CSV(), r2.CSV()
+	csv1, csv2 := r1.Table().CSV(), r2.Table().CSV()
 	if csv1 != csv2 {
 		t.Fatalf("same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", csv1, csv2)
 	}
@@ -109,7 +110,7 @@ func TestLeadTimeEveryProfile(t *testing.T) {
 	cfg.History, cfg.Horizons = 0, nil
 	cfg.Profiles = hw.Names()
 	r := LeadTimeStudy(cfg)
-	csv := r.CSV()
+	csv := r.Table().CSV()
 	t.Logf("\n%s", csv)
 	for i, p := range r.Profiles {
 		if r.Samples[i] == 0 || r.Baseline[i] < 0 || r.Baseline[i] > 1 {
@@ -132,7 +133,8 @@ func TestLeadTimeEveryProfile(t *testing.T) {
 }
 
 // TestLeadTimeReportsSkippedHorizons pins how a skipped horizon renders: a
-// "skipped" row in the table and in the CSV, and no accuracy or delta.
+// "skipped" row in the table and in the CSV, no accuracy or delta, and the
+// reason in the text.
 func TestLeadTimeReportsSkippedHorizons(t *testing.T) {
 	r := &LeadTimeResult{
 		Profiles: []string{"nvme"}, History: 4, Horizons: []int{1, 2},
@@ -146,10 +148,12 @@ func TestLeadTimeReportsSkippedHorizons(t *testing.T) {
 		"nvme,1,12,0.8000,-0.1000,1.0000,0.5000\n" +
 		"nvme,2,0,skipped,,,\n" +
 		"digest,nvme,abc\n"
-	if got := r.CSV(); got != wantCSV {
+	if got := r.Table().CSV(); got != wantCSV {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", got, wantCSV)
 	}
-	if out := r.Render(); !strings.Contains(out, "+2w                0  skipped: no run spans 6 windows") {
-		t.Fatalf("render does not report the skipped horizon:\n%s", out)
+	out := r.Table().Render()
+	if !regexp.MustCompile(`(?m)^nvme +2 +0 +skipped$`).MatchString(out) ||
+		!strings.Contains(out, "+2w skipped: no run spans 6 windows") {
+		t.Fatalf("render does not report the skipped horizon and why:\n%s", out)
 	}
 }

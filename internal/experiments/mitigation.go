@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"quanterference/internal/bb"
 	"quanterference/internal/core"
@@ -389,49 +388,27 @@ func MitigationStudy(cfg MitigationConfig) *MitigationResult {
 	return res
 }
 
-// Render draws one block per fault×mix cell, the no-action row first.
-func (r *MitigationResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Mitigation policy × fault × workload study\n")
-	fmt.Fprintf(&b, "(classifier %s, forecaster %s)\n", r.FrameworkDigest, r.ForecasterDigest)
-	for _, f := range r.Faults {
-		for _, m := range r.Mixes {
-			first := r.Cell(f, m, "none")
-			if first == nil {
-				continue
-			}
-			fmt.Fprintf(&b, "\n%s × %s (target alone: %s)\n", f, m, fmtSeconds(first.AloneDuration))
-			fmt.Fprintf(&b, "  %-12s%12s%10s%10s%12s%10s%8s%10s%12s\n",
-				"policy", "target", "slowdown", "avoided", "interf MB", "cost %", "engage", "thr win", "defer MB")
-			for _, p := range r.Policies {
-				c := r.Cell(f, m, p)
-				if c == nil {
-					continue
-				}
-				fmt.Fprintf(&b, "  %-12s%12s%9.2fx%+10.2f%12.1f%10.1f%8d%10d%12.1f\n",
-					c.Policy, fmtSeconds(c.TargetDuration), c.Slowdown, c.Avoided,
-					c.InterferenceMB, c.CostPct, c.Engagements, c.ThrottledWindows, c.DeferredMB)
-			}
-		}
+// Table lays out one row per cell, then the weight-digest pins.
+func (r *MitigationResult) Table() *Table {
+	t := &Table{
+		Title: "Mitigation policy × fault × workload study",
+		Columns: []Column{{Name: "fault"}, {Name: "mix"}, {Name: "policy"},
+			{"alone_s", "%.3f"}, {"target_s", "%.3f"}, {"slowdown", "%.4f"}, {"avoided", "%+.4f"},
+			{"interference_mb", "%.1f"}, {"cost_pct", "%.1f"}, {Name: "engagements"},
+			{Name: "windows_throttled"}, {"deferred_mb", "%.1f"}},
+		Notes: []string{"(alone_s: the target alone under the same fault; avoided: no-action\n" +
+			" slowdown minus this policy's; cost_pct: interference volume the policy cost\n" +
+			" the background workloads vs running free; deferred_mb: held interference\n" +
+			" ops, or on burst-buffer rows the protected data still in the node buffers\n" +
+			" when the target finished)"},
 	}
-	b.WriteString("\n(avoided: no-action slowdown minus this policy's; cost %: interference\n" +
-		" volume the policy cost the background workloads vs running free; defer MB:\n" +
-		" held interference ops, or on burst-buffer rows the protected data still in\n" +
-		" the node buffers when the target finished)\n")
-	return b.String()
-}
-
-// CSV emits one row per cell plus the weight-digest pins.
-func (r *MitigationResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("fault,mix,policy,alone_s,target_s,slowdown,avoided,interference_mb,cost_pct,engagements,windows_throttled,deferred_mb\n")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%s,%s,%s,%.3f,%.3f,%.4f,%+.4f,%.1f,%.1f,%d,%d,%.1f\n",
-			c.Fault, c.Mix, c.Policy, sim.ToSeconds(c.AloneDuration), sim.ToSeconds(c.TargetDuration),
-			c.Slowdown, c.Avoided, c.InterferenceMB, c.CostPct,
-			c.Engagements, c.ThrottledWindows, c.DeferredMB)
+		t.Rows = append(t.Rows, []any{c.Fault, c.Mix, c.Policy,
+			sim.ToSeconds(c.AloneDuration), sim.ToSeconds(c.TargetDuration), c.Slowdown, c.Avoided,
+			c.InterferenceMB, c.CostPct, c.Engagements, c.ThrottledWindows, c.DeferredMB})
 	}
-	fmt.Fprintf(&b, "digest,framework,%s\n", r.FrameworkDigest)
-	fmt.Fprintf(&b, "digest,forecaster,%s\n", r.ForecasterDigest)
-	return b.String()
+	t.Rows = append(t.Rows,
+		[]any{"digest", "framework", r.FrameworkDigest},
+		[]any{"digest", "forecaster", r.ForecasterDigest})
+	return t
 }

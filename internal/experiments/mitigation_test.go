@@ -93,7 +93,7 @@ func TestMitigationStudyShape(t *testing.T) {
 		t.Fatal("proactive policy never matched reactive slowdown-avoided on any cell")
 	}
 
-	out := r.Render()
+	out := r.Table().Render()
 	for _, want := range []string{"Mitigation policy", "none", "reactive", "proactive", "defer", "static", "burst-buffer", "avoided"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -107,7 +107,7 @@ func TestMitigationStudyShape(t *testing.T) {
 func TestMitigationDeterministic(t *testing.T) {
 	r1 := tinyMitigationStudy()
 	r2 := MitigationStudy(tinyMitigationConfig())
-	csv1, csv2 := r1.CSV(), r2.CSV()
+	csv1, csv2 := r1.Table().CSV(), r2.Table().CSV()
 	if csv1 != csv2 {
 		t.Fatalf("same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", csv1, csv2)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"quanterference/internal/core"
 	"quanterference/internal/sim"
@@ -65,29 +64,20 @@ func (r *PhaseStudyResult) Spread() (lo, hi float64) {
 	return lo, hi
 }
 
-// Render draws the per-phase table.
-func (r *PhaseStudyResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Phase study: IO500 task sequence under %s interference\n", r.Interference)
-	fmt.Fprintf(&b, "  %-18s%14s%14s%12s\n", "phase", "alone", "contended", "slowdown")
+// Table lays out one row per phase; the text adds the spread.
+func (r *PhaseStudyResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Phase study: IO500 task sequence under %s interference", r.Interference),
+		Columns: []Column{{Name: "phase"}, {"alone_s", "%.4f"}, {"contended_s", "%.4f"},
+			{"slowdown", "%.4f"}},
+	}
 	for i, p := range r.Phases {
-		fmt.Fprintf(&b, "  %-18s%14s%14s%11.2fx\n",
-			p, fmtSeconds(r.BaselineTime[i]), fmtSeconds(r.ContendedTime[i]), r.Slowdown(i))
+		t.Rows = append(t.Rows, []any{p, sim.ToSeconds(r.BaselineTime[i]),
+			sim.ToSeconds(r.ContendedTime[i]), r.Slowdown(i)})
 	}
 	lo, hi := r.Spread()
-	fmt.Fprintf(&b, "  per-phase slowdown spans %.2fx .. %.2fx under one interference type\n", lo, hi)
-	return b.String()
-}
-
-// CSV emits the rows.
-func (r *PhaseStudyResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("phase,alone_s,contended_s,slowdown\n")
-	for i, p := range r.Phases {
-		fmt.Fprintf(&b, "%s,%.4f,%.4f,%.4f\n", p,
-			sim.ToSeconds(r.BaselineTime[i]), sim.ToSeconds(r.ContendedTime[i]), r.Slowdown(i))
-	}
-	return b.String()
+	t.Notes = []string{fmt.Sprintf("per-phase slowdown spans %.2fx .. %.2fx under one interference type", lo, hi)}
+	return t
 }
 
 // PhaseStudy reproduces §II-A's closing observation: one application that

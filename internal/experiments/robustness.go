@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"quanterference/internal/dataset"
 	"quanterference/internal/label"
@@ -23,28 +22,19 @@ func (r *RobustnessResult) StdAccuracy() float64  { return stats.Std(r.Accuracie
 func (r *RobustnessResult) MeanF1() float64       { return stats.Mean(r.F1s) }
 func (r *RobustnessResult) StdF1() float64        { return stats.Std(r.F1s) }
 
-// Render summarizes mean ± std.
-func (r *RobustnessResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Robustness over %d seeds:\n", len(r.Seeds))
-	fmt.Fprintf(&b, "  accuracy %.3f ± %.3f\n", r.MeanAccuracy(), r.StdAccuracy())
-	fmt.Fprintf(&b, "  F1       %.3f ± %.3f\n", r.MeanF1(), r.StdF1())
-	for i, s := range r.Seeds {
-		fmt.Fprintf(&b, "    seed %-6d accuracy %.3f  F1 %.3f\n", s, r.Accuracies[i], r.F1s[i])
+// Table lays out one row per seed, then the mean and standard deviation.
+func (r *RobustnessResult) Table() *Table {
+	t := &Table{
+		Title:   fmt.Sprintf("Robustness over %d seeds", len(r.Seeds)),
+		Columns: []Column{{Name: "seed"}, {"accuracy", "%.4f"}, {"f1", "%.4f"}},
 	}
-	return b.String()
-}
-
-// CSV emits one row per seed.
-func (r *RobustnessResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("seed,accuracy,f1\n")
 	for i, s := range r.Seeds {
-		fmt.Fprintf(&b, "%d,%.4f,%.4f\n", s, r.Accuracies[i], r.F1s[i])
+		t.Rows = append(t.Rows, []any{s, r.Accuracies[i], r.F1s[i]})
 	}
-	fmt.Fprintf(&b, "mean,%.4f,%.4f\nstd,%.4f,%.4f\n",
-		r.MeanAccuracy(), r.MeanF1(), r.StdAccuracy(), r.StdF1())
-	return b.String()
+	t.Rows = append(t.Rows,
+		[]any{"mean", r.MeanAccuracy(), r.MeanF1()},
+		[]any{"std", r.StdAccuracy(), r.StdF1()})
+	return t
 }
 
 // Robustness retrains the model on the same dataset with n different seeds

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
@@ -148,60 +147,37 @@ func trainCandidate(ds *dataset.Dataset, seed int64, epochs int) *core.Framework
 	return fw
 }
 
-// Render draws the convergence table — one row per snapshot, one column per
-// candidate — and the final verdict.
-func (r *ShadowStudyResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shadow evaluation: %d candidates on %d live windows (%d train)\n",
-		len(r.Names), r.StreamSamples, r.TrainSamples)
-	for i, name := range r.Names {
-		fmt.Fprintf(&b, "  %-9s epochs %-3d %s\n", name, r.Epochs[i], r.Digests[i])
+// Table lays out one row per (snapshot, candidate) point, then one digest
+// row per candidate and the verdict row. The text adds each candidate's
+// final cross-entropy and the verdict's margin and sample count.
+func (r *ShadowStudyResult) Table() *Table {
+	t := &Table{
+		Title: fmt.Sprintf("Shadow evaluation: %d candidates on %d live windows (%d train)",
+			len(r.Names), r.StreamSamples, r.TrainSamples),
+		Columns: []Column{{Name: "labeled"}, {Name: "candidate"}, {Name: "epochs"}, {"accuracy", "%.4f"}},
 	}
-	fmt.Fprintf(&b, "%-10s", "labeled")
-	for _, name := range r.Names {
-		fmt.Fprintf(&b, "%10s", name)
-	}
-	b.WriteString("\n")
-	for i, at := range r.SnapshotAt {
-		fmt.Fprintf(&b, "%-10d", at)
-		for _, a := range r.Accuracy[i] {
-			fmt.Fprintf(&b, "%10.3f", a)
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "%-10s", "final-ce")
-	for _, ce := range r.FinalCE {
-		fmt.Fprintf(&b, "%10.3f", ce)
-	}
-	b.WriteString("\n")
-	if r.Verdict.Promote {
-		fmt.Fprintf(&b, "verdict: promote %s (%.3f vs champion %.3f, margin %.3f, n %d)\n",
-			r.Winner, r.Verdict.CandidateAccuracy, r.Verdict.IncumbentAccuracy,
-			r.Verdict.Margin, r.Verdict.Holdout)
-	} else {
-		fmt.Fprintf(&b, "verdict: keep champion (best challenger %.3f vs %.3f, margin %.3f)\n",
-			r.Verdict.CandidateAccuracy, r.Verdict.IncumbentAccuracy, r.Verdict.Margin)
-	}
-	return b.String()
-}
-
-// CSV emits one row per (snapshot, candidate) point, then one digest row per
-// candidate and a final verdict row.
-func (r *ShadowStudyResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("labeled,candidate,epochs,accuracy\n")
 	for i, at := range r.SnapshotAt {
 		for j, name := range r.Names {
-			fmt.Fprintf(&b, "%d,%s,%d,%.4f\n", at, name, r.Epochs[j], r.Accuracy[i][j])
+			t.Rows = append(t.Rows, []any{at, name, r.Epochs[j], r.Accuracy[i][j]})
 		}
 	}
+	ce := "final cross-entropy:"
 	for j, name := range r.Names {
-		fmt.Fprintf(&b, "digest,%s,%d,%s\n", name, r.Epochs[j], r.Digests[j])
+		t.Rows = append(t.Rows, []any{"digest", name, r.Epochs[j], r.Digests[j]})
+		ce += fmt.Sprintf(" %s %.3f", name, r.FinalCE[j])
 	}
 	winner := r.Winner
 	if winner == "" {
 		winner = "champion"
 	}
-	fmt.Fprintf(&b, "verdict,%s,%t,%.4f\n", winner, r.Verdict.Promote, r.Verdict.CandidateAccuracy)
-	return b.String()
+	t.Rows = append(t.Rows, []any{"verdict", winner, r.Verdict.Promote, r.Verdict.CandidateAccuracy})
+	verdict := fmt.Sprintf("verdict: keep champion (best challenger %.3f vs %.3f, margin %.3f)",
+		r.Verdict.CandidateAccuracy, r.Verdict.IncumbentAccuracy, r.Verdict.Margin)
+	if r.Verdict.Promote {
+		verdict = fmt.Sprintf("verdict: promote %s (%.3f vs champion %.3f, margin %.3f, n %d)",
+			r.Winner, r.Verdict.CandidateAccuracy, r.Verdict.IncumbentAccuracy,
+			r.Verdict.Margin, r.Verdict.Holdout)
+	}
+	t.Notes = []string{ce, verdict}
+	return t
 }

@@ -9,7 +9,7 @@ import (
 // TestShadowStudy runs the study at smoke scale and checks its shape: the
 // convergence table covers every candidate at every snapshot, accuracies are
 // cumulative live scores in [0,1], the deepest challenger is scored on the
-// same sample count as the champion, and Render/CSV carry the verdict.
+// same sample count as the champion, and its table carries the verdict.
 func TestShadowStudy(t *testing.T) {
 	ds := IO500Dataset(DatasetConfig{Scale: 0.25, Seed: 31})
 	cfg := ShadowStudyConfig{Seed: 31}
@@ -43,13 +43,13 @@ func TestShadowStudy(t *testing.T) {
 		t.Fatalf("promoting verdict without a winner: %+v", r.Verdict)
 	}
 
-	out := r.Render()
+	out := r.Table().Render()
 	for _, want := range []string{"Shadow evaluation", "champion", "c1", "labeled", "verdict:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	csv := r.CSV()
+	csv := r.Table().CSV()
 	if !strings.HasPrefix(csv, "labeled,candidate,epochs,accuracy\n") {
 		t.Fatalf("csv header wrong:\n%s", csv)
 	}

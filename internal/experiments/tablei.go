@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"quanterference/internal/core"
 	"quanterference/internal/hw"
@@ -126,40 +125,25 @@ func resolveProfile(name string) hw.Profile {
 	return p
 }
 
-// Render draws the matrix like the paper's Table I.
-func (r *TableIResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", "task\\interference")
-	for _, t := range r.Tasks {
-		fmt.Fprintf(&b, "%16s", t)
+// Table lays the matrix out like the paper's Table I: one row per target
+// task, one column per interference task, then the task's standalone time.
+func (r *TableIResult) Table() *Table {
+	t := &Table{
+		Title:   "Table I: slowdown of each task (row) under each interference task (column)",
+		Columns: []Column{{Name: "task"}},
 	}
-	fmt.Fprintf(&b, "%12s\n", "standalone")
-	for i, t := range r.Tasks {
-		fmt.Fprintf(&b, "%-16s", t)
-		for j := range r.Tasks {
-			fmt.Fprintf(&b, "%16.3f", r.Slowdown[i][j])
+	for _, task := range r.Tasks {
+		t.Columns = append(t.Columns, Column{task, "%.4f"})
+	}
+	t.Columns = append(t.Columns, Column{"standalone_s", "%.4f"})
+	for i, task := range r.Tasks {
+		row := []any{task}
+		for _, v := range r.Slowdown[i] {
+			row = append(row, v)
 		}
-		fmt.Fprintf(&b, "%12s\n", fmtSeconds(r.Standalone[i]))
+		t.Rows = append(t.Rows, append(row, sim.ToSeconds(r.Standalone[i])))
 	}
-	return b.String()
-}
-
-// CSV emits the matrix for plotting.
-func (r *TableIResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("task")
-	for _, t := range r.Tasks {
-		b.WriteString("," + t)
-	}
-	b.WriteString(",standalone_s\n")
-	for i, t := range r.Tasks {
-		b.WriteString(t)
-		for j := range r.Tasks {
-			fmt.Fprintf(&b, ",%.4f", r.Slowdown[i][j])
-		}
-		fmt.Fprintf(&b, ",%.4f\n", sim.ToSeconds(r.Standalone[i]))
-	}
-	return b.String()
+	return t
 }
 
 // MaxCell returns the most impacted (row, col, value) — the paper highlights

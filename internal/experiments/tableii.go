@@ -86,39 +86,21 @@ func TableII(scale Scale) *TableIIResult {
 	return out
 }
 
-// Render draws the catalogue with one value column per target.
-func (r *TableIIResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table II server-side metrics (window %d)\n", r.Window)
-	fmt.Fprintf(&b, "%-18s%-26s", "section", "metric")
-	for _, t := range r.TargetNames {
-		fmt.Fprintf(&b, "%12s", t)
+// Table lays out the catalogue with one value column per target.
+func (r *TableIIResult) Table() *Table {
+	t := &Table{
+		Title:   fmt.Sprintf("Table II server-side metrics (window %d)", r.Window),
+		Columns: []Column{{Name: "section"}, {Name: "metric"}},
 	}
-	b.WriteString("\n")
+	for _, name := range r.TargetNames {
+		t.Columns = append(t.Columns, Column{name, "%.4f"})
+	}
 	for f, name := range r.Names {
-		fmt.Fprintf(&b, "%-18s%-26s", r.Groups[f], name)
-		for t := range r.TargetNames {
-			fmt.Fprintf(&b, "%12.2f", r.Values[t][f])
+		row := []any{r.Groups[f], name}
+		for tg := range r.TargetNames {
+			row = append(row, r.Values[tg][f])
 		}
-		b.WriteString("\n")
+		t.Rows = append(t.Rows, row)
 	}
-	return b.String()
-}
-
-// CSV emits the same data for tooling.
-func (r *TableIIResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("section,metric")
-	for _, t := range r.TargetNames {
-		b.WriteString("," + t)
-	}
-	b.WriteString("\n")
-	for f, name := range r.Names {
-		fmt.Fprintf(&b, "%s,%s", r.Groups[f], name)
-		for t := range r.TargetNames {
-			fmt.Fprintf(&b, ",%.4f", r.Values[t][f])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
@@ -181,73 +180,36 @@ func TransferStudy(cfg TransferConfig) *TransferResult {
 	return res
 }
 
-func (r *TransferResult) renderMatrix(b *strings.Builder, title string, m [][]float64) {
-	fmt.Fprintf(b, "%s\n%-14s", title, "train\\eval")
-	for _, p := range r.Profiles {
-		fmt.Fprintf(b, "%12s", p)
-	}
-	b.WriteString("\n")
-	for a, p := range r.Profiles {
-		fmt.Fprintf(b, "%-14s", p)
-		for bb := range r.Profiles {
-			fmt.Fprintf(b, "%12.3f", m[a][bb])
-		}
-		b.WriteString("\n")
-	}
-}
-
-// Render draws the accuracy tables and the per-profile interference matrices.
-func (r *TransferResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Cross-profile model transfer\n\n")
-	fmt.Fprintf(&b, "%-14s%10s%16s%12s\n", "profile", "samples", "balance", "in-domain")
-	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "%-14s%10d%16v%12.3f\n",
-			p, r.Samples[i], r.ClassCounts[i], r.InDomain[i])
-	}
-	b.WriteString("\n")
-	r.renderMatrix(&b, "Zero-shot accuracy (diagonal = in-domain)", r.ZeroShot)
-	b.WriteString("\n")
-	r.renderMatrix(&b, "Fine-tuned accuracy (diagonal = in-domain)", r.FineTuned)
-	b.WriteString("\nZero-shot transfer gap (in-domain minus zero-shot)\n")
-	fmt.Fprintf(&b, "%-14s", "train\\eval")
-	for _, p := range r.Profiles {
-		fmt.Fprintf(&b, "%12s", p)
-	}
-	b.WriteString("\n")
-	for a, p := range r.Profiles {
-		fmt.Fprintf(&b, "%-14s", p)
-		for bb := range r.Profiles {
-			fmt.Fprintf(&b, "%12.3f", r.Gap(a, bb))
-		}
-		b.WriteString("\n")
+// Table lays out one row per (kind, train, eval) accuracy cell, then each
+// profile's interference matrix as a nested table, whose CSV section
+// follows a blank line and a matrix,<profile> line. The text adds each
+// profile's dataset size and class balance.
+func (r *TransferResult) Table() *Table {
+	t := &Table{
+		Title:   "Cross-profile model transfer",
+		Columns: []Column{{Name: "kind"}, {Name: "train_profile"}, {Name: "eval_profile"}, {"accuracy", "%.4f"}},
 	}
 	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "\nInterference matrix on %s\n%s", p, r.Matrices[i].Render())
-	}
-	return b.String()
-}
-
-// CSV emits one row per (kind, train, eval) accuracy cell plus the
-// per-profile matrices, for external plotting.
-func (r *TransferResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("kind,train_profile,eval_profile,accuracy\n")
-	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "in_domain,%s,%s,%.4f\n", p, p, r.InDomain[i])
+		t.Rows = append(t.Rows, []any{"in_domain", p, p, r.InDomain[i]})
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d samples, class balance %v", p, r.Samples[i], r.ClassCounts[i]))
 	}
 	for a, pa := range r.Profiles {
-		for bb, pb := range r.Profiles {
-			if a == bb {
+		for b, pb := range r.Profiles {
+			if a == b {
 				continue
 			}
-			fmt.Fprintf(&b, "zero_shot,%s,%s,%.4f\n", pa, pb, r.ZeroShot[a][bb])
-			fmt.Fprintf(&b, "fine_tuned,%s,%s,%.4f\n", pa, pb, r.FineTuned[a][bb])
-			fmt.Fprintf(&b, "gap,%s,%s,%.4f\n", pa, pb, r.Gap(a, bb))
+			t.Rows = append(t.Rows,
+				[]any{"zero_shot", pa, pb, r.ZeroShot[a][b]},
+				[]any{"fine_tuned", pa, pb, r.FineTuned[a][b]},
+				[]any{"gap", pa, pb, r.Gap(a, b)})
 		}
 	}
+	t.Notes = append(t.Notes, "gap: in-domain minus zero-shot accuracy; when train = eval, zero_shot and\n"+
+		"fine_tuned equal in_domain and gap is 0.000")
 	for i, p := range r.Profiles {
-		fmt.Fprintf(&b, "\nmatrix,%s\n%s", p, r.Matrices[i].CSV())
+		m := r.Matrices[i].Table()
+		m.Title, m.Label = "Interference matrix on "+p, "\nmatrix,"+p
+		t.Tables = append(t.Tables, m)
 	}
-	return b.String()
+	return t
 }
