@@ -159,7 +159,7 @@ mitigate-smoke:
 
 # fleet-smoke runs the deterministic 3-replica fleet episode twice,
 # byte-compares the two outputs, and compares them against the committed
-# golden (cmd/quantfleet/testdata/smoke_golden.txt): rendezvous routing with
+# golden (internal/fleet/testdata/smoke_golden.txt): rendezvous routing with
 # failover across a mid-episode kill (zero dropped requests), a failed
 # rolling promotion that rolls back to the incumbent digest, a restart with
 # reservoir restore, the order-independent merged retrain, and a clean
@@ -173,7 +173,7 @@ fleet-smoke:
 	$(GO) run ./cmd/quantfleet -smoke > out/fleet-smoke/run2.txt
 	@cmp out/fleet-smoke/run1.txt out/fleet-smoke/run2.txt || \
 		{ echo "fleet-smoke: episode diverged between runs"; exit 1; }
-	@cmp out/fleet-smoke/run1.txt cmd/quantfleet/testdata/smoke_golden.txt || \
+	@cmp out/fleet-smoke/run1.txt internal/fleet/testdata/smoke_golden.txt || \
 		{ echo "fleet-smoke: episode diverged from golden"; exit 1; }
 	@grep -q 'dropped 0' out/fleet-smoke/run1.txt || \
 		{ echo "fleet-smoke: requests were dropped"; exit 1; }
@@ -183,7 +183,7 @@ fleet-smoke:
 
 # shadow-smoke runs the shadow-evaluation episode twice, byte-compares the
 # two outputs, and compares them against the committed golden
-# (cmd/quantfleet/testdata/shadow_golden.txt): one weak champion served by
+# (internal/fleet/testdata/shadow_golden.txt): one weak champion served by
 # three replicas with a shared mirror tap, three challengers scored on the
 # mirrored live traffic, the N-way gate promoting exactly the margin-winning
 # challenger fleet-wide, and a forced-reject drill epoch that keeps the new
@@ -197,7 +197,7 @@ shadow-smoke:
 	$(GO) run ./cmd/quantfleet -shadow > out/shadow-smoke/run2.txt
 	@cmp out/shadow-smoke/run1.txt out/shadow-smoke/run2.txt || \
 		{ echo "shadow-smoke: episode diverged between runs"; exit 1; }
-	@cmp out/shadow-smoke/run1.txt cmd/quantfleet/testdata/shadow_golden.txt || \
+	@cmp out/shadow-smoke/run1.txt internal/fleet/testdata/shadow_golden.txt || \
 		{ echo "shadow-smoke: episode diverged from golden"; exit 1; }
 	@grep -q '^verdict: promote ' out/shadow-smoke/run1.txt || \
 		{ echo "shadow-smoke: no challenger was promoted"; exit 1; }

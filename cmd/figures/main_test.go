@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -137,6 +138,34 @@ func TestPaperClaims(t *testing.T) {
 		}
 		if !(hi/lo > band) {
 			t.Errorf("phase slowdowns span %.2fx..%.2fx, want max/min > %.0f", lo, hi, band)
+		}
+	})
+	t.Run("TransferGranularity", func(t *testing.T) {
+		// A deviation pinned, not a paper claim: each profile's transfer
+		// dataset holds 33-34 windows, so every accuracy counts 7 held-out
+		// windows and nvme's set has no degraded window. A collection that
+		// yields more windows fails here and must update EXPERIMENTS.md.
+		txt, err := os.ReadFile(filepath.Join("..", "..", "out", "transfer.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, note := range []string{
+			"paper: 33 samples, class balance [22 11]",
+			"nvme: 33 samples, class balance [33 0]",
+			"fastnic: 34 samples, class balance [21 13]",
+		} {
+			if !strings.Contains(string(txt), "\n"+note+"\n") {
+				t.Errorf("transfer.txt lacks %q", note)
+			}
+		}
+		rows := panel(t, "transfer")
+		for _, row := range rows[1:] {
+			if row[0] == "" {
+				break // the interference matrices follow a blank line
+			}
+			if k := 7 * num(t, row[3]); math.Abs(k-math.Round(k)) > 1e-3 {
+				t.Errorf("%s %s->%s accuracy %s is not a count out of 7", row[0], row[1], row[2], row[3])
+			}
 		}
 	})
 	t.Run("OpenPMDScarcity", func(t *testing.T) {

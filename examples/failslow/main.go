@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	quant "quanterference"
 	"quanterference/internal/experiments"
@@ -19,26 +21,41 @@ import (
 	"quanterference/internal/workload/io500"
 )
 
+// The fail-slow condition lasts from faultStart to heal, and the run ends
+// at horizon, all in seconds. Windows are one second long, so window i
+// covers [i, i+1).
+const faultStart, heal, horizon = 2, 8, 12
+
 func main() {
-	// Train on interference only.
-	fmt.Println("training on cross-application interference data...")
+	if _, err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run trains on interference only, plays the fail-slow scenario, prints
+// each window's prediction to w, and returns the predicted classes in
+// window order (1 is the flagged >=2x class).
+func run(w io.Writer) ([]int, error) {
+	fmt.Fprintln(w, "training on cross-application interference data...")
 	ds := experiments.IO500Dataset(experiments.DatasetConfig{Scale: 0.5, Seed: 31, Reps: 2})
 	fw, cm, err := quant.TrainFrameworkE(ds, quant.FrameworkConfig{Seed: 31})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	fmt.Printf("dataset %d windows; held-out accuracy %.2f\n\n", ds.Len(), cm.Accuracy())
+	fmt.Fprintf(w, "dataset %d windows; held-out accuracy %.2f\n\n", ds.Len(), cm.Accuracy())
 
 	// A quiet cluster: one writer, zero interference.
 	cl := quant.NewCluster(quant.PaperTopology(), quant.Config{})
 	bins := quant.BinaryBins()
+	var classes []int
 	mon := quant.AttachLive(cl, quant.Seconds(1), func(idx int, mat quant.WindowMatrix) {
 		class, probs := fw.Predict(mat)
+		classes = append(classes, class)
 		marker := ""
 		if class == 1 {
 			marker = "  <-- flagged"
 		}
-		fmt.Printf("t=%3ds  predicted %-5s p=%.2f%s\n", idx+1, bins.Name(class), probs[class], marker)
+		fmt.Fprintf(w, "t=%3ds  predicted %-5s p=%.2f%s\n", idx+1, bins.Name(class), probs[class], marker)
 	})
 
 	gen := io500.New(io500.IorEasyWrite, io500.Params{
@@ -50,28 +67,28 @@ func main() {
 	}
 	app.Start()
 
-	// The fail-slow condition strikes the writer's OSTs at t=2s and heals
-	// at t=8s.
+	// The fail-slow condition strikes the writer's OSTs.
 	var faults []quant.FaultSpec
 	for _, ost := range []string{"ost0", "ost1"} {
 		faults = append(faults, quant.FaultSpec{
 			Kind: quant.DiskSlow, Target: ost,
-			Start: quant.Seconds(2), Duration: quant.Seconds(6), Severity: 8,
+			Start: quant.Seconds(faultStart), Duration: quant.Seconds(heal - faultStart), Severity: 8,
 		})
 	}
 	if err := cl.InjectFaults(faults); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	cl.Eng.Schedule(quant.Seconds(2), func() {
-		fmt.Println("--- ost0+ost1 degrade 8x (fail-slow), no interference anywhere ---")
+	cl.Eng.Schedule(quant.Seconds(faultStart), func() {
+		fmt.Fprintln(w, "--- ost0+ost1 degrade 8x (fail-slow), no interference anywhere ---")
 	})
-	cl.Eng.Schedule(quant.Seconds(8), func() {
-		fmt.Println("--- disks healed ---")
+	cl.Eng.Schedule(quant.Seconds(heal), func() {
+		fmt.Fprintln(w, "--- disks healed ---")
 	})
 
-	cl.Eng.RunUntil(quant.Seconds(12))
+	cl.Eng.RunUntil(quant.Seconds(horizon))
 	mon.Stop()
-	fmt.Printf("\nsimulated %.0fs; the interference-trained model doubles as a "+
+	fmt.Fprintf(w, "\nsimulated %.0fs; the interference-trained model doubles as a "+
 		"fail-slow detector because both conditions share the queue-time signature\n",
 		sim.ToSeconds(cl.Eng.Now()))
+	return classes, nil
 }

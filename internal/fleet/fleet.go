@@ -127,9 +127,6 @@ func NewReplica(name string, admin Admin, client *serve.Client, loop *online.Loo
 	return &Replica{name: name, admin: admin, client: client, loop: loop}
 }
 
-// Name is the replica's fleet identity.
-func (r *Replica) Name() string { return r.name }
-
 // Config tunes the coordinator.
 type Config struct {
 	// Seed drives the rendezvous routing hash; same seed + same replica
@@ -171,17 +168,6 @@ func New(cfg Config, replicas ...*Replica) (*Coordinator, error) {
 		seen[r.name] = true
 	}
 	return &Coordinator{seed: cfg.Seed, replicas: replicas, lastFail: make(map[string]string)}, nil
-}
-
-// Replicas returns the registered replica names in registration order.
-func (c *Coordinator) Replicas() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, len(c.replicas))
-	for i, r := range c.replicas {
-		names[i] = r.name
-	}
-	return names
 }
 
 // Rebind replaces the named replica's handles — how a killed replica
@@ -317,21 +303,23 @@ func cause(err error) string {
 // Predict routes one window matrix by key: the rendezvous-ranked replicas
 // are tried in order until one answers. Every attempt lands on the timeline
 // ("route key replica", with "retry key replica cause" lines for the
-// replicas that lost their turn).
+// replicas that lost their turn), except one the caller's ctx cut short.
 func (c *Coordinator) Predict(ctx context.Context, key string, mat window.Matrix) (*serve.PredictResponse, error) {
-	return route(c, key, func(cl *serve.Client) (*serve.PredictResponse, error) { return cl.Predict(ctx, mat) })
+	return route(ctx, c, key, func(cl *serve.Client) (*serve.PredictResponse, error) { return cl.Predict(ctx, mat) })
 }
 
 // Forecast routes a window history the same way Predict routes a matrix.
 func (c *Coordinator) Forecast(ctx context.Context, key string, history []window.Matrix) (*serve.ForecastResponse, error) {
-	return route(c, key, func(cl *serve.Client) (*serve.ForecastResponse, error) { return cl.Forecast(ctx, history) })
+	return route(ctx, c, key, func(cl *serve.Client) (*serve.ForecastResponse, error) { return cl.Forecast(ctx, history) })
 }
 
 // route walks key's rendezvous ranking, calling each replica until one
 // answers. A bad-input, too-large or no-forecaster rejection is the caller's
-// mistake and is not failed over; every other failure hands the key to the
-// next replica, and a key no replica answers is dropped.
-func route[T any](c *Coordinator, key string, call func(*serve.Client) (*T, error)) (*T, error) {
+// mistake and is not failed over. Nor is a call that fails once the caller's
+// ctx is done: the caller gave up, so route returns ctx's error without
+// blaming the replica or counting a drop. Every other failure hands the key
+// to the next replica, and a key no replica answers is dropped.
+func route[T any](ctx context.Context, c *Coordinator, key string, call func(*serve.Client) (*T, error)) (*T, error) {
 	var errs []error
 	for _, r := range c.rank(key) {
 		resp, err := call(r.client)
@@ -345,6 +333,9 @@ func route[T any](c *Coordinator, key string, call func(*serve.Client) (*T, erro
 		if errors.Is(err, serve.ErrBadInput) || errors.Is(err, serve.ErrTooLarge) || errors.Is(err, serve.ErrNoForecaster) {
 			c.event("reject %s %s", key, cause(err))
 			return nil, err
+		}
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("fleet: key %q: %w", key, ctx.Err())
 		}
 		c.event("retry %s %s %s", key, r.name, cause(err))
 		c.noteFail(r.name, cause(err))

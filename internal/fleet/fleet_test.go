@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -20,53 +19,20 @@ import (
 	"quanterference/internal/sim"
 )
 
-const (
-	testTargets = 3
-	testFeat    = 5
-)
-
-// trainedFramework trains a tiny 2-class framework on synthetic data; seed
-// varies the weights, so two different seeds give two distinct digests.
-func trainedFramework(tb testing.TB, seed int64) *core.Framework {
-	tb.Helper()
-	names := make([]string, testFeat)
-	for i := range names {
-		names[i] = fmt.Sprintf("f%d", i)
-	}
-	ds := dataset.New(names, testTargets, 2)
-	rng := sim.NewRNG(seed)
-	for i := 0; i < 64; i++ {
-		vecs := make([][]float64, testTargets)
-		for t := range vecs {
-			v := make([]float64, testFeat)
-			for f := range v {
-				v[f] = rng.NormFloat64() + 2*float64(i%2)
-			}
-			vecs[t] = v
-		}
-		ds.Add(&dataset.Sample{Label: i % 2, Degradation: 1 + 2*float64(i%2), Vectors: vecs})
-	}
-	fw, _, err := core.TrainFrameworkE(ds, core.FrameworkConfig{Seed: seed, Train: ml.TrainConfig{Epochs: 5}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return fw
-}
-
 func trainedForecaster(tb testing.TB, seed int64) *forecast.Forecaster {
 	tb.Helper()
-	names := make([]string, testFeat)
+	names := make([]string, nFeat)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
 	}
-	ds := dataset.New(names, testTargets, 2)
+	ds := dataset.New(names, nTargets, 2)
 	rng := sim.NewRNG(seed)
 	for r := 0; r < 4; r++ {
 		for w := 0; w < 16; w++ {
 			degraded := w >= 10
-			vecs := make([][]float64, testTargets)
+			vecs := make([][]float64, nTargets)
 			for t := range vecs {
-				v := make([]float64, testFeat)
+				v := make([]float64, nFeat)
 				for f := range v {
 					v[f] = 0.2*float64(w) + rng.NormFloat64()
 					if degraded {
@@ -94,91 +60,26 @@ func trainedForecaster(tb testing.TB, seed int64) *forecast.Forecaster {
 	return fc
 }
 
-// testMatrix is a deterministic prediction input.
-func testMatrix(rng *sim.RNG) window.Matrix {
-	mat := make(window.Matrix, testTargets)
-	for t := range mat {
-		row := make([]float64, testFeat)
-		for f := range row {
-			row[f] = rng.NormFloat64()
-		}
-		mat[t] = row
-	}
-	return mat
-}
-
 // testHistory is a deterministic forecast input: trainedForecaster's three
 // windows.
 func testHistory(rng *sim.RNG) []window.Matrix {
-	return []window.Matrix{testMatrix(rng), testMatrix(rng), testMatrix(rng)}
+	return []window.Matrix{matrix(rng, 0), matrix(rng, 0), matrix(rng, 0)}
 }
 
-// testFleet is the in-process multi-replica harness: n serve.Servers behind
-// httptest listeners, each with an online loop, fronted by one coordinator.
-type testFleet struct {
-	c       *Coordinator
-	servers []*serve.Server
-	https   []*httptest.Server
-	loops   []*online.Loop
-	names   []string
-}
-
-// newTestFleet spins up n replicas all serving clones of the same trained
-// framework (a consistent fleet), with per-replica online loops. Replica i
-// starts on forecasters[i] when forecasters are given (one per replica).
-func newTestFleet(tb testing.TB, n int, seed int64, forecasters ...*forecast.Forecaster) *testFleet {
+// bootFleet starts a Local fleet for the test's lifetime, serving
+// train(corpus(seed), seed, 5): one replica per config (three default ones
+// when none are given), each with an online loop.
+func bootFleet(tb testing.TB, seed int64, cfgs ...serve.Config) *Local {
 	tb.Helper()
-	master := trainedFramework(tb, seed)
-	f := &testFleet{}
-	replicas := make([]*Replica, n)
-	for i := 0; i < n; i++ {
-		fw, err := master.Clone()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var cfg serve.Config
-		if forecasters != nil {
-			cfg.Forecaster = forecasters[i]
-		}
-		s := serve.New(fw, cfg)
-		ts := httptest.NewServer(s.Handler())
-		loop, err := online.NewLoop(s, online.Config{Seed: seed + int64(i)})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		name := fmt.Sprintf("r%d", i)
-		f.servers = append(f.servers, s)
-		f.https = append(f.https, ts)
-		f.loops = append(f.loops, loop)
-		f.names = append(f.names, name)
-		replicas[i] = NewReplica(name, s, serve.NewClient(ts.URL), loop)
+	if cfgs == nil {
+		cfgs = make([]serve.Config, 3)
 	}
-	c, err := New(Config{Seed: seed}, replicas...)
+	l, err := StartLocal(train(corpus(seed), seed, 5), seed, true, cfgs...)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f.c = c
-	tb.Cleanup(func() {
-		for _, ts := range f.https {
-			ts.Close()
-		}
-		for _, s := range f.servers {
-			_ = s.Shutdown(context.Background())
-		}
-	})
-	return f
-}
-
-// feedLoops offers nEach deterministic labeled examples to every loop.
-func (f *testFleet) feedLoops(nEach int) {
-	for i, l := range f.loops {
-		rng := sim.NewRNG(1000 + int64(i))
-		for w := 0; w < nEach; w++ {
-			mat := testMatrix(rng)
-			l.OfferWindow(mat)
-			l.OfferLabeled(online.Example{Window: w, Matrix: mat, Degradation: 1 + 2*float64(w%2)})
-		}
-	}
+	tb.Cleanup(l.Close)
+	return l
 }
 
 // TestRoutingDeterministicSpread pins the rendezvous router: same seed ⇒
@@ -186,19 +87,19 @@ func (f *testFleet) feedLoops(nEach int) {
 // share of the keyspace, and repeated keys route to the same replica.
 func TestRoutingDeterministicSpread(t *testing.T) {
 	ctx := context.Background()
-	a := newTestFleet(t, 3, 42)
-	b := newTestFleet(t, 3, 42)
+	a := bootFleet(t, 42)
+	b := bootFleet(t, 42)
 	rngA, rngB := sim.NewRNG(7), sim.NewRNG(7)
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("w%02d", i)
-		if _, err := a.c.Predict(ctx, key, testMatrix(rngA)); err != nil {
+		if _, err := a.Coord.Predict(ctx, key, matrix(rngA, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.c.Predict(ctx, key, testMatrix(rngB)); err != nil {
+		if _, err := b.Coord.Predict(ctx, key, matrix(rngB, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ta, tb := a.c.Timeline(), b.c.Timeline()
+	ta, tb := a.Coord.Timeline(), b.Coord.Timeline()
 	if len(ta) != 30 {
 		t.Fatalf("timeline has %d events, want 30 routes", len(ta))
 	}
@@ -216,19 +117,19 @@ func TestRoutingDeterministicSpread(t *testing.T) {
 		}
 		perReplica[parts[2]]++
 	}
-	for _, name := range a.names {
+	for _, name := range a.Names {
 		if perReplica[name] == 0 {
 			t.Fatalf("replica %s owns no keys: distribution %v", name, perReplica)
 		}
 	}
 
 	// Same key again routes to the same replica.
-	resp1, err := a.c.Predict(ctx, "w00", testMatrix(sim.NewRNG(9)))
+	resp1, err := a.Coord.Predict(ctx, "w00", matrix(sim.NewRNG(9), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = resp1
-	tl := a.c.Timeline()
+	tl := a.Coord.Timeline()
 	if tl[len(tl)-1] != ta[0] {
 		t.Fatalf("key w00 routed %q, first episode routed %q", tl[len(tl)-1], ta[0])
 	}
@@ -239,24 +140,23 @@ func TestRoutingDeterministicSpread(t *testing.T) {
 // and Dropped stays zero.
 func TestFailoverDropsNothing(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 11)
+	f := bootFleet(t, 11)
 	rng := sim.NewRNG(3)
 
-	f.https[1].Close() // kill r1's listener: transport errors, not HTTP ones
-	f.c.Note("kill r1")
+	f.Kill(1) // r1's listener closes: transport errors, not HTTP ones
 
 	sawRetry := false
 	for i := 0; i < 24; i++ {
-		resp, err := f.c.Predict(ctx, fmt.Sprintf("w%02d", i), testMatrix(rng))
+		resp, err := f.Coord.Predict(ctx, fmt.Sprintf("w%02d", i), matrix(rng, 0))
 		if err != nil {
 			t.Fatalf("request %d dropped: %v", i, err)
 		}
-		if resp.ModelDigest != f.servers[0].ModelDigest() {
+		if resp.ModelDigest != f.Servers[0].ModelDigest() {
 			t.Fatalf("request %d answered with digest %s, fleet serves %s",
-				i, resp.ModelDigest, f.servers[0].ModelDigest())
+				i, resp.ModelDigest, f.Servers[0].ModelDigest())
 		}
 	}
-	for _, ev := range f.c.Timeline() {
+	for _, ev := range f.Coord.Timeline() {
 		if strings.HasPrefix(ev, "retry w") {
 			if !strings.Contains(ev, "r1 unreachable") {
 				t.Fatalf("retry event %q does not blame the killed replica", ev)
@@ -270,10 +170,10 @@ func TestFailoverDropsNothing(t *testing.T) {
 	if !sawRetry {
 		t.Fatal("no key preferred the killed replica; routing spread is suspect")
 	}
-	if got := f.c.Accepted(); got != 24 {
+	if got := f.Coord.Accepted(); got != 24 {
 		t.Fatalf("accepted %d of 24", got)
 	}
-	if got := f.c.Dropped(); got != 0 {
+	if got := f.Coord.Dropped(); got != 0 {
 		t.Fatalf("dropped %d requests with two healthy replicas", got)
 	}
 }
@@ -282,17 +182,40 @@ func TestFailoverDropsNothing(t *testing.T) {
 // a request over the replicas' size limit is the caller's mistake, so it is
 // rejected as too-large on the first replica and never retried elsewhere.
 func TestOversizedNotFailedOver(t *testing.T) {
-	f := newTestFleet(t, 3, 13)
+	f := bootFleet(t, 13)
 	huge := window.Matrix{make([]float64, 1<<19)} // ~1 MiB of JSON zeros
-	if _, err := f.c.Predict(context.Background(), "big", huge); !errors.Is(err, serve.ErrTooLarge) {
+	if _, err := f.Coord.Predict(context.Background(), "big", huge); !errors.Is(err, serve.ErrTooLarge) {
 		t.Fatalf("oversized predict: %v, want serve.ErrTooLarge", err)
 	}
-	tl := f.c.Timeline()
+	tl := f.Coord.Timeline()
 	if len(tl) != 1 || tl[0] != "reject big too-large" {
 		t.Fatalf("timeline %q, want one reject without retries", tl)
 	}
-	if got := f.c.Dropped(); got != 0 {
+	if got := f.Coord.Dropped(); got != 0 {
 		t.Fatalf("dropped %d: a caller mistake is not a dropped request", got)
+	}
+}
+
+// TestCanceledCallerNotFailedOver pins the caller's own cancellation: a
+// predict whose context is already done fails with that context's error,
+// and the fleet neither fails it over, blames a replica, nor counts a drop.
+func TestCanceledCallerNotFailedOver(t *testing.T) {
+	f := bootFleet(t, 42)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.Coord.Predict(ctx, "k1", matrix(sim.NewRNG(1), 0)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled predict = %v, want context.Canceled", err)
+	}
+	if tl := f.Coord.Timeline(); len(tl) != 0 {
+		t.Fatalf("timeline %q, want no retry or drop lines", tl)
+	}
+	if got := f.Coord.Dropped(); got != 0 {
+		t.Fatalf("dropped %d: the caller gave up, no replica failed", got)
+	}
+	for _, r := range f.Coord.Status(context.Background()).Replicas {
+		if !r.Healthy || r.LastFailure != "" {
+			t.Fatalf("replica %s = %+v, want healthy with no last failure", r.Name, r)
+		}
 	}
 }
 
@@ -312,39 +235,46 @@ func TestForecastRouting(t *testing.T) {
 		}
 		return c
 	}
-	f := newTestFleet(t, 3, 91, clone(), clone(), clone())
+	onForecasters := func(fcs ...*forecast.Forecaster) []serve.Config {
+		cfgs := make([]serve.Config, len(fcs))
+		for i, fc := range fcs {
+			cfgs[i].Forecaster = fc
+		}
+		return cfgs
+	}
+	f := bootFleet(t, 91, onForecasters(clone(), clone(), clone())...)
 	rng := sim.NewRNG(8)
 
 	for i := 0; i < 12; i++ {
 		key := fmt.Sprintf("w%02d", i)
-		if _, err := f.c.Predict(ctx, key, testMatrix(rng)); err != nil {
+		if _, err := f.Coord.Predict(ctx, key, matrix(rng, 0)); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := f.c.Forecast(ctx, key, testHistory(rng))
+		resp, err := f.Coord.Forecast(ctx, key, testHistory(rng))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.ModelDigest != fcDigest || len(resp.Horizons) != 2 {
 			t.Fatalf("forecast %s answered %+v, want digest %s over 2 horizons", key, resp, fcDigest)
 		}
-		tl := f.c.Timeline()
+		tl := f.Coord.Timeline()
 		if p, fr := tl[len(tl)-2], tl[len(tl)-1]; p != fr || !strings.HasPrefix(fr, "route "+key+" ") {
 			t.Fatalf("key %s: predict %q, forecast %q, want one route", key, p, fr)
 		}
 	}
-	if st := f.c.Status(ctx); !st.Consistent || st.ForecasterDigest != fcDigest {
+	if st := f.Coord.Status(ctx); !st.Consistent || st.ForecasterDigest != fcDigest {
 		t.Fatalf("status %+v, want consistent on forecaster %s", st, fcDigest)
 	}
 
-	f.https[1].Close()
-	mark := len(f.c.Timeline())
+	f.Kill(1)
+	mark := len(f.Coord.Timeline())
 	for i := 0; i < 12; i++ {
-		if _, err := f.c.Forecast(ctx, fmt.Sprintf("w%02d", i), testHistory(rng)); err != nil {
+		if _, err := f.Coord.Forecast(ctx, fmt.Sprintf("w%02d", i), testHistory(rng)); err != nil {
 			t.Fatalf("forecast %d dropped: %v", i, err)
 		}
 	}
 	sawRetry := false
-	for _, ev := range f.c.Timeline()[mark:] {
+	for _, ev := range f.Coord.Timeline()[mark:] {
 		if strings.HasPrefix(ev, "retry ") {
 			if !strings.HasSuffix(ev, " r1 unreachable") {
 				t.Fatalf("retry event %q does not blame the killed replica", ev)
@@ -358,23 +288,23 @@ func TestForecastRouting(t *testing.T) {
 	if !sawRetry {
 		t.Fatal("no forecast key preferred the killed replica")
 	}
-	if got := f.c.Dropped(); got != 0 {
+	if got := f.Coord.Dropped(); got != 0 {
 		t.Fatalf("dropped %d forecasts with two healthy replicas", got)
 	}
 
-	bare := newTestFleet(t, 3, 93)
-	if _, err := bare.c.Forecast(ctx, "w00", testHistory(rng)); !errors.Is(err, serve.ErrNoForecaster) {
+	bare := bootFleet(t, 93)
+	if _, err := bare.Coord.Forecast(ctx, "w00", testHistory(rng)); !errors.Is(err, serve.ErrNoForecaster) {
 		t.Fatalf("forecast without forecasters = %v, want serve.ErrNoForecaster", err)
 	}
-	if tl := bare.c.Timeline(); len(tl) != 1 || tl[0] != "reject w00 no-forecaster" {
+	if tl := bare.Coord.Timeline(); len(tl) != 1 || tl[0] != "reject w00 no-forecaster" {
 		t.Fatalf("timeline %q, want one reject without retries", tl)
 	}
-	if got := bare.c.Dropped(); got != 0 {
+	if got := bare.Coord.Dropped(); got != 0 {
 		t.Fatalf("dropped %d: a fleet without forecasters rejects, it does not drop", got)
 	}
 
-	mixed := newTestFleet(t, 3, 94, clone(), clone(), trainedForecaster(t, 95))
-	if st := mixed.c.Status(ctx); st.Healthy != 3 || st.Consistent || st.ForecasterDigest != "" {
+	mixed := bootFleet(t, 94, onForecasters(clone(), clone(), trainedForecaster(t, 95))...)
+	if st := mixed.Coord.Status(ctx); st.Healthy != 3 || st.Consistent || st.ForecasterDigest != "" {
 		t.Fatalf("replicas on different forecasters: status %+v, want 3 healthy, inconsistent", st)
 	}
 }
@@ -384,21 +314,21 @@ func TestForecastRouting(t *testing.T) {
 // model digest (inconsistent).
 func TestStatusAggregation(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 5)
+	f := bootFleet(t, 5)
 
-	st := f.c.Status(ctx)
+	st := f.Coord.Status(ctx)
 	if st.Healthy != 3 || !st.Consistent {
 		t.Fatalf("fresh fleet: healthy %d consistent %v", st.Healthy, st.Consistent)
 	}
-	if st.APIVersion != serve.APIVersion || st.ModelDigest != f.servers[0].ModelDigest() {
+	if st.APIVersion != serve.APIVersion || st.ModelDigest != f.Servers[0].ModelDigest() {
 		t.Fatalf("status advertises %s/%s", st.APIVersion, st.ModelDigest)
 	}
-	if st.Targets != testTargets || st.Features != testFeat {
-		t.Fatalf("status shape %dx%d, want %dx%d", st.Targets, st.Features, testTargets, testFeat)
+	if st.Targets != nTargets || st.Features != nFeat {
+		t.Fatalf("status shape %dx%d, want %dx%d", st.Targets, st.Features, nTargets, nFeat)
 	}
 
-	f.https[2].Close()
-	st = f.c.Status(ctx)
+	f.Kill(2)
+	st = f.Coord.Status(ctx)
 	if st.Healthy != 2 || !st.Consistent {
 		t.Fatalf("after kill: healthy %d consistent %v", st.Healthy, st.Consistent)
 	}
@@ -407,11 +337,11 @@ func TestStatusAggregation(t *testing.T) {
 	}
 
 	// Diverge r1's model: fleet no longer consistent.
-	other := trainedFramework(t, 99)
-	if err := f.servers[1].ReloadFramework(other); err != nil {
+	other := train(corpus(99), 99, 5)
+	if err := f.Servers[1].ReloadFramework(other); err != nil {
 		t.Fatal(err)
 	}
-	st = f.c.Status(ctx)
+	st = f.Coord.Status(ctx)
 	if st.Consistent {
 		t.Fatal("fleet with mixed digests reported consistent")
 	}
@@ -425,10 +355,10 @@ func TestStatusAggregation(t *testing.T) {
 // same exports in reverse order, and distinct replicas never dedupe into
 // each other.
 func TestMergedDatasetOrderIndependent(t *testing.T) {
-	f := newTestFleet(t, 3, 21)
-	f.feedLoops(12)
+	f := bootFleet(t, 21)
+	feedLoops(f.Loops, 12)
 
-	merged, err := f.c.MergedDataset()
+	merged, err := f.Coord.MergedDataset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +367,8 @@ func TestMergedDatasetOrderIndependent(t *testing.T) {
 	}
 
 	var reversed []*dataset.Dataset
-	for i := len(f.loops) - 1; i >= 0; i-- {
-		reversed = append(reversed, f.loops[i].ExportBuffer(f.names[i]))
+	for i := len(f.Loops) - 1; i >= 0; i-- {
+		reversed = append(reversed, f.Loops[i].ExportBuffer(f.Names[i]))
 	}
 	back, err := dataset.MergeAll(reversed...)
 	if err != nil {
@@ -453,42 +383,30 @@ func TestMergedDatasetOrderIndependent(t *testing.T) {
 // replays its saved export contributes the same samples to the fleet merge
 // as before the restart.
 func TestSaveLoadBuffers(t *testing.T) {
-	f := newTestFleet(t, 3, 33)
-	f.feedLoops(10)
+	f := bootFleet(t, 33)
+	feedLoops(f.Loops, 10)
 	dir := t.TempDir()
 
-	before, err := f.c.MergedDataset()
+	before, err := f.Coord.MergedDataset()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.c.SaveBuffers(dir); err != nil {
+	if err := f.Coord.SaveBuffers(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart" r1: fresh server + empty loop under the same name.
-	fw, err := f.servers[1].Framework().Clone()
-	if err != nil {
+	// Restart r1: fresh server + empty loop under the same name.
+	if err := f.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(fw, serve.Config{})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	loop, err := online.NewLoop(s, online.Config{Seed: 33 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.c.Rebind("r1", s, serve.NewClient(ts.URL), loop); err != nil {
-		t.Fatal(err)
-	}
-	f.loops[1] = loop
 
-	if _, err := f.c.MergedDataset(); err != nil {
+	if _, err := f.Coord.MergedDataset(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.c.LoadBuffers(dir); err != nil {
+	if err := f.Coord.LoadBuffers(dir); err != nil {
 		t.Fatal(err)
 	}
-	after, err := f.c.MergedDataset()
+	after, err := f.Coord.MergedDataset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +415,7 @@ func TestSaveLoadBuffers(t *testing.T) {
 	}
 
 	// Rebinding an unknown name is refused.
-	if err := f.c.Rebind("nope", s, serve.NewClient(ts.URL), nil); !errors.Is(err, ErrUnknownReplica) {
+	if err := f.Coord.Rebind("nope", f.Servers[1], serve.NewClient(f.HTTP[1].URL), nil); !errors.Is(err, ErrUnknownReplica) {
 		t.Fatalf("rebind of unknown replica = %v", err)
 	}
 }
@@ -523,30 +441,30 @@ func (f *flakyAdmin) ReloadFramework(fw *core.Framework) error {
 // the untouched replica never changes, and a later retry lands everywhere.
 func TestPromoteRollsBack(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 55)
-	incDigest := f.servers[0].ModelDigest()
+	f := bootFleet(t, 55)
+	incDigest := f.Servers[0].ModelDigest()
 
-	flaky := &flakyAdmin{Admin: f.servers[1], failReload: true}
-	if err := f.c.Rebind("r1", flaky, serve.NewClient(f.https[1].URL), nil); err != nil {
+	flaky := &flakyAdmin{Admin: f.Servers[1], failReload: true}
+	if err := f.Coord.Rebind("r1", flaky, serve.NewClient(f.HTTP[1].URL), nil); err != nil {
 		t.Fatal(err)
 	}
 
-	cand := trainedFramework(t, 56)
+	cand := train(corpus(56), 56, 5)
 	candDigest := ml.WeightsDigest(cand.ExportWeights())
 	if candDigest == incDigest {
 		t.Fatal("candidate digests like the incumbent; test is vacuous")
 	}
 
-	err := f.c.Promote(ctx, cand)
+	err := f.Coord.Promote(ctx, cand)
 	if !errors.Is(err, ErrPromotionFailed) {
 		t.Fatalf("promotion with failing r1 = %v, want ErrPromotionFailed", err)
 	}
-	for i, s := range f.servers {
+	for i, s := range f.Servers {
 		if got := s.ModelDigest(); got != incDigest {
 			t.Fatalf("replica r%d serves %s after rollback, want incumbent %s", i, got, incDigest)
 		}
 	}
-	tl := f.c.Timeline()
+	tl := f.Coord.Timeline()
 	want := []string{
 		"promote r0 " + candDigest,
 		"promote-failed r1 reload",
@@ -564,19 +482,19 @@ func TestPromoteRollsBack(t *testing.T) {
 
 	// Clear the fault: the retry promotes all three.
 	flaky.failReload = false
-	if err := f.c.Promote(ctx, cand); err != nil {
+	if err := f.Coord.Promote(ctx, cand); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range f.servers {
+	for i, s := range f.Servers {
 		if got := s.ModelDigest(); got != candDigest {
 			t.Fatalf("replica r%d serves %s after rollout, want %s", i, got, candDigest)
 		}
 	}
 	// The candidate stays the caller's: promoting cloned per replica.
-	if f.servers[0].Framework() == cand {
+	if f.Servers[0].Framework() == cand {
 		t.Fatal("coordinator handed the caller's candidate to a replica instead of a clone")
 	}
-	if st := f.c.Status(ctx); !st.Consistent || st.ModelDigest != candDigest {
+	if st := f.Coord.Status(ctx); !st.Consistent || st.ModelDigest != candDigest {
 		t.Fatalf("post-rollout status %+v, want consistent on %s", st, candDigest)
 	}
 }
@@ -585,20 +503,20 @@ func TestPromoteRollsBack(t *testing.T) {
 // the rollout and earlier steps roll back, leaving digests untouched.
 func TestPromoteRefusesUnreachable(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 77)
-	incDigest := f.servers[0].ModelDigest()
-	f.https[1].Close()
+	f := bootFleet(t, 77)
+	incDigest := f.Servers[0].ModelDigest()
+	f.Kill(1)
 
-	err := f.c.Promote(ctx, trainedFramework(t, 78))
+	err := f.Coord.Promote(ctx, train(corpus(78), 78, 5))
 	if !errors.Is(err, ErrPromotionFailed) {
 		t.Fatalf("promotion with dead r1 = %v, want ErrPromotionFailed", err)
 	}
-	for i, s := range f.servers {
+	for i, s := range f.Servers {
 		if got := s.ModelDigest(); got != incDigest {
 			t.Fatalf("replica r%d serves %s, want incumbent %s", i, got, incDigest)
 		}
 	}
-	tl := f.c.Timeline()
+	tl := f.Coord.Timeline()
 	if tl[len(tl)-2] != "promote-failed r1 unreachable" || tl[len(tl)-1] != "rollback r0 "+incDigest {
 		t.Fatalf("timeline tail %q", tl[len(tl)-2:])
 	}
@@ -610,16 +528,16 @@ func TestPromoteRefusesUnreachable(t *testing.T) {
 // degraded" survives the replica coming back.
 func TestStatusLastFailure(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 17)
+	f := bootFleet(t, 17)
 	rng := sim.NewRNG(4)
 
-	f.https[1].Close()
+	f.Kill(1)
 	for i := 0; i < 12; i++ {
-		if _, err := f.c.Predict(ctx, fmt.Sprintf("w%02d", i), testMatrix(rng)); err != nil {
+		if _, err := f.Coord.Predict(ctx, fmt.Sprintf("w%02d", i), matrix(rng, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := f.c.Status(ctx)
+	st := f.Coord.Status(ctx)
 	if st.Replicas[1].LastFailure != "unreachable" {
 		t.Fatalf("killed replica LastFailure = %q, want unreachable (status %+v)", st.Replicas[1].LastFailure, st.Replicas[1])
 	}
@@ -629,19 +547,12 @@ func TestStatusLastFailure(t *testing.T) {
 		}
 	}
 
-	// "Restart" r1 under the same name: healthy again, but the last failure
+	// Restart r1 under the same name: healthy again, but the last failure
 	// cause is sticky — the degradation stays diagnosable after recovery.
-	fw, err := f.servers[1].Framework().Clone()
-	if err != nil {
+	if err := f.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(fw, serve.Config{})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	if err := f.c.Rebind("r1", s, serve.NewClient(ts.URL), nil); err != nil {
-		t.Fatal(err)
-	}
-	st = f.c.Status(ctx)
+	st = f.Coord.Status(ctx)
 	if !st.Replicas[1].Healthy || st.Replicas[1].LastFailure != "unreachable" {
 		t.Fatalf("restarted replica = %+v, want healthy with sticky LastFailure", st.Replicas[1])
 	}
@@ -653,11 +564,11 @@ func TestStatusLastFailure(t *testing.T) {
 // the candidate map is a wiring error caught before any replica changes.
 func TestPromoteShadowed(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 61)
-	incDigest := f.servers[0].ModelDigest()
+	f := bootFleet(t, 61)
+	incDigest := f.Servers[0].ModelDigest()
 
-	winner := trainedFramework(t, 62)
-	loser := trainedFramework(t, 63)
+	winner := train(corpus(62), 62, 5)
+	loser := train(corpus(63), 63, 5)
 	winDigest := ml.WeightsDigest(winner.ExportWeights())
 	cands := map[string]*core.Framework{"c-win": winner, "c-lose": loser}
 
@@ -666,15 +577,15 @@ func TestPromoteShadowed(t *testing.T) {
 		online.CandidateScore{Name: "champion", Accuracy: 0.9, Samples: 64},
 		[]online.CandidateScore{{Name: "c-win", Accuracy: 0.9, Samples: 64}},
 		0.05, 32)
-	if err := f.c.PromoteShadowed(ctx, kept, cands); !errors.Is(err, ErrShadowRejected) {
+	if err := f.Coord.PromoteShadowed(ctx, kept, cands); !errors.Is(err, ErrShadowRejected) {
 		t.Fatalf("kept-champion verdict = %v, want ErrShadowRejected", err)
 	}
-	for i, s := range f.servers {
+	for i, s := range f.Servers {
 		if s.ModelDigest() != incDigest {
 			t.Fatalf("replica r%d changed digest on a rejected verdict", i)
 		}
 	}
-	tl := f.c.Timeline()
+	tl := f.Coord.Timeline()
 	if tl[len(tl)-1] != "shadow-keep incumbent" {
 		t.Fatalf("timeline tail %q, want shadow-keep incumbent", tl[len(tl)-1])
 	}
@@ -684,10 +595,10 @@ func TestPromoteShadowed(t *testing.T) {
 		online.CandidateScore{Name: "champion", Accuracy: 0.5, Samples: 64},
 		[]online.CandidateScore{{Name: "ghost", Accuracy: 0.9, Samples: 64}},
 		0.05, 32)
-	if err := f.c.PromoteShadowed(ctx, ghost, cands); err == nil || errors.Is(err, ErrShadowRejected) {
+	if err := f.Coord.PromoteShadowed(ctx, ghost, cands); err == nil || errors.Is(err, ErrShadowRejected) {
 		t.Fatalf("unknown winner = %v, want a wiring error", err)
 	}
-	for i, s := range f.servers {
+	for i, s := range f.Servers {
 		if s.ModelDigest() != incDigest {
 			t.Fatalf("replica r%d changed digest on an unknown winner", i)
 		}
@@ -703,15 +614,15 @@ func TestPromoteShadowed(t *testing.T) {
 	if promote.Winner != "c-win" {
 		t.Fatalf("gate picked %q, want c-win", promote.Winner)
 	}
-	if err := f.c.PromoteShadowed(ctx, promote, cands); err != nil {
+	if err := f.Coord.PromoteShadowed(ctx, promote, cands); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range f.servers {
+	for i, s := range f.Servers {
 		if got := s.ModelDigest(); got != winDigest {
 			t.Fatalf("replica r%d serves %s, want winner %s", i, got, winDigest)
 		}
 	}
-	tl = f.c.Timeline()
+	tl = f.Coord.Timeline()
 	want := []string{
 		"shadow-promote c-win",
 		"promote r0 " + winDigest,
@@ -734,8 +645,8 @@ func TestPromoteShadowed(t *testing.T) {
 // serving throughout a hot promotion).
 func TestConcurrentRoutingDuringPromotion(t *testing.T) {
 	ctx := context.Background()
-	f := newTestFleet(t, 3, 13)
-	cand := trainedFramework(t, 14)
+	f := bootFleet(t, 13)
+	cand := train(corpus(14), 14, 5)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -745,7 +656,7 @@ func TestConcurrentRoutingDuringPromotion(t *testing.T) {
 			defer wg.Done()
 			rng := sim.NewRNG(int64(g))
 			for i := 0; i < 20; i++ {
-				if _, err := f.c.Predict(ctx, fmt.Sprintf("g%d-%d", g, i), testMatrix(rng)); err != nil {
+				if _, err := f.Coord.Predict(ctx, fmt.Sprintf("g%d-%d", g, i), matrix(rng, 0)); err != nil {
 					errs <- err
 					return
 				}
@@ -755,17 +666,17 @@ func TestConcurrentRoutingDuringPromotion(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := f.c.Promote(ctx, cand); err != nil {
+		if err := f.Coord.Promote(ctx, cand); err != nil {
 			errs <- err
 		}
-		f.c.Status(ctx)
+		f.Coord.Status(ctx)
 	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := f.c.Dropped(); got != 0 {
+	if got := f.Coord.Dropped(); got != 0 {
 		t.Fatalf("dropped %d requests during a hot promotion", got)
 	}
 }
@@ -775,17 +686,11 @@ func TestConcurrentRoutingDuringPromotion(t *testing.T) {
 // oldest first, so its memory does not grow with its traffic.
 func TestTimelineKeepsNewestLines(t *testing.T) {
 	ctx := context.Background()
-	s := serve.New(trainedFramework(t, 60), serve.Config{MaxBatch: 1}) // no batch window to wait out
-	ts := httptest.NewServer(s.Handler())
-	defer s.Shutdown(ctx)
-	defer ts.Close()
-	c, err := New(Config{Seed: 60}, NewReplica("r0", s, serve.NewClient(ts.URL), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One request per batch: no batch window to wait out.
+	c := bootFleet(t, 60, serve.Config{MaxBatch: 1}).Coord
 	c.Note("start") // moves the ring's wrap point off slot 0
 	want := []string{"start"}
-	mat := testMatrix(sim.NewRNG(61))
+	mat := matrix(sim.NewRNG(61), 0)
 	for i := 0; i < 3*timelineCap; i++ {
 		key := fmt.Sprintf("k%04d", i)
 		if _, err := c.Predict(ctx, key, mat); err != nil {
@@ -807,4 +712,98 @@ func TestTimelineKeepsNewestLines(t *testing.T) {
 	if c.Accepted() != 3*timelineCap {
 		t.Fatalf("accepted %d, want %d", c.Accepted(), 3*timelineCap)
 	}
+}
+
+// TestRandomSchedules drives seeded random sequences of route, kill,
+// restart and promote over three replicas, never killing the last live one.
+// No request is dropped; after every failed promotion and every restart,
+// each live replica, the restarted one included, serves the digest the
+// fleet last rolled out; and a seed replays to a byte-identical timeline.
+func TestRandomSchedules(t *testing.T) {
+	cands := []*core.Framework{train(corpus(71), 71, 5), train(corpus(72), 72, 5)}
+	var reached scheduleCounts
+	for _, seed := range []int64{1, 2, 3} {
+		first := runSchedule(t, seed, cands, &reached)
+		again := runSchedule(t, seed, cands, new(scheduleCounts))
+		if !slices.Equal(first, again) {
+			t.Fatalf("seed %d: two runs wrote different timelines (%d and %d lines)", seed, len(first), len(again))
+		}
+	}
+	if reached.retries == 0 || reached.failed == 0 || reached.promoted == 0 || reached.rejoined == 0 {
+		t.Fatalf("schedules never reached every case: %+v", reached)
+	}
+}
+
+// scheduleCounts tallies the cases a schedule reached: failed-over
+// requests, failed and successful promotions, and restarts of killed
+// replicas.
+type scheduleCounts struct{ retries, failed, promoted, rejoined int }
+
+// runSchedule plays 60 seeded steps on a fresh fleet, adds the cases it
+// reached to n, and returns the fleet's timeline.
+func runSchedule(t *testing.T, seed int64, cands []*core.Framework, n *scheduleCounts) []string {
+	t.Helper()
+	ctx := context.Background()
+	f := bootFleet(t, seed)
+	rng := sim.NewRNG(seed)
+	up, live := []bool{true, true, true}, 3
+	digest := f.Servers[0].ModelDigest()
+	expectOneDigest := func(step int, op string) {
+		t.Helper()
+		for i, s := range f.Servers {
+			if got := s.ModelDigest(); up[i] && got != digest {
+				t.Fatalf("seed %d step %d: after %s, %s serves %s, want %s", seed, step, op, f.Names[i], got, digest)
+			}
+		}
+	}
+	for step := 0; step < 60; step++ {
+		i := rng.Intn(len(up))
+		switch op := rng.Intn(10); {
+		case op < 5:
+			key := fmt.Sprintf("k%02d", step)
+			if _, err := f.Coord.Predict(ctx, key, matrix(rng, 0)); err != nil {
+				t.Fatalf("seed %d step %d: %s dropped with live replicas %v: %v", seed, step, key, up, err)
+			}
+		case op < 6:
+			if up[i] && live > 1 {
+				f.Kill(i)
+				up[i], live = false, live-1
+			}
+		case op < 8:
+			if err := f.Restart(i); err != nil {
+				t.Fatal(err)
+			}
+			if !up[i] {
+				up[i], live = true, live+1
+				n.rejoined++
+			}
+			expectOneDigest(step, "restart "+f.Names[i])
+		default:
+			cand := cands[rng.Intn(len(cands))]
+			err := f.Coord.Promote(ctx, cand)
+			if live == len(up) {
+				if err != nil {
+					t.Fatalf("seed %d step %d: promotion on a whole fleet: %v", seed, step, err)
+				}
+				digest = ml.WeightsDigest(cand.ExportWeights())
+				n.promoted++
+			} else {
+				if !errors.Is(err, ErrPromotionFailed) {
+					t.Fatalf("seed %d step %d: promotion with live replicas %v = %v, want ErrPromotionFailed", seed, step, up, err)
+				}
+				n.failed++
+			}
+			expectOneDigest(step, "promote")
+		}
+	}
+	if got := f.Coord.Dropped(); got != 0 {
+		t.Fatalf("seed %d: dropped %d requests", seed, got)
+	}
+	tl := f.Coord.Timeline()
+	for _, line := range tl {
+		if strings.HasPrefix(line, "retry ") {
+			n.retries++
+		}
+	}
+	return tl
 }
