@@ -145,26 +145,34 @@ func TestPaperClaims(t *testing.T) {
 		// dataset holds 33-34 windows, so every accuracy counts 7 held-out
 		// windows and nvme's set has no degraded window. A collection that
 		// yields more windows fails here and must update EXPERIMENTS.md.
-		txt, err := os.ReadFile(filepath.Join("..", "..", "out", "transfer.txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, note := range []string{
-			"paper: 33 samples, class balance [22 11]",
-			"nvme: 33 samples, class balance [33 0]",
-			"fastnic: 34 samples, class balance [21 13]",
-		} {
-			if !strings.Contains(string(txt), "\n"+note+"\n") {
-				t.Errorf("transfer.txt lacks %q", note)
-			}
-		}
 		rows := panel(t, "transfer")
 		for _, row := range rows[1:] {
 			if row[0] == "" {
-				break // the interference matrices follow a blank line
+				break // the nested tables follow a blank line
 			}
 			if k := 7 * num(t, row[3]); math.Abs(k-math.Round(k)) > 1e-3 {
 				t.Errorf("%s %s->%s accuracy %s is not a count out of 7", row[0], row[1], row[2], row[3])
+			}
+		}
+		want := map[string]string{"paper": "33,22,11", "nvme": "33,33,0", "fastnic": "34,21,13"}
+		got := map[string]string{}
+		for i, row := range rows {
+			if row[0] != "datasets" {
+				continue
+			}
+			if h := strings.Join(rows[i+1], ","); h != "profile,samples,<2x,>=2x" {
+				t.Fatalf("transfer datasets header %q", h)
+			}
+			for _, r := range rows[i+2:] {
+				if r[0] == "" {
+					break
+				}
+				got[r[0]] = strings.Join(r[1:], ",")
+			}
+		}
+		for p, counts := range want {
+			if got[p] != counts {
+				t.Errorf("%s transfer dataset: samples,<2x,>=2x = %q, want %q", p, got[p], counts)
 			}
 		}
 	})

@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -60,10 +61,11 @@ func main() {
 	}
 }
 
-// runStatus probes each name=url replica and prints the aggregate view.
+// runStatus probes each name=url replica and prints the aggregate view. Its
+// errors carry no command prefix: main adds it.
 func runStatus(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("quantfleet: -status needs at least one name=url or url argument")
+		return errors.New("-status needs at least one name=url or url argument")
 	}
 	replicas := make([]*fleet.Replica, len(args))
 	for i, arg := range args {
@@ -94,7 +96,7 @@ func runStatus(args []string) error {
 	}
 	fmt.Printf("healthy %d/%d consistent %v\n", st.Healthy, len(st.Replicas), st.Consistent)
 	if !st.Consistent {
-		return fmt.Errorf("quantfleet: fleet is not consistent")
+		return errors.New("fleet is not consistent")
 	}
 	return nil
 }

@@ -4,8 +4,10 @@
 // batched through one deterministic PredictBatch call; answers are
 // bit-identical to standalone prediction regardless of batch composition.
 // -batch-window spaces batches apart: an idle server answers a request at
-// once, and requests arriving within one window of the previous batch's cut
-// share the next batch.
+// once, and requests arriving while a window is open share the batch cut
+// when it is due. Each cut starts the next window, due one window later; a
+// cut made less than a window after its due time starts it at that due
+// time, so lateness never stretches the spacing.
 //
 // Usage:
 //
@@ -47,7 +49,7 @@ var (
 	forecastF   = flag.String("forecast", "", "optional forecaster file; enables /v1/forecast")
 	addr        = flag.String("addr", ":8080", "listen address")
 	maxBatch    = flag.Int("max-batch", 32, "max predictions per batch")
-	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "minimum spacing between batches; an idle server answers at once")
+	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "spacing between the due times of batches; an idle server answers at once")
 	maxInflight = flag.Int("max-inflight", 256, "queue bound before requests are shed with 503")
 	smoke       = flag.Bool("smoke", false, "serve a tiny synthetic model (ignores -model; for smoke tests)")
 )

@@ -83,7 +83,7 @@ func TestTableRender(t *testing.T) {
 
 // TestPanelsAlign renders two panels whose fixed-width layout was wrong:
 // Table II's long metric names and transfer's class balances, whose slice
-// was padded element by element.
+// was padded element by element and which are now a nested table of counts.
 func TestPanelsAlign(t *testing.T) {
 	t2 := &TableIIResult{
 		Names:       []string{"srv_completed_ios_sum", "srv_weighted_queue_time_sum"},
@@ -108,11 +108,12 @@ func TestPanelsAlign(t *testing.T) {
 		FineTuned: [][]float64{{0.5714, 1}, {0.7143, 1}},
 		Matrices:  []*TableIResult{matrix, matrix},
 	}
-	txt := tr.Table().Render()
-	for _, note := range []string{"paper: 33 samples, class balance [22 11]\n", "nvme: 33 samples, class balance [33 0]\n"} {
-		if !strings.Contains(txt, note) {
-			t.Errorf("transfer text lacks %q:\n%s", note, txt)
-		}
+	wantSets := "\nTransfer datasets: windows per class\n" +
+		"profile  samples  <2x  >=2x\n" +
+		"paper         33   22    11\n" +
+		"nvme          33   33     0\n"
+	if txt := tr.Table().Render(); !strings.Contains(txt, wantSets) {
+		t.Errorf("transfer text lacks the dataset table:\n%s\nwant:\n%s", txt, wantSets)
 	}
 	wantCSV := "kind,train_profile,eval_profile,accuracy\n" +
 		"in_domain,paper,paper,0.5714\n" +
@@ -123,6 +124,11 @@ func TestPanelsAlign(t *testing.T) {
 		"zero_shot,nvme,paper,0.7143\n" +
 		"fine_tuned,nvme,paper,0.7143\n" +
 		"gap,nvme,paper,-0.1429\n" +
+		"\n" +
+		"datasets\n" +
+		"profile,samples,<2x,>=2x\n" +
+		"paper,33,22,11\n" +
+		"nvme,33,33,0\n" +
 		"\n" +
 		"matrix,paper\n" +
 		"task,ior-easy-read,standalone_s\n" +

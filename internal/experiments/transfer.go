@@ -5,6 +5,7 @@ import (
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
+	"quanterference/internal/label"
 	"quanterference/internal/ml"
 	"quanterference/internal/workload/io500"
 )
@@ -180,10 +181,10 @@ func TransferStudy(cfg TransferConfig) *TransferResult {
 	return res
 }
 
-// Table lays out one row per (kind, train, eval) accuracy cell, then each
-// profile's interference matrix as a nested table, whose CSV section
-// follows a blank line and a matrix,<profile> line. The text adds each
-// profile's dataset size and class balance.
+// Table lays out one row per (kind, train, eval) accuracy cell, then two
+// kinds of nested table, each of whose CSV sections follows a blank line
+// and a label line: each profile's dataset size and windows per class
+// (datasets), and each profile's interference matrix (matrix,<profile>).
 func (r *TransferResult) Table() *Table {
 	t := &Table{
 		Title:   "Cross-profile model transfer",
@@ -191,7 +192,6 @@ func (r *TransferResult) Table() *Table {
 	}
 	for i, p := range r.Profiles {
 		t.Rows = append(t.Rows, []any{"in_domain", p, p, r.InDomain[i]})
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d samples, class balance %v", p, r.Samples[i], r.ClassCounts[i]))
 	}
 	for a, pa := range r.Profiles {
 		for b, pb := range r.Profiles {
@@ -206,6 +206,24 @@ func (r *TransferResult) Table() *Table {
 	}
 	t.Notes = append(t.Notes, "gap: in-domain minus zero-shot accuracy; when train = eval, zero_shot and\n"+
 		"fine_tuned equal in_domain and gap is 0.000")
+
+	// Every transfer dataset is labelled with the default binary bins.
+	sets := &Table{
+		Title:   "Transfer datasets: windows per class",
+		Label:   "\ndatasets",
+		Columns: []Column{{Name: "profile"}, {Name: "samples"}},
+	}
+	for _, name := range label.BinaryBins().Names() {
+		sets.Columns = append(sets.Columns, Column{Name: name})
+	}
+	for i, p := range r.Profiles {
+		row := []any{p, r.Samples[i]}
+		for _, n := range r.ClassCounts[i] {
+			row = append(row, n)
+		}
+		sets.Rows = append(sets.Rows, row)
+	}
+	t.Tables = append(t.Tables, sets)
 	for i, p := range r.Profiles {
 		m := r.Matrices[i].Table()
 		m.Title, m.Label = "Interference matrix on "+p, "\nmatrix,"+p

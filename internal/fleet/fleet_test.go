@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/online"
 	"quanterference/internal/serve"
+	"quanterference/internal/shadow"
 	"quanterference/internal/sim"
 )
 
@@ -806,4 +808,181 @@ func runSchedule(t *testing.T, seed int64, cands []*core.Framework, n *scheduleC
 		}
 	}
 	return tl
+}
+
+// TestRandomShadowSchedules drives seeded random sequences of route, label,
+// kill, restart and shadow-gated promotion over three replicas that mirror
+// into one shared shadow evaluator, never killing the last live one. Labels
+// join requests answered earlier, some of them twice or from before a
+// reset. Every answered request is mirrored exactly once, every label is
+// joined or counted unmatched, the evaluator is reset on each promoted
+// model so its champion always serves what the fleet serves, and a seed
+// replays to a byte-identical timeline and equal Status and Verdict.
+func TestRandomShadowSchedules(t *testing.T) {
+	data := corpus(81)
+	models := []*core.Framework{train(data, 81, 1), train(data, 82, 8), train(data, 83, 3)}
+	var reached shadowCounts
+	for _, seed := range []int64{1, 2, 3} {
+		first := runShadowSchedule(t, seed, models, &reached)
+		again := runShadowSchedule(t, seed, models, new(shadowCounts))
+		if !slices.Equal(first.timeline, again.timeline) {
+			t.Fatalf("seed %d: two runs wrote different timelines (%d and %d lines)", seed, len(first.timeline), len(again.timeline))
+		}
+		if !reflect.DeepEqual(first.status, again.status) {
+			t.Fatalf("seed %d: two runs ended on different Status:\n%+v\n%+v", seed, first.status, again.status)
+		}
+		if !reflect.DeepEqual(first.verdict, again.verdict) {
+			t.Fatalf("seed %d: two runs ended on different Verdict:\n%+v\n%+v", seed, first.verdict, again.verdict)
+		}
+	}
+	if reached.promoted == 0 || reached.kept == 0 || reached.failed == 0 || reached.unmatched == 0 || reached.rejoined == 0 {
+		t.Fatalf("schedules never reached every case: %+v", reached)
+	}
+}
+
+// shadowCounts tallies the cases a shadow schedule reached: shadow-gated
+// rollouts, kept champions, rollouts that failed on a killed replica,
+// unmatched labels, and restarts of killed replicas.
+type shadowCounts struct{ promoted, kept, failed, unmatched, rejoined int }
+
+// shadowRun is what a shadow schedule ends on.
+type shadowRun struct {
+	timeline []string
+	status   serve.ShadowStatus
+	verdict  online.GateResult
+}
+
+// runShadowSchedule plays 160 seeded steps on a fresh fleet that serves
+// models[0] and taps one evaluator, with the other two models as
+// challengers, and adds the cases it reached to n.
+func runShadowSchedule(t *testing.T, seed int64, models []*core.Framework, n *shadowCounts) shadowRun {
+	t.Helper()
+	ctx := context.Background()
+	names := []string{"m0", "m1", "m2"}
+	cands := map[string]*core.Framework{}
+	for i, name := range names {
+		cands[name] = models[i]
+	}
+	champion := "m0"
+	ev, err := shadow.New(models[0], shadow.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	challenge := func() {
+		for _, name := range names {
+			if name == champion {
+				continue
+			}
+			if err := ev.AddChallenger(name, cands[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	challenge()
+	cfgs := make([]serve.Config, 3)
+	for i := range cfgs {
+		cfgs[i] = serve.Config{Shadow: ev}
+	}
+	f, err := StartLocal(models[0], seed, false, cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// answered holds every served window with its degradation; the first
+	// unlabeled of them have not been labeled yet (a prefix kept in a
+	// shuffled order by swapping).
+	type served struct {
+		mat window.Matrix
+		deg float64
+	}
+	var answered []served
+	unlabeled, sent := 0, uint64(0)
+	rng := sim.NewRNG(seed)
+	up, live := []bool{true, true, true}, 3
+	for step := 0; step < 160; step++ {
+		i := rng.Intn(len(up))
+		switch op := rng.Intn(10); {
+		case op < 4:
+			degraded := float64(rng.Intn(2))
+			mat := matrix(rng, 2*degraded)
+			if _, err := f.Coord.Predict(ctx, fmt.Sprintf("k%03d", step), mat); err != nil {
+				t.Fatalf("seed %d step %d: dropped with live replicas %v: %v", seed, step, up, err)
+			}
+			answered = append(answered, served{mat, 1 + 2*degraded})
+			last := len(answered) - 1
+			answered[unlabeled], answered[last] = answered[last], answered[unlabeled]
+			unlabeled++
+		case op < 6:
+			// Label a few unlabeled windows in random order, then, one time
+			// in four, a random earlier window, whose label joins only if
+			// it is still pending.
+			for k := 1 + rng.Intn(4); k > 0 && unlabeled > 0; k-- {
+				j := rng.Intn(unlabeled)
+				w := answered[j]
+				unlabeled--
+				answered[j], answered[unlabeled] = answered[unlabeled], w
+				ev.Label(w.mat, w.deg)
+				sent++
+			}
+			if len(answered) > 0 && rng.Intn(4) == 0 {
+				w := answered[rng.Intn(len(answered))]
+				ev.Label(w.mat, w.deg)
+				sent++
+			}
+		case op < 7:
+			if up[i] && live > 1 {
+				f.Kill(i)
+				up[i], live = false, live-1
+			}
+		case op < 8:
+			if err := f.Restart(i); err != nil {
+				t.Fatal(err)
+			}
+			if !up[i] {
+				up[i], live = true, live+1
+				n.rejoined++
+			}
+		default:
+			verdict := ev.Verdict()
+			err := f.Coord.PromoteShadowed(ctx, verdict, cands)
+			switch {
+			case !verdict.Promote:
+				if !errors.Is(err, ErrShadowRejected) {
+					t.Fatalf("seed %d step %d: kept-champion verdict = %v, want ErrShadowRejected", seed, step, err)
+				}
+				n.kept++
+			case live < len(up):
+				if !errors.Is(err, ErrPromotionFailed) {
+					t.Fatalf("seed %d step %d: rollout with live replicas %v = %v, want ErrPromotionFailed", seed, step, up, err)
+				}
+				n.failed++
+			default:
+				if err != nil {
+					t.Fatalf("seed %d step %d: rollout of %s on a whole fleet: %v", seed, step, verdict.Winner, err)
+				}
+				champion = verdict.Winner
+				if err := ev.Reset(cands[champion]); err != nil {
+					t.Fatal(err)
+				}
+				challenge()
+				n.promoted++
+			}
+		}
+	}
+
+	run := shadowRun{timeline: f.Coord.Timeline(), verdict: ev.Verdict()}
+	run.status = ev.Status() // after Verdict, which it counts
+	st := run.status
+	if st.Labeled+st.Unmatched != sent {
+		t.Fatalf("seed %d: %d labeled + %d unmatched, want the %d labels sent", seed, st.Labeled, st.Unmatched, sent)
+	}
+	if st.Mirrored != uint64(len(answered)) || st.Dropped != 0 {
+		t.Fatalf("seed %d: mirrored %d dropped %d, want every one of %d answers mirrored", seed, st.Mirrored, st.Dropped, len(answered))
+	}
+	if st.Mismatches != 0 {
+		t.Fatalf("seed %d: %d labels found the fleet serving another model than the evaluator's champion", seed, st.Mismatches)
+	}
+	n.unmatched += int(st.Unmatched)
+	return run
 }

@@ -2,32 +2,49 @@ package serve
 
 import "time"
 
-// gather collects the batch that first opens. The batch window is anchored
-// at the previous cut, not at first's arrival, so it spaces batches at least
-// one BatchWindow apart without holding a request that nothing else joins:
-// when the previous cut is a window old or more, the batcher was idle and
-// first is cut at once, with whatever is already queued. Otherwise gather
-// collects until one window after the previous cut, a full MaxBatch, or
-// shutdown (which flushes immediately — queued stragglers are answered by
-// drain), whichever comes first.
+// gather collects the batch that first opens. Every cut starts the next
+// batch window (windowStart), which is due one BatchWindow later; the window
+// is not anchored at first's arrival, so batches come about one window apart
+// without holding a request that nothing else joins. When first arrives
+// after the due time, the batcher was idle and first is cut at once, with
+// whatever is already queued. Otherwise gather collects until the due time,
+// a full MaxBatch, or shutdown (which flushes immediately — queued
+// stragglers are answered by drain), whichever comes first.
+//
+// A batch the timer cuts, or one cut at once less than a window after its
+// due time, starts the next window at that due time, not at the moment of
+// the cut: under steady load due times stay exactly one window apart, and
+// no window inherits the lateness of the cut before it, whether the timer
+// fired late (the runtime sleeps an idle process in whole milliseconds) or
+// the batcher or a caller stalled. A cut after a whole window of idleness,
+// a full batch and a shutdown flush start the next window at the cut's wall
+// time.
 func (s *Server) gather(first *request) []*request {
 	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-	wait := time.Until(s.lastCut.Add(s.cfg.BatchWindow))
-	if wait <= 0 {
+	due := s.windowStart.Add(s.cfg.BatchWindow)
+	now := time.Now()
+	if late := now.Sub(due); late >= 0 {
+		s.windowStart = now
+		if late < s.cfg.BatchWindow {
+			s.windowStart = due
+		}
 		return s.takeQueued(batch)
 	}
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(due.Sub(now))
 	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case req := <-s.queue:
 			batch = append(batch, req)
 		case <-timer.C:
+			s.windowStart = due
 			return batch
 		case <-s.stop:
+			s.windowStart = time.Now()
 			return batch
 		}
 	}
+	s.windowStart = time.Now()
 	return batch
 }
 
@@ -63,8 +80,8 @@ func (s *Server) drain() {
 // batcher is the single goroutine with the right to touch a Framework's
 // prediction scratch. It blocks for the first request, gathers more as
 // gather decides, and answers the whole batch from one PredictBatch call.
-// It alone reads and writes lastCut, the moment of the previous cut, and it
-// sets the queue-depth gauge after every cut. On shutdown it drains whatever
+// It alone reads and writes windowStart (through gather), and it sets the
+// queue-depth gauge after every cut. On shutdown it drains whatever
 // is still queued before exiting, so every admitted request is answered.
 func (s *Server) batcher() {
 	defer close(s.done)
@@ -72,7 +89,6 @@ func (s *Server) batcher() {
 		select {
 		case first := <-s.queue:
 			batch := s.gather(first)
-			s.lastCut = time.Now()
 			s.gQueueDepth.Set(float64(len(s.queue)))
 			s.runBatch(batch)
 		case <-s.stop:

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +13,9 @@ import (
 	"quanterference/internal/label"
 )
 
-// The tests below pin where the batch window is anchored: at the previous
-// cut, not at a batch's first arrival. A minute-long window makes every
+// The tests below pin where the batch window starts: at the previous cut,
+// or at its due time when the timer made it or it came less than a window
+// late, never at a batch's first arrival. A minute-long window makes every
 // wait either obvious or absent.
 
 // TestIdleServerAnswersAtOnce: a lone request on a fresh server is cut at
@@ -78,6 +80,105 @@ func TestFullBatchCutsInsideWindow(t *testing.T) {
 	}
 	if hb := histogram(t, s.Stats(), "batch_size"); hb.Count != 2 || hb.Sum != 1+maxBatch {
 		t.Fatalf("batch_size count=%d sum=%g, want a batch of one, then one of %d", hb.Count, hb.Sum, maxBatch)
+	}
+}
+
+// TestWindowDoesNotDrift: a batch the window timer cuts starts the next
+// window at its due time, not when the timer fired, so back-to-back callers
+// wait one window per batch rather than one window plus the timer's
+// lateness. Two callers think for a tenth of the window after every
+// answer, so every batch after the first (idle) one waits for its timer,
+// and the answer to round n comes n windows after the first cut plus only
+// the last timer's lateness. Starting each window when the timer fired adds
+// every timer's lateness instead: about 0.5 ms a cut on Linux, where the
+// runtime sleeps an idle process in whole milliseconds, so about 15 ms by
+// round 30. The test takes the smallest excess over the last ten rounds and
+// both callers, so a late final timer, or a caller that stalls and answers
+// one batch later, does not fail it; the long window keeps a stall on a
+// busy machine from leaving the window idle.
+func TestWindowDoesNotDrift(t *testing.T) {
+	const (
+		window = 25 * time.Millisecond
+		think  = window / 10
+		rounds = 40
+	)
+	fw, mats := trainedFramework(t, 3, 5)
+	s := New(fw, Config{BatchWindow: window})
+	defer s.Shutdown(context.Background())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, _, err := s.Predict(ctx, mats[0]); err != nil {
+		t.Fatalf("first Predict on an idle server: %v", err)
+	}
+	start := time.Now() // the idle cut started the first window just before
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	answered := [2][rounds]time.Duration{}
+	for c := range answered {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				time.Sleep(think)
+				if _, _, err := s.Predict(ctx, mats[c]); err != nil {
+					errs <- err
+					return
+				}
+				answered[c][i] = time.Since(start)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("Predict: %v", err)
+	}
+
+	drift := time.Duration(math.MaxInt64)
+	for i := rounds - 10; i < rounds; i++ {
+		for c := range answered {
+			drift = min(drift, answered[c][i]-time.Duration(i+1)*window)
+		}
+	}
+	t.Logf("round answers exceed their windows by %v at the least over the last ten rounds", drift)
+	if drift > window/5 {
+		t.Fatalf("after %d rounds the answers came %v after %d windows: each window inherited the previous timer's lateness", rounds, drift, rounds)
+	}
+}
+
+// TestLateCutKeepsDueTime: a request that arrives less than a window after
+// the window's due time is cut at once, and that cut starts the next window
+// at the due time, not at the cut, so whatever made the request late does
+// not stretch the next window. A request sent right after it waits for the
+// rest of that window, about half a window here, not a whole window from
+// the cut.
+func TestLateCutKeepsDueTime(t *testing.T) {
+	const window = 200 * time.Millisecond
+	fw, mats := trainedFramework(t, 3, 5)
+	s := New(fw, Config{BatchWindow: window})
+	defer s.Shutdown(context.Background())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, _, err := s.Predict(ctx, mats[0]); err != nil {
+		t.Fatalf("first Predict on an idle server: %v", err)
+	}
+	time.Sleep(window * 3 / 2) // the idle cut's window is half a window overdue
+
+	start := time.Now()
+	if _, _, err := s.Predict(ctx, mats[1]); err != nil {
+		t.Fatalf("late Predict: %v", err)
+	}
+	if took := time.Since(start); took > window/4 {
+		t.Fatalf("Predict half a window past the due time took %v, want it cut at once", took)
+	}
+	start = time.Now()
+	if _, _, err := s.Predict(ctx, mats[2]); err != nil {
+		t.Fatalf("Predict after the late cut: %v", err)
+	}
+	if took := time.Since(start); took > window*3/4 {
+		t.Fatalf("Predict right after a late cut took %v, want the rest of the window (about %v), not a whole window from the cut", took, window/2)
 	}
 }
 

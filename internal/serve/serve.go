@@ -7,13 +7,16 @@
 // scratch and are not goroutine-safe, so the server funnels every prediction
 // through a single batcher goroutine. Concurrent requests are gathered into
 // one PredictBatch call of at most MaxBatch requests. BatchWindow spaces
-// batches apart: it is anchored at the previous cut, so an idle server
-// answers a request at once, while requests arriving within one window of
-// the previous cut still share a batch. PredictBatch is bit-identical to
-// per-input Predict, so batching composition never changes an answer — a
-// property the tests pin down under -race with dozens of concurrent
-// clients. Forecasts have no batched entry point, so they skip the batcher:
-// each caller takes a one-slot lock and runs Forecaster.Predict itself.
+// batches apart: every cut starts a window that is due one BatchWindow
+// later, and a cut made less than a window after its due time starts the
+// next window at that due time, so lateness never stretches a window. An
+// idle server (its window already due) answers a request at once, while
+// requests arriving before the due time still share a batch. PredictBatch
+// is bit-identical to per-input Predict, so batching composition never
+// changes an answer — a property the tests pin down under -race with dozens
+// of concurrent clients. Forecasts have no batched entry point, so they
+// skip the batcher: each caller takes a one-slot lock and runs
+// Forecaster.Predict itself.
 //
 // Hot reload swaps an atomic framework pointer: in-flight batches keep the
 // framework they loaded (each Framework owns its own scratch), so a reload
@@ -70,11 +73,16 @@ type Config struct {
 	// MaxBatch caps how many requests one PredictBatch call carries
 	// (default 32).
 	MaxBatch int
-	// BatchWindow is the minimum spacing between batches (default 2ms). A
-	// request that arrives a window or more after the previous cut is
+	// BatchWindow is the spacing between the due times of batches (default
+	// 2ms). Each cut starts the next window: a batch the window timer cuts,
+	// or one cut less than a window after its due time, starts it at that
+	// due time, so lateness never accumulates; a cut after a whole idle
+	// window, a full batch or a shutdown flush starts it at the cut's wall
+	// time. A request that arrives after the current window's due time is
 	// answered at once, with whatever is already queued; one that arrives
-	// sooner waits until a window after that cut, gathering the requests
-	// that arrive meanwhile. Smaller trades throughput for latency.
+	// sooner waits until the due time, gathering the requests that arrive
+	// meanwhile. Batches come at most one per window in the long run.
+	// Smaller trades throughput for latency.
 	BatchWindow time.Duration
 	// MaxInflight bounds the request queue and, separately, the forecasts
 	// admitted at once; admissions beyond it fail fast with ErrOverloaded
@@ -178,10 +186,10 @@ type Server struct {
 	hFModelNS   *obs.Histogram
 	hTotalNS    *obs.Histogram
 
-	// Batcher-only state: PredictBatch's input scratch and the moment of
-	// the previous cut, which anchors the batch window.
-	batchMats []window.Matrix
-	lastCut   time.Time
+	// Batcher-only state: PredictBatch's input scratch and the start of
+	// the current batch window, which is due BatchWindow later.
+	batchMats   []window.Matrix
+	windowStart time.Time
 }
 
 // New starts a serving loop around fw. The framework must not be used
@@ -246,11 +254,11 @@ func (s *Server) Shadow() ShadowEvaluator { return s.cfg.Shadow }
 func (s *Server) Stats() *obs.Snapshot { return s.cfg.Sink.Snapshot() }
 
 // Predict classifies one raw window matrix, transparently batched with
-// whatever other requests are in flight. On an idle server (no batch cut
-// within the last BatchWindow) it is answered at once; otherwise it joins
-// the batch cut one window after the previous one, or sooner if that batch
-// fills. The returned probs slice is the caller's to keep. Safe for any
-// number of concurrent callers.
+// whatever other requests are in flight. On an idle server (the current
+// batch window already due) it is answered at once; otherwise it joins the
+// batch cut at the window's due time, or sooner if that batch fills. The
+// returned probs slice is the caller's to keep. Safe for any number of
+// concurrent callers.
 func (s *Server) Predict(ctx context.Context, mat window.Matrix) (class int, probs []float64, err error) {
 	start := time.Now()
 	s.mRequests.Inc()
