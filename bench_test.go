@@ -17,6 +17,7 @@ import (
 	"quanterference/internal/disk"
 	"quanterference/internal/experiments"
 	"quanterference/internal/forecast"
+	"quanterference/internal/hw"
 	"quanterference/internal/label"
 	"quanterference/internal/lustre"
 	"quanterference/internal/mitigate"
@@ -230,9 +231,8 @@ func BenchmarkNetTransfer(b *testing.B) {
 
 // BenchmarkLustreWrite measures the full client->OST write path.
 func BenchmarkLustreWrite(b *testing.B) {
-	eng := sim.NewEngine()
-	net := netsim.New(eng, netsim.Config{})
-	fs := lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+	cl := quant.NewCluster(quant.PaperProfile())
+	eng, fs := cl.Eng, cl.FS
 	c := fs.Client("c0")
 	var h *lustre.Handle
 	c.Create("/bench", 1, func(hh *lustre.Handle) { h = hh })
@@ -642,10 +642,9 @@ func BenchmarkPolicyDecide(b *testing.B) {
 
 // BenchmarkBurstBufferWrite measures the burst-buffer absorb path.
 func BenchmarkBurstBufferWrite(b *testing.B) {
-	eng := sim.NewEngine()
-	net := netsim.New(eng, netsim.Config{})
-	fs := lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
-	buf := bb.Attach(eng, fs.Client("c0"), bb.Config{Capacity: 1 << 30})
+	cl := quant.NewCluster(quant.PaperProfile())
+	eng, fs := cl.Eng, cl.FS
+	buf := bb.Attach(eng, fs.Client("c0"), hw.BurstBufferConfig{CapacityBytes: 1 << 30})
 	var h *lustre.Handle
 	fs.Client("c0").Create("/bench-bb", 1, func(hh *lustre.Handle) { h = hh })
 	eng.Run()

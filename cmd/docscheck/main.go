@@ -7,13 +7,18 @@
 //
 // An identifier resolves when it names a top-level declaration, a method or
 // a _test.go name of the internal package with that name, or of the root
-// package under either "quant" or "quanterference". Names qualified by
-// anything else (the standard library, local variables) are not checked,
-// and neither are lower-case names, which in prose are metric and file
-// names rather than Go identifiers. CHANGES.md (history), ROADMAP.md and
-// any document holding an open task item "- [ ]" (proposals) may name code
-// that is gone or not yet written, so their identifiers are not checked
-// either.
+// package under either "quant" or "quanterference". A third selector,
+// pkg.Type.Member, must then name a field or method of that type: its own,
+// an embedded field, or one promoted from an embedded type, following
+// type aliases (the root package's quant.Scenario is core.Scenario). A type
+// that embeds or aliases a type outside the index (the standard library)
+// accepts any member, since its full member set is unknown. Names qualified
+// by anything else (the standard library, local variables) are not checked,
+// and neither are lower-case names right after the package, which in prose
+// are metric and file names rather than Go identifiers. CHANGES.md
+// (history), ROADMAP.md and any document holding an open task item "- [ ]"
+// (proposals) may name code that is gone or not yet written, so their
+// identifiers are not checked either.
 //
 // Usage:
 //
@@ -44,10 +49,10 @@ var pathRe = regexp.MustCompile(`\binternal/[A-Za-z0-9_/.-]+`)
 // codeSpanRe matches an inline code span on one line.
 var codeSpanRe = regexp.MustCompile("`([^`]+)`")
 
-// identRe matches a package-qualified exported identifier. The qualifier
-// must not itself follow a dot, so a field chain like cfg.core.Name is not
-// read as core.Name.
-var identRe = regexp.MustCompile(`(?:^|[^.\w])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+// identRe matches a package-qualified exported identifier and an optional
+// member selector after it. The qualifier must not itself follow a dot, so
+// a field chain like cfg.core.Name is not read as core.Name.
+var identRe = regexp.MustCompile(`(?:^|[^.\w])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 
 // unchecked names the documents whose identifiers are not checked: history
 // and proposals.
@@ -57,8 +62,27 @@ var unchecked = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
 // proposal whose identifiers are not checked.
 var openTaskRe = regexp.MustCompile(`(?m)^\s*[-*] \[ \]`)
 
-// declIndex maps a package name to the names its files declare.
-type declIndex map[string]map[string]bool
+// declIndex maps a package name to what its files declare.
+type declIndex map[string]*pkgDecls
+
+// pkgDecls is one package's top-level names and, per declared type, its
+// members.
+type pkgDecls struct {
+	names map[string]bool
+	types map[string]*typeDecl
+}
+
+// typeDecl is one named type: the fields and methods it declares itself,
+// and the types whose members it also has — those it embeds, or the one
+// it aliases.
+type typeDecl struct {
+	members map[string]bool
+	embeds  []typeRef
+}
+
+// typeRef names a type; pkg is the selector's qualifier, or "" for a type
+// of the same package.
+type typeRef struct{ pkg, name string }
 
 func main() {
 	root := "."
@@ -127,9 +151,9 @@ func buildIndex(root string) (declIndex, error) {
 			}
 			for _, k := range keys {
 				if idx[k] == nil {
-					idx[k] = map[string]bool{}
+					idx[k] = &pkgDecls{names: map[string]bool{}, types: map[string]*typeDecl{}}
 				}
-				declaredNames(f, idx[k])
+				idx[k].add(f)
 			}
 		}
 		return nil
@@ -149,21 +173,27 @@ func buildIndex(root string) (declIndex, error) {
 	return idx, err
 }
 
-// declaredNames adds every top-level function, method, type, variable and
-// constant name of f to names.
-func declaredNames(f *ast.File, names map[string]bool) {
+// add records every top-level function, method, type, variable and
+// constant name of f, and the members of each type f declares.
+func (p *pkgDecls) add(f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			names[d.Name.Name] = true
+			p.names[d.Name.Name] = true
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				if recv, ok := typeName(d.Recv.List[0].Type); ok {
+					p.typ(recv.name).members[d.Name.Name] = true
+				}
+			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					names[s.Name.Name] = true
+					p.names[s.Name.Name] = true
+					p.typ(s.Name.Name).addType(s)
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
-						names[n.Name] = true
+						p.names[n.Name] = true
 					}
 				}
 			}
@@ -171,13 +201,113 @@ func declaredNames(f *ast.File, names map[string]bool) {
 	}
 }
 
+// typ returns the record of the named type, creating it; methods may be
+// declared before their type.
+func (p *pkgDecls) typ(name string) *typeDecl {
+	t := p.types[name]
+	if t == nil {
+		t = &typeDecl{members: map[string]bool{}}
+		p.types[name] = t
+	}
+	return t
+}
+
+// addType records an alias target, or the fields, interface methods and
+// embedded types of a struct or interface type.
+func (t *typeDecl) addType(s *ast.TypeSpec) {
+	if ref, ok := typeName(s.Type); ok && s.Assign.IsValid() {
+		t.embeds = append(t.embeds, ref)
+		return
+	}
+	var fields *ast.FieldList
+	switch u := s.Type.(type) {
+	case *ast.StructType:
+		fields = u.Fields
+	case *ast.InterfaceType:
+		fields = u.Methods
+	default:
+		return
+	}
+	for _, f := range fields.List {
+		if len(f.Names) > 0 {
+			for _, n := range f.Names {
+				t.members[n.Name] = true
+			}
+			continue
+		}
+		// An embedded field is named after its type.
+		if ref, ok := typeName(f.Type); ok {
+			t.members[ref.name] = true
+			t.embeds = append(t.embeds, ref)
+		}
+	}
+}
+
+// typeName resolves a type expression naming a (possibly pointer,
+// possibly generic) named type to its reference.
+func typeName(e ast.Expr) (typeRef, bool) {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return typeRef{name: x.Name}, true
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok {
+			return typeRef{pkg: pkg.Name, name: x.Sel.Name}, true
+		}
+	case *ast.StarExpr:
+		return typeName(x.X)
+	case *ast.IndexExpr:
+		return typeName(x.X)
+	case *ast.IndexListExpr:
+		return typeName(x.X)
+	}
+	return typeRef{}, false
+}
+
+// hasMember reports whether type ref, seen from package pkg, has a field
+// or method named m: its own, or one reached through an alias or an
+// embedded type. A type the index does not hold (the standard library, a
+// predeclared type) may have any member.
+func (idx declIndex) hasMember(pkg string, ref typeRef, m string, seen map[typeRef]bool) bool {
+	if ref.pkg != "" {
+		pkg = ref.pkg
+	}
+	key := typeRef{pkg, ref.name}
+	if seen[key] {
+		return false
+	}
+	seen[key] = true
+	p := idx[pkg]
+	if p == nil || p.types[ref.name] == nil {
+		return true
+	}
+	t := p.types[ref.name]
+	if t.members[m] {
+		return true
+	}
+	for _, e := range t.embeds {
+		if idx.hasMember(pkg, e, m, seen) {
+			return true
+		}
+	}
+	return false
+}
+
 // unknownIdents returns every pkg.Name in text whose package idx knows but
-// whose name that package does not declare.
+// whose name that package does not declare, and every pkg.Type.Member
+// whose type has no such field or method.
 func unknownIdents(text string, idx declIndex) []string {
 	var out []string
 	for _, m := range identRe.FindAllStringSubmatch(text, -1) {
-		if names, ok := idx[m[1]]; ok && !names[m[2]] {
+		p, ok := idx[m[1]]
+		if !ok {
+			continue
+		}
+		switch {
+		case !p.names[m[2]]:
 			out = append(out, m[1]+"."+m[2])
+		case m[3] != "" && p.types[m[2]] != nil &&
+			!idx.hasMember(m[1], typeRef{name: m[2]}, m[3], map[typeRef]bool{}):
+			out = append(out, m[1]+"."+m[2]+"."+m[3])
 		}
 	}
 	return out

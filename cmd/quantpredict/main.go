@@ -21,8 +21,8 @@ import (
 
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
+	"quanterference/internal/hw"
 	"quanterference/internal/label"
-	"quanterference/internal/lustre"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/serve"
@@ -131,7 +131,7 @@ func batch(p *predictor) {
 
 // online runs a fresh scenario and prints a prediction per window.
 func online(p *predictor) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	gen, err := registry.Resolve(*live, registry.Spec{Dir: "/live", Ranks: *ranks, Scale: *scale})
 	if err != nil {
 		fatal(err)

@@ -77,7 +77,7 @@ func main() {
 		}
 		scenario.Faults = specs
 	}
-	scenario.FSConfig.RPCTimeout = sim.Seconds(*rpcTO)
+	scenario.RPCTimeout = sim.Seconds(*rpcTO)
 	if *interf != "" {
 		for i := 0; i < *instances; i++ {
 			igen, err := registry.Resolve(*interf, registry.Spec{

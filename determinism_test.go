@@ -29,6 +29,7 @@ import (
 
 	quant "quanterference"
 	"quanterference/internal/ml"
+	"quanterference/internal/sim"
 	"quanterference/internal/trace"
 	"quanterference/internal/workload/io500"
 )
@@ -121,6 +122,37 @@ func TestGoldenTraceRepeatedRuns(t *testing.T) {
 	if encodeTrace(a) != encodeTrace(b) {
 		t.Fatal("two identical scenarios produced different traces")
 	}
+}
+
+// TestGoldenTraceRetryPath pins the clients' degraded-mode path byte for
+// byte: two fail-slow OSTs under a 50 ms RPC timeout make bulk RPCs time
+// out, back off with seeded jitter, and resend, so the trace fixes the
+// retry limit, the backoff base and the jitter stream.
+func TestGoldenTraceRetryPath(t *testing.T) {
+	s := quant.Scenario{
+		Target: quant.TargetSpec{
+			Gen: io500.New(io500.IorEasyWrite, io500.Params{
+				Dir: "/tgt", Ranks: 2, EasyFileBytes: 64 << 20}),
+			Nodes: []string{"c0"},
+			Ranks: 2,
+		},
+		Faults: []quant.FaultSpec{
+			{Kind: quant.DiskSlow, Target: "ost0", Duration: 30 * sim.Second, Severity: 40},
+			{Kind: quant.DiskSlow, Target: "ost1", Duration: 30 * sim.Second, Severity: 40},
+		},
+		RPCTimeout: 50 * sim.Millisecond,
+	}
+	res, err := quant.RunE(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Finished {
+		t.Fatal("retry-path run truncated")
+	}
+	if res.Stats.CounterTotal("client", "retries") == 0 {
+		t.Fatal("no client retries: the scenario no longer reaches the retry path")
+	}
+	goldenCompare(t, "golden_retry.dxt", encodeTrace(res))
 }
 
 // weightsFingerprint hashes every parameter's float64 bit pattern in order.

@@ -45,7 +45,7 @@ func run(w io.Writer) ([]int, error) {
 	fmt.Fprintf(w, "dataset %d windows; held-out accuracy %.2f\n\n", ds.Len(), cm.Accuracy())
 
 	// A quiet cluster: one writer, zero interference.
-	cl := quant.NewCluster(quant.PaperTopology(), quant.Config{})
+	cl := quant.NewCluster(quant.PaperProfile())
 	bins := quant.BinaryBins()
 	var classes []int
 	mon := quant.AttachLive(cl, quant.Seconds(1), func(idx int, mat quant.WindowMatrix) {

@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("offline test accuracy: %.2f\n\n", confusion.Accuracy())
 
 	// Online phase: fresh cluster, live monitors, per-window prediction.
-	cl := quant.NewCluster(quant.PaperTopology(), quant.Config{})
+	cl := quant.NewCluster(quant.PaperProfile())
 	window := quant.Seconds(1)
 	bins := quant.BinaryBins()
 

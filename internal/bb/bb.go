@@ -7,24 +7,17 @@
 package bb
 
 import (
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/sim"
 )
 
-// Config sizes one node's burst buffer.
-type Config struct {
-	// Capacity is the buffer size in bytes (default 256 MiB).
-	Capacity int64
-	// IngestBps is the local absorb rate (default 2 GB/s, NVMe-class).
-	IngestBps float64
-	// DrainConcurrency is how many PFS write RPCs the drainer keeps in
-	// flight (default 4).
-	DrainConcurrency int
-}
-
-func (c *Config) applyDefaults() {
-	if c.Capacity == 0 {
-		c.Capacity = 256 << 20
+// withDefaults fills the sizes a profile's burst-buffer section leaves at 0:
+// a 256 MiB buffer, a 2 GB/s (NVMe-class) local absorb rate, and 4 PFS
+// write RPCs the drainer keeps in flight.
+func withDefaults(c hw.BurstBufferConfig) hw.BurstBufferConfig {
+	if c.CapacityBytes == 0 {
+		c.CapacityBytes = 256 << 20
 	}
 	if c.IngestBps == 0 {
 		c.IngestBps = 2e9
@@ -32,6 +25,7 @@ func (c *Config) applyDefaults() {
 	if c.DrainConcurrency == 0 {
 		c.DrainConcurrency = 4
 	}
+	return c
 }
 
 // Stats reports buffer behaviour.
@@ -58,7 +52,7 @@ type waiter struct {
 type Buffer struct {
 	eng *sim.Engine
 	c   *lustre.Client
-	cfg Config
+	cfg hw.BurstBufferConfig
 
 	used     int64
 	queue    []segment
@@ -67,10 +61,10 @@ type Buffer struct {
 	stats    Stats
 }
 
-// Attach creates a burst buffer in front of the given client.
-func Attach(eng *sim.Engine, c *lustre.Client, cfg Config) *Buffer {
-	cfg.applyDefaults()
-	return &Buffer{eng: eng, c: c, cfg: cfg}
+// Attach creates a burst buffer in front of the given client, sized by the
+// profile section cfg (its Enabled flag is the caller's business).
+func Attach(eng *sim.Engine, c *lustre.Client, cfg hw.BurstBufferConfig) *Buffer {
+	return &Buffer{eng: eng, c: c, cfg: withDefaults(cfg)}
 }
 
 // Stats returns a snapshot.
@@ -89,7 +83,7 @@ func (b *Buffer) Idle() bool {
 // the burst-buffer saturation regime.
 func (b *Buffer) Write(h *lustre.Handle, off, length int64, done func()) {
 	seg := segment{h: h, off: off, length: length}
-	if b.used+length > b.cfg.Capacity {
+	if b.used+length > b.cfg.CapacityBytes {
 		b.stats.Stalls++
 		b.waiters = append(b.waiters, waiter{seg: seg, done: done})
 		return
@@ -131,7 +125,7 @@ func (b *Buffer) drainLoop() {
 func (b *Buffer) admitWaiters() {
 	for len(b.waiters) > 0 {
 		w := b.waiters[0]
-		if b.used+w.seg.length > b.cfg.Capacity {
+		if b.used+w.seg.length > b.cfg.CapacityBytes {
 			return
 		}
 		b.waiters = b.waiters[1:]
@@ -145,12 +139,12 @@ func (b *Buffer) admitWaiters() {
 // deterministic, so the lazy attachment is order-stable.
 type Tier struct {
 	fs   *lustre.FS
-	cfg  Config
+	cfg  hw.BurstBufferConfig
 	bufs map[string]*Buffer
 }
 
 // NewTier creates a tier over fs whose buffers are all sized by cfg.
-func NewTier(fs *lustre.FS, cfg Config) *Tier {
+func NewTier(fs *lustre.FS, cfg hw.BurstBufferConfig) *Tier {
 	return &Tier{fs: fs, cfg: cfg, bufs: make(map[string]*Buffer)}
 }
 

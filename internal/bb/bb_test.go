@@ -3,6 +3,7 @@ package bb
 import (
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
@@ -13,13 +14,13 @@ import (
 func newFS() (*sim.Engine, *lustre.FS) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	return eng, lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+	return eng, lustre.New(eng, net, hw.PaperProfile())
 }
 
 func TestAbsorbCompletesAtLocalSpeed(t *testing.T) {
 	eng, fs := newFS()
 	c := fs.Client("c0")
-	b := Attach(eng, c, Config{IngestBps: 2e9})
+	b := Attach(eng, c, hw.BurstBufferConfig{IngestBps: 2e9})
 	var acceptedAt sim.Time
 	c.Create("/bb", 1, func(h *lustre.Handle) {
 		remaining := 16
@@ -53,7 +54,7 @@ func TestAbsorbCompletesAtLocalSpeed(t *testing.T) {
 func TestBufferSaturationStallsWrites(t *testing.T) {
 	eng, fs := newFS()
 	c := fs.Client("c0")
-	b := Attach(eng, c, Config{Capacity: 4 << 20})
+	b := Attach(eng, c, hw.BurstBufferConfig{CapacityBytes: 4 << 20})
 	done := 0
 	c.Create("/sat", 1, func(h *lustre.Handle) {
 		for i := 0; i < 32; i++ {
@@ -75,7 +76,7 @@ func TestBufferSaturationStallsWrites(t *testing.T) {
 func TestDrainOrderFIFOPerBuffer(t *testing.T) {
 	eng, fs := newFS()
 	c := fs.Client("c0")
-	b := Attach(eng, c, Config{Capacity: 2 << 20, DrainConcurrency: 1})
+	b := Attach(eng, c, hw.BurstBufferConfig{CapacityBytes: 2 << 20, DrainConcurrency: 1})
 	var order []int64
 	c.Create("/fifo", 1, func(h *lustre.Handle) {
 		for i := 0; i < 6; i++ {
@@ -93,7 +94,7 @@ func TestDrainOrderFIFOPerBuffer(t *testing.T) {
 
 func TestRunnerWriteViaRoutesThroughBuffer(t *testing.T) {
 	eng, fs := newFS()
-	tier := NewTier(fs, Config{})
+	tier := NewTier(fs, hw.BurstBufferConfig{})
 	g := io500.New(io500.IorEasyWrite, io500.Params{Dir: "/w", Ranks: 1, EasyFileBytes: 8 << 20})
 	finished := false
 	var usedAtDone int64
@@ -139,7 +140,7 @@ func TestBurstBufferInsulatesFromInterference(t *testing.T) {
 			OnDone: func() { doneAt = eng.Now(); stop = true },
 		}
 		if useBB {
-			r.WriteViaFor = NewTier(fs, Config{Capacity: 64 << 20}).Route
+			r.WriteViaFor = NewTier(fs, hw.BurstBufferConfig{CapacityBytes: 64 << 20}).Route
 		}
 		r.Start()
 		eng.RunUntil(sim.Seconds(300))

@@ -13,7 +13,6 @@ import (
 	"quanterference/internal/dataset"
 	"quanterference/internal/fault"
 	"quanterference/internal/label"
-	"quanterference/internal/lustre"
 	"quanterference/internal/ml"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
@@ -60,14 +59,6 @@ func TestRunEInvalidScenario(t *testing.T) {
 			Interference: []InterferenceSpec{{
 				Gen: smallTarget().Gen, Nodes: []string{"ghost"}, Ranks: 1,
 			}}}, ErrInvalidScenario, "not a topology client"},
-		{"bad-topology", Scenario{
-			Topology: lustre.Topology{MDSNode: "m", Clients: []string{"c0"}},
-			Target:   smallTarget()}, ErrInvalidTopology, "needs MDSNode, OSS, and Clients"},
-		{"bad-oss", Scenario{
-			Topology: lustre.Topology{MDSNode: "m", OSS: []lustre.OSSSpec{{Node: "oss0"}},
-				Clients: []string{"c0"}},
-			Target: TargetSpec{Gen: smallTarget().Gen, Nodes: []string{"c0"}, Ranks: 1}},
-			ErrInvalidTopology, "OSTs > 0"},
 		{"bad-fault-spec", Scenario{Target: smallTarget(),
 			Faults: []fault.Spec{{Kind: fault.DiskSlow, Duration: sim.Second, Severity: 2}}},
 			ErrInvalidScenario, "fault 0"},

@@ -65,7 +65,7 @@ type CollectReport struct {
 
 // CollectDatasetE implements §III-D data generation with error reporting:
 // an unfinished baseline returns ErrBaselineUnfinished (wrapped), invalid
-// scenarios return ErrInvalidScenario/ErrInvalidTopology. WithSink
+// scenarios return ErrInvalidScenario. WithSink
 // aggregates observability across the baseline and every variant run.
 // Without WithSink the runs are uninstrumented, which changes no simulated
 // event and no sample. Every variant run copies base, so base.Hardware

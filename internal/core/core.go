@@ -4,10 +4,12 @@
 // per-server vectors, labels them against a baseline run, trains the
 // kernel-based model, and serves online predictions.
 //
-// The substrate is the simulated cluster (internal/lustre and friends); the
-// public entry points are Scenario/Run for single measurement runs,
-// Collector for §III-D training-data generation, and Framework for
-// train/evaluate/predict.
+// The substrate is the simulated cluster, which NewCluster builds on the
+// paper's layout (internal/lustre) from one hardware profile (internal/hw).
+// The public entry points are RunE/RunCtx for single Scenario runs,
+// CollectDatasetE/CollectDatasetCtx for §III-D training-data generation,
+// and TrainFrameworkE/TrainFrameworkCtx for the Framework that evaluates
+// and predicts.
 package core
 
 import (
@@ -33,24 +35,27 @@ type Cluster struct {
 	Eng *sim.Engine
 	Net *netsim.Network
 	FS  *lustre.FS
+	// BB is the profile's burst-buffer tier, nil unless the profile enables
+	// one. Writes go through it only where a runner routes them
+	// (workload.Runner.WriteViaFor).
+	BB *bb.Tier
 	// Sink is the attached observability sink, nil until Instrument.
 	Sink *obs.Sink
 }
 
-// NewCluster builds a fresh engine, network, and file system with the
-// default (paper) fabric parameters.
-func NewCluster(topo lustre.Topology, cfg lustre.Config) *Cluster {
-	return NewClusterNet(topo, cfg, netsim.Config{})
-}
-
-// NewClusterNet is NewCluster with an explicit fabric configuration — the
-// threading point for a hardware profile's NIC latency. The zero
-// netsim.Config is exactly NewCluster.
-func NewClusterNet(topo lustre.Topology, cfg lustre.Config, ncfg netsim.Config) *Cluster {
+// NewCluster builds a fresh engine, network, and file system on the paper's
+// layout (internal/lustre) with the hardware profile p: its disk model,
+// server costs and NIC speed shape the file system, its latency the
+// network, and its BB section the burst-buffer tier. The zero profile is
+// the paper's testbed.
+func NewCluster(p hw.Profile) *Cluster {
 	eng := sim.NewEngine()
-	net := netsim.New(eng, ncfg)
-	fs := lustre.New(eng, net, topo, cfg)
-	return &Cluster{Eng: eng, Net: net, FS: fs}
+	net := netsim.New(eng, netsim.Config{Latency: p.Net.Latency})
+	cl := &Cluster{Eng: eng, Net: net, FS: lustre.New(eng, net, p)}
+	if p.BB.Enabled {
+		cl.BB = bb.NewTier(cl.FS, p.BB)
+	}
+	return cl
 }
 
 // Instrument attaches an observability sink to every layer of the cluster:
@@ -81,19 +86,12 @@ type InterferenceSpec struct {
 }
 
 // Scenario is one measurement run: a target workload, optional interference,
-// and the monitoring window size.
+// and the monitoring window size, on the paper's cluster layout.
 type Scenario struct {
-	Topology lustre.Topology
-	FSConfig lustre.Config
 	// Hardware selects the storage subsystem the scenario simulates: the
 	// disk model behind every storage target, NIC bandwidth/latency,
 	// optional client burst buffers, and server-side costs. The zero value
-	// (or hw.PaperProfile()) is the paper's testbed, bit-identical to the
-	// pre-profile behaviour. Profile values fill only scenario fields left
-	// at their zero default — an explicit FSConfig entry wins — except
-	// Topology.NICBps, which a profile with Net.NICBps > 0 always
-	// overrides (PaperTopology pins 1 GB/s, so "unset" is not observable
-	// there).
+	// (or hw.PaperProfile()) is the paper's testbed.
 	Hardware     hw.Profile
 	Target       TargetSpec
 	Interference []InterferenceSpec
@@ -109,17 +107,18 @@ type Scenario struct {
 	OSTSkew int
 	// Faults are deterministic degraded-mode episodes injected into the
 	// cluster (fail-slow disks, OST stalls, cache squeezes, MDS storms,
-	// NIC collapses). Pair with FSConfig.RPCTimeout to exercise the
-	// clients' retry/backoff path.
+	// NIC collapses). Pair with RPCTimeout to exercise the clients'
+	// retry/backoff path.
 	Faults []fault.Spec
+	// RPCTimeout arms per-bulk-RPC timeouts on the clients
+	// (lustre.FS.SetRPCTimeout); 0 leaves them off, the healthy-cluster
+	// model.
+	RPCTimeout sim.Time
 }
 
 func (s *Scenario) applyDefaults() {
 	if s.Hardware.IsZero() {
 		s.Hardware = hw.PaperProfile()
-	}
-	if s.Topology.MDSNode == "" {
-		s.Topology = lustre.PaperTopology()
 	}
 	if s.WindowSize == 0 {
 		s.WindowSize = sim.Second
@@ -127,39 +126,10 @@ func (s *Scenario) applyDefaults() {
 	if s.MaxTime == 0 {
 		s.MaxTime = 600 * sim.Second
 	}
-	s.applyHardware()
 }
 
-// applyHardware overlays the resolved hardware profile onto the scenario's
-// simulator configuration. Profile values fill only fields still at their
-// zero default, so an explicit FSConfig setting wins over the profile;
-// Net.NICBps > 0 overrides the topology's NIC speed outright (see
-// Scenario.Hardware).
-func (s *Scenario) applyHardware() {
-	p := &s.Hardware
-	if s.FSConfig.Disk == (lustre.Config{}).Disk {
-		s.FSConfig.Disk = p.Disk
-	}
-	if s.FSConfig.MDSOpCPU == 0 {
-		s.FSConfig.MDSOpCPU = p.Server.MDSOpCPU
-	}
-	if s.FSConfig.OSSOpCPU == 0 {
-		s.FSConfig.OSSOpCPU = p.Server.OSSOpCPU
-	}
-	if s.FSConfig.WritebackLimit == 0 {
-		s.FSConfig.WritebackLimit = p.Server.WritebackLimit
-	}
-	if s.FSConfig.InodeCacheEntries == 0 {
-		s.FSConfig.InodeCacheEntries = p.Server.InodeCacheEntries
-	}
-	if p.Net.NICBps > 0 {
-		s.Topology.NICBps = p.Net.NICBps
-	}
-}
-
-// validate checks a defaulted scenario, returning ErrInvalidScenario- or
-// ErrInvalidTopology-wrapped errors for anything the simulator would
-// otherwise panic on mid-run.
+// validate checks a defaulted scenario, returning ErrInvalidScenario-wrapped
+// errors for anything the simulator would otherwise panic on mid-run.
 func (s *Scenario) validate() error {
 	if s.Target.Gen == nil || s.Target.Ranks <= 0 || len(s.Target.Nodes) == 0 {
 		return fmt.Errorf("%w: target needs Gen, Ranks > 0, and Nodes", ErrInvalidScenario)
@@ -191,28 +161,18 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("%w: interference %d has negative StartAt", ErrInvalidScenario, i)
 		}
 	}
-	if s.Topology.MDSNode == "" || len(s.Topology.OSS) == 0 || len(s.Topology.Clients) == 0 {
-		return fmt.Errorf("%w: needs MDSNode, OSS, and Clients", ErrInvalidTopology)
-	}
-	for i, oss := range s.Topology.OSS {
-		if oss.Node == "" || oss.OSTs <= 0 {
-			return fmt.Errorf("%w: OSS %d needs Node and OSTs > 0", ErrInvalidTopology, i)
-		}
-	}
-	clients := make(map[string]bool, len(s.Topology.Clients))
-	for _, cn := range s.Topology.Clients {
-		clients[cn] = true
-	}
+	clients := lustre.Clients()
 	for _, node := range s.Target.Nodes {
-		if !clients[node] {
-			return fmt.Errorf("%w: target node %q is not a topology client", ErrInvalidScenario, node)
+		if !slices.Contains(clients, node) {
+			return fmt.Errorf("%w: target node %q is not a topology client %v",
+				ErrInvalidScenario, node, clients)
 		}
 	}
 	for i, spec := range s.Interference {
 		for _, node := range spec.Nodes {
-			if !clients[node] {
-				return fmt.Errorf("%w: interference %d node %q is not a topology client",
-					ErrInvalidScenario, i, node)
+			if !slices.Contains(clients, node) {
+				return fmt.Errorf("%w: interference %d node %q is not a topology client %v",
+					ErrInvalidScenario, i, node, clients)
 			}
 		}
 	}
@@ -244,12 +204,11 @@ func faultEndpoints(cl *Cluster) fault.Endpoints {
 		eps.Caches[name] = ost
 	}
 	eps.Disks["mdt"] = cl.FS.MDS().Queue().Device()
-	topo := cl.FS.Topology()
-	eps.NetNodes[topo.MDSNode] = true
-	for _, oss := range topo.OSS {
+	eps.NetNodes[cl.FS.MDS().Node] = true
+	for _, oss := range cl.FS.OSSs() {
 		eps.NetNodes[oss.Node] = true
 	}
-	for _, cn := range topo.Clients {
+	for _, cn := range lustre.Clients() {
 		eps.NetNodes[cn] = true
 	}
 	return eps
@@ -300,10 +259,9 @@ type RunResult struct {
 }
 
 // RunE executes a scenario on a fresh cluster. It validates the scenario up
-// front, returning an error wrapping ErrInvalidScenario or
-// ErrInvalidTopology instead of panicking mid-run. The cluster is
-// instrumented on the WithSink option's sink, or on a private one, so
-// RunResult.Stats is always populated.
+// front, returning an error wrapping ErrInvalidScenario instead of
+// panicking mid-run. The cluster is instrumented on the WithSink option's
+// sink, or on a private one, so RunResult.Stats is always populated.
 func RunE(s Scenario, opts ...Option) (*RunResult, error) {
 	return RunCtx(context.Background(), s, opts...)
 }
@@ -331,7 +289,8 @@ func simulate(ctx context.Context, s Scenario, o *options) (*RunResult, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	cl := NewClusterNet(s.Topology, s.FSConfig, netsim.Config{Latency: s.Hardware.Net.Latency})
+	cl := NewCluster(s.Hardware)
+	cl.FS.SetRPCTimeout(s.RPCTimeout)
 	if o.sink != nil {
 		cl.Instrument(o.sink)
 	}
@@ -351,12 +310,8 @@ func simulate(ctx context.Context, s Scenario, o *options) (*RunResult, error) {
 	// node-local buffer, shared by all ranks — target or interference — on
 	// that node.
 	var bbRoute func(node string) func(h *lustre.Handle, off, length int64, done func())
-	if s.Hardware.BB.Enabled {
-		bbRoute = bb.NewTier(cl.FS, bb.Config{
-			Capacity:         s.Hardware.BB.CapacityBytes,
-			IngestBps:        s.Hardware.BB.IngestBps,
-			DrainConcurrency: s.Hardware.BB.DrainConcurrency,
-		}).Route
+	if cl.BB != nil {
+		bbRoute = cl.BB.Route
 	}
 
 	var interfRunners []*workload.Runner

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"quanterference/internal/dataset"
+	"quanterference/internal/hw"
 	"quanterference/internal/label"
-	"quanterference/internal/lustre"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/sim"
@@ -228,7 +228,7 @@ func TrainConfigQuick() ml.TrainConfig {
 }
 
 func TestLiveMonitorEmitsWindows(t *testing.T) {
-	cl := NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := NewCluster(hw.PaperProfile())
 	var got []int
 	lm := AttachLive(cl, sim.Second, func(idx int, mat window.Matrix) {
 		got = append(got, idx)
@@ -320,7 +320,7 @@ func TestLiveMonitorMultiSecondWindows(t *testing.T) {
 	// Regression guard for event ordering: with windows larger than the
 	// 1 Hz sampling period, the emission must still observe the server
 	// monitor's finalized window (not a zero-filled placeholder).
-	cl := NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := NewCluster(hw.PaperProfile())
 	sawServerActivity := false
 	lm := AttachLive(cl, 2*sim.Second, func(idx int, mat window.Matrix) {
 		for _, vec := range mat {

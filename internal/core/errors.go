@@ -10,10 +10,6 @@ var (
 	// workload, malformed window size, or incomplete interference specs.
 	ErrInvalidScenario = errors.New("core: invalid scenario")
 
-	// ErrInvalidTopology reports a partially specified cluster layout (an
-	// empty Topology is valid and defaults to PaperTopology).
-	ErrInvalidTopology = errors.New("core: invalid topology")
-
 	// ErrBaselineUnfinished reports that the interference-free baseline run
 	// of CollectDatasetE hit MaxTime before the target completed, so no
 	// degradation labels can be derived. Raise Scenario.MaxTime or shrink

@@ -6,54 +6,9 @@ import (
 
 	"quanterference/internal/dataset"
 	"quanterference/internal/hw"
-	"quanterference/internal/lustre"
 	"quanterference/internal/sim"
 	"quanterference/internal/workload/io500"
 )
-
-// TestApplyHardwareFillsOnlyZeroFields pins the precedence contract: profile
-// values fill scenario fields left at zero, an explicit FSConfig entry wins,
-// and Net.NICBps always overrides the topology's NIC speed.
-func TestApplyHardwareFillsOnlyZeroFields(t *testing.T) {
-	p := hw.Profile{
-		Name: "test",
-		Net:  hw.NetConfig{NICBps: 5e9},
-		Server: hw.ServerConfig{
-			MDSOpCPU:       400 * sim.Microsecond,
-			WritebackLimit: 8 << 20,
-		},
-	}
-	p.Disk.FlatAccess = 10 * sim.Microsecond
-
-	s := Scenario{Target: smallTarget(), Hardware: p}
-	s.FSConfig.MDSOpCPU = 100 * sim.Microsecond // explicit: must win
-	s.applyDefaults()
-
-	if s.FSConfig.MDSOpCPU != 100*sim.Microsecond {
-		t.Errorf("explicit MDSOpCPU overridden: %v", s.FSConfig.MDSOpCPU)
-	}
-	if s.FSConfig.WritebackLimit != 8<<20 {
-		t.Errorf("profile WritebackLimit not applied: %v", s.FSConfig.WritebackLimit)
-	}
-	if s.FSConfig.Disk.FlatAccess != 10*sim.Microsecond {
-		t.Errorf("profile disk not applied: %+v", s.FSConfig.Disk)
-	}
-	if s.Topology.NICBps != 5e9 {
-		t.Errorf("profile NICBps did not override topology: %v", s.Topology.NICBps)
-	}
-}
-
-// TestExplicitDiskWinsOverProfile pins the other half of fill-if-zero: a
-// scenario that sets FSConfig.Disk itself keeps it even under a disk-bearing
-// profile.
-func TestExplicitDiskWinsOverProfile(t *testing.T) {
-	s := Scenario{Target: smallTarget(), Hardware: hw.NVMeProfile()}
-	s.FSConfig.Disk.RPM = 15000
-	s.applyDefaults()
-	if s.FSConfig.Disk.RPM != 15000 || s.FSConfig.Disk.FlatAccess != 0 {
-		t.Errorf("explicit disk config replaced by profile: %+v", s.FSConfig.Disk)
-	}
-}
 
 // TestZeroScenarioGetsPaperProfile pins the default: applyDefaults resolves
 // a zero Hardware field to the named paper profile (all-zero overrides).
@@ -62,12 +17,6 @@ func TestZeroScenarioGetsPaperProfile(t *testing.T) {
 	s.applyDefaults()
 	if s.Hardware != hw.PaperProfile() {
 		t.Fatalf("zero scenario resolved to %+v", s.Hardware)
-	}
-	if s.FSConfig.Disk != (lustre.Config{}).Disk {
-		t.Fatalf("paper profile touched the disk config: %+v", s.FSConfig.Disk)
-	}
-	if s.Topology.NICBps != lustre.PaperNICBps {
-		t.Fatalf("paper profile changed topology NIC: %v", s.Topology.NICBps)
 	}
 }
 

@@ -146,8 +146,8 @@ func collectFor(cfg DatasetConfig, name string, target core.TargetSpec, variants
 			MaxTime:    cfg.MaxTime,
 			OSTSkew:    rep,
 			Faults:     cfg.Faults,
+			RPCTimeout: cfg.RPCTimeout,
 		}
-		base.FSConfig.RPCTimeout = cfg.RPCTimeout
 		var report core.CollectReport
 		ds, err := core.CollectDatasetE(base, variants, core.CollectorConfig{
 			Bins:            cfg.Bins,

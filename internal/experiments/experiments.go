@@ -33,7 +33,7 @@ import (
 	"quanterference/internal/workload/io500"
 )
 
-// mustRun executes a scenario, panicking on scenario or topology errors. The
+// mustRun executes a scenario, panicking on scenario errors. The
 // experiment drivers run inside par.Map workers where a panic is the
 // established failure mode for impossible configurations — every scenario
 // here is built from constants, so an error is a programming bug, not input.

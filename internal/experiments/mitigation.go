@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"quanterference/internal/bb"
 	"quanterference/internal/core"
 	"quanterference/internal/fault"
 	"quanterference/internal/forecast"
-	"quanterference/internal/lustre"
+	"quanterference/internal/hw"
 	"quanterference/internal/mitigate"
 	"quanterference/internal/ml"
 	"quanterference/internal/sim"
@@ -182,8 +181,9 @@ const mitigationArrival = 6 * sim.Second
 
 // mitigationPolicies is the matrix's policy axis, "none" baseline first.
 // The last two act without the predictor: "static" caps every interference
-// node at mitigate.ThrottleBps from t = 0, and "burst-buffer" writes the
-// target through node-local buffers at the bb defaults (refs [11,12]).
+// node at mitigate.ThrottleBps from t = 0, and "burst-buffer" runs on the
+// burst-buffer profile and writes the target through its node-local buffers
+// (refs [11,12]).
 var mitigationPolicies = []string{"none", "reactive", "proactive", "defer", "static", "burst-buffer"}
 
 // newMitigationPolicy maps a policy-axis name to its constructor.
@@ -201,7 +201,11 @@ var newMitigationPolicy = map[string]func() *mitigate.Policy{
 func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Forecaster,
 	specs []fault.Spec, mix *mitigationMix, policyName string) MitigationCell {
 
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	profile := hw.PaperProfile()
+	if policyName == "burst-buffer" {
+		profile = hw.BurstBufferProfile()
+	}
+	cl := core.NewCluster(profile)
 	if err := cl.InjectFaults(specs); err != nil {
 		panic(fmt.Sprintf("experiments: mitigation faults: %v", err))
 	}
@@ -211,7 +215,6 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 	var stops []func()
 
 	var ctrl *mitigate.Controller
-	var tier *bb.Tier
 	var buffered int64 // protected bytes still in the buffers at completion
 	spec := mitigationTarget()
 	target := &workload.Runner{
@@ -223,8 +226,8 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 		},
 		OnDone: func() {
 			*targetDone = cl.Eng.Now()
-			if tier != nil {
-				buffered = tier.Used()
+			if cl.BB != nil {
+				buffered = cl.BB.Used()
 			}
 			for _, s := range stops {
 				s()
@@ -267,8 +270,7 @@ func mitigationRun(cfg MitigationConfig, fw *core.Framework, fc *forecast.Foreca
 			cl.FS.Client(node).SetRateLimit(mitigate.ThrottleBps)
 		}
 	case "burst-buffer":
-		tier = bb.NewTier(cl.FS, bb.Config{})
-		target.WriteViaFor = tier.Route
+		target.WriteViaFor = cl.BB.Route
 	default:
 		var victims []mitigate.Victim
 		if policyName == "defer" {

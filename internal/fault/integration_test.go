@@ -11,23 +11,19 @@ import (
 
 	"quanterference/internal/core"
 	"quanterference/internal/fault"
-	"quanterference/internal/lustre"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
 	"quanterference/internal/workload/io500"
 )
 
-func faultedScenario(seed int64) core.Scenario {
+func faultedScenario() core.Scenario {
 	return core.Scenario{
 		Target: core.TargetSpec{
 			Gen:   io500.New(io500.IorEasyWrite, io500.Params{Dir: "/tgt", Ranks: 2, EasyFileBytes: 64 << 20}),
 			Nodes: []string{"c0"},
 			Ranks: 2,
 		},
-		FSConfig: lustre.Config{
-			Seed:       seed,
-			RPCTimeout: 250 * sim.Millisecond,
-		},
+		RPCTimeout: 250 * sim.Millisecond,
 		Faults: []fault.Spec{
 			{Kind: fault.DiskSlow, Target: "ost0", Start: sim.Second, Duration: 3 * sim.Second, Severity: 6},
 			{Kind: fault.OSTStall, Target: "ost1", Start: 2 * sim.Second, Duration: 2 * sim.Second, Severity: 1},
@@ -39,14 +35,14 @@ func faultedScenario(seed int64) core.Scenario {
 }
 
 // TestFaultedRunDeterminism encodes the package's core contract: faults are
-// part of the experiment definition, so two runs of the same seeded scenario
-// — retries, backoff jitter, and all — are byte-identical.
+// part of the experiment definition, so two runs of the same scenario —
+// retries, backoff jitter, and all — are byte-identical.
 func TestFaultedRunDeterminism(t *testing.T) {
-	a, err := core.RunE(faultedScenario(42))
+	a, err := core.RunE(faultedScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.RunE(faultedScenario(42))
+	b, err := core.RunE(faultedScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +53,7 @@ func TestFaultedRunDeterminism(t *testing.T) {
 		t.Fatal("faulted run produced no records")
 	}
 	if !reflect.DeepEqual(a.Records, b.Records) {
-		t.Fatal("same seed and fault specs produced different record streams")
+		t.Fatal("same scenario and fault specs produced different record streams")
 	}
 	if got := a.Stats.CounterTotal("fault", "injected"); got != 5 {
 		t.Fatalf("fault/injected = %d, want 5", got)
@@ -67,14 +63,14 @@ func TestFaultedRunDeterminism(t *testing.T) {
 // TestFaultsActuallyDegrade guards against the injector silently becoming a
 // no-op: the faulted run must be slower than the identical healthy run.
 func TestFaultsActuallyDegrade(t *testing.T) {
-	healthy := faultedScenario(42)
+	healthy := faultedScenario()
 	healthy.Faults = nil
-	healthy.FSConfig.RPCTimeout = 0
+	healthy.RPCTimeout = 0
 	h, err := core.RunE(healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := core.RunE(faultedScenario(42))
+	f, err := core.RunE(faultedScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +86,8 @@ func TestFaultsActuallyDegrade(t *testing.T) {
 // tight RPC timeout and a hard disk slowdown, clients must time out, back
 // off, resend, and still finish — with the retry counters visible in obs.
 func TestClientRetriesUnderFaults(t *testing.T) {
-	s := faultedScenario(7)
-	s.FSConfig.RPCTimeout = 50 * sim.Millisecond
+	s := faultedScenario()
+	s.RPCTimeout = 50 * sim.Millisecond
 	s.Faults = []fault.Spec{
 		{Kind: fault.DiskSlow, Target: "ost0", Start: 0, Duration: 30 * sim.Second, Severity: 40},
 		{Kind: fault.DiskSlow, Target: "ost1", Start: 0, Duration: 30 * sim.Second, Severity: 40},
@@ -194,7 +190,7 @@ func TestAllVariantsFailed(t *testing.T) {
 // one shared sink; under -race this verifies the sink and the injector's
 // counters stay race-free across the par.MapE fan-out.
 func TestSharedSinkUnderFaultedParallelRuns(t *testing.T) {
-	base := faultedScenario(3)
+	base := faultedScenario()
 	base.MaxTime = 60 * sim.Second
 	interferes := func(dir string) []core.InterferenceSpec {
 		return []core.InterferenceSpec{{
@@ -229,7 +225,7 @@ func TestSharedSinkUnderFaultedParallelRuns(t *testing.T) {
 // tinyFaultScenario is the 2-rank IOR-easy-write target the parsed-spec
 // checks run, capped at a minute of simulated time.
 func tinyFaultScenario(specs []fault.Spec) core.Scenario {
-	s := faultedScenario(1)
+	s := faultedScenario()
 	s.Faults = specs
 	s.MaxTime = 60 * sim.Second
 	return s

@@ -4,6 +4,12 @@
 // buffers, and server-side costs (MDS op CPU, OST write-back cache) — that
 // select which storage subsystem a Scenario simulates.
 //
+// A Profile is the only description of simulated hardware. core.NewCluster
+// builds every cluster from one: lustre.New reads its Disk, Server and
+// Net.NICBps sections, the network its Net.Latency, and bb.NewTier its BB
+// section. The package imports only sim and disk, so every layer can take
+// the profile's own structs.
+//
 // The zero Profile (and the named PaperProfile) reproduces the paper's
 // testbed bit-for-bit: 7200 RPM SATA disks, 1 GB/s NICs, no burst buffer,
 // Lustre 2.12 server defaults. The other named profiles model alternative
@@ -23,9 +29,8 @@ import (
 
 // NetConfig is the profile's fabric description.
 type NetConfig struct {
-	// NICBps is the per-direction NIC bandwidth in bytes/second applied to
-	// every node the scenario registers. 0 keeps the topology's own value
-	// (PaperTopology: 1 GB/s).
+	// NICBps is the per-direction NIC bandwidth in bytes/second of every
+	// node in the cluster. 0 keeps the paper's 1 GB/s (lustre.PaperNICBps).
 	NICBps float64 `json:"nic_bps,omitempty"`
 	// Latency is the fixed one-way message latency. 0 keeps the network
 	// default (100 µs).
@@ -45,7 +50,7 @@ type BurstBufferConfig struct {
 }
 
 // ServerConfig carries the server-side cost parameters a profile may
-// override. Each 0 keeps the matching lustre.Config default.
+// override. Each 0 keeps the paper testbed's value, given per field.
 type ServerConfig struct {
 	// MDSOpCPU is the CPU time per metadata operation (default 200 µs).
 	MDSOpCPU sim.Time `json:"mds_op_cpu_ns,omitempty"`
@@ -64,9 +69,8 @@ type ServerConfig struct {
 // paper's testbed" everywhere.
 //
 // Per-field semantics are "0 keeps the layer's own default", so a profile
-// only has to state what it changes. Disk.Seed is ignored: per-target disk
-// seeds always derive from lustre.Config.Seed so that reseeding a scenario
-// reseeds every device coherently.
+// only has to state what it changes. Disk.Seed is ignored: the file system
+// derives every storage target's disk seed from its own fixed seed.
 type Profile struct {
 	// Name identifies the profile in datasets, reports, and CLIs. Named
 	// constructors fill it; hand-built profiles may leave it "" (rendered
@@ -142,9 +146,9 @@ func (p Profile) Validate() error {
 }
 
 // PaperProfile is the paper's §IV testbed: 7200 RPM SATA disks behind each
-// OST and the MDT, 1 GB/s NICs (from PaperTopology), no burst buffer. Every
-// override field is zero, so a scenario carrying it is bit-identical to one
-// with no profile at all — the committed golden traces guard this.
+// OST and the MDT, 1 GB/s NICs, no burst buffer. Every override field is
+// zero, so a scenario carrying it is bit-identical to one with no profile at
+// all — the committed golden traces guard this.
 func PaperProfile() Profile { return Profile{Name: "paper"} }
 
 // NVMeProfile swaps the rotational drives for NVMe-class flash: flat 20 µs

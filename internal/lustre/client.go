@@ -20,8 +20,8 @@ type Client struct {
 	slots []*sim.Resource // one per target (OSTs then MDT)
 	// bucket throttles bulk data when a QoS rule is set (see SetRateLimit).
 	bucket *tokenBucket
-	// rng draws the retry-backoff jitter; derived from the scenario seed
-	// and the node name, so runs are exactly reproducible.
+	// rng draws the retry-backoff jitter; derived from clientSeed and the
+	// node name, so runs are exactly reproducible.
 	rng *sim.RNG
 
 	// Free lists of in-flight operation state (see metaCall, bulkRPC,
@@ -71,10 +71,10 @@ func newClient(fs *FS, node string, ep netsim.Endpoint) *Client {
 	for _, b := range node {
 		nodeMix = nodeMix*131 + int64(b)
 	}
-	c := &Client{Node: node, ep: ep, fs: fs, rng: sim.NewRNG(fs.cfg.Seed ^ 0xc11e27 ^ nodeMix)}
+	c := &Client{Node: node, ep: ep, fs: fs, rng: sim.NewRNG(clientSeed ^ nodeMix)}
 	c.slots = make([]*sim.Resource, fs.NumTargets())
 	for i := range c.slots {
-		c.slots[i] = sim.NewResource(fs.Eng, fs.cfg.MaxRPCsInFlight)
+		c.slots[i] = sim.NewResource(fs.Eng, maxRPCsInFlight)
 	}
 	return c
 }
@@ -142,7 +142,7 @@ func (c *Client) metaRPC(op MetaOp, path string, stripeCount int, opened func(*H
 
 func (m *metaCall) send() {
 	c := m.c
-	c.fs.Net.Transfer(c.ep, c.fs.mds.ep, c.fs.cfg.ReqMsgBytes, m.arrived)
+	c.fs.Net.Transfer(c.ep, c.fs.mds.ep, reqMsgBytes, m.arrived)
 }
 
 func (m *metaCall) arrive() { m.c.fs.mds.handle(m) }
@@ -298,8 +298,8 @@ func (c *Client) dataOp(h *Handle, off, length int64, write bool, done func()) {
 		// Split chunks larger than the RPC size cap.
 		for sent := int64(0); sent < ch.length; {
 			take := ch.length - sent
-			if take > c.fs.cfg.MaxRPCBytes {
-				take = c.fs.cfg.MaxRPCBytes
+			if take > maxRPCBytes {
+				take = maxRPCBytes
 			}
 			d.remaining++
 			c.rpc(ino, ch.ost, ch.objOff+sent, take, write, d.rpcDone)
@@ -335,15 +335,15 @@ func (c *Client) rpc(ino *Inode, ostID int, objOff, length int64, write bool, do
 	c.rpcUnthrottled(ino, ostID, objOff, length, write, done)
 }
 
-// rpcUnthrottled resolves one bulk RPC, with timeout/retry when the file
-// system arms RPCTimeout. Each attempt is a full send (sendRPC); an attempt
-// outstanding past the timeout is abandoned — its eventual completion is
-// ignored, like a reply to a resent XID — and the RPC is resent after a
-// bounded exponential backoff with deterministic seed-derived jitter. The
-// final attempt carries no timeout, so the op always completes: degraded
-// mode slows clients down, it never wedges them.
+// rpcUnthrottled resolves one bulk RPC, with timeout/retry once
+// SetRPCTimeout arms a timeout. Each attempt is a full send (sendRPC); an
+// attempt outstanding past the timeout is abandoned — its eventual
+// completion is ignored, like a reply to a resent XID — and the RPC is
+// resent after a bounded exponential backoff with deterministic
+// seed-derived jitter. The final attempt carries no timeout, so the op
+// always completes: degraded mode slows clients down, it never wedges them.
 func (c *Client) rpcUnthrottled(ino *Inode, ostID int, objOff, length int64, write bool, done func()) {
-	if c.fs.cfg.RPCTimeout <= 0 {
+	if c.fs.rpcTimeout <= 0 {
 		c.sendRPC(ino, ostID, objOff, length, write, done)
 		return
 	}
@@ -364,17 +364,17 @@ func (c *Client) sendAttempt(ino *Inode, ostID int, objOff, length int64, write 
 		}
 		done()
 	})
-	if attempt >= fs.cfg.RPCRetryLimit {
+	if attempt >= rpcRetryLimit {
 		return // last attempt rides to completion
 	}
-	fs.Eng.Schedule(fs.cfg.RPCTimeout, func() {
+	fs.Eng.Schedule(fs.rpcTimeout, func() {
 		if settled {
 			return
 		}
 		settled = true
 		c.timeouts++
 		c.cTimeouts.Inc()
-		backoff := fs.cfg.RPCBackoffBase << uint(attempt)
+		backoff := rpcBackoffBase << uint(attempt)
 		backoff += c.rng.Int63n(backoff) // deterministic jitter in [0, backoff)
 		fs.Eng.Schedule(backoff, func() {
 			c.retries++
@@ -422,7 +422,7 @@ func (c *Client) sendRPC(ino *Inode, ostID int, objOff, length int64, write bool
 
 func (b *bulkRPC) send() {
 	c := b.c
-	bytes := c.fs.cfg.ReqMsgBytes
+	bytes := reqMsgBytes
 	if b.write {
 		bytes += b.length
 	}
@@ -431,7 +431,7 @@ func (b *bulkRPC) send() {
 
 func (b *bulkRPC) arrive() { b.ost.OSS.Threads.Acquire(b.granted) }
 
-func (b *bulkRPC) compute() { b.c.fs.Eng.Schedule(b.c.fs.cfg.OSSOpCPU, b.computed) }
+func (b *bulkRPC) compute() { b.c.fs.Eng.Schedule(b.c.fs.srv.OSSOpCPU, b.computed) }
 
 // serve runs the OST data path. A write frees its thread once the data is
 // handed to the write-back cache; a read holds it through the disk fetch.
@@ -446,7 +446,7 @@ func (b *bulkRPC) serve() {
 
 func (b *bulkRPC) reply() {
 	c := b.c
-	bytes := c.fs.cfg.ReqMsgBytes
+	bytes := reqMsgBytes
 	if !b.write {
 		b.ost.OSS.Threads.Release()
 		bytes += b.length
@@ -472,12 +472,12 @@ func (c *Client) Write(h *Handle, off, length int64, done func()) {
 }
 
 // Read fetches length bytes at off. Sequential streams (each read starting
-// where the previous ended) trigger readahead: the next ReadAheadChunks
+// where the previous ended) trigger readahead: the next readAheadChunks
 // stripe-size chunks are fetched in the background, and reads covered by
 // prefetched data complete as soon as the prefetch RPC lands. This is what
 // keeps several RPCs in flight per sequential stream, as on a real client.
 func (c *Client) Read(h *Handle, off, length int64, done func()) {
-	raChunks := int64(c.fs.cfg.ReadAheadChunks)
+	raChunks := int64(c.fs.readAheadChunks)
 	if raChunks == 0 {
 		c.dataOp(h, off, length, false, done)
 		return
@@ -527,7 +527,7 @@ func (c *Client) Read(h *Handle, off, length int64, done func()) {
 		if r.pending == 0 {
 			c.cRAHit.Inc()
 			// Entirely cache-resident: page-cache copy cost only.
-			c.fs.Eng.Schedule(c.fs.cfg.CacheHitTime, r.finish)
+			c.fs.Eng.Schedule(c.fs.cacheHitTime, r.finish)
 		} else {
 			c.cRAWait.Inc()
 		}

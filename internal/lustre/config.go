@@ -4,6 +4,12 @@
 // clients that stripe file data across OSTs and issue RPCs over the shared
 // network.
 //
+// The file system has one layout, the paper's §IV cluster: the MDS on node
+// "mds", three OSS nodes "oss0"–"oss2" with two OSTs each, and seven client
+// nodes "c0"–"c6" (Clients). New builds it from an hw.Profile, reading the
+// profile's disk model, server costs and NIC speed; every other Lustre
+// parameter is a constant of this package at Lustre 2.12's defaults.
+//
 // The model reproduces the mechanisms behind the paper's observed
 // interference patterns:
 //
@@ -17,188 +23,101 @@
 package lustre
 
 import (
-	"quanterference/internal/disk"
+	"slices"
+
+	"quanterference/internal/hw"
 	"quanterference/internal/sim"
 )
 
-// Config holds file-system-wide tunables. The zero value models the paper's
-// testbed: Lustre 2.12 defaults on 7200 RPM SATA disks and 1 Gb/s Ethernet.
-type Config struct {
-	// Disk is the device model every storage target (each OST and the MDT)
-	// is built on — the hardware-profile threading point for the storage
-	// tier. The zero value is the paper's 1 TB 7200 RPM SATA drive; the
-	// per-target Seed is always overridden with a seed derived from
-	// Config.Seed so reseeding a scenario reseeds every device coherently.
-	Disk disk.Config
-	// StripeSize is the striping unit (default 1 MiB).
-	StripeSize int64
-	// DefaultStripeCount is the number of OSTs a new file is striped over
-	// when Create does not override it (default 1, the Lustre default).
-	DefaultStripeCount int
-	// MaxRPCBytes caps the bulk payload of a single OST RPC
-	// (default 1 MiB, matching max_pages_per_rpc).
-	MaxRPCBytes int64
-	// MaxRPCsInFlight limits concurrent RPCs per client per target
-	// (default 8, matching max_rpcs_in_flight).
-	MaxRPCsInFlight int
-	// OSSThreads is the service-thread count per OSS (default 16).
-	OSSThreads int
-	// MDSThreads is the effective metadata-service parallelism (default 4,
-	// matching the testbed MDS's physical cores — metadata handling is
-	// CPU-bound, so cores, not Lustre's nominal thread count, set the
-	// real concurrency).
-	MDSThreads int
-	// OSSOpCPU is the CPU time an OSS thread spends per bulk RPC
-	// (default 50 µs).
-	OSSOpCPU sim.Time
-	// MDSOpCPU is the CPU time per metadata operation (default 200 µs).
-	MDSOpCPU sim.Time
-	// MDTJournalSectors is the journal write size per namespace-mutating
-	// metadata op (default 8 sectors = 4 KiB).
-	MDTJournalSectors int64
-	// InodeCacheEntries sizes the MDS inode/dentry cache (default 4096).
-	// Misses cost a random MDT read.
-	InodeCacheEntries int
-	// InodeReadSectors is the MDT read size on a cache miss (default 8).
-	InodeReadSectors int64
-	// WritebackLimit is the per-OST dirty-data cap in bytes (default
-	// 16 MiB). Writes beyond it throttle to the disk drain rate. The
-	// default is scaled to this package's scaled-down workloads the same
-	// way real servers' dirty limits relate to real IO500 volumes
-	// (roughly a tenth of what one benchmark phase writes).
-	WritebackLimit int64
-	// FlushBatch is how many dirty extents the flusher keeps outstanding
-	// in the block queue (default 16), enabling merging.
-	FlushBatch int
-	// ReadAheadChunks is how many stripe-size chunks the client prefetches
-	// ahead of a detected sequential read stream (default 4, standing in
-	// for Lustre's max_read_ahead_mb; -1 disables). Readahead keeps
-	// several RPCs in flight per stream, which is what makes competing
-	// sequential readers saturate the disks.
-	ReadAheadChunks int
-	// CacheHitTime is the client-side cost of serving a read from already-
-	// prefetched data (default 100 µs: page-cache copy + syscall).
-	CacheHitTime sim.Time
-	// ReqMsgBytes is the size of RPC request/response headers (default 1 KiB).
-	ReqMsgBytes int64
-	// RPCTimeout arms per-bulk-RPC timeouts on the clients (cf. Lustre's
-	// obd_timeout): an RPC outstanding longer than this is abandoned and
-	// resent after a backoff. 0 (the default) disables timeouts — the
-	// healthy-cluster model — so it is typically set alongside fault
-	// injection. Metadata RPCs are never resent (a replayed unlink or
-	// create is not idempotent in this model).
-	RPCTimeout sim.Time
-	// RPCRetryLimit bounds resends per bulk RPC (default 4 when RPCTimeout
-	// is set). The final attempt rides to completion without a timeout, so
-	// operations always finish eventually.
-	RPCRetryLimit int
-	// RPCBackoffBase is the first retry delay (default 50 ms); attempt k
-	// waits base*2^k plus a deterministic jitter in [0, base*2^k) drawn
-	// from the client's seed-derived RNG.
-	RPCBackoffBase sim.Time
-	// Seed feeds all derived RNGs.
-	Seed int64
+// Lustre parameters no hardware profile varies, fixed at Lustre 2.12's
+// defaults on the paper's testbed.
+const (
+	// stripeSize is the striping unit (1 MiB).
+	stripeSize int64 = 1 << 20
+	// defaultStripeCount is the number of OSTs a new file is striped over
+	// when Create does not override it (1, the Lustre default).
+	defaultStripeCount = 1
+	// maxRPCBytes caps the bulk payload of a single OST RPC (1 MiB,
+	// matching max_pages_per_rpc).
+	maxRPCBytes int64 = 1 << 20
+	// maxRPCsInFlight limits concurrent RPCs per client per target (8,
+	// matching max_rpcs_in_flight).
+	maxRPCsInFlight = 8
+	// ossThreads is the service-thread count per OSS.
+	ossThreads = 16
+	// mdsThreads is the effective metadata-service parallelism: 4, matching
+	// the testbed MDS's physical cores — metadata handling is CPU-bound, so
+	// cores, not Lustre's nominal thread count, set the real concurrency.
+	mdsThreads = 4
+	// mdtJournalSectors is the journal write size per namespace-mutating
+	// metadata op (8 sectors = 4 KiB).
+	mdtJournalSectors int64 = 8
+	// inodeReadSectors is the MDT read size on an inode-cache miss.
+	inodeReadSectors int64 = 8
+	// flushBatch is how many dirty extents the flusher keeps outstanding in
+	// the block queue, enabling merging.
+	flushBatch = 16
+	// reqMsgBytes is the size of RPC request/response headers (1 KiB).
+	reqMsgBytes int64 = 1024
+	// rpcRetryLimit bounds resends per bulk RPC once SetRPCTimeout arms
+	// timeouts. The final attempt rides to completion without a timeout,
+	// so operations always finish eventually.
+	rpcRetryLimit = 4
+	// rpcBackoffBase is the first retry delay; attempt k waits base*2^k
+	// plus a deterministic jitter in [0, base*2^k) drawn from the client's
+	// RNG.
+	rpcBackoffBase = 50 * sim.Millisecond
+)
+
+// The file system's RNG streams start from fixed seeds, so the profile and
+// the workloads alone fix a run: fsSeed derives every storage target's disk
+// seed, and clientSeed, mixed with the node name, each client's
+// retry-jitter stream.
+const (
+	fsSeed     = 0x10557
+	clientSeed = 0xc11e27
+)
+
+// serverDefaults fills the server costs a profile leaves at 0 with the
+// paper testbed's values (hw.ServerConfig documents each field).
+func serverDefaults(s hw.ServerConfig) hw.ServerConfig {
+	if s.MDSOpCPU == 0 {
+		s.MDSOpCPU = 200 * sim.Microsecond
+	}
+	if s.OSSOpCPU == 0 {
+		s.OSSOpCPU = 50 * sim.Microsecond
+	}
+	if s.WritebackLimit == 0 {
+		// Writes beyond the per-OST dirty cap throttle to the disk drain
+		// rate. 16 MiB is scaled to this package's scaled-down workloads
+		// the same way real servers' dirty limits relate to real IO500
+		// volumes (roughly a tenth of what one benchmark phase writes).
+		s.WritebackLimit = 16 << 20
+	}
+	if s.InodeCacheEntries == 0 {
+		// Misses cost a random MDT read.
+		s.InodeCacheEntries = 4096
+	}
+	return s
 }
 
-func (c *Config) applyDefaults() {
-	if c.StripeSize == 0 {
-		c.StripeSize = 1 << 20
-	}
-	if c.DefaultStripeCount == 0 {
-		c.DefaultStripeCount = 1
-	}
-	if c.MaxRPCBytes == 0 {
-		c.MaxRPCBytes = 1 << 20
-	}
-	if c.MaxRPCsInFlight == 0 {
-		c.MaxRPCsInFlight = 8
-	}
-	if c.OSSThreads == 0 {
-		c.OSSThreads = 16
-	}
-	if c.MDSThreads == 0 {
-		c.MDSThreads = 4
-	}
-	if c.OSSOpCPU == 0 {
-		c.OSSOpCPU = 50 * sim.Microsecond
-	}
-	if c.MDSOpCPU == 0 {
-		c.MDSOpCPU = 200 * sim.Microsecond
-	}
-	if c.MDTJournalSectors == 0 {
-		c.MDTJournalSectors = 8
-	}
-	if c.InodeCacheEntries == 0 {
-		c.InodeCacheEntries = 4096
-	}
-	if c.InodeReadSectors == 0 {
-		c.InodeReadSectors = 8
-	}
-	if c.WritebackLimit == 0 {
-		c.WritebackLimit = 16 << 20
-	}
-	if c.FlushBatch == 0 {
-		c.FlushBatch = 16
-	}
-	if c.ReadAheadChunks == 0 {
-		c.ReadAheadChunks = 4
-	}
-	if c.ReadAheadChunks < 0 {
-		c.ReadAheadChunks = 0
-	}
-	if c.CacheHitTime == 0 {
-		c.CacheHitTime = 100 * sim.Microsecond
-	}
-	if c.ReqMsgBytes == 0 {
-		c.ReqMsgBytes = 1024
-	}
-	if c.RPCTimeout < 0 {
-		c.RPCTimeout = 0
-	}
-	if c.RPCRetryLimit == 0 {
-		c.RPCRetryLimit = 4
-	}
-	if c.RPCRetryLimit < 0 {
-		c.RPCRetryLimit = 0
-	}
-	if c.RPCBackoffBase <= 0 {
-		c.RPCBackoffBase = 50 * sim.Millisecond
-	}
-}
-
-// OSSSpec describes one object storage server.
-type OSSSpec struct {
-	Node string // network node name
-	OSTs int    // number of object storage targets on this server
-}
-
-// Topology describes the cluster layout. The paper's testbed is the zero
-// value returned by PaperTopology.
-type Topology struct {
-	MDSNode string
-	OSS     []OSSSpec
-	Clients []string
-	// NICBps is the per-direction NIC speed for nodes this FS registers
-	// on the network (0 = the network's default).
-	NICBps float64
-}
-
-// PaperNICBps is the testbed's "1 GB/s network interface" (§IV). Table I's
-// 29-41x slowdowns require the rotational disks (~150 MB/s), not the NICs,
-// to be the contended resource, so this is one gigabyte per second.
+// PaperNICBps is the testbed's "1 GB/s network interface" (§IV), the NIC
+// speed of every node when the profile sets none. Table I's 29-41x
+// slowdowns require the rotational disks (~150 MB/s), not the NICs, to be
+// the contended resource, so this is one gigabyte per second.
 const PaperNICBps = 1e9
 
-// PaperTopology returns the evaluation cluster from §IV: one MGS/MDS node,
-// three OSS nodes with two OSTs each, and seven client nodes.
-func PaperTopology() Topology {
-	return Topology{
-		MDSNode: "mds",
-		OSS: []OSSSpec{
-			{Node: "oss0", OSTs: 2},
-			{Node: "oss1", OSTs: 2},
-			{Node: "oss2", OSTs: 2},
-		},
-		Clients: []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6"},
-		NICBps:  PaperNICBps,
-	}
-}
+// The paper's §IV cluster: one MGS/MDS node, three OSS nodes with two OSTs
+// each, and seven client nodes, registered on the network in that order.
+const (
+	mdsNode    = "mds"
+	ostsPerOSS = 2
+)
+
+var (
+	ossNodes    = []string{"oss0", "oss1", "oss2"}
+	clientNodes = []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6"}
+)
+
+// Clients returns the compute nodes, c0 through c6; each runs a client.
+func Clients() []string { return slices.Clone(clientNodes) }

@@ -4,16 +4,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"quanterference/internal/disk"
+	"quanterference/internal/hw"
 	"quanterference/internal/sim"
 )
 
 func newTestOST(t *testing.T) (*sim.Engine, *OST) {
 	t.Helper()
 	eng := sim.NewEngine()
-	cfg := &Config{}
-	cfg.applyDefaults()
+	srv := serverDefaults(hw.ServerConfig{})
 	oss := &OSS{Node: "oss", Threads: sim.NewResource(eng, 4)}
-	return eng, newOST(eng, cfg, 0, oss, 7)
+	return eng, newOST(eng, &srv, disk.Config{}, 0, oss, 7)
 }
 
 // cloneRuns copies mapRange's scratch-backed result so a test can hold it
@@ -178,7 +179,7 @@ func sameCoverage(a, b []run) bool {
 
 func TestWriteWaitersServedFIFO(t *testing.T) {
 	eng, o := newTestOST(t)
-	o.cfg.WritebackLimit = 1 << 20
+	o.srv.WritebackLimit = 1 << 20
 	var order []int
 	// Fill the cache, then queue three writes of different sizes.
 	o.write(1, 0, 1<<20, func() {})

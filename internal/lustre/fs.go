@@ -3,6 +3,7 @@ package lustre
 import (
 	"fmt"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
@@ -13,48 +14,60 @@ type FS struct {
 	Eng *sim.Engine
 	Net *netsim.Network
 
-	cfg     Config
-	topo    Topology
+	// srv is the profile's server costs with defaults filled in; the OSTs
+	// and the MDS read it through a pointer.
+	srv hw.ServerConfig
+	// rpcTimeout arms bulk-RPC timeouts when positive (SetRPCTimeout).
+	rpcTimeout sim.Time
+	// readAheadChunks is how many stripe-size chunks a client prefetches
+	// ahead of a detected sequential read stream (4, standing in for
+	// Lustre's max_read_ahead_mb; 0 disables readahead). Readahead keeps
+	// several RPCs in flight per stream, which is what makes competing
+	// sequential readers saturate the disks. The two client-read costs are
+	// fields only so the package's readahead tests can vary them.
+	readAheadChunks int
+	// cacheHitTime is the client-side cost of serving a read from
+	// already-prefetched data (100 µs: page-cache copy + syscall).
+	cacheHitTime sim.Time
+
 	mds     *MDS
 	osss    []*OSS
 	osts    []*OST
 	clients map[string]*Client
 }
 
-// New builds the file system over the given network, registering every node
-// that is not already present.
-func New(eng *sim.Engine, net *netsim.Network, topo Topology, cfg Config) *FS {
-	cfg.applyDefaults()
-	if topo.MDSNode == "" || len(topo.OSS) == 0 || len(topo.Clients) == 0 {
-		panic("lustre: incomplete topology")
-	}
+// New builds the file system on the paper's layout over the given network
+// and registers every node on it. The profile supplies the disk model behind
+// every OST and the MDT, the server costs, and the NIC speed (PaperNICBps
+// when Net.NICBps is 0); the network itself carries the profile's latency,
+// and a burst-buffer tier (internal/bb) its BB section.
+func New(eng *sim.Engine, net *netsim.Network, p hw.Profile) *FS {
 	fs := &FS{
-		Eng:     eng,
-		Net:     net,
-		cfg:     cfg,
-		topo:    topo,
-		clients: make(map[string]*Client),
+		Eng:             eng,
+		Net:             net,
+		srv:             serverDefaults(p.Server),
+		readAheadChunks: 4,
+		cacheHitTime:    100 * sim.Microsecond,
+		clients:         make(map[string]*Client),
 	}
-	ensure := func(node string) netsim.Endpoint {
-		if !net.HasNode(node) {
-			return net.AddNode(node, topo.NICBps)
-		}
-		return net.Endpoint(node)
+	nicBps := p.Net.NICBps
+	if nicBps == 0 {
+		nicBps = PaperNICBps
 	}
-	mdsEP := ensure(topo.MDSNode)
-	rng := sim.NewRNG(cfg.Seed ^ 0x10557)
+	mdsEP := net.AddNode(mdsNode, nicBps)
+	rng := sim.NewRNG(fsSeed)
 	ostID := 0
-	for _, spec := range topo.OSS {
-		oss := &OSS{Node: spec.Node, Threads: sim.NewResource(eng, cfg.OSSThreads), ep: ensure(spec.Node)}
-		for i := 0; i < spec.OSTs; i++ {
-			ost := newOST(eng, &fs.cfg, ostID, oss, rng.DeriveSeed(int64(ostID)))
+	for _, node := range ossNodes {
+		oss := &OSS{Node: node, Threads: sim.NewResource(eng, ossThreads), ep: net.AddNode(node, nicBps)}
+		for i := 0; i < ostsPerOSS; i++ {
+			ost := newOST(eng, &fs.srv, p.Disk, ostID, oss, rng.DeriveSeed(int64(ostID)))
 			oss.OSTs = append(oss.OSTs, ost)
 			fs.osts = append(fs.osts, ost)
 			ostID++
 		}
 		fs.osss = append(fs.osss, oss)
 	}
-	fs.mds = newMDS(eng, &fs.cfg, topo.MDSNode, mdsEP, len(fs.osts), rng.DeriveSeed(9999))
+	fs.mds = newMDS(eng, &fs.srv, p.Disk, mdsNode, mdsEP, len(fs.osts), rng.DeriveSeed(9999))
 	// Unlink destroys the file's OST objects (asynchronous in real Lustre;
 	// modelled as immediate metadata cleanup — sectors are not reclaimed,
 	// like deferred ldiskfs truncation).
@@ -63,11 +76,20 @@ func New(eng *sim.Engine, net *netsim.Network, topo Topology, cfg Config) *FS {
 			delete(fs.osts[ostID].objects, ino.ObjID)
 		}
 	}
-	for _, cn := range topo.Clients {
-		fs.clients[cn] = newClient(fs, cn, ensure(cn))
+	for _, cn := range clientNodes {
+		fs.clients[cn] = newClient(fs, cn, net.AddNode(cn, nicBps))
 	}
 	return fs
 }
+
+// SetRPCTimeout arms per-bulk-RPC timeouts on every client (cf. Lustre's
+// obd_timeout): an RPC outstanding longer than d is abandoned and resent
+// after a backoff, at most rpcRetryLimit (4) times, the first after
+// rpcBackoffBase (50 ms). d <= 0 (the default) disables timeouts — the
+// healthy-cluster model — so it is typically set alongside fault injection.
+// Metadata RPCs are never resent (a replayed unlink or create is not
+// idempotent in this model). It applies to RPCs issued after the call.
+func (fs *FS) SetRPCTimeout(d sim.Time) { fs.rpcTimeout = d }
 
 // Instrument registers observability metrics for every server and client on
 // the sink: per-OST write-back cache and block-layer/disk metrics, MDS op
@@ -80,18 +102,10 @@ func (fs *FS) Instrument(s *obs.Sink) {
 		o.instrument(s, fs.TargetName(i))
 	}
 	fs.mds.instrument(s)
-	for _, cn := range fs.topo.Clients {
-		if c, ok := fs.clients[cn]; ok {
-			c.instrument(s)
-		}
+	for _, cn := range clientNodes {
+		fs.clients[cn].instrument(s)
 	}
 }
-
-// Config returns the effective configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
-// Topology returns the cluster layout.
-func (fs *FS) Topology() Topology { return fs.topo }
 
 // Client returns the client on the named compute node.
 func (fs *FS) Client(node string) *Client {

@@ -5,6 +5,7 @@ import (
 
 	"quanterference/internal/blockqueue"
 	"quanterference/internal/disk"
+	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
@@ -60,7 +61,7 @@ type MDS struct {
 	ep netsim.Endpoint // Node, resolved once
 
 	eng *sim.Engine
-	cfg *Config
+	srv *hw.ServerConfig
 	q   *blockqueue.Queue
 
 	namespace map[string]*Inode
@@ -92,8 +93,7 @@ type MDS struct {
 	hOpNS    [len(metaOpNames)]*obs.Histogram
 }
 
-func newMDS(eng *sim.Engine, cfg *Config, node string, ep netsim.Endpoint, nOSTs int, seed int64) *MDS {
-	dc := cfg.Disk
+func newMDS(eng *sim.Engine, srv *hw.ServerConfig, dc disk.Config, node string, ep netsim.Endpoint, nOSTs int, seed int64) *MDS {
 	dc.Seed = seed
 	d := disk.New(eng, dc)
 	q := blockqueue.New(eng, d, blockqueue.Config{
@@ -104,9 +104,9 @@ func newMDS(eng *sim.Engine, cfg *Config, node string, ep netsim.Endpoint, nOSTs
 	return &MDS{
 		Node:       node,
 		ep:         ep,
-		Threads:    sim.NewResource(eng, cfg.MDSThreads),
+		Threads:    sim.NewResource(eng, mdsThreads),
 		eng:        eng,
-		cfg:        cfg,
+		srv:        srv,
 		q:          q,
 		namespace:  make(map[string]*Inode),
 		journalLen: journalLen,
@@ -168,7 +168,7 @@ func (m *MDS) cacheTouch(ino *Inode) bool {
 	ino.cached = true
 	m.lruLen++
 	m.lruPushFront(ino)
-	for m.lruLen > m.cfg.InodeCacheEntries {
+	for m.lruLen > m.srv.InodeCacheEntries {
 		m.cacheDrop(m.lruBack)
 	}
 	return false
@@ -211,7 +211,7 @@ func (m *MDS) lruPushFront(ino *Inode) {
 func (m *MDS) journalWrite(done func()) {
 	m.stats.JournalOps++
 	m.cJournal.Inc()
-	sectors := m.cfg.MDTJournalSectors
+	sectors := mdtJournalSectors
 	if m.journalHead+sectors > m.journalLen {
 		m.journalHead = 0
 	}
@@ -224,13 +224,13 @@ func (m *MDS) journalWrite(done func()) {
 func (m *MDS) inodeRead(ino *Inode, done func()) {
 	m.stats.CacheMisses++
 	m.cMisses.Inc()
-	m.q.Submit(disk.Read, ino.inodeSector, m.cfg.InodeReadSectors, done)
+	m.q.Submit(disk.Read, ino.inodeSector, inodeReadSectors, done)
 }
 
 // allocInode creates a namespace entry with a striped layout.
 func (m *MDS) allocInode(path string, dir bool, stripeCount int) *Inode {
 	if stripeCount <= 0 {
-		stripeCount = m.cfg.DefaultStripeCount
+		stripeCount = defaultStripeCount
 	}
 	if stripeCount > m.nOSTs {
 		stripeCount = m.nOSTs
@@ -240,10 +240,10 @@ func (m *MDS) allocInode(path string, dir bool, stripeCount int) *Inode {
 	ino := &Inode{
 		Path:       path,
 		Dir:        dir,
-		StripeSize: m.cfg.StripeSize,
+		StripeSize: stripeSize,
 		ObjID:      m.nextObj,
 		inodeSector: m.tableBase +
-			(m.nextInode*m.cfg.InodeReadSectors)%m.tableLen,
+			(m.nextInode*inodeReadSectors)%m.tableLen,
 	}
 	if !dir {
 		ino.OSTs = make([]int, stripeCount)
@@ -268,7 +268,7 @@ func (m *MDS) handle(call *metaCall) {
 func (call *metaCall) compute() {
 	m := call.c.fs.mds
 	m.stats.Ops++
-	opCPU := m.cfg.MDSOpCPU
+	opCPU := m.srv.MDSOpCPU
 	if m.cpuFactor > 1 {
 		opCPU = sim.Time(float64(opCPU) * m.cpuFactor)
 	}
@@ -330,5 +330,5 @@ func (call *metaCall) reply() {
 	m.sink.Span("mds", "mdt", call.op.String(), call.arrival, latency)
 	m.Threads.Release()
 	c := call.c
-	c.fs.Net.Transfer(m.ep, c.ep, c.fs.cfg.ReqMsgBytes, call.replied)
+	c.fs.Net.Transfer(m.ep, c.ep, reqMsgBytes, call.replied)
 }

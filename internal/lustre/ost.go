@@ -6,6 +6,7 @@ import (
 
 	"quanterference/internal/blockqueue"
 	"quanterference/internal/disk"
+	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
@@ -112,7 +113,7 @@ type OST struct {
 	OSS *OSS
 
 	eng *sim.Engine
-	cfg *Config
+	srv *hw.ServerConfig
 	q   *blockqueue.Queue
 
 	objects    map[uint64]*object
@@ -147,8 +148,7 @@ type OST struct {
 	hThrottleNS *obs.Histogram
 }
 
-func newOST(eng *sim.Engine, cfg *Config, id int, oss *OSS, seed int64) *OST {
-	dc := cfg.Disk
+func newOST(eng *sim.Engine, srv *hw.ServerConfig, dc disk.Config, id int, oss *OSS, seed int64) *OST {
 	dc.Seed = seed
 	d := disk.New(eng, dc)
 	q := blockqueue.New(eng, d, blockqueue.Config{
@@ -160,7 +160,7 @@ func newOST(eng *sim.Engine, cfg *Config, id int, oss *OSS, seed int64) *OST {
 		WriteStarveLimit: 8,
 	})
 	return &OST{
-		ID: id, OSS: oss, eng: eng, cfg: cfg, q: q,
+		ID: id, OSS: oss, eng: eng, srv: srv, q: q,
 		objects: make(map[uint64]*object),
 	}
 }
@@ -212,9 +212,9 @@ func (o *OST) SetCachePressure(factor float64) {
 // writebackLimit is the effective dirty-data cap under current pressure.
 func (o *OST) writebackLimit() int64 {
 	if o.cachePressure <= 1 {
-		return o.cfg.WritebackLimit
+		return o.srv.WritebackLimit
 	}
-	lim := int64(float64(o.cfg.WritebackLimit) / o.cachePressure)
+	lim := int64(float64(o.srv.WritebackLimit) / o.cachePressure)
 	if lim < 1 {
 		lim = 1
 	}
@@ -348,7 +348,7 @@ func (o *OST) admit(bytes int64, runs []run, done func()) {
 }
 
 func (o *OST) scheduleFlush() {
-	for o.flushInFlight < o.cfg.FlushBatch && o.dirtyExtents.len() > 0 {
+	for o.flushInFlight < flushBatch && o.dirtyExtents.len() > 0 {
 		ext := o.dirtyExtents.pop()
 		o.flushInFlight++
 		o.cFlushes.Inc()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
 )
@@ -29,7 +30,7 @@ func writeStream(eng *sim.Engine, c *Client, path string, total int64) sim.Time 
 func TestRateLimitCapsThroughput(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	c := fs.Client("c0")
 	c.SetRateLimit(10e6) // 10 MB/s
 	finished := writeStream(eng, c, "/limited", 32<<20)
@@ -46,7 +47,7 @@ func TestRateLimitRemovalRestoresSpeed(t *testing.T) {
 	run := func(throttleFirst bool) sim.Time {
 		eng := sim.NewEngine()
 		net := netsim.New(eng, netsim.Config{})
-		fs := New(eng, net, PaperTopology(), Config{})
+		fs := New(eng, net, hw.Profile{})
 		c := fs.Client("c0")
 		if throttleFirst {
 			c.SetRateLimit(5e6)
@@ -70,7 +71,7 @@ func TestRateLimitRemovalRestoresSpeed(t *testing.T) {
 func TestMetadataUnaffectedByRateLimit(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	c := fs.Client("c0")
 	c.SetRateLimit(1) // 1 byte/s: data would be frozen
 	done := 0
@@ -95,7 +96,7 @@ func pathQ(i int) string { return "/qos/f" + string(rune('a'+i%26)) + string(run
 func TestRateLimitedReporting(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	c := fs.Client("c0")
 	if c.RateLimited() {
 		t.Fatal("fresh client reports limited")

@@ -3,6 +3,7 @@ package lustre
 import (
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
 )
@@ -38,10 +39,13 @@ func readSeq(eng *sim.Engine, c *Client, path string, total int64, gap sim.Time)
 func TestReadaheadPipelinesSequentialStream(t *testing.T) {
 	// With readahead a sequential stream approaches media speed; without
 	// it every op pays a full network+disk round trip.
-	run := func(ra int) sim.Time {
+	run := func(readahead bool) sim.Time {
 		eng := sim.NewEngine()
 		net := netsim.New(eng, netsim.Config{})
-		fs := New(eng, net, PaperTopology(), Config{ReadAheadChunks: ra})
+		fs := New(eng, net, hw.Profile{})
+		if !readahead {
+			fs.readAheadChunks = 0
+		}
 		fs.Populate("/seq", 64<<20, 1)
 		times, finished := readSeq(eng, fs.Client("c0"), "/seq", 64<<20, 0)
 		if len(times) != 64 {
@@ -49,8 +53,8 @@ func TestReadaheadPipelinesSequentialStream(t *testing.T) {
 		}
 		return finished
 	}
-	with := run(0) // 0 -> default (4)
-	without := run(-1)
+	with := run(true)
+	without := run(false)
 	// The gain is bounded here: the 1 GB/s NIC keeps the per-op round
 	// trip small relative to the 7 ms media time, so pipelining only
 	// hides the ~1.3 ms request/reply overhead per op.
@@ -63,7 +67,7 @@ func TestReadaheadPipelinesSequentialStream(t *testing.T) {
 func TestReadaheadServesLaterReadsFromCache(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	fs.Populate("/seq", 16<<20, 1)
 	times, _ := readSeq(eng, fs.Client("c0"), "/seq", 16<<20, 0)
 	// Steady-state reads ride the prefetch pipeline: latency drops to the
@@ -86,7 +90,7 @@ func TestNoReadaheadForStridedPattern(t *testing.T) {
 	// should hit the disk, visible as device reads ~= op count.
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	fs.Populate("/strided", 64<<20, 1)
 	c := fs.Client("c0")
 	ops := 0
@@ -118,7 +122,7 @@ func TestNoReadaheadForStridedPattern(t *testing.T) {
 func TestWriteInvalidatesReadahead(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	fs.Populate("/rw", 16<<20, 1)
 	c := fs.Client("c0")
 	c.Open("/rw", func(h *Handle) {
@@ -141,7 +145,7 @@ func TestWriteInvalidatesReadahead(t *testing.T) {
 func TestReadaheadStopsAtEOF(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{})
+	fs := New(eng, net, hw.Profile{})
 	fs.Populate("/small", 3<<20, 1)
 	done := 0
 	c := fs.Client("c0")
@@ -170,7 +174,8 @@ func TestReadaheadStopsAtEOF(t *testing.T) {
 func TestCacheHitCostsConfiguredTime(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, PaperTopology(), Config{CacheHitTime: 10 * sim.Millisecond})
+	fs := New(eng, net, hw.Profile{})
+	fs.cacheHitTime = 10 * sim.Millisecond
 	fs.Populate("/hit", 32<<20, 1)
 	// A think gap between reads lets the prefetcher run ahead, so later
 	// reads find their chunk fully landed: a pure client cache hit.

@@ -8,6 +8,7 @@ import (
 	"quanterference/internal/core"
 	"quanterference/internal/dataset"
 	"quanterference/internal/forecast"
+	"quanterference/internal/hw"
 	"quanterference/internal/label"
 	"quanterference/internal/lustre"
 	"quanterference/internal/monitor/window"
@@ -62,7 +63,7 @@ func readRecord(windowIdx, seq int) workload.Record {
 }
 
 func TestControllerEngagesAndReleases(t *testing.T) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	victim := cl.FS.Client("c1")
 	ctrl := newReactive(cl, victim)
 	// Windows 0 and 1 look interfered (10 reads each); windows 2+ are
@@ -106,7 +107,7 @@ func TestControllerEngagesAndReleases(t *testing.T) {
 }
 
 func TestControllerReEngages(t *testing.T) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	ctrl := newReactive(cl, cl.FS.Client("c1"))
 	// Hot window 0, clean 1 and 2 (released), hot 3.
 	for s := 0; s < 10; s++ {
@@ -128,7 +129,7 @@ func TestControllerReEngages(t *testing.T) {
 
 // TestControllerStopRemovesLimits pins that Stop lifts an engaged throttle.
 func TestControllerStopRemovesLimits(t *testing.T) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	victim := cl.FS.Client("c1")
 	ctrl := newReactive(cl, victim)
 	for s := 0; s < 10; s++ {
@@ -180,7 +181,7 @@ func stubForecaster(history int) *forecast.Forecaster {
 // controller must engage on the forecast alone, before any hot window
 // exists, and log the forecast as the reason.
 func TestControllerProactiveEngagesAheadOfClassifier(t *testing.T) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	victim := cl.FS.Client("c1")
 	ctrl := NewController(cl, stubFramework(), []Victim{{Client: victim}}, sim.Second,
 		NewProactiveThrottle(), stubForecaster(2))
@@ -213,7 +214,7 @@ func TestControllerProactiveEngagesAheadOfClassifier(t *testing.T) {
 
 	// A reactive controller over the identical stream must stay disengaged —
 	// the proactive win is real lead time, not a lower threshold.
-	clR := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	clR := core.NewCluster(hw.PaperProfile())
 	ctrlR := newReactive(clR, clR.FS.Client("c1"))
 	for w := 0; w < 2; w++ {
 		for s := 0; s < 4; s++ {
@@ -247,7 +248,7 @@ func (loopGen) Prepare(*lustre.FS) {}
 // hot windows pause the interfering runner at its next op boundary, clean
 // windows resume it, and Stop always leaves it running free.
 func TestControllerDefersRunner(t *testing.T) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	bg := &workload.Runner{
 		FS: cl.FS, Name: "bg", Nodes: []string{"c2"}, Ranks: 1,
 		Gen: loopGen{}, Loop: true,
@@ -299,7 +300,7 @@ func (hotModel) ProbsInto(dst []float64, _ [][]float64) []float64 {
 // queued for emission when Stop runs, and it must not re-engage the
 // throttle after Stop released it.
 func TestControllerStopAtWindowBoundary(t *testing.T) {
-	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	cl := core.NewCluster(hw.PaperProfile())
 	victim := cl.FS.Client("c1")
 	fw := stubFramework()
 	fw.Model = hotModel{}

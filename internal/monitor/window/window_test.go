@@ -3,6 +3,7 @@ package window
 import (
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/monitor/clientmon"
 	"quanterference/internal/monitor/servermon"
@@ -55,7 +56,7 @@ func TestAssembleOrdersClientThenServer(t *testing.T) {
 func TestCollectEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+	fs := lustre.New(eng, net, hw.PaperProfile())
 	cm := clientmon.New(fs.NumTargets(), sim.Second)
 	sm := servermon.New(fs, sim.Second)
 	g := io500.New(io500.IorEasyWrite, io500.Params{Ranks: 2, EasyFileBytes: 8 << 20})

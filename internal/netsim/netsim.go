@@ -36,21 +36,14 @@ var (
 
 // Config describes the fabric.
 type Config struct {
-	// DefaultBps is the per-direction NIC bandwidth for nodes not
-	// explicitly configured (default 1 Gb/s = 125 MB/s, the paper's NICs).
-	DefaultBps float64
 	// Latency is the fixed one-way message latency (default 100 µs).
 	Latency sim.Time
 }
 
-func (c *Config) applyDefaults() {
-	if c.DefaultBps == 0 {
-		c.DefaultBps = 125e6
-	}
-	if c.Latency == 0 {
-		c.Latency = 100 * sim.Microsecond
-	}
-}
+// defaultBps is the per-direction NIC bandwidth of a node added with bps 0:
+// 125 MB/s, a 1 Gb/s link. The paper's NICs are 1 GB/s, and the file system
+// registers every node at that speed or the hardware profile's.
+const defaultBps = 125e6
 
 // Endpoint is a registered node's index in the network: AddNode returns it
 // and Endpoint resolves a name to it. Transfer takes endpoints, so moving
@@ -142,7 +135,9 @@ type Network struct {
 
 // New creates an empty network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	cfg.applyDefaults()
+	if cfg.Latency == 0 {
+		cfg.Latency = 100 * sim.Microsecond
+	}
 	return &Network{
 		eng:    eng,
 		cfg:    cfg,
@@ -165,14 +160,14 @@ func (n *Network) Instrument(s *obs.Sink) {
 	n.hFlowNS = s.Histogram("netsim", "", "flow_ns", obs.TimeBuckets())
 }
 
-// AddNode registers a node and returns its endpoint; bps == 0 uses the
-// default NIC speed.
+// AddNode registers a node and returns its endpoint; bps == 0 uses
+// defaultBps.
 func (n *Network) AddNode(name string, bps float64) Endpoint {
 	if _, ok := n.byName[name]; ok {
 		panic("netsim: duplicate node " + name)
 	}
 	if bps == 0 {
-		bps = n.cfg.DefaultBps
+		bps = defaultBps
 	}
 	e := Endpoint(len(n.nodes))
 	n.byName[name] = e
@@ -213,12 +208,6 @@ func (n *Network) SetBandwidthScale(name string, scale float64) error {
 	n.links[2*e+1].scale = scale
 	n.reschedule()
 	return nil
-}
-
-// HasNode reports whether the node exists.
-func (n *Network) HasNode(name string) bool {
-	_, ok := n.byName[name]
-	return ok
 }
 
 // Stats returns cumulative per-node traffic counters.

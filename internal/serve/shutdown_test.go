@@ -195,6 +195,17 @@ func TestShutdownWithCanceledCallers(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
 	s := New(fw, Config{MaxBatch: 8, BatchWindow: time.Minute, MaxInflight: 64})
 
+	// An idle server answers a request at once, so a dead caller's reply
+	// could be ready beside its ctx.Done() and Go would pick either. A first
+	// request, answered before the dead callers queue, anchors the
+	// minute-long window: their batch cannot close before Shutdown, so
+	// ctx.Done() is the only ready case each of them sees.
+	actx, acancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer acancel()
+	if _, _, err := s.Predict(actx, mats[0]); err != nil {
+		t.Fatalf("anchoring Predict: %v", err)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	const abandoned = 6
@@ -213,12 +224,13 @@ func TestShutdownWithCanceledCallers(t *testing.T) {
 	snap := s.Stats()
 	hb := histogram(t, snap, "batch_size")
 	// However the batcher's pickup raced the enqueues, each orphaned request
-	// is observed exactly once across the gather flush and drain.
-	if hb.Sum != abandoned {
-		t.Fatalf("batch_size Sum = %g, want %d", hb.Sum, abandoned)
+	// is observed exactly once across the gather flush and drain, beside the
+	// anchoring request's batch of one.
+	if hb.Sum != 1+abandoned {
+		t.Fatalf("batch_size Sum = %g, want %d", hb.Sum, 1+abandoned)
 	}
-	if v, _ := snap.Counter("serve", "", "requests"); v != abandoned {
-		t.Fatalf("requests = %d, want %d", v, abandoned)
+	if v, _ := snap.Counter("serve", "", "requests"); v != 1+abandoned {
+		t.Fatalf("requests = %d, want %d", v, 1+abandoned)
 	}
 	if _, _, err := s.Predict(context.Background(), mats[0]); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown Predict: %v", err)

@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
@@ -12,7 +13,7 @@ import (
 func newFS() (*sim.Engine, *lustre.FS) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	return eng, lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+	return eng, lustre.New(eng, net, hw.PaperProfile())
 }
 
 func opMix(g *Gen, rank int) map[workload.Kind]int {

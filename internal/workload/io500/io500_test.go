@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
@@ -13,7 +14,7 @@ import (
 func newFS() (*sim.Engine, *lustre.FS) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	return eng, lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+	return eng, lustre.New(eng, net, hw.PaperProfile())
 }
 
 func TestTaskNamesAndParsing(t *testing.T) {

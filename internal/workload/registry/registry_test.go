@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
@@ -48,7 +49,7 @@ func TestResolvedGeneratorsRun(t *testing.T) {
 	for _, name := range Names() {
 		eng := sim.NewEngine()
 		net := netsim.New(eng, netsim.Config{})
-		fs := lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+		fs := lustre.New(eng, net, hw.PaperProfile())
 		gen, err := Resolve(name, Spec{Dir: "/run-" + name, Ranks: 2, Scale: 0.1})
 		if err != nil {
 			t.Fatal(err)

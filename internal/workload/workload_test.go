@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"quanterference/internal/hw"
 	"quanterference/internal/lustre"
 	"quanterference/internal/netsim"
 	"quanterference/internal/sim"
@@ -11,7 +12,7 @@ import (
 func newFS() (*sim.Engine, *lustre.FS) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	return eng, lustre.New(eng, net, lustre.PaperTopology(), lustre.Config{})
+	return eng, lustre.New(eng, net, hw.PaperProfile())
 }
 
 // scriptGen is a fixed op sequence for every rank.

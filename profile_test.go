@@ -85,3 +85,32 @@ func TestUnknownProfile(t *testing.T) {
 		t.Fatalf("ProfileByName(hdd-raid) = %v, want ErrUnknownProfile", err)
 	}
 }
+
+// TestGoldenTraceProfiles pins every non-paper named profile to a
+// byte-identical DXT trace of the golden scenario, the way
+// TestGoldenTracePaperProfile pins the paper testbed. It loops over
+// ProfileNames, so a profile added to the registry fails here until its
+// golden (testdata/golden_run_<name>.dxt) is committed.
+func TestGoldenTraceProfiles(t *testing.T) {
+	for _, name := range quant.ProfileNames() {
+		if name == "paper" {
+			continue // pinned by TestGoldenTracePaperProfile
+		}
+		t.Run(name, func(t *testing.T) {
+			p, err := quant.ProfileByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := goldenScenario()
+			s.Hardware = p
+			res, err := quant.RunE(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Finished {
+				t.Fatalf("profile %s: golden run truncated", name)
+			}
+			goldenCompare(t, "golden_run_"+name+".dxt", encodeTrace(res))
+		})
+	}
+}

@@ -73,7 +73,6 @@ import (
 	"quanterference/internal/fault"
 	"quanterference/internal/hw"
 	"quanterference/internal/label"
-	"quanterference/internal/lustre"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
@@ -102,10 +101,6 @@ type (
 	FrameworkConfig = core.FrameworkConfig
 	// LiveMonitor emits per-window matrices from a live run.
 	LiveMonitor = core.LiveMonitor
-
-	// Topology is the cluster layout; Config the file-system tunables.
-	Topology = lustre.Topology
-	Config   = lustre.Config
 
 	// HardwareProfile bundles the simulated storage hardware — disk model,
 	// NIC speed/latency, optional client burst buffers, and server-side
@@ -161,7 +156,6 @@ func ParseFaultSpecs(s string) ([]FaultSpec, error) { return fault.ParseSpecs(s)
 // Typed errors returned by the error-returning API; match with errors.Is.
 var (
 	ErrInvalidScenario    = core.ErrInvalidScenario
-	ErrInvalidTopology    = core.ErrInvalidTopology
 	ErrBaselineUnfinished = core.ErrBaselineUnfinished
 	ErrVariantUnfinished  = core.ErrVariantUnfinished
 	ErrAllVariantsFailed  = core.ErrAllVariantsFailed
@@ -228,11 +222,12 @@ func WithCollectReport(r *CollectReport) Option { return core.WithCollectReport(
 // (internal/online).
 func WithWarmStart(fw *Framework) Option { return core.WithWarmStart(fw) }
 
-// NewCluster builds a fresh simulated cluster.
-func NewCluster(topo Topology, cfg Config) *Cluster { return core.NewCluster(topo, cfg) }
+// NewCluster builds a fresh simulated cluster on the paper's layout with the
+// given hardware profile.
+func NewCluster(p HardwareProfile) *Cluster { return core.NewCluster(p) }
 
 // RunE executes a scenario on a fresh cluster, returning typed errors
-// (ErrInvalidScenario, ErrInvalidTopology) instead of panicking. The
+// (ErrInvalidScenario) instead of panicking. The
 // cluster is instrumented on WithSink's sink (or a private one), so
 // RunResult.Stats is always populated.
 func RunE(s Scenario, opts ...Option) (*RunResult, error) { return core.RunE(s, opts...) }
@@ -282,9 +277,6 @@ type WindowMatrix = window.Matrix
 func AttachLive(cl *Cluster, windowSize Time, onWindow func(idx int, mat WindowMatrix)) *LiveMonitor {
 	return core.AttachLive(cl, windowSize, onWindow)
 }
-
-// PaperTopology is the evaluation cluster of §IV.
-func PaperTopology() Topology { return lustre.PaperTopology() }
 
 // BinaryBins is the paper's binary >=2x setting; SeverityBins the 3-class one.
 func BinaryBins() Bins   { return label.BinaryBins() }

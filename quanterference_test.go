@@ -91,7 +91,7 @@ func TestFacadeCollectTrainPredictPersist(t *testing.T) {
 }
 
 func TestFacadeLiveMonitor(t *testing.T) {
-	cl := quant.NewCluster(quant.PaperTopology(), quant.Config{})
+	cl := quant.NewCluster(quant.PaperProfile())
 	windows := 0
 	mon := quant.AttachLive(cl, quant.Seconds(1), func(idx int, mat quant.WindowMatrix) {
 		windows++
