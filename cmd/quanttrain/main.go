@@ -78,7 +78,7 @@ func main() {
 	}
 	if *flat {
 		cfg.NewModel = func(nTargets, nFeat, classes int, seed int64) ml.Model {
-			return ml.NewFlatModel(nTargets, nFeat, classes, nil, seed)
+			return ml.NewFlatModel(nTargets, nFeat, classes, seed)
 		}
 	}
 	fw, cm, err := core.TrainFrameworkE(ds, cfg)

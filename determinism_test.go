@@ -174,7 +174,7 @@ func weightsFingerprint(m ml.Model) string {
 func TestGoldenSerialWeights(t *testing.T) {
 	ds := syntheticDataset(96)
 	m := ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 11})
-	loss := ml.Train(m, ds, ml.TrainConfig{Epochs: 4, Seed: 23, BalanceClasses: true})
+	loss := ml.Train(m, ds, ml.TrainConfig{Epochs: 4, Seed: 23})
 	got := fmt.Sprintf("weights %s\nloss %x\n", weightsFingerprint(m), math.Float64bits(loss))
 	goldenCompare(t, "golden_weights.txt", got)
 }

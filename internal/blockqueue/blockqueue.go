@@ -1,8 +1,8 @@
 // Package blockqueue models the Linux block layer sitting in front of a
 // rotational disk: a request queue with back/front merging of contiguous
-// requests, a pluggable dispatch policy (FIFO, C-LOOK elevator, optional
-// read priority with a write-starvation bound, like the deadline scheduler),
-// and /proc/diskstats-style accounting.
+// requests up to 1 MiB, one dispatch policy (a C-LOOK elevator that serves
+// reads before writes, with a write-starvation bound, like the deadline
+// scheduler), and /proc/diskstats-style accounting.
 //
 // The counters exposed here are exactly the raw material for the paper's
 // Table II server-side metrics: completed I/Os, merges, sectors moved, time
@@ -15,38 +15,17 @@ import (
 	"quanterference/internal/sim"
 )
 
-// Scheduler selects the dispatch order.
-type Scheduler int
-
-const (
-	// FIFO dispatches in arrival order.
-	FIFO Scheduler = iota
-	// Elevator dispatches C-LOOK: ascending sector order from the current
-	// head position, wrapping to the lowest pending sector.
-	Elevator
-)
+// maxMergeSectors caps the size of a merged request (2048 sectors = 1 MiB,
+// matching max_sectors_kb=1024).
+const maxMergeSectors = 2048
 
 // Config tunes the queue.
 type Config struct {
-	Scheduler Scheduler
-	// MaxMergeSectors caps the size of a merged request (default 2048
-	// sectors = 1 MiB, matching max_sectors_kb=1024).
-	MaxMergeSectors int64
-	// ReadPriority dispatches pending reads before writes, but after
-	// WriteStarveLimit consecutive reads a write is dispatched anyway.
-	ReadPriority bool
-	// WriteStarveLimit bounds write starvation under ReadPriority
-	// (default 4, cf. the deadline scheduler's writes_starved).
+	// WriteStarveLimit bounds write starvation: pending reads dispatch
+	// before writes, but after WriteStarveLimit consecutive reads a waiting
+	// write is dispatched anyway (default 4, cf. the deadline scheduler's
+	// writes_starved).
 	WriteStarveLimit int
-}
-
-func (c *Config) applyDefaults() {
-	if c.MaxMergeSectors == 0 {
-		c.MaxMergeSectors = 2048
-	}
-	if c.WriteStarveLimit == 0 {
-		c.WriteStarveLimit = 4
-	}
 }
 
 // Counters mirrors the /proc/diskstats fields the server-side monitor
@@ -122,7 +101,9 @@ type Queue struct {
 
 // New wraps a disk with a request queue.
 func New(eng *sim.Engine, dev *disk.Disk, cfg Config) *Queue {
-	cfg.applyDefaults()
+	if cfg.WriteStarveLimit == 0 {
+		cfg.WriteStarveLimit = 4
+	}
 	q := &Queue{eng: eng, dev: dev, cfg: cfg}
 	q.devDone = func() { q.complete(q.dispatched) }
 	return q
@@ -157,9 +138,6 @@ func (q *Queue) account() {
 	q.lastAccount = now
 }
 
-// Depth returns the number of requests waiting for dispatch.
-func (q *Queue) Depth() int { return len(q.pending) }
-
 // FreezeUntil suspends dispatch until t (a fault-injected brown-out or
 // controller-cache stall): requests already on the device complete, queued
 // and newly submitted requests wait, and dispatch resumes at t. Extending an
@@ -172,10 +150,6 @@ func (q *Queue) FreezeUntil(t sim.Time) {
 	q.cFreezes.Inc()
 	q.eng.At(t, func() { q.maybeDispatch() })
 }
-
-// FrozenUntil reports the end of the current dispatch freeze (a time in the
-// past means dispatch is live).
-func (q *Queue) FrozenUntil() sim.Time { return q.frozen }
 
 // Idle reports whether nothing is queued or on the device.
 func (q *Queue) Idle() bool { return len(q.pending) == 0 && q.dispatched == nil }
@@ -208,7 +182,7 @@ func (q *Queue) Submit(op disk.Op, sector, sectors int64, done func()) {
 
 	// Try to merge with a pending request of the same direction.
 	for _, p := range q.pending {
-		if p.op != op || p.sectors+sectors > q.cfg.MaxMergeSectors {
+		if p.op != op || p.sectors+sectors > maxMergeSectors {
 			continue
 		}
 		if p.end() == sector { // back merge
@@ -252,64 +226,41 @@ func (q *Queue) noteMerge(op disk.Op) {
 	}
 }
 
-// pickNext selects the index of the next request to dispatch.
+// pickNext selects the index of the next request to dispatch: reads before
+// writes, unless WriteStarveLimit reads in a row have passed a waiting write,
+// and within that direction C-LOOK order — the smallest sector at or past
+// the head, else (wrapping) the smallest pending sector.
 func (q *Queue) pickNext() int {
 	if len(q.pending) == 1 {
 		return 0
 	}
-	// Read priority with bounded write starvation.
-	candidates := q.pending
-	restrictOp := disk.Op(-1)
-	if q.cfg.ReadPriority {
-		hasRead, hasWrite := false, false
-		for _, p := range q.pending {
-			if p.op == disk.Read {
-				hasRead = true
-			} else {
-				hasWrite = true
-			}
-		}
-		switch {
-		case hasRead && hasWrite && q.consecReads >= q.cfg.WriteStarveLimit:
-			restrictOp = disk.Write
-		case hasRead:
-			restrictOp = disk.Read
+	hasRead, hasWrite := false, false
+	for _, p := range q.pending {
+		if p.op == disk.Read {
+			hasRead = true
+		} else {
+			hasWrite = true
 		}
 	}
-	best := -1
-	switch q.cfg.Scheduler {
-	case FIFO:
-		for i, p := range candidates {
-			if restrictOp >= 0 && p.op != restrictOp {
-				continue
-			}
-			if best == -1 || p.arrival < candidates[best].arrival {
-				best = i
-			}
+	op := disk.Write
+	if hasRead && !(hasWrite && q.consecReads >= q.cfg.WriteStarveLimit) {
+		op = disk.Read
+	}
+	head := q.dev.Head()
+	best, wrap := -1, -1
+	for i, p := range q.pending {
+		if p.op != op {
+			continue
 		}
-	case Elevator:
-		// C-LOOK: smallest sector >= head; else wrap to globally smallest.
-		head := q.dev.Head()
-		wrap := -1
-		for i, p := range candidates {
-			if restrictOp >= 0 && p.op != restrictOp {
-				continue
-			}
-			if p.sector >= head {
-				if best == -1 || p.sector < candidates[best].sector {
-					best = i
-				}
-			}
-			if wrap == -1 || p.sector < candidates[wrap].sector {
-				wrap = i
-			}
+		if p.sector >= head && (best == -1 || p.sector < q.pending[best].sector) {
+			best = i
 		}
-		if best == -1 {
-			best = wrap
+		if wrap == -1 || p.sector < q.pending[wrap].sector {
+			wrap = i
 		}
 	}
 	if best == -1 {
-		best = 0
+		best = wrap
 	}
 	return best
 }

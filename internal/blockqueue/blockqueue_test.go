@@ -67,18 +67,19 @@ func TestNoMergeAcrossDirections(t *testing.T) {
 }
 
 func TestMergeSizeCap(t *testing.T) {
-	eng, q := newQueue(Config{MaxMergeSectors: 16})
-	q.Submit(disk.Write, 1<<20, 8, func() {})
-	q.Submit(disk.Write, 0, 12, func() {})
-	q.Submit(disk.Write, 12, 12, func() {}) // would exceed 16
+	eng, q := newQueue(Config{})
+	q.Submit(disk.Write, 1<<22, 8, func() {})
+	q.Submit(disk.Write, 0, 1024, func() {})
+	q.Submit(disk.Write, 1024, 1024, func() {}) // merges to exactly 2048 sectors (1 MiB)
+	q.Submit(disk.Write, 2048, 1025, func() {}) // would exceed 2048
 	eng.Run()
-	if c := q.Counters(); c.WritesMerged != 0 {
-		t.Fatalf("merge should have been capped: %+v", c)
+	if c := q.Counters(); c.WritesMerged != 1 {
+		t.Fatalf("want one merge up to the 1 MiB cap and none past it: %+v", c)
 	}
 }
 
 func TestElevatorOrdersBySector(t *testing.T) {
-	eng, q := newQueue(Config{Scheduler: Elevator})
+	eng, q := newQueue(Config{})
 	var order []int64
 	// First request busies the device at a low sector.
 	q.Submit(disk.Read, 0, 8, func() {})
@@ -96,7 +97,7 @@ func TestElevatorOrdersBySector(t *testing.T) {
 }
 
 func TestReadPriorityDispatchesReadsFirst(t *testing.T) {
-	eng, q := newQueue(Config{ReadPriority: true})
+	eng, q := newQueue(Config{})
 	var order []string
 	q.Submit(disk.Write, 1<<20, 8, func() {}) // busy device
 	q.Submit(disk.Write, 0, 8, func() { order = append(order, "w") })
@@ -108,7 +109,7 @@ func TestReadPriorityDispatchesReadsFirst(t *testing.T) {
 }
 
 func TestWriteStarvationBounded(t *testing.T) {
-	eng, q := newQueue(Config{ReadPriority: true, WriteStarveLimit: 3})
+	eng, q := newQueue(Config{WriteStarveLimit: 3})
 	writeDone := sim.Time(0)
 	q.Submit(disk.Write, 4096, 8, func() { writeDone = eng.Now() })
 	// Feed a continuous stream of reads: each completion enqueues another.
@@ -194,7 +195,7 @@ func TestPropertyConservation(t *testing.T) {
 		if len(sizes) > 100 {
 			sizes = sizes[:100]
 		}
-		eng, q := newQueue(Config{Scheduler: Elevator, ReadPriority: true})
+		eng, q := newQueue(Config{})
 		rng := sim.NewRNG(int64(seed))
 		done := 0
 		var wantRead, wantWrite uint64

@@ -88,7 +88,6 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 
 		tcfg := cfg.Train
 		tcfg.Seed = cfg.Train.Seed ^ int64(k)*0x7161
-		tcfg.BalanceClasses = true
 		if _, err := ml.TrainCtx(ctx, model, train, tcfg); err != nil {
 			return nil, nil, fmt.Errorf("%w: forecaster horizon %d stopped: %w", ErrCanceled, k, err)
 		}

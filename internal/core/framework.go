@@ -108,7 +108,6 @@ func trainFramework(ctx context.Context, ds *dataset.Dataset, cfg FrameworkConfi
 	scaler.Transform(train)
 	scaler.Transform(test)
 
-	cfg.Train.BalanceClasses = true
 	if _, err := ml.TrainCtx(ctx, model, train, cfg.Train); err != nil {
 		return nil, nil, fmt.Errorf("%w: training stopped: %w", ErrCanceled, err)
 	}

@@ -99,7 +99,7 @@ func newModelEval(name string, bins label.Bins, cm *ml.Confusion, ds, train, tes
 // newFlatModel and newAttentionModel are TrainEvalWith constructors for the
 // flat-MLP ablation baseline and the self-attention extension.
 func newFlatModel(nTargets, nFeat, classes int, seed int64) ml.Model {
-	return ml.NewFlatModel(nTargets, nFeat, classes, nil, seed)
+	return ml.NewFlatModel(nTargets, nFeat, classes, seed)
 }
 
 func newAttentionModel(nTargets, nFeat, classes int, seed int64) ml.Model {

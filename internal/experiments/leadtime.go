@@ -88,7 +88,7 @@ type LeadTimeResult struct {
 // windows (startAt), so every run opens with a clean stretch and then
 // degrades mid-stream — the transition a forecaster is supposed to call
 // ahead of time. Staggered delays also keep the two classes balanced enough
-// that BalanceClasses oversampling stays sane.
+// that the class-weighted loss stays sane.
 var leadtimeSweep = sweep{dir: "/lt", entries: []sweepEntry{
 	{task: io500.IorEasyRead, instances: 1, ranks: 4},
 	{task: io500.IorEasyRead, instances: 2, ranks: 4, startAt: 4 * sim.Second},

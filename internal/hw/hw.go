@@ -1,22 +1,24 @@
 // Package hw defines first-class hardware profiles: serializable bundles of
 // the simulator's device-level parameters — disk geometry/latency model,
-// per-node NIC bandwidth and fabric latency, optional node-local burst
-// buffers, and server-side costs (MDS op CPU, OST write-back cache) — that
-// select which storage subsystem a Scenario simulates.
+// per-node NIC bandwidth and fabric latency, and optional node-local burst
+// buffers — that select which storage subsystem a Scenario simulates.
+// Server-side costs (MDS op CPU, OSS op CPU, the OST write-back cache and
+// the MDS inode cache) are not part of a profile: no subsystem varies them,
+// so they are internal/lustre constants at the paper testbed's values.
 //
 // A Profile is the only description of simulated hardware. core.NewCluster
-// builds every cluster from one: lustre.New reads its Disk, Server and
-// Net.NICBps sections, the network its Net.Latency, and bb.NewTier its BB
-// section. The package imports only sim and disk, so every layer can take
-// the profile's own structs.
+// builds every cluster from one: lustre.New reads its Disk and Net.NICBps
+// sections, the network its Net.Latency, and bb.NewTier its BB section.
+// The package imports only sim and disk, so every layer can take the
+// profile's own structs.
 //
 // The zero Profile (and the named PaperProfile) reproduces the paper's
-// testbed bit-for-bit: 7200 RPM SATA disks, 1 GB/s NICs, no burst buffer,
-// Lustre 2.12 server defaults. The other named profiles model alternative
-// subsystems in the spirit of Xu et al. ("ML-based Modeling to Predict I/O
-// Performance on Different Storage Sub-systems"): NVMe-class flat-latency
-// devices, a 10 GB/s fabric, and burst-buffer tiering. Cross-profile model
-// transfer lives in internal/experiments.
+// testbed bit-for-bit: 7200 RPM SATA disks, 1 GB/s NICs, no burst buffer.
+// The other named profiles model alternative subsystems in the spirit of
+// Xu et al. ("ML-based Modeling to Predict I/O Performance on Different
+// Storage Sub-systems"): NVMe-class flat-latency devices, a 10 GB/s
+// fabric, and burst-buffer tiering. Cross-profile model transfer lives in
+// internal/experiments.
 package hw
 
 import (
@@ -49,20 +51,6 @@ type BurstBufferConfig struct {
 	DrainConcurrency int     `json:"drain_concurrency,omitempty"`
 }
 
-// ServerConfig carries the server-side cost parameters a profile may
-// override. Each 0 keeps the paper testbed's value, given per field.
-type ServerConfig struct {
-	// MDSOpCPU is the CPU time per metadata operation (default 200 µs).
-	MDSOpCPU sim.Time `json:"mds_op_cpu_ns,omitempty"`
-	// OSSOpCPU is the CPU time an OSS thread spends per bulk RPC
-	// (default 50 µs).
-	OSSOpCPU sim.Time `json:"oss_op_cpu_ns,omitempty"`
-	// WritebackLimit is the per-OST dirty-data cap in bytes (default 16 MiB).
-	WritebackLimit int64 `json:"writeback_limit_bytes,omitempty"`
-	// InodeCacheEntries sizes the MDS inode/dentry cache (default 4096).
-	InodeCacheEntries int `json:"inode_cache_entries,omitempty"`
-}
-
 // Profile is one storage subsystem: every device-level knob the simulator
 // exposes, bundled as a value that serializes to JSON and threads through
 // Scenario.Hardware. Profile is comparable; the zero value means "the
@@ -84,8 +72,6 @@ type Profile struct {
 	Net NetConfig `json:"net"`
 	// BB optionally fronts every client with a node-local burst buffer.
 	BB BurstBufferConfig `json:"burst_buffer"`
-	// Server overrides server-side cost parameters.
-	Server ServerConfig `json:"server"`
 }
 
 // IsZero reports whether the profile is the zero value (no name, no
@@ -129,15 +115,10 @@ func (p Profile) Validate() error {
 		{"disk seek-max", p.Disk.SeekMax},
 		{"disk flat-access time", p.Disk.FlatAccess},
 		{"net latency", p.Net.Latency},
-		{"MDS op CPU", p.Server.MDSOpCPU},
-		{"OSS op CPU", p.Server.OSSOpCPU},
 	} {
 		if t.v < 0 {
 			return fmt.Errorf("hw: profile %s: negative %s %d ns", p.DisplayName(), t.name, t.v)
 		}
-	}
-	if p.Server.WritebackLimit < 0 || p.Server.InodeCacheEntries < 0 {
-		return fmt.Errorf("hw: profile %s: negative server cache sizing", p.DisplayName())
 	}
 	if p.BB.CapacityBytes < 0 || p.BB.DrainConcurrency < 0 {
 		return fmt.Errorf("hw: profile %s: negative burst-buffer sizing", p.DisplayName())

@@ -85,8 +85,6 @@ func TestValidate(t *testing.T) {
 	bad := []Profile{
 		{Net: NetConfig{NICBps: -1}},
 		{Net: NetConfig{Latency: -sim.Microsecond}},
-		{Server: ServerConfig{MDSOpCPU: -1}},
-		{Server: ServerConfig{WritebackLimit: -1}},
 		{BB: BurstBufferConfig{Enabled: true, CapacityBytes: -1}},
 		{BB: BurstBufferConfig{IngestBps: -2e9}},
 	}

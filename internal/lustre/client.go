@@ -32,13 +32,9 @@ type Client struct {
 	freeData  []*dataCall
 	freeReads []*readOp
 
-	// Degraded-mode counters (see Retries/Timeouts/DegradedOps).
-	retries     uint64
-	timeouts    uint64
-	degradedOps uint64
-
-	// Readahead-efficiency counters (the Darshan-style client view);
-	// nil unless instrument attached a sink.
+	// Readahead-efficiency counters (the Darshan-style client view) and
+	// the degraded-mode counters (bulk-RPC timeouts, resends, and RPCs that
+	// needed one); nil unless instrument attached a sink.
 	cRAHit      *obs.Counter
 	cRAWait     *obs.Counter
 	cRAMiss     *obs.Counter
@@ -79,20 +75,11 @@ func newClient(fs *FS, node string, ep netsim.Endpoint) *Client {
 	return c
 }
 
-// Retries reports how many bulk RPCs this client resent after a timeout.
-func (c *Client) Retries() uint64 { return c.retries }
-
-// Timeouts reports how many bulk-RPC timeouts this client observed.
-func (c *Client) Timeouts() uint64 { return c.timeouts }
-
-// DegradedOps reports how many bulk RPCs needed at least one resend to
-// complete — the client's degraded-mode counter.
-func (c *Client) DegradedOps() uint64 { return c.degradedOps }
-
 // instrument registers readahead-efficiency counters under the client's
 // node name: reads fully served from prefetched data (hit), reads that had
 // to wait on an in-flight prefetch (wait), reads that bypassed the window
-// entirely (miss), and chunks prefetched.
+// entirely (miss), and chunks prefetched; and the degraded-mode counters
+// retries, timeouts and degraded_ops.
 func (c *Client) instrument(s *obs.Sink) {
 	c.cRAHit = s.Counter("client", c.Node, "ra_hits")
 	c.cRAWait = s.Counter("client", c.Node, "ra_waits")
@@ -359,7 +346,6 @@ func (c *Client) sendAttempt(ino *Inode, ostID int, objOff, length int64, write 
 		}
 		settled = true
 		if attempt > 0 {
-			c.degradedOps++
 			c.cDegraded.Inc()
 		}
 		done()
@@ -372,12 +358,10 @@ func (c *Client) sendAttempt(ino *Inode, ostID int, objOff, length int64, write 
 			return
 		}
 		settled = true
-		c.timeouts++
 		c.cTimeouts.Inc()
 		backoff := rpcBackoffBase << uint(attempt)
 		backoff += c.rng.Int63n(backoff) // deterministic jitter in [0, backoff)
 		fs.Eng.Schedule(backoff, func() {
-			c.retries++
 			c.cRetries.Inc()
 			c.sendAttempt(ino, ostID, objOff, length, write, done, attempt+1)
 		})
@@ -431,7 +415,7 @@ func (b *bulkRPC) send() {
 
 func (b *bulkRPC) arrive() { b.ost.OSS.Threads.Acquire(b.granted) }
 
-func (b *bulkRPC) compute() { b.c.fs.Eng.Schedule(b.c.fs.srv.OSSOpCPU, b.computed) }
+func (b *bulkRPC) compute() { b.c.fs.Eng.Schedule(ossOpCPU, b.computed) }
 
 // serve runs the OST data path. A write frees its thread once the data is
 // handed to the write-back cache; a read holds it through the disk fetch.

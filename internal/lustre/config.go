@@ -7,8 +7,9 @@
 // The file system has one layout, the paper's §IV cluster: the MDS on node
 // "mds", three OSS nodes "oss0"–"oss2" with two OSTs each, and seven client
 // nodes "c0"–"c6" (Clients). New builds it from an hw.Profile, reading the
-// profile's disk model, server costs and NIC speed; every other Lustre
-// parameter is a constant of this package at Lustre 2.12's defaults.
+// profile's disk model and NIC speed; every other Lustre parameter,
+// the server costs included, is a constant of this package at Lustre 2.12's
+// defaults or the paper testbed's values.
 //
 // The model reproduces the mechanisms behind the paper's observed
 // interference patterns:
@@ -25,7 +26,6 @@ package lustre
 import (
 	"slices"
 
-	"quanterference/internal/hw"
 	"quanterference/internal/sim"
 )
 
@@ -78,28 +78,22 @@ const (
 	clientSeed = 0xc11e27
 )
 
-// serverDefaults fills the server costs a profile leaves at 0 with the
-// paper testbed's values (hw.ServerConfig documents each field).
-func serverDefaults(s hw.ServerConfig) hw.ServerConfig {
-	if s.MDSOpCPU == 0 {
-		s.MDSOpCPU = 200 * sim.Microsecond
-	}
-	if s.OSSOpCPU == 0 {
-		s.OSSOpCPU = 50 * sim.Microsecond
-	}
-	if s.WritebackLimit == 0 {
-		// Writes beyond the per-OST dirty cap throttle to the disk drain
-		// rate. 16 MiB is scaled to this package's scaled-down workloads
-		// the same way real servers' dirty limits relate to real IO500
-		// volumes (roughly a tenth of what one benchmark phase writes).
-		s.WritebackLimit = 16 << 20
-	}
-	if s.InodeCacheEntries == 0 {
-		// Misses cost a random MDT read.
-		s.InodeCacheEntries = 4096
-	}
-	return s
-}
+// Server costs of the paper's testbed. No hardware profile varies them.
+const (
+	// mdsOpCPU is the CPU time per metadata operation.
+	mdsOpCPU = 200 * sim.Microsecond
+	// ossOpCPU is the CPU time an OSS thread spends per bulk RPC.
+	ossOpCPU = 50 * sim.Microsecond
+	// writebackLimit is the per-OST dirty-data cap: writes beyond it
+	// throttle to the disk drain rate. 16 MiB is scaled to this package's
+	// scaled-down workloads the same way real servers' dirty limits relate
+	// to real IO500 volumes (roughly a tenth of what one benchmark phase
+	// writes).
+	writebackLimit int64 = 16 << 20
+	// inodeCacheEntries sizes the MDS inode/dentry cache; a miss costs a
+	// random MDT read.
+	inodeCacheEntries = 4096
+)
 
 // PaperNICBps is the testbed's "1 GB/s network interface" (§IV), the NIC
 // speed of every node when the profile sets none. Table I's 29-41x

@@ -5,16 +5,14 @@ import (
 	"testing/quick"
 
 	"quanterference/internal/disk"
-	"quanterference/internal/hw"
 	"quanterference/internal/sim"
 )
 
 func newTestOST(t *testing.T) (*sim.Engine, *OST) {
 	t.Helper()
 	eng := sim.NewEngine()
-	srv := serverDefaults(hw.ServerConfig{})
 	oss := &OSS{Node: "oss", Threads: sim.NewResource(eng, 4)}
-	return eng, newOST(eng, &srv, disk.Config{}, 0, oss, 7)
+	return eng, newOST(eng, disk.Config{}, 0, oss, 7)
 }
 
 // cloneRuns copies mapRange's scratch-backed result so a test can hold it
@@ -179,7 +177,7 @@ func sameCoverage(a, b []run) bool {
 
 func TestWriteWaitersServedFIFO(t *testing.T) {
 	eng, o := newTestOST(t)
-	o.srv.WritebackLimit = 1 << 20
+	o.dirtyCap = 1 << 20
 	var order []int
 	// Fill the cache, then queue three writes of different sizes.
 	o.write(1, 0, 1<<20, func() {})

@@ -14,9 +14,6 @@ type FS struct {
 	Eng *sim.Engine
 	Net *netsim.Network
 
-	// srv is the profile's server costs with defaults filled in; the OSTs
-	// and the MDS read it through a pointer.
-	srv hw.ServerConfig
 	// rpcTimeout arms bulk-RPC timeouts when positive (SetRPCTimeout).
 	rpcTimeout sim.Time
 	// readAheadChunks is how many stripe-size chunks a client prefetches
@@ -38,14 +35,13 @@ type FS struct {
 
 // New builds the file system on the paper's layout over the given network
 // and registers every node on it. The profile supplies the disk model behind
-// every OST and the MDT, the server costs, and the NIC speed (PaperNICBps
-// when Net.NICBps is 0); the network itself carries the profile's latency,
-// and a burst-buffer tier (internal/bb) its BB section.
+// every OST and the MDT and the NIC speed (PaperNICBps when Net.NICBps is
+// 0); the network itself carries the profile's latency, and a burst-buffer
+// tier (internal/bb) its BB section.
 func New(eng *sim.Engine, net *netsim.Network, p hw.Profile) *FS {
 	fs := &FS{
 		Eng:             eng,
 		Net:             net,
-		srv:             serverDefaults(p.Server),
 		readAheadChunks: 4,
 		cacheHitTime:    100 * sim.Microsecond,
 		clients:         make(map[string]*Client),
@@ -60,14 +56,14 @@ func New(eng *sim.Engine, net *netsim.Network, p hw.Profile) *FS {
 	for _, node := range ossNodes {
 		oss := &OSS{Node: node, Threads: sim.NewResource(eng, ossThreads), ep: net.AddNode(node, nicBps)}
 		for i := 0; i < ostsPerOSS; i++ {
-			ost := newOST(eng, &fs.srv, p.Disk, ostID, oss, rng.DeriveSeed(int64(ostID)))
+			ost := newOST(eng, p.Disk, ostID, oss, rng.DeriveSeed(int64(ostID)))
 			oss.OSTs = append(oss.OSTs, ost)
 			fs.osts = append(fs.osts, ost)
 			ostID++
 		}
 		fs.osss = append(fs.osss, oss)
 	}
-	fs.mds = newMDS(eng, &fs.srv, p.Disk, mdsNode, mdsEP, len(fs.osts), rng.DeriveSeed(9999))
+	fs.mds = newMDS(eng, p.Disk, mdsNode, mdsEP, len(fs.osts), rng.DeriveSeed(9999))
 	// Unlink destroys the file's OST objects (asynchronous in real Lustre;
 	// modelled as immediate metadata cleanup — sectors are not reclaimed,
 	// like deferred ldiskfs truncation).

@@ -8,15 +8,15 @@ import (
 	"quanterference/internal/sim"
 )
 
-func newFS(srv hw.ServerConfig) (*sim.Engine, *FS) {
+func newFS() (*sim.Engine, *FS) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.Config{})
-	fs := New(eng, net, hw.Profile{Server: srv})
+	fs := New(eng, net, hw.PaperProfile())
 	return eng, fs
 }
 
 func TestTopologyAssembly(t *testing.T) {
-	_, fs := newFS(hw.ServerConfig{})
+	_, fs := newFS()
 	if fs.NumOSTs() != 6 {
 		t.Fatalf("OSTs=%d, want 6", fs.NumOSTs())
 	}
@@ -32,7 +32,7 @@ func TestTopologyAssembly(t *testing.T) {
 }
 
 func TestCreateWriteReadRoundTrip(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	var phases []string
 	c.Create("/f", 1, func(h *Handle) {
@@ -61,7 +61,7 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestStripingSpreadsAcrossOSTs(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	var h *Handle
 	c.Create("/striped", 6, func(hh *Handle) { h = hh })
@@ -84,7 +84,7 @@ func TestStripingSpreadsAcrossOSTs(t *testing.T) {
 }
 
 func TestChunkOffsetsRAID0(t *testing.T) {
-	_, fs := newFS(hw.ServerConfig{})
+	_, fs := newFS()
 	ino := fs.Populate("/r0", 8<<20, 2)
 	h := &Handle{Ino: ino}
 	// Units 0,2,4.. are on OSTs[0] at object offsets 0,1MiB,2MiB...
@@ -100,7 +100,7 @@ func TestChunkOffsetsRAID0(t *testing.T) {
 }
 
 func TestRoundRobinOSTAssignment(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	seen := map[int]int{}
 	for i := 0; i < 12; i++ {
@@ -116,7 +116,8 @@ func TestRoundRobinOSTAssignment(t *testing.T) {
 }
 
 func TestMetadataCacheHitVsMiss(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{InodeCacheEntries: 4})
+	eng, fs := newFS()
+	fs.mds.cacheCap = 4
 	c := fs.Client("c0")
 	for i := 0; i < 8; i++ {
 		fs.Populate(pathN(i), 4096, 1)
@@ -145,7 +146,7 @@ func TestMetadataCacheHitVsMiss(t *testing.T) {
 func pathN(i int) string { return "/d/f" + string(rune('0'+i)) }
 
 func TestUnlinkRemovesFromNamespace(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	fs.Populate("/gone", 4096, 1)
 	c := fs.Client("c0")
 	c.Unlink("/gone", func() {})
@@ -156,7 +157,7 @@ func TestUnlinkRemovesFromNamespace(t *testing.T) {
 }
 
 func TestOpenMissingPanics(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	defer func() {
 		if recover() == nil {
@@ -171,7 +172,7 @@ func TestSequentialWriteThroughputDiskBound(t *testing.T) {
 	// One client streaming 1 MiB writes: the 1 GB/s NIC is not the
 	// bottleneck; observed throughput is the 150 MB/s disk drain plus the
 	// write-back cache absorbing the first WritebackLimit bytes.
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	const total = 64 << 20
 	var doneAt sim.Time
@@ -194,9 +195,9 @@ func TestSequentialWriteThroughputDiskBound(t *testing.T) {
 }
 
 func TestWritebackAbsorbsBurst(t *testing.T) {
-	// A burst smaller than the write-back limit completes at NIC speed,
-	// long before the disk finishes flushing.
-	eng, fs := newFS(hw.ServerConfig{WritebackLimit: 64 << 20})
+	// A burst no larger than the write-back limit (16 MiB) completes at
+	// NIC speed, long before the disk finishes flushing.
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	var acceptedAt sim.Time
 	c.Create("/burst", 1, func(h *Handle) {
@@ -226,7 +227,10 @@ func TestWritebackAbsorbsBurst(t *testing.T) {
 
 func TestWriteThrottlingAtDirtyLimit(t *testing.T) {
 	// With a tiny write-back limit, sustained writes must throttle.
-	eng, fs := newFS(hw.ServerConfig{WritebackLimit: 2 << 20})
+	eng, fs := newFS()
+	for _, o := range fs.osts {
+		o.dirtyCap = 2 << 20
+	}
 	c := fs.Client("c0")
 	c.Create("/throttle", 1, func(h *Handle) {
 		for i := 0; i < 32; i++ {
@@ -244,15 +248,15 @@ func TestReadVsWriteAsymmetry(t *testing.T) {
 	// The paper's Table I asymmetry: background writes barely slow a
 	// reader (duplex NIC + read-priority disk + write-back), while
 	// background reads substantially slow a writer (cache drain starved).
-	// Write-back limit small relative to the streamed size so sustained
-	// writes must track the disk drain rate, as on a real system.
-	srv := hw.ServerConfig{WritebackLimit: 8 << 20}
-	soloRead := measureStream(t, srv, false, nil)
-	readVsWrites := measureStream(t, srv, false, func(fs *FS, stop *bool) {
+	// The write-back limit (16 MiB) is small relative to the streamed size
+	// (32 MiB), so sustained writes must track the disk drain rate, as on
+	// a real system.
+	soloRead := measureStream(t, false, nil)
+	readVsWrites := measureStream(t, false, func(fs *FS, stop *bool) {
 		hammerWrites(fs, "c1", 4, stop)
 	})
-	soloWrite := measureStream(t, srv, true, nil)
-	writeVsReads := measureStream(t, srv, true, func(fs *FS, stop *bool) {
+	soloWrite := measureStream(t, true, nil)
+	writeVsReads := measureStream(t, true, func(fs *FS, stop *bool) {
 		hammerReads(fs, "c1", 4, stop)
 	})
 	readSlow := float64(readVsWrites) / float64(soloRead)
@@ -269,9 +273,9 @@ func TestReadVsWriteAsymmetry(t *testing.T) {
 
 // measureStream times a 32 MiB sequential stream on OST of file /target
 // from c0, optionally with background interference.
-func measureStream(t *testing.T, srv hw.ServerConfig, write bool, bg func(*FS, *bool)) sim.Time {
+func measureStream(t *testing.T, write bool, bg func(*FS, *bool)) sim.Time {
 	t.Helper()
-	eng, fs := newFS(srv)
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	const total = 32 << 20
 	fs.Populate("/target", total, 1)
@@ -347,8 +351,8 @@ func hammerReads(fs *FS, node string, streams int, stop *bool) {
 }
 
 func TestTwoReadersSlowEachOther(t *testing.T) {
-	solo := measureStream(t, hw.ServerConfig{}, false, nil)
-	contended := measureStream(t, hw.ServerConfig{}, false, func(fs *FS, stop *bool) {
+	solo := measureStream(t, false, nil)
+	contended := measureStream(t, false, func(fs *FS, stop *bool) {
 		hammerReads(fs, "c1", 4, stop)
 	})
 	slow := float64(contended) / float64(solo)
@@ -361,7 +365,9 @@ func TestTwoReadersSlowEachOther(t *testing.T) {
 func TestMDSContention(t *testing.T) {
 	// Time 200 stats alone vs with a metadata-hammering neighbour.
 	run := func(withBG bool) sim.Time {
-		eng, fs := newFS(hw.ServerConfig{InodeCacheEntries: 64})
+		eng, fs := newFS()
+		// A 64-entry inode cache, so the 512 files' stats miss to the MDT.
+		fs.mds.cacheCap = 64
 		for i := 0; i < 512; i++ {
 			fs.Populate(pathN(i%8)+string(rune('A'+i/8)), 4096, 1)
 		}
@@ -408,7 +414,7 @@ func TestMDSContention(t *testing.T) {
 }
 
 func TestPopulateThenReadNoAllocationSurprises(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	fs.Populate("/pre", 8<<20, 2)
 	c := fs.Client("c2")
 	doneOps := 0
@@ -425,7 +431,7 @@ func TestPopulateThenReadNoAllocationSurprises(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	runOnce := func() sim.Time {
-		eng, fs := newFS(hw.ServerConfig{})
+		eng, fs := newFS()
 		c := fs.Client("c0")
 		c.Create("/d", 2, func(h *Handle) {
 			var next func(off int64)
@@ -446,7 +452,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestUnlinkDestroysOSTObjects(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	ino := fs.Populate("/victim", 4<<20, 2)
 	for _, ostID := range ino.OSTs {
 		if _, ok := fs.OST(ostID).objects[ino.ObjID]; !ok {
@@ -467,7 +473,7 @@ func TestFailSlowOSTVisibleInQueueMetrics(t *testing.T) {
 	// A fail-slow OST must surface as inflated queue time on that target
 	// only — what the server-side monitor (and hence the model) sees.
 	run := func(inject bool) (healthyQT, slowQT sim.Time) {
-		eng, fs := newFS(hw.ServerConfig{})
+		eng, fs := newFS()
 		fs.Populate("/fs0", 16<<20, 1) // ost0
 		fs.Populate("/fs1", 16<<20, 1) // ost1
 		if inject {
@@ -503,7 +509,7 @@ func TestFailSlowOSTVisibleInQueueMetrics(t *testing.T) {
 // once the pools are warm: a metadata round trip and a bulk read or write
 // allocate nothing of their own; Open allocates only the handle it returns.
 func TestPooledPathAllocs(t *testing.T) {
-	eng, fs := newFS(hw.ServerConfig{})
+	eng, fs := newFS()
 	c := fs.Client("c0")
 	var h *Handle
 	c.Create("/f", 2, func(hh *Handle) { h = hh })
@@ -534,7 +540,7 @@ func TestPooledPathAllocs(t *testing.T) {
 // Targets is computed from the layout; it must name the same OSTs in the
 // same order as walking the range chunk by chunk.
 func TestTargetsMatchChunkWalk(t *testing.T) {
-	_, fs := newFS(hw.ServerConfig{})
+	_, fs := newFS()
 	rng := sim.NewRNG(7)
 	for _, stripes := range []int{1, 2, 3, 6} {
 		ino := fs.Populate("/t"+string(rune('0'+stripes)), 64<<20, stripes)

@@ -5,7 +5,6 @@ import (
 
 	"quanterference/internal/blockqueue"
 	"quanterference/internal/disk"
-	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
@@ -61,13 +60,15 @@ type MDS struct {
 	ep netsim.Endpoint // Node, resolved once
 
 	eng *sim.Engine
-	srv *hw.ServerConfig
 	q   *blockqueue.Queue
 
 	namespace map[string]*Inode
 	// The inode cache's LRU list: newest at the front, oldest at the back.
 	lruFront, lruBack *Inode
 	lruLen            int
+	// cacheCap is the inode cache's size: inodeCacheEntries, except in the
+	// package's small-cache tests.
+	cacheCap int
 
 	journalLen  int64
 	journalHead int64
@@ -93,25 +94,22 @@ type MDS struct {
 	hOpNS    [len(metaOpNames)]*obs.Histogram
 }
 
-func newMDS(eng *sim.Engine, srv *hw.ServerConfig, dc disk.Config, node string, ep netsim.Endpoint, nOSTs int, seed int64) *MDS {
+func newMDS(eng *sim.Engine, dc disk.Config, node string, ep netsim.Endpoint, nOSTs int, seed int64) *MDS {
 	dc.Seed = seed
 	d := disk.New(eng, dc)
-	q := blockqueue.New(eng, d, blockqueue.Config{
-		Scheduler:    blockqueue.Elevator,
-		ReadPriority: true,
-	})
+	q := blockqueue.New(eng, d, blockqueue.Config{})
 	const journalLen = 512 << 10 // 256 MiB of journal in sectors
 	return &MDS{
 		Node:       node,
 		ep:         ep,
 		Threads:    sim.NewResource(eng, mdsThreads),
 		eng:        eng,
-		srv:        srv,
 		q:          q,
 		namespace:  make(map[string]*Inode),
 		journalLen: journalLen,
 		tableBase:  journalLen,
 		tableLen:   (int64(1) << 31) - journalLen,
+		cacheCap:   inodeCacheEntries,
 		nOSTs:      nOSTs,
 		cpuFactor:  1,
 	}
@@ -168,7 +166,7 @@ func (m *MDS) cacheTouch(ino *Inode) bool {
 	ino.cached = true
 	m.lruLen++
 	m.lruPushFront(ino)
-	for m.lruLen > m.srv.InodeCacheEntries {
+	for m.lruLen > m.cacheCap {
 		m.cacheDrop(m.lruBack)
 	}
 	return false
@@ -268,7 +266,7 @@ func (m *MDS) handle(call *metaCall) {
 func (call *metaCall) compute() {
 	m := call.c.fs.mds
 	m.stats.Ops++
-	opCPU := m.srv.MDSOpCPU
+	opCPU := mdsOpCPU
 	if m.cpuFactor > 1 {
 		opCPU = sim.Time(float64(opCPU) * m.cpuFactor)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"quanterference/internal/blockqueue"
 	"quanterference/internal/disk"
-	"quanterference/internal/hw"
 	"quanterference/internal/netsim"
 	"quanterference/internal/obs"
 	"quanterference/internal/sim"
@@ -113,7 +112,6 @@ type OST struct {
 	OSS *OSS
 
 	eng *sim.Engine
-	srv *hw.ServerConfig
 	q   *blockqueue.Queue
 
 	objects    map[uint64]*object
@@ -132,6 +130,9 @@ type OST struct {
 	// cachePressure divides the effective write-back limit (1 = nominal),
 	// a fault-injected memory squeeze on the server.
 	cachePressure float64
+	// dirtyCap is the nominal write-back limit: writebackLimit, except in
+	// the package's small-cache tests.
+	dirtyCap int64
 
 	// Cumulative stats for monitors and tests.
 	writesAdmitted  uint64
@@ -148,20 +149,19 @@ type OST struct {
 	hThrottleNS *obs.Histogram
 }
 
-func newOST(eng *sim.Engine, srv *hw.ServerConfig, dc disk.Config, id int, oss *OSS, seed int64) *OST {
+func newOST(eng *sim.Engine, dc disk.Config, id int, oss *OSS, seed int64) *OST {
 	dc.Seed = seed
 	d := disk.New(eng, dc)
 	q := blockqueue.New(eng, d, blockqueue.Config{
-		Scheduler:    blockqueue.Elevator,
-		ReadPriority: true,
 		// Favour reads strongly: real servers absorb writes in RAM and
 		// flush opportunistically, which is why the paper's readers are
 		// barely affected by write interference (Table I row 1).
 		WriteStarveLimit: 8,
 	})
 	return &OST{
-		ID: id, OSS: oss, eng: eng, srv: srv, q: q,
-		objects: make(map[uint64]*object),
+		ID: id, OSS: oss, eng: eng, q: q,
+		objects:  make(map[uint64]*object),
+		dirtyCap: writebackLimit,
 	}
 }
 
@@ -209,12 +209,12 @@ func (o *OST) SetCachePressure(factor float64) {
 	}
 }
 
-// writebackLimit is the effective dirty-data cap under current pressure.
-func (o *OST) writebackLimit() int64 {
+// dirtyLimit is the effective dirty-data cap under current pressure.
+func (o *OST) dirtyLimit() int64 {
 	if o.cachePressure <= 1 {
-		return o.srv.WritebackLimit
+		return o.dirtyCap
 	}
-	lim := int64(float64(o.srv.WritebackLimit) / o.cachePressure)
+	lim := int64(float64(o.dirtyCap) / o.cachePressure)
 	if lim < 1 {
 		lim = 1
 	}
@@ -315,7 +315,7 @@ func (o *OST) write(objID uint64, off, length int64, done func()) {
 	startSec, nSec := sectorRange(off, length)
 	runs := o.mapRange(objID, startSec, nSec)
 	if o.waiters.len() > 0 ||
-		(o.dirtyBytes > 0 && o.dirtyBytes+length > o.writebackLimit()) {
+		(o.dirtyBytes > 0 && o.dirtyBytes+length > o.dirtyLimit()) {
 		o.writesThrottled++
 		o.cThrottled.Inc()
 		// The waiter outlives this event, so it needs its own copy of the
@@ -379,7 +379,7 @@ func (f *flush) complete() {
 
 func (o *OST) wakeWaiters() {
 	for o.waiters.len() > 0 {
-		if w := o.waiters.front(); o.dirtyBytes > 0 && o.dirtyBytes+w.bytes > o.writebackLimit() {
+		if w := o.waiters.front(); o.dirtyBytes > 0 && o.dirtyBytes+w.bytes > o.dirtyLimit() {
 			return
 		}
 		w := o.waiters.pop()

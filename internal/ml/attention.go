@@ -25,7 +25,6 @@ type AttentionModel struct {
 
 	nTargets int
 	nFeat    int
-	d        int
 	classes  int
 
 	ce  nn.CEScratch
@@ -34,10 +33,10 @@ type AttentionModel struct {
 }
 
 func newAttentionModel(embed *nn.Sequential, wq, wk, wv *nn.Dense, head *nn.Sequential,
-	nTargets, nFeat, d, classes int) *AttentionModel {
+	nTargets, nFeat, classes int) *AttentionModel {
 	return &AttentionModel{
 		Embed: embed, Wq: wq, Wk: wk, Wv: wv, Head: head,
-		nTargets: nTargets, nFeat: nFeat, d: d, classes: classes,
+		nTargets: nTargets, nFeat: nFeat, classes: classes,
 		paramCache: newParamCache(embed, wq, wk, wv, head),
 	}
 }
@@ -47,49 +46,35 @@ func newAttentionModel(embed *nn.Sequential, wq, wk, wv *nn.Dense, head *nn.Sequ
 func (m *AttentionModel) Replica() Model {
 	return newAttentionModel(m.Embed.Replica(),
 		m.Wq.Replica(), m.Wk.Replica(), m.Wv.Replica(), m.Head.Replica(),
-		m.nTargets, m.nFeat, m.d, m.classes)
+		m.nTargets, m.nFeat, m.classes)
 }
 
-// AttentionConfig sizes the model.
+// attnDim is the attention model's embedding width.
+const attnDim = 16
+
+// AttentionConfig sizes the model's inputs and outputs; the hidden widths
+// are fixed (see NewAttentionModel).
 type AttentionConfig struct {
 	NTargets int
 	NFeat    int
 	Classes  int
-	// Dim is the embedding width (default 16).
-	Dim int
-	// EmbedHidden are the shared embedder's hidden sizes (default 32).
-	EmbedHidden []int
-	// HeadHidden are the classifier's hidden sizes (default 16).
-	HeadHidden []int
-	Seed       int64
+	Seed     int64
 }
 
-// NewAttentionModel builds the model.
+// NewAttentionModel builds the model: a shared NFeat→32→16 embedder, 16×16
+// query, key and value projections, and a 16→16→Classes head.
 func NewAttentionModel(cfg AttentionConfig) *AttentionModel {
 	if cfg.NTargets <= 0 || cfg.NFeat <= 0 || cfg.Classes < 2 {
 		panic("ml: bad attention model config")
 	}
-	if cfg.Dim == 0 {
-		cfg.Dim = 16
-	}
-	if cfg.EmbedHidden == nil {
-		cfg.EmbedHidden = []int{32}
-	}
-	if cfg.HeadHidden == nil {
-		cfg.HeadHidden = []int{16}
-	}
 	rng := sim.NewRNG(cfg.Seed ^ 0xa77e)
-	eSizes := append([]int{cfg.NFeat}, cfg.EmbedHidden...)
-	eSizes = append(eSizes, cfg.Dim)
-	hSizes := append([]int{cfg.Dim}, cfg.HeadHidden...)
-	hSizes = append(hSizes, cfg.Classes)
 	// Construction order fixes the RNG draws: embedder, Q, K, V, head.
-	embed := nn.MLP(rng, eSizes...)
-	wq := nn.NewDense(cfg.Dim, cfg.Dim, rng)
-	wk := nn.NewDense(cfg.Dim, cfg.Dim, rng)
-	wv := nn.NewDense(cfg.Dim, cfg.Dim, rng)
-	head := nn.MLP(rng, hSizes...)
-	return newAttentionModel(embed, wq, wk, wv, head, cfg.NTargets, cfg.NFeat, cfg.Dim, cfg.Classes)
+	embed := nn.MLP(rng, cfg.NFeat, 32, attnDim)
+	wq := nn.NewDense(attnDim, attnDim, rng)
+	wk := nn.NewDense(attnDim, attnDim, rng)
+	wv := nn.NewDense(attnDim, attnDim, rng)
+	head := nn.MLP(rng, attnDim, 16, cfg.Classes)
+	return newAttentionModel(embed, wq, wk, wv, head, cfg.NTargets, cfg.NFeat, cfg.Classes)
 }
 
 // attnState holds one pass's attention intermediates: the training forward
@@ -122,7 +107,7 @@ func (m *AttentionModel) forward(vectors [][]float64) *attnState {
 	n := m.nTargets
 	st := &attnState{
 		q: make([][]float64, n), k: make([][]float64, n), v: make([][]float64, n),
-		attn: grid(n, n), pooled: make([]float64, m.d),
+		attn: grid(n, n), pooled: make([]float64, attnDim),
 	}
 	// Shared embedding then Q/K/V projections, row by row (LIFO caches).
 	embedded := make([][]float64, n)
@@ -150,7 +135,7 @@ func (m *AttentionModel) forward(vectors [][]float64) *attnState {
 func (m *AttentionModel) ProbsInto(dst []float64, vectors [][]float64) []float64 {
 	m.check(vectors)
 	if m.inf == nil {
-		n, d := m.nTargets, m.d
+		n, d := m.nTargets, attnDim
 		m.inf = &attnState{
 			q: grid(n, d), k: grid(n, d), v: grid(n, d),
 			attn: grid(n, n), pooled: make([]float64, d),
@@ -171,7 +156,7 @@ func (m *AttentionModel) ProbsInto(dst []float64, vectors [][]float64) []float64
 // st.q against st.k and st.pooled with the row mean of attn·v. forward and
 // ProbsInto both run it, so the two paths agree bit for bit.
 func (m *AttentionModel) attend(st *attnState) {
-	n, d := m.nTargets, m.d
+	n, d := m.nTargets, attnDim
 	invSqrt := 1 / math.Sqrt(float64(d))
 	for i := 0; i < n; i++ {
 		scores := st.attn[i]
@@ -205,7 +190,7 @@ func (m *AttentionModel) attend(st *attnState) {
 // accumulating parameter gradients and consuming the forward caches.
 func (m *AttentionModel) backward(st *attnState, dlogits []float64) {
 	m.ensureGrads()
-	n, d := m.nTargets, m.d
+	n, d := m.nTargets, attnDim
 	dpooled := m.Head.Backward(dlogits)
 	// dZ[i][a] = dpooled[a]/n for every row i.
 	dZrow := make([]float64, d)

@@ -9,7 +9,7 @@ import (
 
 func attnFixture() (*AttentionModel, [][]float64) {
 	m := NewAttentionModel(AttentionConfig{
-		NTargets: 3, NFeat: 4, Classes: 2, Dim: 5, Seed: 7,
+		NTargets: 3, NFeat: 4, Classes: 2, Seed: 7,
 	})
 	vectors := [][]float64{
 		{0.5, -1.2, 0.3, 2.0},
@@ -94,7 +94,7 @@ func TestAttentionLearnsInteraction(t *testing.T) {
 	d := synthDataset(1000, 4, 6, 77)
 	train, test := d.Split(0.2, 1)
 	m := NewAttentionModel(AttentionConfig{NTargets: 4, NFeat: 6, Classes: 2, Seed: 3})
-	Train(m, train, TrainConfig{Epochs: 80, Seed: 4, BalanceClasses: true})
+	Train(m, train, TrainConfig{Epochs: 80, Seed: 4})
 	if acc := Evaluate(m, test).Accuracy(); acc < 0.85 {
 		t.Fatalf("attention model accuracy %.3f", acc)
 	}

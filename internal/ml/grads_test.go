@@ -66,7 +66,7 @@ func TestModelsHoldNoGradientsOutsideTraining(t *testing.T) {
 		"kernel": func() Model {
 			return NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 4})
 		},
-		"flat": func() Model { return NewFlatModel(3, 6, 2, nil, 4) },
+		"flat": func() Model { return NewFlatModel(3, 6, 2, 4) },
 		"attention": func() Model {
 			return NewAttentionModel(AttentionConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 4})
 		},
@@ -86,7 +86,7 @@ func TestModelsHoldNoGradientsOutsideTraining(t *testing.T) {
 			}
 			for _, workers := range []int{0, 1, 2} {
 				during := 0
-				Train(m, ds, TrainConfig{Epochs: 2, Batch: 16, Seed: 3, Workers: workers,
+				Train(m, ds, TrainConfig{Epochs: 2, Seed: 3, Workers: workers,
 					OnEpoch: func(int, float64) { during = gradBuffers(t, m) }})
 				if want := 2 * len(m.Params()); during != want {
 					t.Fatalf("workers=%d: %d gradient buffers inside Train, want %d", workers, during, want)
@@ -142,12 +142,12 @@ func TestRegressorHoldsNoGradientsAfterTraining(t *testing.T) {
 // while training is a fixed number of allocations per Train call, never per
 // batch — an epoch over four times the batches allocates exactly as much.
 func TestTrainBatchLoopAllocatesNothing(t *testing.T) {
-	small, large := inferTestDataset(32), inferTestDataset(128)
+	small, large := inferTestDataset(128), inferTestDataset(512)
 	for name, m := range map[string]Model{
 		"kernel": NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 4}),
-		"flat":   NewFlatModel(3, 6, 2, nil, 4),
+		"flat":   NewFlatModel(3, 6, 2, 4),
 	} {
-		cfg := TrainConfig{Epochs: 1, Batch: 8, Seed: 1}
+		cfg := TrainConfig{Epochs: 1, Seed: 1}
 		a := testing.AllocsPerRun(5, func() { Train(m, small, cfg) })
 		b := testing.AllocsPerRun(5, func() { Train(m, large, cfg) })
 		if a != b {

@@ -68,7 +68,7 @@ func TestProbsIntoMatchesProbs(t *testing.T) {
 	ds := inferTestDataset(32)
 	models := map[string]Model{
 		"kernel":    NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 5}),
-		"flat":      NewFlatModel(3, 6, 2, nil, 5),
+		"flat":      NewFlatModel(3, 6, 2, 5),
 		"attention": NewAttentionModel(AttentionConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 5}),
 	}
 	for name, m := range models {

@@ -50,7 +50,7 @@ func TestKernelModelLearnsInteraction(t *testing.T) {
 	d := synthDataset(1200, 4, 6, 42)
 	train, test := d.Split(0.2, 1)
 	m := NewKernelModel(KernelConfig{NTargets: 4, NFeat: 6, Classes: 2, Seed: 2})
-	Train(m, train, TrainConfig{Epochs: 80, Seed: 3, BalanceClasses: true})
+	Train(m, train, TrainConfig{Epochs: 80, Seed: 3})
 	cm := Evaluate(m, test)
 	if f1 := cm.F1(1); f1 < 0.9 {
 		t.Fatalf("kernel model F1=%.3f, want >=0.9\n%s", f1, cm.Render([]string{"<2x", ">=2x"}))
@@ -60,8 +60,8 @@ func TestKernelModelLearnsInteraction(t *testing.T) {
 func TestFlatModelAlsoLearns(t *testing.T) {
 	d := synthDataset(1200, 4, 6, 43)
 	train, test := d.Split(0.2, 1)
-	m := NewFlatModel(4, 6, 2, nil, 2)
-	Train(m, train, TrainConfig{Epochs: 80, Seed: 3, BalanceClasses: true})
+	m := NewFlatModel(4, 6, 2, 2)
+	Train(m, train, TrainConfig{Epochs: 80, Seed: 3})
 	if acc := Evaluate(m, test).Accuracy(); acc < 0.8 {
 		t.Fatalf("flat model accuracy=%.3f", acc)
 	}
@@ -99,7 +99,7 @@ func TestKernelSampleEfficiencyAcrossTargets(t *testing.T) {
 	km := NewKernelModel(KernelConfig{NTargets: 6, NFeat: 3, Classes: 2, Seed: 5})
 	Train(km, train, TrainConfig{Epochs: 60, Seed: 6})
 	kAcc := Evaluate(km, test).Accuracy()
-	fm := NewFlatModel(6, 3, 2, nil, 5)
+	fm := NewFlatModel(6, 3, 2, 5)
 	Train(fm, train, TrainConfig{Epochs: 60, Seed: 6})
 	fAcc := Evaluate(fm, test).Accuracy()
 	t.Logf("kernel acc=%.3f flat acc=%.3f on %d training samples", kAcc, fAcc, train.Len())
@@ -226,7 +226,7 @@ func TestClassWeightsHelpImbalance(t *testing.T) {
 	}
 	train, test := d.Split(0.2, 4)
 	m := NewKernelModel(KernelConfig{NTargets: 1, NFeat: 1, Classes: 2, Seed: 5})
-	Train(m, train, TrainConfig{Epochs: 40, Seed: 6, BalanceClasses: true})
+	Train(m, train, TrainConfig{Epochs: 40, Seed: 6})
 	if rec := Evaluate(m, test).Recall(1); rec < 0.7 {
 		t.Fatalf("minority recall %f with class weights", rec)
 	}

@@ -135,36 +135,25 @@ type KernelModel struct {
 	paramCache
 }
 
-// KernelConfig sizes the model.
+// KernelConfig sizes the model's inputs and outputs; the hidden widths are
+// fixed (see NewKernelModel).
 type KernelConfig struct {
 	NTargets int
 	NFeat    int
 	Classes  int
-	// KernelHidden are the shared network's hidden sizes (default 32,16).
-	KernelHidden []int
-	// HeadHidden are the head's hidden sizes (default 16).
-	HeadHidden []int
-	Seed       int64
+	Seed     int64
 }
 
-// NewKernelModel builds the model with He initialization.
+// NewKernelModel builds the model with He initialization: the shared kernel
+// network is NFeat→32→16→1 and the head NTargets→16→Classes.
 func NewKernelModel(cfg KernelConfig) *KernelModel {
 	if cfg.NTargets <= 0 || cfg.NFeat <= 0 || cfg.Classes < 2 {
 		panic("ml: bad kernel model config")
 	}
-	if cfg.KernelHidden == nil {
-		cfg.KernelHidden = []int{32, 16}
-	}
-	if cfg.HeadHidden == nil {
-		cfg.HeadHidden = []int{16}
-	}
 	rng := sim.NewRNG(cfg.Seed ^ 0x4b4e)
-	kSizes := append([]int{cfg.NFeat}, cfg.KernelHidden...)
-	kSizes = append(kSizes, 1)
-	hSizes := append([]int{cfg.NTargets}, cfg.HeadHidden...)
-	hSizes = append(hSizes, cfg.Classes)
-	return newKernelModel(nn.MLP(rng, kSizes...), nn.MLP(rng, hSizes...),
-		cfg.NTargets, cfg.NFeat, cfg.Classes)
+	kernel := nn.MLP(rng, cfg.NFeat, 32, 16, 1)
+	head := nn.MLP(rng, cfg.NTargets, 16, cfg.Classes)
+	return newKernelModel(kernel, head, cfg.NTargets, cfg.NFeat, cfg.Classes)
 }
 
 func newKernelModel(kernel, head *nn.Sequential, nTargets, nFeat, classes int) *KernelModel {
@@ -241,15 +230,11 @@ type FlatModel struct {
 	paramCache
 }
 
-// NewFlatModel builds the baseline with a comparable parameter budget.
-func NewFlatModel(nTargets, nFeat, classes int, hidden []int, seed int64) *FlatModel {
-	if hidden == nil {
-		hidden = []int{64, 16}
-	}
+// NewFlatModel builds the baseline with a comparable parameter budget:
+// one nTargets·nFeat→64→16→classes network.
+func NewFlatModel(nTargets, nFeat, classes int, seed int64) *FlatModel {
 	rng := sim.NewRNG(seed ^ 0xf1a7)
-	sizes := append([]int{nTargets * nFeat}, hidden...)
-	sizes = append(sizes, classes)
-	return newFlatModel(nn.MLP(rng, sizes...), nTargets, nFeat, classes)
+	return newFlatModel(nn.MLP(rng, nTargets*nFeat, 64, 16, classes), nTargets, nFeat, classes)
 }
 
 func newFlatModel(net *nn.Sequential, nTargets, nFeat, classes int) *FlatModel {

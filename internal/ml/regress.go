@@ -84,14 +84,14 @@ func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig)
 		panic("ml: empty training set")
 	}
 	defer m.dropGrads()
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(learningRate)
 	rng := sim.NewRNG(cfg.Seed ^ 0x9e57)
 	var last float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := rng.Perm(train.Len())
 		var sse float64
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
+		for start := 0; start < len(perm); start += batchSize {
+			end := start + batchSize
 			if end > len(perm) {
 				end = len(perm)
 			}

@@ -101,7 +101,7 @@ func Restore(spec *ModelSpec) (Model, error) {
 			NTargets: spec.NTargets, NFeat: spec.NFeat, Classes: spec.Classes, Seed: spec.Seed,
 		})
 	case "flat":
-		m = NewFlatModel(spec.NTargets, spec.NFeat, spec.Classes, nil, spec.Seed)
+		m = NewFlatModel(spec.NTargets, spec.NFeat, spec.Classes, spec.Seed)
 	case "attention":
 		m = NewAttentionModel(AttentionConfig{
 			NTargets: spec.NTargets, NFeat: spec.NFeat, Classes: spec.Classes, Seed: spec.Seed,

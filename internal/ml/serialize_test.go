@@ -10,7 +10,7 @@ import (
 func modelsUnderTest() map[string]Model {
 	return map[string]Model{
 		"kernel":    NewKernelModel(KernelConfig{NTargets: 3, NFeat: 5, Classes: 2, Seed: 1}),
-		"flat":      NewFlatModel(3, 5, 2, nil, 1),
+		"flat":      NewFlatModel(3, 5, 2, 1),
 		"attention": NewAttentionModel(AttentionConfig{NTargets: 3, NFeat: 5, Classes: 2, Seed: 1}),
 	}
 }

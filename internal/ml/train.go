@@ -11,24 +11,28 @@ import (
 	"quanterference/internal/sim"
 )
 
+// The optimiser settings every training loop runs: Adam at learning rate
+// 1e-3 over mini-batches of 32 samples.
+const (
+	batchSize    = 32
+	learningRate = 1e-3
+)
+
 // gradShards is the fixed number of gradient shards a mini-batch is split
 // into on the data-parallel path. The shard partition and the reduction
 // tree depend only on this constant and the batch length — never on the
 // worker count — which is what makes trained weights bit-identical across
 // TrainConfig.Workers values. Four shards keeps the per-batch reduction
 // (shard-count accumulate+zero passes over every parameter) cheap relative
-// to the gradient work in each shard at the default batch size of 32.
+// to the gradient work in each shard at the batch size of 32.
 const gradShards = 4
 
-// TrainConfig controls the training loop.
+// TrainConfig controls the training loop. The classifier loss always
+// weights each sample inversely to its class frequency (the datasets are
+// imbalanced, e.g. DLIO is ~4:1 negative).
 type TrainConfig struct {
-	Epochs int     // default 60
-	Batch  int     // default 32
-	LR     float64 // default 1e-3
+	Epochs int // default 60
 	Seed   int64
-	// BalanceClasses weights each sample inversely to its class frequency
-	// (the datasets are imbalanced, e.g. DLIO is ~4:1 negative).
-	BalanceClasses bool
 	// Workers selects the training path. 0 (the default) is the legacy
 	// serial loop, kept bit-identical to previous releases. Any value >= 1
 	// uses the data-parallel sharded path: each mini-batch is split into
@@ -47,33 +51,25 @@ func (c *TrainConfig) applyDefaults() {
 	if c.Epochs == 0 {
 		c.Epochs = 60
 	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
 }
 
-// classWeights computes the per-class loss weights for a dataset.
-func classWeights(train *dataset.Dataset, balance bool) []float64 {
+// classWeights computes the per-class loss weights for a dataset: each
+// class weighs inversely to its frequency, so every class contributes the
+// same total weight (a class with no samples keeps weight 1).
+func classWeights(train *dataset.Dataset) []float64 {
 	weights := make([]float64, train.Classes)
-	for i := range weights {
-		weights[i] = 1
-	}
-	if balance {
-		counts := train.ClassCounts()
-		for c, n := range counts {
-			if n > 0 {
-				weights[c] = float64(train.Len()) / (float64(train.Classes) * float64(n))
-			}
+	for c, n := range train.ClassCounts() {
+		weights[c] = 1
+		if n > 0 {
+			weights[c] = float64(train.Len()) / (float64(train.Classes) * float64(n))
 		}
 	}
 	return weights
 }
 
-// Train fits the model on the dataset with Adam and mini-batches.
-// It returns the final mean training loss.
+// Train fits the model on the dataset with Adam and mini-batches of 32,
+// weighting the loss by class (see TrainConfig). It returns the final mean
+// training loss.
 //
 // With cfg.Workers >= 1 and a Replicable model, gradient computation is
 // data-parallel with a deterministic reduction; see TrainConfig.Workers for
@@ -103,13 +99,13 @@ func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainCon
 	if g, ok := m.(gradModel); ok {
 		defer g.dropGrads()
 	}
-	weights := classWeights(train, cfg.BalanceClasses)
+	weights := classWeights(train)
 	if cfg.Workers >= 1 {
 		if r, ok := m.(Replicable); ok {
 			return trainSharded(ctx, r, train, cfg, weights)
 		}
 	}
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(learningRate)
 	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -118,8 +114,8 @@ func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainCon
 		}
 		perm := rng.Perm(train.Len())
 		var epochLoss float64
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
+		for start := 0; start < len(perm); start += batchSize {
+			end := start + batchSize
 			if end > len(perm) {
 				end = len(perm)
 			}
@@ -158,7 +154,7 @@ func shardBounds(n, ns, s int) (int, int) {
 // of the batch length alone, so weights are bit-identical for any
 // cfg.Workers >= 1.
 func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg TrainConfig, weights []float64) (float64, error) {
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(learningRate)
 	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
 	// The reduction reads Params slices taken here, before any backward
 	// pass, and the main model never runs one: every model needs its
@@ -180,8 +176,8 @@ func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg
 		}
 		perm := rng.Perm(train.Len())
 		var epochLoss float64
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
+		for start := 0; start < len(perm); start += batchSize {
+			end := start + batchSize
 			if end > len(perm) {
 				end = len(perm)
 			}

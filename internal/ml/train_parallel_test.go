@@ -46,7 +46,7 @@ func trainWithWorkers(t *testing.T, mk func() Model, ds *dataset.Dataset, worker
 	t.Helper()
 	m := mk()
 	loss := Train(m, ds, TrainConfig{
-		Epochs: 3, Batch: 20, Seed: 99, BalanceClasses: true, Workers: workers,
+		Epochs: 3, Seed: 99, Workers: workers,
 	})
 	return weightBits(m), math.Float64bits(loss)
 }
@@ -62,7 +62,7 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 			return NewKernelModel(KernelConfig{NTargets: 5, NFeat: 9, Classes: 3, Seed: 7})
 		},
 		"flat": func() Model {
-			return NewFlatModel(5, 9, 3, nil, 7)
+			return NewFlatModel(5, 9, 3, 7)
 		},
 		"attention": func() Model {
 			return NewAttentionModel(AttentionConfig{NTargets: 5, NFeat: 9, Classes: 3, Seed: 7})

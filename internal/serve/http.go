@@ -238,16 +238,27 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody decodes a POST body of at most maxBodyBytes into v. An empty
-// body is malformed unless emptyOK, which leaves v at its zero value. On
-// failure it writes the error response itself (405, 413, or 400 bad_input)
-// and returns false.
+// decodeBody decodes a POST body of at most maxBodyBytes, holding exactly
+// one JSON value, into v. An empty or whitespace-only body is malformed
+// unless emptyOK, which leaves v at its zero value; anything but whitespace
+// after the value is malformed. On failure it writes the error response
+// itself (405, 413, or 400 bad_input) and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK bool) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return false
 	}
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		// The value must end the body: a further token, or bytes that
+		// do not start one, is trailing data.
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the JSON value")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil, emptyOK && err == io.EOF:

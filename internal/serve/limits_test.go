@@ -60,13 +60,72 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// handlerFuzz feeds one POST body to route and fails on any 5xx, or on a
-// 200 whose body is not valid JSON. Panics fail the fuzz run by themselves.
+// TestTrailingDataRejected: a POST body holds exactly one JSON value. Data
+// after it, garbage or a second value, is a 400 bad_input on every decoding
+// route and acts on nothing, while trailing whitespace is accepted and an
+// empty or whitespace-only reload body reloads the configured model.
+func TestTrailingDataRejected(t *testing.T) {
+	fw, _ := trainedFramework(t, 3, 5)
+	path := t.TempDir() + "/fw.json"
+	if err := fw.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	s := New(fw, Config{ModelPath: path, MaxBatch: 1, Forecaster: testForecaster(2, 5, []int{1})})
+	defer s.Shutdown(context.Background())
+	const (
+		predict  = `{"matrix":[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]}`
+		forecast = `{"history":[[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]],[[0,0,0,0,0],[0,0,0,0,0],[1,1,1,1,1]]]}`
+		reload   = `{"path":""}`
+	)
+	for _, tc := range []struct {
+		route, body string
+		status      int
+	}{
+		{"/predict", predict, http.StatusOK},
+		{"/predict", predict + " \n\t", http.StatusOK},
+		{"/predict", predict + " garbage", http.StatusBadRequest},
+		{"/predict", predict + predict, http.StatusBadRequest},
+		{"/predict", predict + " 1", http.StatusBadRequest},
+		{"/forecast", forecast, http.StatusOK},
+		{"/forecast", forecast + "\n", http.StatusOK},
+		{"/forecast", forecast + " garbage", http.StatusBadRequest},
+		{"/forecast", forecast + forecast, http.StatusBadRequest},
+		{"/admin/reload", reload, http.StatusOK},
+		{"/admin/reload", reload + " x", http.StatusBadRequest},
+		{"/admin/reload", reload + reload, http.StatusBadRequest},
+		{"/admin/reload", "", http.StatusOK},
+		{"/admin/reload", " \n\t ", http.StatusOK},
+	} {
+		before, _ := s.Stats().Counter("serve", "", "reloads")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, v1(tc.route), strings.NewReader(tc.body)))
+		var body errorResponse
+		json.Unmarshal(rec.Body.Bytes(), &body)
+		wantCode := ""
+		if tc.status != http.StatusOK {
+			wantCode = codeBadInput
+		}
+		if rec.Code != tc.status || body.Code != wantCode {
+			t.Errorf("%s %q: status %d code %q, want %d %q", tc.route, tc.body, rec.Code, body.Code, tc.status, wantCode)
+		}
+		after, _ := s.Stats().Counter("serve", "", "reloads")
+		if reloaded := after > before; reloaded != (tc.route == "/admin/reload" && tc.status == http.StatusOK) {
+			t.Errorf("%s %q: reloaded = %v", tc.route, tc.body, reloaded)
+		}
+	}
+}
+
+// handlerFuzz feeds one POST body to route and fails on any 5xx, on a 200
+// to a body that is not exactly one JSON value, or on a 200 whose answer is
+// not valid JSON. Panics fail the fuzz run by themselves.
 func handlerFuzz(t *testing.T, h http.Handler, route string, body []byte) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, v1(route), bytes.NewReader(body)))
 	if rec.Code >= 500 {
 		t.Fatalf("%s answered %d: %s", route, rec.Code, rec.Body.String())
+	}
+	if rec.Code == http.StatusOK && !json.Valid(body) {
+		t.Fatalf("%s answered 200 to a body that is not one JSON value: %q", route, body)
 	}
 	if rec.Code == http.StatusOK && !json.Valid(rec.Body.Bytes()) {
 		t.Fatalf("%s answered 200 with invalid JSON: %q", route, rec.Body.String())
@@ -90,6 +149,7 @@ func FuzzHandlePredict(f *testing.F) {
 		`{"matrix":[[NaN,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]}`,
 		`{"matrix":[[1e308,-1e308,1e308,1e308,1e308],[1e308,1e308,1e308,1e308,1e308],[1e308,1e308,1e308,1e308,1e308]]}`,
 		`{"matrix":[[1e999,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]}`,
+		`{"matrix":[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]} garbage`,
 		string(oversizedBody()),
 	} {
 		f.Add([]byte(seed))
@@ -114,6 +174,7 @@ func FuzzHandleForecast(f *testing.F) {
 		`{"history":[[[NaN,0,0]],[[0,0,0]]]}`,
 		`{"history":[[[1e308,-1e308,1e308]],[[1e308,1e308,-1e308]]]}`,
 		`{"history":[[[1e999,0,0]],[[0,0,0]]]}`,
+		`{"history":[[[0,0,0]],[[0,0,0]]]}{"history":[[[0,0,0]],[[0,0,0]]]}`,
 		string(oversizedBody()),
 	} {
 		f.Add([]byte(seed))

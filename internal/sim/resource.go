@@ -27,9 +27,6 @@ func NewResource(eng *Engine, capacity int) *Resource {
 	return &Resource{eng: eng, capacity: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 

@@ -11,7 +11,8 @@
 //     files, attribute writes, and stats per iteration; metadata-intensive.
 //
 // The emulators reproduce the op-type mix, sizes, and phase structure rather
-// than the physics.
+// than the physics. Params scales the cycle count and the checkpoint size;
+// the compute time and OpenPMD's files per iteration are fixed.
 package apps
 
 import (
@@ -45,22 +46,25 @@ func ParseApp(name string) (App, error) {
 	return 0, fmt.Errorf("apps: unknown application %q", name)
 }
 
+// The emulation settings no caller scales: 200 ms of compute per cycle
+// (OpenPMD iterations compute a quarter of that), and OpenPMD's 24 small
+// files of 16 KiB per iteration.
+const (
+	cycleCompute   = 200 * sim.Millisecond
+	openPMDFiles   = 24
+	openPMDPayload = 16 << 10
+)
+
 // Params scales the emulation.
 type Params struct {
 	Dir   string
 	Ranks int
 	// Cycles is the number of simulation cycles (default 5).
 	Cycles int
-	// Compute is the per-cycle compute time (default 200 ms).
-	Compute sim.Time
 	// CheckpointBytes is the per-rank data dump per cycle
 	// (default 4 MiB for Enzo, 8 MiB for AMReX).
 	CheckpointBytes int64
-	// Files is the per-iteration small-file count for OpenPMD (default 24).
-	Files int
-	// SmallBytes is the OpenPMD per-file payload (default 16 KiB).
-	SmallBytes int64
-	Seed       int64
+	Seed            int64
 }
 
 func (p *Params) applyDefaults(app App) {
@@ -73,21 +77,12 @@ func (p *Params) applyDefaults(app App) {
 	if p.Cycles == 0 {
 		p.Cycles = 5
 	}
-	if p.Compute == 0 {
-		p.Compute = 200 * sim.Millisecond
-	}
 	if p.CheckpointBytes == 0 {
 		if app == AMReX {
 			p.CheckpointBytes = 8 << 20
 		} else {
 			p.CheckpointBytes = 4 << 20
 		}
-	}
-	if p.Files == 0 {
-		p.Files = 24
-	}
-	if p.SmallBytes == 0 {
-		p.SmallBytes = 16 << 10
 	}
 }
 
@@ -139,7 +134,7 @@ func (g *Gen) enzoOps(rank int) []workload.Op {
 		dump := fmt.Sprintf("%s/DD%04d", p.Dir, cycle)
 		hier := fmt.Sprintf("%s/data%04d.hierarchy.cpu%04d", dump, cycle, rank)
 		data := fmt.Sprintf("%s/data%04d.cpu%04d", dump, cycle, rank)
-		ops = append(ops, workload.Op{Kind: workload.Compute, Dur: p.Compute})
+		ops = append(ops, workload.Op{Kind: workload.Compute, Dur: cycleCompute})
 		if rank == 0 {
 			ops = append(ops, workload.Op{Kind: workload.Mkdir, Path: dump})
 		}
@@ -171,7 +166,7 @@ func (g *Gen) amrexOps(rank int) []workload.Op {
 	var ops []workload.Op
 	for cycle := 0; cycle < p.Cycles; cycle++ {
 		plt := fmt.Sprintf("%s/plt%05d", p.Dir, cycle)
-		ops = append(ops, workload.Op{Kind: workload.Compute, Dur: p.Compute})
+		ops = append(ops, workload.Op{Kind: workload.Compute, Dur: cycleCompute})
 		if rank == 0 {
 			hdr := plt + "/Header"
 			ops = append(ops,
@@ -201,21 +196,21 @@ func (g *Gen) openpmdOps(rank int) []workload.Op {
 	var ops []workload.Op
 	for cycle := 0; cycle < p.Cycles; cycle++ {
 		iter := fmt.Sprintf("%s/data/%08d", p.Dir, cycle)
-		ops = append(ops, workload.Op{Kind: workload.Compute, Dur: p.Compute / 4})
+		ops = append(ops, workload.Op{Kind: workload.Compute, Dur: cycleCompute / 4})
 		if rank == 0 {
 			ops = append(ops, workload.Op{Kind: workload.Mkdir, Path: iter})
 		}
 		// A mesh/particle record per file: create, small attribute write,
 		// close — then re-stat the series so far (series scanning).
-		for f := 0; f < p.Files; f++ {
+		for f := 0; f < openPMDFiles; f++ {
 			path := fmt.Sprintf("%s/meshes_r%d_f%d.h5", iter, rank, f)
 			ops = append(ops,
 				workload.Op{Kind: workload.Create, Path: path, StripeCount: 1},
-				workload.Op{Kind: workload.Write, Path: path, Size: p.SmallBytes},
+				workload.Op{Kind: workload.Write, Path: path, Size: openPMDPayload},
 				workload.Op{Kind: workload.Close, Path: path},
 			)
 		}
-		for f := 0; f < p.Files; f += 4 {
+		for f := 0; f < openPMDFiles; f += 4 {
 			path := fmt.Sprintf("%s/meshes_r%d_f%d.h5", iter, rank, f)
 			ops = append(ops, workload.Op{Kind: workload.Stat, Path: path})
 		}

@@ -3,6 +3,10 @@
 // files read in random order each epoch) and BERT (small random reads from
 // large packed shards). Both interleave reads with compute, producing the
 // bursty, read-dominant pattern the paper's second dataset covers.
+//
+// The loaders only read: DLIO's checkpoint dumps are not emulated. Params
+// scales the dataset and the run length; the shard layout, the record and
+// transfer sizes and the per-step compute are fixed.
 package dlio
 
 import (
@@ -28,6 +32,18 @@ func (m Model) String() string {
 	return "dlio-bert"
 }
 
+// The loader settings no caller scales: BERT's four packed shards of
+// 32 MiB, each step reading one 128 KiB record; Unet3D's whole-sample reads
+// in 1 MiB transfers; and 50 ms of training compute after each sample (a
+// fifth of that after each BERT step).
+const (
+	bertShards     = 4
+	bertShardBytes = 32 << 20
+	bertReadBytes  = 128 << 10
+	sampleXfer     = 1 << 20
+	stepCompute    = 50 * sim.Millisecond
+)
+
 // Params scales the emulation. Defaults are scaled-down but shape-preserving
 // versions of the DLIO defaults (Unet3D samples are ~140 MB in reality).
 type Params struct {
@@ -37,22 +53,9 @@ type Params struct {
 	Samples     int   // default 64
 	SampleBytes int64 // default 4 MiB
 	Epochs      int   // default 2
-	// BERT: Shards packed files, ShardBytes each; Steps random reads of
-	// ReadBytes per rank per epoch.
-	Shards     int   // default 4
-	ShardBytes int64 // default 32 MiB
-	Steps      int   // default 100
-	ReadBytes  int64 // default 128 KiB
-	// Compute is the training-step time between reads (default 50 ms).
-	Compute sim.Time
-	// CheckpointEvery writes a model checkpoint after this many samples
-	// or steps (0 disables; DLIO's checkpointing plugin). CheckpointBytes
-	// sizes each dump (default 8 MiB).
-	CheckpointEvery int
-	CheckpointBytes int64
-	// Xfer is the read transfer size for whole-sample reads (default 1 MiB).
-	Xfer int64
-	Seed int64
+	// BERT: Steps random record reads per rank.
+	Steps int // default 100
+	Seed  int64
 }
 
 func (p *Params) applyDefaults() {
@@ -71,26 +74,8 @@ func (p *Params) applyDefaults() {
 	if p.Epochs == 0 {
 		p.Epochs = 2
 	}
-	if p.Shards == 0 {
-		p.Shards = 4
-	}
-	if p.ShardBytes == 0 {
-		p.ShardBytes = 32 << 20
-	}
 	if p.Steps == 0 {
 		p.Steps = 100
-	}
-	if p.ReadBytes == 0 {
-		p.ReadBytes = 128 << 10
-	}
-	if p.Compute == 0 {
-		p.Compute = 50 * sim.Millisecond
-	}
-	if p.Xfer == 0 {
-		p.Xfer = 1 << 20
-	}
-	if p.CheckpointBytes == 0 {
-		p.CheckpointBytes = 8 << 20
 	}
 }
 
@@ -117,20 +102,6 @@ func (g *Gen) shardPath(i int) string {
 	return fmt.Sprintf("%s/bert/shard%02d.tfrecord", g.p.Dir, i)
 }
 
-// checkpointOps emits one rank's model-checkpoint dump.
-func (g *Gen) checkpointOps(rank, ckpt int) []workload.Op {
-	path := fmt.Sprintf("%s/checkpoints/ckpt%04d.rank%d.pt", g.p.Dir, ckpt, rank)
-	ops := []workload.Op{{Kind: workload.Create, Path: path, StripeCount: 1}}
-	for off := int64(0); off < g.p.CheckpointBytes; off += g.p.Xfer {
-		n := g.p.CheckpointBytes - off
-		if n > g.p.Xfer {
-			n = g.p.Xfer
-		}
-		ops = append(ops, workload.Op{Kind: workload.Write, Path: path, Offset: off, Size: n})
-	}
-	return append(ops, workload.Op{Kind: workload.Close, Path: path})
-}
-
 // Ops implements workload.Generator.
 func (g *Gen) Ops(rank int) []workload.Op {
 	p := g.p
@@ -143,49 +114,33 @@ func (g *Gen) Ops(rank int) []workload.Op {
 			// epoch order and read disjoint slices of it.
 			perm := sim.NewRNG(p.Seed ^ 0xd110).Derive(int64(epoch)).Perm(p.Samples)
 			// Each rank reads its shard of the permutation.
-			samplesSeen := 0
-			ckpt := epoch * 1000
 			for i := rank; i < len(perm); i += p.Ranks {
 				path := g.samplePath(perm[i])
 				ops = append(ops, workload.Op{Kind: workload.Open, Path: path})
-				for off := int64(0); off < p.SampleBytes; off += p.Xfer {
-					n := p.SampleBytes - off
-					if n > p.Xfer {
-						n = p.Xfer
-					}
+				for off := int64(0); off < p.SampleBytes; off += sampleXfer {
+					n := min(p.SampleBytes-off, sampleXfer)
 					ops = append(ops, workload.Op{Kind: workload.Read, Path: path, Offset: off, Size: n})
 				}
 				ops = append(ops,
 					workload.Op{Kind: workload.Close, Path: path},
-					workload.Op{Kind: workload.Compute, Dur: p.Compute},
+					workload.Op{Kind: workload.Compute, Dur: stepCompute},
 				)
-				samplesSeen++
-				if p.CheckpointEvery > 0 && samplesSeen%p.CheckpointEvery == 0 {
-					ops = append(ops, g.checkpointOps(rank, ckpt)...)
-					ckpt++
-				}
 			}
 		}
 	case BERT:
 		// Open every shard once, then sample random records.
-		for s := 0; s < p.Shards; s++ {
+		for s := 0; s < bertShards; s++ {
 			ops = append(ops, workload.Op{Kind: workload.Open, Path: g.shardPath(s)})
 		}
-		ckpt := 0
 		for step := 0; step < p.Steps; step++ {
-			shard := rng.Intn(p.Shards)
-			maxOff := p.ShardBytes - p.ReadBytes
-			off := rng.Int63n(maxOff/4096) * 4096
+			shard := rng.Intn(bertShards)
+			off := rng.Int63n((bertShardBytes-bertReadBytes)/4096) * 4096
 			ops = append(ops,
-				workload.Op{Kind: workload.Read, Path: g.shardPath(shard), Offset: off, Size: p.ReadBytes},
-				workload.Op{Kind: workload.Compute, Dur: p.Compute / 5},
+				workload.Op{Kind: workload.Read, Path: g.shardPath(shard), Offset: off, Size: bertReadBytes},
+				workload.Op{Kind: workload.Compute, Dur: stepCompute / 5},
 			)
-			if p.CheckpointEvery > 0 && (step+1)%p.CheckpointEvery == 0 {
-				ops = append(ops, g.checkpointOps(rank, ckpt)...)
-				ckpt++
-			}
 		}
-		for s := 0; s < p.Shards; s++ {
+		for s := 0; s < bertShards; s++ {
 			ops = append(ops, workload.Op{Kind: workload.Close, Path: g.shardPath(s)})
 		}
 	}
@@ -202,8 +157,8 @@ func (g *Gen) Prepare(fs *lustre.FS) {
 			fs.Populate(g.samplePath(i), p.SampleBytes, 1)
 		}
 	case BERT:
-		for s := 0; s < p.Shards; s++ {
-			fs.Populate(g.shardPath(s), p.ShardBytes, 2)
+		for s := 0; s < bertShards; s++ {
+			fs.Populate(g.shardPath(s), bertShardBytes, 2)
 		}
 	}
 }

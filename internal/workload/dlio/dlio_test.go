@@ -163,50 +163,15 @@ func TestBothModelsRunToCompletion(t *testing.T) {
 	}
 }
 
-func TestCheckpointingEmitsWrites(t *testing.T) {
-	g := New(Unet3D, Params{Ranks: 1, Samples: 8, Epochs: 1,
-		CheckpointEvery: 4, CheckpointBytes: 2 << 20})
-	writes, creates := 0, 0
-	var bytes int64
-	for _, op := range g.Ops(0) {
-		switch op.Kind {
-		case workload.Write:
-			writes++
-			bytes += op.Size
-		case workload.Create:
-			creates++
-		}
-	}
-	// 8 samples / every 4 -> 2 checkpoints of 2 MiB each.
-	if creates != 2 {
-		t.Fatalf("checkpoints=%d, want 2", creates)
-	}
-	if bytes != 4<<20 {
-		t.Fatalf("checkpoint bytes=%d", bytes)
-	}
-	if writes == 0 {
-		t.Fatal("no checkpoint writes")
-	}
-}
-
+// TestCheckpointingDisabledByDefault: both loaders only read; DLIO's
+// checkpoint dumps are not emulated.
 func TestCheckpointingDisabledByDefault(t *testing.T) {
-	g := New(Unet3D, Params{Ranks: 1, Samples: 8, Epochs: 1})
-	for _, op := range g.Ops(0) {
-		if op.Kind == workload.Write {
-			t.Fatal("default loader must be read-only")
+	for _, m := range []Model{Unet3D, BERT} {
+		g := New(m, Params{Ranks: 1, Samples: 8, Epochs: 1, Steps: 10})
+		for _, op := range g.Ops(0) {
+			if op.Kind == workload.Write {
+				t.Fatalf("%s: the loader must be read-only", m)
+			}
 		}
-	}
-}
-
-func TestBERTCheckpointing(t *testing.T) {
-	g := New(BERT, Params{Ranks: 2, Steps: 10, CheckpointEvery: 5, Seed: 3})
-	creates := 0
-	for _, op := range g.Ops(1) {
-		if op.Kind == workload.Create {
-			creates++
-		}
-	}
-	if creates != 2 {
-		t.Fatalf("bert checkpoints=%d, want 2", creates)
 	}
 }

@@ -3,7 +3,8 @@
 // (per-rank file, large sequential transfers) and "hard" (shared file, small
 // strided 47008-byte transfers) data patterns, and the MDTest "easy" (empty
 // per-rank-directory file creates) and "hard" (shared-directory files with
-// 3901-byte payloads) metadata patterns.
+// 3901-byte payloads) metadata patterns. The transfer sizes are IO500's
+// own and fixed; Params scales file sizes and counts.
 package io500
 
 import (
@@ -73,8 +74,18 @@ func ParseTask(name string) (Task, error) {
 	return 0, fmt.Errorf("io500: unknown task %q", name)
 }
 
+// The IO500 transfer sizes: ior-easy moves 1 MiB per call, ior-hard the
+// required 47008 bytes, and mdtest-hard writes and reads the required
+// 3901-byte payload per file.
+const (
+	easyXfer     int64 = 1 << 20
+	hardXfer     int64 = 47008
+	mdtHardBytes int64 = 3901
+)
+
 // Params scales a task. Defaults give runs of a few simulated seconds per
-// rank, preserving each pattern's character.
+// rank, preserving each pattern's character; the transfer sizes are
+// IO500's own and not scaled.
 type Params struct {
 	// Dir is the namespace prefix; every concurrent instance must use a
 	// distinct Dir.
@@ -83,18 +94,10 @@ type Params struct {
 	Ranks int
 	// EasyFileBytes is the per-rank ior-easy file size (default 32 MiB).
 	EasyFileBytes int64
-	// EasyXfer is the ior-easy transfer size (default 1 MiB).
-	EasyXfer int64
 	// HardOps is the per-rank segment count for ior-hard (default 200).
 	HardOps int
-	// HardXfer is the ior-hard transfer size (default 47008, the IO500
-	// required value).
-	HardXfer int64
 	// MdtFiles is the per-rank file count for mdtest tasks (default 100).
 	MdtFiles int
-	// MdtHardBytes is the mdtest-hard payload (default 3901, the IO500
-	// required value).
-	MdtHardBytes int64
 }
 
 func (p *Params) applyDefaults() {
@@ -107,20 +110,11 @@ func (p *Params) applyDefaults() {
 	if p.EasyFileBytes == 0 {
 		p.EasyFileBytes = 32 << 20
 	}
-	if p.EasyXfer == 0 {
-		p.EasyXfer = 1 << 20
-	}
 	if p.HardOps == 0 {
 		p.HardOps = 200
 	}
-	if p.HardXfer == 0 {
-		p.HardXfer = 47008
-	}
 	if p.MdtFiles == 0 {
 		p.MdtFiles = 100
-	}
-	if p.MdtHardBytes == 0 {
-		p.MdtHardBytes = 3901
 	}
 }
 
@@ -163,7 +157,7 @@ func (g *Gen) numOps() int {
 	case IorEasyWrite, IorEasyRead:
 		n := 2
 		if p.EasyFileBytes > 0 {
-			n += int((p.EasyFileBytes + p.EasyXfer - 1) / p.EasyXfer)
+			n += int((p.EasyFileBytes + easyXfer - 1) / easyXfer)
 		}
 		return n
 	case IorHardWrite, IorHardRead:
@@ -184,8 +178,8 @@ func (g *Gen) Ops(rank int) []workload.Op {
 	case IorEasyWrite:
 		path := g.easyPath(rank)
 		ops = append(ops, workload.Op{Kind: workload.Create, Path: path, StripeCount: 1})
-		for off := int64(0); off < p.EasyFileBytes; off += p.EasyXfer {
-			n := min64(p.EasyXfer, p.EasyFileBytes-off)
+		for off := int64(0); off < p.EasyFileBytes; off += easyXfer {
+			n := min64(easyXfer, p.EasyFileBytes-off)
 			ops = append(ops, workload.Op{Kind: workload.Write, Path: path, Offset: off, Size: n})
 		}
 		ops = append(ops, workload.Op{Kind: workload.Close, Path: path})
@@ -193,8 +187,8 @@ func (g *Gen) Ops(rank int) []workload.Op {
 	case IorEasyRead:
 		path := g.easyPath(rank)
 		ops = append(ops, workload.Op{Kind: workload.Open, Path: path})
-		for off := int64(0); off < p.EasyFileBytes; off += p.EasyXfer {
-			n := min64(p.EasyXfer, p.EasyFileBytes-off)
+		for off := int64(0); off < p.EasyFileBytes; off += easyXfer {
+			n := min64(easyXfer, p.EasyFileBytes-off)
 			ops = append(ops, workload.Op{Kind: workload.Read, Path: path, Offset: off, Size: n})
 		}
 		ops = append(ops, workload.Op{Kind: workload.Close, Path: path})
@@ -209,8 +203,8 @@ func (g *Gen) Ops(rank int) []workload.Op {
 		}
 		ops = append(ops, open)
 		for seg := 0; seg < p.HardOps; seg++ {
-			off := (int64(seg)*int64(p.Ranks) + int64(rank)) * p.HardXfer
-			ops = append(ops, workload.Op{Kind: kind, Path: path, Offset: off, Size: p.HardXfer})
+			off := (int64(seg)*int64(p.Ranks) + int64(rank)) * hardXfer
+			ops = append(ops, workload.Op{Kind: kind, Path: path, Offset: off, Size: hardXfer})
 		}
 		ops = append(ops, workload.Op{Kind: workload.Close, Path: path})
 
@@ -230,7 +224,7 @@ func (g *Gen) Ops(rank int) []workload.Op {
 			path := g.mdtHardPath(rank, f)
 			ops = append(ops,
 				workload.Op{Kind: workload.Create, Path: path, StripeCount: 1},
-				workload.Op{Kind: workload.Write, Path: path, Size: p.MdtHardBytes},
+				workload.Op{Kind: workload.Write, Path: path, Size: mdtHardBytes},
 				workload.Op{Kind: workload.Close, Path: path},
 			)
 		}
@@ -240,7 +234,7 @@ func (g *Gen) Ops(rank int) []workload.Op {
 			path := g.mdtHardPath(rank, f)
 			ops = append(ops,
 				workload.Op{Kind: workload.Open, Path: path},
-				workload.Op{Kind: workload.Read, Path: path, Size: p.MdtHardBytes},
+				workload.Op{Kind: workload.Read, Path: path, Size: mdtHardBytes},
 				workload.Op{Kind: workload.Close, Path: path},
 			)
 		}
@@ -281,12 +275,12 @@ func (g *Gen) Prepare(fs *lustre.FS) {
 			fs.Populate(g.easyPath(r), p.EasyFileBytes, 1)
 		}
 	case IorHardRead:
-		total := int64(p.HardOps) * int64(p.Ranks) * p.HardXfer
+		total := int64(p.HardOps) * int64(p.Ranks) * hardXfer
 		fs.Populate(g.hardPath(), total, 1<<10)
 	case MdtHardRead, MdtHardStat, MdtHardDelete:
 		for r := 0; r < p.Ranks; r++ {
 			for f := 0; f < p.MdtFiles; f++ {
-				fs.Populate(g.mdtHardPath(r, f), p.MdtHardBytes, 1)
+				fs.Populate(g.mdtHardPath(r, f), mdtHardBytes, 1)
 			}
 		}
 	case MdtEasyStat, MdtEasyDelete:

@@ -33,7 +33,7 @@ func TestTaskNamesAndParsing(t *testing.T) {
 }
 
 func TestIorEasyWriteShape(t *testing.T) {
-	g := New(IorEasyWrite, Params{Ranks: 2, EasyFileBytes: 4 << 20, EasyXfer: 1 << 20})
+	g := New(IorEasyWrite, Params{Ranks: 2, EasyFileBytes: 4 << 20})
 	ops := g.Ops(0)
 	if ops[0].Kind != workload.Create || ops[len(ops)-1].Kind != workload.Close {
 		t.Fatal("missing create/close bracket")
@@ -251,7 +251,7 @@ func TestBadTaskPanics(t *testing.T) {
 func TestOpsExactLength(t *testing.T) {
 	for _, p := range []Params{
 		{Ranks: 4, EasyFileBytes: 3<<20 + 5, HardOps: 9, MdtFiles: 7},
-		{Ranks: 2, EasyFileBytes: 32 << 20, EasyXfer: 3 << 19, HardOps: 300, MdtFiles: 200},
+		{Ranks: 2, EasyFileBytes: 32<<20 + 1<<19, HardOps: 300, MdtFiles: 200},
 	} {
 		for _, task := range ExtendedTasks() {
 			g := New(task, p)

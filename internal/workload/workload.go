@@ -37,15 +37,6 @@ var kindNames = [...]string{
 
 func (k Kind) String() string { return kindNames[k] }
 
-// IsMeta reports whether the op is a metadata operation.
-func (k Kind) IsMeta() bool {
-	switch k {
-	case Open, Close, Stat, Create, Unlink, Mkdir:
-		return true
-	}
-	return false
-}
-
 // IsIO reports whether the op reaches the file system at all.
 func (k Kind) IsIO() bool { return k != Compute }
 
