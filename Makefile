@@ -57,9 +57,10 @@ bench-collect:
 
 # docs-check gates formatting, static analysis, and documentation integrity:
 # every relative markdown link and internal/... path reference in the repo's
-# *.md files must point at something that exists, and every exported pkg.Name
+# *.md files must point at something that exists, every exported pkg.Name
 # in a code span or go block must name a declaration of that internal (or the
-# root) package.
+# root) package, and every internal package must appear in ARCHITECTURE.md's
+# Layering list with no non-test import of a package listed below it.
 docs-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi

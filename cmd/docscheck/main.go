@@ -20,6 +20,12 @@
 // (proposals) may name code that is gone or not yet written, so their
 // identifiers are not checked either.
 //
+// The Layering block of ARCHITECTURE.md (the fenced block under its
+// "## Layering" heading) is checked against the code: each line whose first
+// word is an internal/ path lists that package, and its subpackages share
+// its place. Every internal package must be listed, and no non-test file of
+// an internal package may import an internal package listed below its own.
+//
 // Usage:
 //
 //	docscheck [root]
@@ -29,6 +35,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -112,6 +119,11 @@ func main() {
 		broken = append(broken, checkFile(root, path, idx)...)
 		return nil
 	})
+	if err == nil {
+		var layers []string
+		layers, err = checkLayers(root)
+		broken = append(broken, layers...)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(1)
@@ -123,7 +135,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d broken reference(s)\n", len(broken))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all markdown references resolve")
+	fmt.Println("docscheck: all markdown references resolve and imports follow the layers")
 }
 
 // buildIndex parses every Go file of the internal packages and the root
@@ -387,4 +399,101 @@ func skipLink(target string) bool {
 		strings.HasPrefix(target, "https://") ||
 		strings.HasPrefix(target, "mailto:") ||
 		strings.HasPrefix(target, "#")
+}
+
+// layersDoc is the document whose Layering block orders the packages.
+const layersDoc = "ARCHITECTURE.md"
+
+// layerOrder returns the internal/ paths the Layering block of layersDoc
+// lists, top first, or nil when root has no such document or block.
+func layerOrder(root string) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(root, layersDoc))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var order []string
+	inSection, inFence := false, false
+	for _, line := range strings.Split(string(data), "\n") {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case inFence && strings.HasPrefix(trimmed, "```"):
+			return order, nil
+		case inFence:
+			if f := strings.Fields(trimmed); len(f) > 0 && strings.HasPrefix(f[0], "internal/") {
+				order = append(order, strings.TrimRight(f[0], ",/"))
+			}
+		case strings.HasPrefix(line, "## "):
+			inSection = trimmed == "## Layering"
+		case inSection && strings.HasPrefix(trimmed, "```"):
+			inFence = true
+		}
+	}
+	return order, nil
+}
+
+// checkLayers returns a diagnostic for every internal package the Layering
+// block does not list, and for every non-test import of an internal
+// package listed below the importer. Without a Layering block it checks
+// nothing.
+func checkLayers(root string) ([]string, error) {
+	order, err := layerOrder(root)
+	if err != nil || order == nil {
+		return nil, err
+	}
+	// place is the list position of pkg's longest listed prefix, -1 when
+	// none is listed.
+	place := func(pkg string) int {
+		at := -1
+		for i, p := range order {
+			if (pkg == p || strings.HasPrefix(pkg, p+"/")) && (at < 0 || len(p) > len(order[at])) {
+				at = i
+			}
+		}
+		return at
+	}
+	var broken []string
+	unlisted := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		pkg := rel[:strings.LastIndexByte(rel, '/')]
+		from := place(pkg)
+		if from < 0 {
+			if !unlisted[pkg] {
+				unlisted[pkg] = true
+				broken = append(broken, fmt.Sprintf("%s: package %s is missing from the Layering list", layersDoc, pkg))
+			}
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			// Only this module's own internal packages are importable here,
+			// so the path after "/internal/" names the target.
+			if _, sub, ok := strings.Cut(strings.Trim(imp.Path.Value, `"`), "/internal/"); ok {
+				if target := "internal/" + sub; place(target) > from {
+					broken = append(broken, fmt.Sprintf("%s: imports %s, which %s lists below %s", rel, target, layersDoc, pkg))
+				}
+			}
+		}
+		return nil
+	})
+	return broken, err
 }

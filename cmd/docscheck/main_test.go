@@ -124,3 +124,65 @@ func TestUnknownNameFails(t *testing.T) {
 		t.Errorf("unchecked qualifiers reported: %v", broken)
 	}
 }
+
+// layerFiles is a module whose Layering block lists internal/base above
+// internal/top: top imports base, its subpackage top/sub imports top, and a
+// test file of base may import top.
+func layerFiles() map[string]string {
+	return map[string]string{
+		"ARCHITECTURE.md": "# Architecture\n\n## Layering\n\n```\nLayer 0\n  internal/base   the root\n" +
+			"Layer 1\n  internal/top    builds on base\n```\n\n## Next\n\n```\n  internal/ghost\n```\n",
+		"internal/base/base.go":        "package base\n",
+		"internal/base/base_test.go":   "package base\n\nimport _ \"example/internal/top\"\n",
+		"internal/top/top.go":          "package top\n\nimport (\n\t\"strings\"\n\n\t\"example/internal/base\"\n)\n",
+		"internal/top/sub/sub.go":      "package sub\n\nimport _ \"example/internal/top\"\n",
+		"internal/base/testdata/x.go":  "package x\n",
+		"internal/top/sub/sub_test.go": "package sub\n",
+	}
+}
+
+func checkLayerTree(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	broken, err := checkLayers(writeTree(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return broken
+}
+
+// TestLayersFollowImports: a tree whose imports follow the list passes; a
+// subpackage shares its parent's place, test files and testdata are not
+// checked, and only the Layering section's block is read.
+func TestLayersFollowImports(t *testing.T) {
+	if broken := checkLayerTree(t, layerFiles()); len(broken) != 0 {
+		t.Fatalf("broken = %v, want none", broken)
+	}
+	files := layerFiles()
+	delete(files, "ARCHITECTURE.md")
+	if broken := checkLayerTree(t, files); len(broken) != 0 {
+		t.Fatalf("without a Layering block: broken = %v, want none", broken)
+	}
+}
+
+// TestLayerViolationFails: a non-test import of a package listed below the
+// importer is reported.
+func TestLayerViolationFails(t *testing.T) {
+	files := layerFiles()
+	files["internal/base/base.go"] = "package base\n\nimport _ \"example/internal/top/sub\"\n"
+	broken := checkLayerTree(t, files)
+	if len(broken) != 1 || !strings.Contains(broken[0], "internal/base/base.go: imports internal/top/sub") {
+		t.Fatalf("broken = %v, want base's import of top/sub", broken)
+	}
+}
+
+// TestUnlistedPackageFails: an internal package the Layering block does not
+// list is reported once, however many files it has.
+func TestUnlistedPackageFails(t *testing.T) {
+	files := layerFiles()
+	files["internal/extra/a.go"] = "package extra\n"
+	files["internal/extra/b.go"] = "package extra\n"
+	broken := checkLayerTree(t, files)
+	if len(broken) != 1 || !strings.Contains(broken[0], "internal/extra is missing") {
+		t.Fatalf("broken = %v, want internal/extra reported missing", broken)
+	}
+}

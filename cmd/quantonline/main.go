@@ -2,12 +2,12 @@
 // end on the simulator: it trains an incumbent, serves it, replays a healthy
 // window stream, injects fail-slow disks to force distribution drift,
 // retrains a warm-started candidate, promotes it through the server's atomic
-// hot-reload under concurrent load, and finally forces the evaluation gate
-// impossible to demonstrate rejection with rollback.
+// hot-reload under concurrent load, and finally forces the promotion gate
+// impossible (shadow.RejectAll) to demonstrate rejection with rollback.
 //
 // Usage:
 //
-//	quantonline -smoke [-seed 42] [-epochs 25] [-workers 2] [-gate-margin -2]
+//	quantonline -smoke [-seed 42] [-epochs 25] [-workers 2]
 //
 // The episode is deterministic: the same seed prints the same decision
 // timeline and promotes bit-identical weights. `make online-smoke` runs it.
@@ -23,12 +23,11 @@ import (
 )
 
 var (
-	smoke      = flag.Bool("smoke", false, "run the deterministic end-to-end smoke episode")
-	seed       = flag.Int64("seed", 42, "episode seed (simulation, training, loop)")
-	epochs     = flag.Int("epochs", 25, "epochs for initial training and every retrain")
-	workers    = flag.Int("workers", 2, "parallel training workers (deterministic for any value)")
-	gateMargin = flag.Float64("gate-margin", -2, "gate margin of the forced-reject phase (negative demands improvement; -2 rejects everything)")
-	verbose    = flag.Bool("v", true, "print per-phase progress")
+	smoke   = flag.Bool("smoke", false, "run the deterministic end-to-end smoke episode")
+	seed    = flag.Int64("seed", 42, "episode seed (simulation, training, loop)")
+	epochs  = flag.Int("epochs", 25, "epochs for initial training and every retrain")
+	workers = flag.Int("workers", 2, "parallel training workers (deterministic for any value)")
+	verbose = flag.Bool("v", true, "print per-phase progress")
 )
 
 func main() {
@@ -45,11 +44,10 @@ func main() {
 		}
 	}
 	res, err := online.SmokeEpisode(context.Background(), online.SmokeConfig{
-		Seed:         *seed,
-		Epochs:       *epochs,
-		Workers:      *workers,
-		RejectMargin: *gateMargin,
-		Log:          logf,
+		Seed:    *seed,
+		Epochs:  *epochs,
+		Workers: *workers,
+		Log:     logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quantonline:", err)

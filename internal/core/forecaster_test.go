@@ -74,6 +74,23 @@ func TestTrainForecasterShapeAndAccuracy(t *testing.T) {
 	}
 }
 
+// TestTrainForecasterKeepsCallerHorizons: training normalizes the horizon
+// set on its own copy, so the caller's Horizons slice reads as it was.
+func TestTrainForecasterKeepsCallerHorizons(t *testing.T) {
+	cfg := smallForecastCfg()
+	cfg.Forecast.Horizons = []int{2, 1, 1}
+	f, _, err := TrainForecasterCtx(context.Background(), forecastDS(4, 12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Horizons(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("horizons %v, want [1 2]", got)
+	}
+	if h := cfg.Forecast.Horizons; h[0] != 2 || h[1] != 1 || h[2] != 1 {
+		t.Fatalf("caller's horizons rewritten to %v, want [2 1 1]", h)
+	}
+}
+
 func TestTrainForecasterDeterministic(t *testing.T) {
 	ds := forecastDS(3, 12)
 	f1, _, err := TrainForecasterCtx(context.Background(), ds, smallForecastCfg())

@@ -288,7 +288,6 @@ func AppDataset(app apps.App, cfg DatasetConfig) *dataset.Dataset {
 		// (t=4s) lands mid-run.
 		Cycles:          20,
 		CheckpointBytes: cfg.Scale.Bytes(8 << 20),
-		Seed:            cfg.Seed,
 	}
 	if app == OpenPMDApp {
 		p.Cycles = 3

@@ -7,7 +7,6 @@ import (
 	"quanterference/internal/dataset"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
-	"quanterference/internal/online"
 	"quanterference/internal/shadow"
 )
 
@@ -52,7 +51,7 @@ type ShadowStudyResult struct {
 	FinalCE []float64
 	// Verdict is the gate's final decision; Winner is "" when the champion
 	// kept its seat.
-	Verdict online.GateResult
+	Verdict shadow.GateResult
 	Winner  string
 }
 
@@ -176,7 +175,7 @@ func (r *ShadowStudyResult) Table() *Table {
 	if r.Verdict.Promote {
 		verdict = fmt.Sprintf("verdict: promote %s (%.3f vs champion %.3f, margin %.3f, n %d)",
 			r.Winner, r.Verdict.CandidateAccuracy, r.Verdict.IncumbentAccuracy,
-			r.Verdict.Margin, r.Verdict.Holdout)
+			r.Verdict.Margin, r.Verdict.Samples)
 	}
 	t.Notes = []string{ce, verdict}
 	return t

@@ -36,8 +36,8 @@ func TestShadowStudy(t *testing.T) {
 	}
 	// The stream clears the gate's 32-sample minimum and scores the winner on
 	// all of it, so the verdict is the gate's call, not a lack of evidence.
-	if r.StreamSamples < 32 || r.Verdict.Holdout != r.StreamSamples {
-		t.Fatalf("gate decided on %d of %d stream samples", r.Verdict.Holdout, r.StreamSamples)
+	if r.StreamSamples < 32 || r.Verdict.Samples != r.StreamSamples {
+		t.Fatalf("gate decided on %d of %d stream samples", r.Verdict.Samples, r.StreamSamples)
 	}
 	if r.Verdict.Promote && r.Winner == "" {
 		t.Fatalf("promoting verdict without a winner: %+v", r.Verdict)

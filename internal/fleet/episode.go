@@ -191,7 +191,7 @@ func ShadowEpisode(ctx context.Context, w io.Writer, seed int64) error {
 			verdict.IncumbentAccuracy, verdict.CandidateAccuracy)
 	}
 	fmt.Fprintf(w, "verdict: promote %s (lead %.4f over champion %.4f, margin %.2f, n %d)\n",
-		verdict.Winner, verdict.CandidateAccuracy, verdict.IncumbentAccuracy, verdict.Margin, verdict.Holdout)
+		verdict.Winner, verdict.CandidateAccuracy, verdict.IncumbentAccuracy, verdict.Margin, verdict.Samples)
 	if err := l.Coord.PromoteShadowed(ctx, verdict, cands); err != nil {
 		return fmt.Errorf("shadow-gated rollout: %w", err)
 	}
@@ -212,7 +212,7 @@ func ShadowEpisode(ctx context.Context, w io.Writer, seed int64) error {
 	if err := ev.AddChallenger("drill", drill); err != nil {
 		return err
 	}
-	ev.SetMargin(2) // impossible bar: force-reject every challenger
+	ev.SetMargin(shadow.RejectAll)
 	if err := shadowEpoch(ctx, w, l.Coord, ev, rng, shadowRequests); err != nil {
 		return err
 	}
@@ -258,7 +258,7 @@ func shadowEpoch(ctx context.Context, w io.Writer, coord *Coordinator, ev *shado
 	}
 	st := ev.Status()
 	fmt.Fprintln(w, "scoreboard:")
-	for _, r := range append([]serve.ShadowCandidate{st.Champion}, st.Challengers...) {
+	for _, r := range append([]shadow.Score{st.Champion}, st.Challengers...) {
 		fmt.Fprintf(w, "  %-8s acc %.4f ce %.4f n %d\n", r.Name, r.Accuracy, r.CE, r.Samples)
 	}
 	return nil

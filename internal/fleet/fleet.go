@@ -71,6 +71,7 @@ import (
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/online"
 	"quanterference/internal/serve"
+	"quanterference/internal/shadow"
 )
 
 // Sentinel errors. Match with errors.Is.
@@ -522,22 +523,22 @@ func (c *Coordinator) rollback(done []promoted) {
 	}
 }
 
-// PromoteShadowed turns a shadow-gate verdict (online.EvaluateShadowGate,
-// typically via a shadow.Evaluator's Verdict) into a fleet action: when the
-// gate promoted a winner, the matching candidate framework rolls out through
-// Promote — same preflight, rolling order, and reverse rollback — and when
-// the gate kept the champion, nothing is touched and ErrShadowRejected is
-// returned so callers can tell "gate said no" from "rollout broke". The
-// decision lands on the timeline either way ("shadow-promote <winner>" /
-// "shadow-keep incumbent"), keeping same-seed episodes byte-comparable.
+// PromoteShadowed turns a shadow-gate verdict (shadow.Gate, typically via a
+// shadow.Evaluator's Verdict) into a fleet action: when the gate promoted a
+// winner, the matching candidate framework rolls out through Promote — same
+// preflight, rolling order, and reverse rollback — and when the gate kept
+// the champion, nothing is touched and ErrShadowRejected is returned so
+// callers can tell "gate said no" from "rollout broke". The decision lands
+// on the timeline either way ("shadow-promote <winner>" / "shadow-keep
+// incumbent"), keeping same-seed episodes byte-comparable.
 // candidates maps challenger names (as registered with the evaluator) to the
 // frameworks that would roll out; a winning name missing from the map is a
 // wiring error, reported before any replica is touched.
-func (c *Coordinator) PromoteShadowed(ctx context.Context, verdict online.GateResult, candidates map[string]*core.Framework) error {
+func (c *Coordinator) PromoteShadowed(ctx context.Context, verdict shadow.GateResult, candidates map[string]*core.Framework) error {
 	if !verdict.Promote || verdict.Winner == "" {
 		c.event("shadow-keep incumbent")
 		return fmt.Errorf("%w (margin %.4g, best challenger %.4f vs champion %.4f on %d sample(s))",
-			ErrShadowRejected, verdict.Margin, verdict.CandidateAccuracy, verdict.IncumbentAccuracy, verdict.Holdout)
+			ErrShadowRejected, verdict.Margin, verdict.CandidateAccuracy, verdict.IncumbentAccuracy, verdict.Samples)
 	}
 	cand, ok := candidates[verdict.Winner]
 	if !ok || cand == nil {

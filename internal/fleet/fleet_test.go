@@ -15,7 +15,6 @@ import (
 	"quanterference/internal/forecast"
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
-	"quanterference/internal/online"
 	"quanterference/internal/serve"
 	"quanterference/internal/shadow"
 	"quanterference/internal/sim"
@@ -575,9 +574,9 @@ func TestPromoteShadowed(t *testing.T) {
 	cands := map[string]*core.Framework{"c-win": winner, "c-lose": loser}
 
 	// Kept-champion verdict: nothing rolls out.
-	kept := online.EvaluateShadowGate(61,
-		online.CandidateScore{Name: "champion", Accuracy: 0.9, Samples: 64},
-		[]online.CandidateScore{{Name: "c-win", Accuracy: 0.9, Samples: 64}},
+	kept := shadow.Gate(61,
+		shadow.Score{Name: "champion", Accuracy: 0.9, Samples: 64},
+		[]shadow.Score{{Name: "c-win", Accuracy: 0.9, Samples: 64}},
 		0.05, 32)
 	if err := f.Coord.PromoteShadowed(ctx, kept, cands); !errors.Is(err, ErrShadowRejected) {
 		t.Fatalf("kept-champion verdict = %v, want ErrShadowRejected", err)
@@ -593,9 +592,9 @@ func TestPromoteShadowed(t *testing.T) {
 	}
 
 	// Winner not in the candidate map: error before any replica is touched.
-	ghost := online.EvaluateShadowGate(61,
-		online.CandidateScore{Name: "champion", Accuracy: 0.5, Samples: 64},
-		[]online.CandidateScore{{Name: "ghost", Accuracy: 0.9, Samples: 64}},
+	ghost := shadow.Gate(61,
+		shadow.Score{Name: "champion", Accuracy: 0.5, Samples: 64},
+		[]shadow.Score{{Name: "ghost", Accuracy: 0.9, Samples: 64}},
 		0.05, 32)
 	if err := f.Coord.PromoteShadowed(ctx, ghost, cands); err == nil || errors.Is(err, ErrShadowRejected) {
 		t.Fatalf("unknown winner = %v, want a wiring error", err)
@@ -607,9 +606,9 @@ func TestPromoteShadowed(t *testing.T) {
 	}
 
 	// Promoting verdict: exactly the winner rolls out fleet-wide.
-	promote := online.EvaluateShadowGate(61,
-		online.CandidateScore{Name: "champion", Accuracy: 0.5, Samples: 64},
-		[]online.CandidateScore{
+	promote := shadow.Gate(61,
+		shadow.Score{Name: "champion", Accuracy: 0.5, Samples: 64},
+		[]shadow.Score{
 			{Name: "c-lose", Accuracy: 0.6, Samples: 64},
 			{Name: "c-win", Accuracy: 0.9, Samples: 64},
 		}, 0.05, 32)
@@ -848,8 +847,8 @@ type shadowCounts struct{ promoted, kept, failed, unmatched, rejoined int }
 // shadowRun is what a shadow schedule ends on.
 type shadowRun struct {
 	timeline []string
-	status   serve.ShadowStatus
-	verdict  online.GateResult
+	status   shadow.Status
+	verdict  shadow.GateResult
 }
 
 // runShadowSchedule plays 160 seeded steps on a fresh fleet that serves

@@ -22,7 +22,7 @@ package forecast
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"quanterference/internal/dataset"
 	"quanterference/internal/label"
@@ -63,7 +63,8 @@ type Config struct {
 }
 
 // ApplyDefaults fills zero fields and normalizes Horizons (sorted,
-// deduplicated).
+// deduplicated) into a fresh slice, so a caller sharing the old one reads
+// it unchanged.
 func (c *Config) ApplyDefaults() {
 	if c.History == 0 {
 		c.History = 4
@@ -71,14 +72,9 @@ func (c *Config) ApplyDefaults() {
 	if len(c.Horizons) == 0 {
 		c.Horizons = []int{1, 2, 4}
 	}
-	sort.Ints(c.Horizons)
-	uniq := c.Horizons[:0]
-	for _, k := range c.Horizons {
-		if len(uniq) == 0 || uniq[len(uniq)-1] != k {
-			uniq = append(uniq, k)
-		}
-	}
-	c.Horizons = uniq
+	c.Horizons = slices.Clone(c.Horizons)
+	slices.Sort(c.Horizons)
+	c.Horizons = slices.Compact(c.Horizons)
 	if c.Threshold == 0 {
 		c.Threshold = 1
 	}

@@ -31,6 +31,21 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestConfigDefaultsKeepCallerHorizons pins that ApplyDefaults normalizes
+// a copy: a caller that copies the Config struct shares its Horizons array
+// and must read it unchanged afterwards.
+func TestConfigDefaultsKeepCallerHorizons(t *testing.T) {
+	horizons := []int{4, 1, 1}
+	c := Config{Horizons: horizons}
+	c.ApplyDefaults()
+	if len(c.Horizons) != 2 || c.Horizons[0] != 1 || c.Horizons[1] != 4 {
+		t.Fatalf("normalized horizons %v, want [1 4]", c.Horizons)
+	}
+	if horizons[0] != 4 || horizons[1] != 1 || horizons[2] != 1 {
+		t.Fatalf("caller's horizons rewritten to %v, want [4 1 1]", horizons)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	for _, c := range []Config{
 		{History: 0, Horizons: []int{1}},

@@ -15,6 +15,7 @@ import (
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/serve"
+	"quanterference/internal/shadow"
 	"quanterference/internal/sim"
 	"quanterference/internal/workload/io500"
 )
@@ -28,9 +29,6 @@ type SmokeConfig struct {
 	// retrain (defaults 25 and 2).
 	Epochs  int
 	Workers int
-	// RejectMargin is the gate margin of the forced-reject phase; the
-	// default -2 is an impossible bar (see GateConfig.Margin).
-	RejectMargin float64
 	// Hammer is how many concurrent clients pound the server during the
 	// drift/promotion phase to prove reloads drop nothing (default 4).
 	Hammer int
@@ -47,9 +45,6 @@ func (c *SmokeConfig) applyDefaults() {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.RejectMargin == 0 {
-		c.RejectMargin = -2
 	}
 	if c.Hammer == 0 {
 		c.Hammer = 4
@@ -148,9 +143,9 @@ func smokeFaults(numOSTs int, severity float64) []fault.Spec {
 //  4. inject fail-slow disks, replay the degraded stream — drift trips, a
 //     warm-started candidate is retrained, gated, and hot-promoted while
 //     concurrent clients hammer the server (nothing may drop);
-//  5. force the gate impossible (RejectMargin) and replay degraded windows
-//     again — the next candidate is rejected and the served model provably
-//     unchanged (rollback).
+//  5. force the gate impossible (shadow.RejectAll) and replay degraded
+//     windows again — the next candidate is rejected and the served model
+//     provably unchanged (rollback).
 //
 // Any phase behaving out of character returns an error; the result carries
 // the decision timeline and promoted weights for same-seed comparison.
@@ -316,8 +311,10 @@ func SmokeEpisode(ctx context.Context, cfg SmokeConfig) (*SmokeResult, error) {
 
 	// Phase 3: with an impossible gate margin, the same degraded stream must
 	// produce a candidate that is trained, rejected, and never served.
-	cfg.Log("phase 3: forced-reject drill (gate margin %g)", cfg.RejectMargin)
-	loop.SetGateMargin(cfg.RejectMargin)
+	// The log prints the margin as Decision.String does: the accuracy a
+	// candidate may give up.
+	cfg.Log("phase 3: forced-reject drill (gate margin %g)", -shadow.RejectAll)
+	loop.SetGateMargin(shadow.RejectAll)
 	servedBefore := srv.Framework()
 	rejectDecisions, err := loop.Replay(ctx, faultStream, labelDelay)
 	if err != nil {

@@ -2,9 +2,14 @@ package online
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"quanterference/internal/ml"
 )
 
 // TestSmokeEpisodeEndToEnd runs the full continuous-learning episode twice
@@ -18,7 +23,13 @@ import (
 //     the served framework untouched (rollback);
 //   - both runs make identical drift decisions and promote bit-identical
 //     weights (run under -race this also exercises the loop/server
-//     concurrency boundary).
+//     concurrency boundary);
+//   - the first run's timeline and promoted-weight digest match
+//     testdata/smoke_timeline_golden.txt byte for byte. These are the
+//     Decision.String lines quantonline -smoke prints and quantbench's
+//     online-retrain replay hashes. Refresh with UPDATE_GOLDEN=1 go test
+//     ./internal/online -run TestSmokeEpisodeEndToEnd, only for a
+//     deliberate change to the loop, the trainer or the simulator.
 func TestSmokeEpisodeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full episode in -short mode")
@@ -35,6 +46,7 @@ func TestSmokeEpisodeEndToEnd(t *testing.T) {
 		return res
 	}
 	a := run()
+	compareTimelineGolden(t, a)
 
 	if a.Promotions == 0 {
 		t.Fatal("no promotions")
@@ -67,5 +79,39 @@ func TestSmokeEpisodeEndToEnd(t *testing.T) {
 	}
 	if a.Promotions != b.Promotions || a.Rejections != b.Rejections || a.Rollbacks != b.Rollbacks {
 		t.Fatalf("same-seed counts diverged: %+v vs %+v", a, b)
+	}
+}
+
+// compareTimelineGolden checks res's timeline, one line per decision, and
+// the digest of its promoted weights against the committed golden.
+func compareTimelineGolden(t *testing.T, res *SmokeResult) {
+	t.Helper()
+	got := append(append([]string(nil), res.Timeline...), "promoted "+ml.WeightsDigest(res.PromotedWeights))
+	path := filepath.Join("testdata", "smoke_timeline_golden.txt")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	for i := range max(len(got), len(lines)) {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(lines) {
+			w = lines[i]
+		}
+		if g != w {
+			t.Fatalf("%s: line %d:\n got  %q\n want %q", path, i+1, g, w)
+		}
 	}
 }

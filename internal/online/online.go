@@ -3,8 +3,9 @@
 // prediction-quality decay, keeps a bounded reservoir of delayed-labeled
 // examples, retrains a candidate warm-started from the incumbent's weights
 // when drift trips, and promotes the candidate through the serving layer's
-// atomic hot-reload only if it clears an accuracy gate on a holdout neither
-// model trained on — otherwise the incumbent keeps serving (rollback).
+// atomic hot-reload only if it clears the promotion gate (shadow.Gate, with
+// the candidate as its one challenger) on a holdout neither model trained
+// on — otherwise the incumbent keeps serving (rollback).
 //
 // Everything downstream of the window stream is deterministic: the example
 // reservoir, the drift statistics, the holdout split, and the warm-started
@@ -30,6 +31,7 @@ import (
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
+	"quanterference/internal/shadow"
 )
 
 // Promoter is where gated candidates go — the programmatic surface of
@@ -68,10 +70,9 @@ type Config struct {
 	// RefAccuracy is the incumbent's holdout accuracy at training time — the
 	// baseline the quality-decay drift signal compares against.
 	RefAccuracy float64
-	// Drift tunes the detector, Gate the promotion gate, Train the retrain
-	// (epochs, LR, Workers — warm starts reuse the incumbent architecture).
+	// Drift tunes the detector, Train the retrain (epochs, LR, Workers —
+	// warm starts reuse the incumbent architecture).
 	Drift DriftConfig
-	Gate  GateConfig
 	Train ml.TrainConfig
 	// Sink receives the loop's counters and histograms. Nil allocates a
 	// private sink so Stats always works.
@@ -79,7 +80,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	c.Gate.applyDefaults()
 	if c.Sink == nil {
 		c.Sink = obs.New()
 	}
@@ -120,14 +120,16 @@ type Decision struct {
 	// Gate and CandidateWeights are set when a retrain ran: the gate verdict
 	// and the candidate's bit-exact weight snapshot (the determinism tests
 	// compare these across same-seed runs).
-	Gate             *GateResult
+	Gate             *shadow.GateResult
 	CandidateWeights [][]float64
 	// Rollback marks a promotion the promoter refused (the candidate cleared
 	// the gate but the reload failed); the incumbent was kept.
 	Rollback bool
 }
 
-// String renders the decision for logs.
+// String renders the decision for logs. It prints the gate's margin
+// negated, as the accuracy the candidate was allowed to give up ("margin
+// 0.02" by default, "margin -2" under shadow.RejectAll).
 func (d Decision) String() string {
 	if d.Gate == nil {
 		if d.Score.Drifted {
@@ -137,7 +139,7 @@ func (d Decision) String() string {
 	}
 	s := fmt.Sprintf("w%d %s (drift %q, cand %.3f vs inc %.3f on %d held out, margin %g)",
 		d.Window, d.Action, d.Score.Reason,
-		d.Gate.CandidateAccuracy, d.Gate.IncumbentAccuracy, d.Gate.Holdout, d.Gate.Margin)
+		d.Gate.CandidateAccuracy, d.Gate.IncumbentAccuracy, d.Gate.Samples, -d.Gate.Margin)
 	if d.Rollback {
 		s += " [rollback: reload refused]"
 	}
@@ -156,6 +158,7 @@ type Loop struct {
 	// touching the served instance.
 	incumbent *core.Framework
 	refAcc    float64
+	margin    float64
 	det       *Detector
 	buf       *Buffer
 	retrains  int
@@ -188,6 +191,7 @@ func NewLoop(p Promoter, cfg Config) (*Loop, error) {
 		promoter:  p,
 		incumbent: inc,
 		refAcc:    cfg.RefAccuracy,
+		margin:    retrainMargin,
 		det:       NewDetector(inc.Scaler, cfg.RefAccuracy, cfg.Drift),
 		buf:       NewBuffer(bufferCap, cfg.Seed^0xb0ffe4),
 
@@ -261,10 +265,10 @@ func (l *Loop) ImportBuffer(ds *dataset.Dataset) error {
 	return nil
 }
 
-// SetGateMargin adjusts the promotion gate between steps — the knob the
-// rollback drill uses to force-reject the next candidate (see
-// GateConfig.Margin).
-func (l *Loop) SetGateMargin(m float64) { l.cfg.Gate.Margin = m }
+// SetGateMargin sets the accuracy lead over the incumbent a candidate needs
+// from the next step on (-0.02 until set). The rollback drill sets
+// shadow.RejectAll to force-reject every candidate.
+func (l *Loop) SetGateMargin(m float64) { l.margin = m }
 
 // OfferWindow feeds one live window into the drift detector's distribution
 // stream.
@@ -350,7 +354,7 @@ func (l *Loop) Step(ctx context.Context) (Decision, error) {
 
 // retrain trains a warm-started candidate on the reservoir (minus the gate
 // holdout) and scores it against the incumbent.
-func (l *Loop) retrain(ctx context.Context) (*core.Framework, GateResult, error) {
+func (l *Loop) retrain(ctx context.Context) (*core.Framework, shadow.GateResult, error) {
 	l.retrains++
 	// A fresh seed per round keeps rounds independent while staying a pure
 	// function of (Config.Seed, round number).
@@ -360,7 +364,7 @@ func (l *Loop) retrain(ctx context.Context) (*core.Framework, GateResult, error)
 	ds := l.buf.Dataset(names, nTargets, classes, streamProfile)
 	trainDS, holdout := ds.Split(holdFrac, seed^0x60a7)
 	if trainDS.Len() == 0 || holdout.Len() == 0 {
-		return nil, GateResult{}, fmt.Errorf("online: degenerate holdout split (%d train / %d held out of %d)",
+		return nil, shadow.GateResult{}, fmt.Errorf("online: degenerate holdout split (%d train / %d held out of %d)",
 			trainDS.Len(), holdout.Len(), ds.Len())
 	}
 
@@ -368,9 +372,12 @@ func (l *Loop) retrain(ctx context.Context) (*core.Framework, GateResult, error)
 	cfg.Train.Seed = seed ^ 0x7e57
 	candidate, _, err := core.TrainFrameworkCtx(ctx, trainDS, cfg, core.WithWarmStart(l.incumbent))
 	if err != nil {
-		return nil, GateResult{}, fmt.Errorf("online: retrain: %w", err)
+		return nil, shadow.GateResult{}, fmt.Errorf("online: retrain: %w", err)
 	}
-	gate := evaluateGate(candidate, l.incumbent, holdout, l.cfg.Gate.Margin)
+	// The candidate is the gate's one challenger; the split above leaves at
+	// least one sample behind both scores.
+	gate := shadow.Gate(seed, scoreOn("incumbent", l.incumbent, holdout),
+		[]shadow.Score{scoreOn("candidate", candidate, holdout)}, l.margin, 1)
 	l.hGateAcc.Observe(gate.CandidateAccuracy)
 	return candidate, gate, nil
 }

@@ -13,6 +13,7 @@ import (
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
+	"quanterference/internal/shadow"
 	"quanterference/internal/sim"
 )
 
@@ -188,7 +189,7 @@ func TestLoopForcedRejectKeepsIncumbent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetGateMargin(-2) // impossible bar: accuracy cannot exceed incumbent + 2
+	l.SetGateMargin(shadow.RejectAll) // impossible bar: accuracy cannot exceed incumbent + 2
 
 	actions := feedDrift(t, l, sim.NewRNG(3), driftWindows)
 	if len(actions) == 0 {
@@ -312,25 +313,32 @@ func TestLoopObservability(t *testing.T) {
 	}
 }
 
+// TestGateMath pins the retrain gate: the candidate scored on the holdout
+// is the one challenger of shadow.Gate, at least one sample must be held
+// out, and the default margin lets it give up 0.02 of accuracy.
 func TestGateMath(t *testing.T) {
 	fw := trainedFramework(t, 1)
 	holdout := syntheticDataset(t, 20, 5, 3)
-	g := evaluateGate(fw, fw, holdout, 0.02)
-	if !g.Promote {
-		t.Fatalf("equal accuracies with positive margin must promote: %+v", g)
+	retrainGate := func(holdout *dataset.Dataset, margin float64) shadow.GateResult {
+		return shadow.Gate(1, scoreOn("incumbent", fw, holdout),
+			[]shadow.Score{scoreOn("candidate", fw, holdout)}, margin, 1)
+	}
+	g := retrainGate(holdout, retrainMargin)
+	if !g.Promote || g.Winner != "candidate" {
+		t.Fatalf("equal accuracies under the default margin must promote: %+v", g)
 	}
 	if g.CandidateAccuracy != g.IncumbentAccuracy {
 		t.Fatalf("same framework scored differently: %+v", g)
 	}
-	if g.Holdout != holdout.Len() {
-		t.Fatalf("holdout size %d, want %d", g.Holdout, holdout.Len())
+	if g.Samples != holdout.Len() {
+		t.Fatalf("holdout size %d, want %d", g.Samples, holdout.Len())
 	}
-	g = evaluateGate(fw, fw, holdout, -0.5)
+	g = retrainGate(holdout, 0.5)
 	if g.Promote {
-		t.Fatalf("negative margin with equal accuracies must reject: %+v", g)
+		t.Fatalf("a 0.5 lead demanded at equal accuracies must reject: %+v", g)
 	}
 	empty := dataset.New(holdout.FeatureNames, testTargets, 2)
-	if g := evaluateGate(fw, fw, empty, 0.02); g.Promote {
+	if g := retrainGate(empty, retrainMargin); g.Promote {
 		t.Fatalf("empty holdout must reject: %+v", g)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"quanterference/internal/monitor/window"
+	"quanterference/internal/shadow"
 )
 
 // Client is a typed HTTP client for a quantserve instance, so tools
@@ -163,8 +164,8 @@ func (c *Client) Forecast(ctx context.Context, history []window.Matrix) (*Foreca
 // champion's and every challenger's live accuracy/CE plus the mirror
 // plumbing counters. Servers without a shadow evaluator return an error
 // matching ErrNoShadow.
-func (c *Client) ShadowStatus(ctx context.Context) (*ShadowStatus, error) {
-	var out ShadowStatus
+func (c *Client) ShadowStatus(ctx context.Context) (*shadow.Status, error) {
+	var out shadow.Status
 	if err := c.get(ctx, v1("/shadow"), &out); err != nil {
 		return nil, err
 	}

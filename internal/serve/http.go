@@ -56,61 +56,6 @@ type ForecastResponse struct {
 	ModelDigest string `json:"model_digest"`
 }
 
-// ShadowEvaluator is the slice of a shadow evaluator (internal/shadow's
-// *Evaluator) the serving layer drives: the mirror tap the batcher calls
-// right before answering each request, plus the scoreboard /v1/shadow
-// serves. The interface lives here — rather than serve importing
-// internal/shadow — because the evaluator layers above the serving layer
-// exactly like the fleet coordinator does (and the continuous-learning
-// layer, which the shadow gate builds on, already imports serve).
-type ShadowEvaluator interface {
-	// Mirror must be safe for concurrent callers and must never block: the
-	// batcher calls it on the serving path.
-	Mirror(mat window.Matrix, class int)
-	// Sync drains the async mirror queue so the scoreboard reflects every
-	// reply the caller has already received.
-	Sync()
-	// Status snapshots the champion/challenger scoreboard.
-	Status() ShadowStatus
-}
-
-// ShadowCandidate is one candidate's row in the /v1/shadow scoreboard.
-type ShadowCandidate struct {
-	Name    string `json:"name"`
-	Samples int    `json:"samples"`
-	// Accuracy and CE are the candidate's cumulative accuracy and mean
-	// cross-entropy over the labeled mirrored traffic this epoch.
-	Accuracy float64 `json:"accuracy"`
-	CE       float64 `json:"ce"`
-}
-
-// ShadowStatus is the /v1/shadow response body: the live
-// champion/challenger scoreboard plus the mirror-plumbing counters.
-type ShadowStatus struct {
-	Champion    ShadowCandidate   `json:"champion"`
-	Challengers []ShadowCandidate `json:"challengers,omitempty"`
-	// Mirrored and Dropped count mirror offers accepted / shed by the
-	// bounded queue; QueueDepth is the queue's current backlog.
-	Mirrored   uint64 `json:"mirrored"`
-	Dropped    uint64 `json:"dropped"`
-	QueueDepth int    `json:"queue_depth"`
-	// Pending counts mirrored events still awaiting their delayed label.
-	Pending int `json:"pending"`
-	// Labeled, Unmatched, and Evicted count labels scored, labels with no
-	// mirrored event to join, and pending events evicted unlabeled.
-	Labeled   uint64 `json:"labeled"`
-	Unmatched uint64 `json:"unmatched"`
-	Evicted   uint64 `json:"evicted"`
-	// Mismatches counts labeled events whose mirrored reply disagreed with
-	// the evaluator's champion clone (a stale-scoreboard signal).
-	Mismatches uint64 `json:"mirror_mismatches"`
-	// Verdicts counts gate evaluations this epoch.
-	Verdicts uint64 `json:"verdicts"`
-	// MinSamples and Margin are the gate's current promotion bar.
-	MinSamples int     `json:"min_samples"`
-	Margin     float64 `json:"margin"`
-}
-
 // Health is the /v1/healthz response body: liveness, the API version, the
 // served weight digests, and the loaded model's shape — enough for a client
 // to validate inputs, reconstruct label.Bins, and for a fleet coordinator to

@@ -16,7 +16,10 @@
 // changes an answer — a property the tests pin down under -race with dozens
 // of concurrent clients. Forecasts have no batched entry point, so they
 // skip the batcher: each caller takes a one-slot lock and runs
-// Forecaster.Predict itself.
+// Forecaster.Predict itself. The batcher mirrors every answered prediction
+// into an optional shadow evaluator (Config.Shadow, a *shadow.Evaluator)
+// with one non-blocking send before the reply, and /v1/shadow serves its
+// scoreboard.
 //
 // Hot reload swaps an atomic framework pointer: in-flight batches keep the
 // framework they loaded (each Framework owns its own scratch), so a reload
@@ -39,6 +42,7 @@ import (
 	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
+	"quanterference/internal/shadow"
 )
 
 // Sentinel errors returned by Server.Predict (and mapped to HTTP statuses by
@@ -98,13 +102,13 @@ type Config struct {
 	// framework, ownership transfers to the server.
 	Forecaster *forecast.Forecaster
 	// Shadow optionally mirrors every answered prediction into a shadow
-	// evaluator (*shadow.Evaluator in practice): the batcher taps Mirror —
-	// one non-blocking channel send — right before it answers each request,
-	// so challengers are scored on exactly the traffic the champion served
-	// while the champion's latency and allocations stay untouched. Nil
+	// evaluator: the batcher taps Mirror — one non-blocking channel send —
+	// right before it answers each request, so challengers are scored on
+	// exactly the traffic the champion served while the champion's latency
+	// and allocations stay untouched, and /v1/shadow serves its Status. Nil
 	// disables mirroring; /v1/shadow then returns ErrNoShadow. Construct the
 	// evaluator with this same Sink to surface its counters on /v1/stats.
-	Shadow ShadowEvaluator
+	Shadow *shadow.Evaluator
 	// Sink receives serving metrics (request/error/reload counters, the
 	// batch-size histogram, per-stage latency histograms). Nil allocates a
 	// private sink so Stats always works.
@@ -245,10 +249,6 @@ func (s *Server) ModelDigest() string { return *s.fwDigest.Load() }
 
 // Framework returns the currently served framework (hot-reload aware).
 func (s *Server) Framework() *core.Framework { return s.fw.Load() }
-
-// Shadow returns the attached shadow evaluator, nil when the server mirrors
-// no traffic.
-func (s *Server) Shadow() ShadowEvaluator { return s.cfg.Shadow }
 
 // Stats snapshots the serving metrics.
 func (s *Server) Stats() *obs.Snapshot { return s.cfg.Sink.Snapshot() }

@@ -1,9 +1,12 @@
-// Package shadow is the live-traffic shadow-evaluation layer of the
-// predict → score → promote control loop: it scores up to N challenger
-// frameworks against the serving champion on the traffic the champion
-// actually answers, and turns those scores into an N-way
-// champion/challenger gate verdict (online.EvaluateShadowGate) that the
-// fleet coordinator consumes before a fleet-wide rollout.
+// Package shadow owns the champion/challenger promotion gate (Gate) and the
+// live-traffic shadow evaluation that feeds it: an Evaluator scores up to N
+// challenger frameworks against the serving champion on the traffic the
+// champion actually answers, and turns those scores into a gate verdict
+// that the fleet coordinator consumes before a fleet-wide rollout. The
+// continuous-learning loop (internal/online) gates each retrained candidate
+// through the same Gate as its one challenger. The package imports neither
+// the serving layer nor the loop: serve taps an *Evaluator directly
+// (serve.Config.Shadow) and serves its Status on /v1/shadow.
 //
 // The design constraint is that the champion's hot path must not notice the
 // shadow at all:
@@ -60,12 +63,7 @@ import (
 	"quanterference/internal/core"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
-	"quanterference/internal/online"
-	"quanterference/internal/serve"
 )
-
-// *Evaluator is the canonical serve.ShadowEvaluator.
-var _ serve.ShadowEvaluator = (*Evaluator)(nil)
 
 // Sentinel errors. Match with errors.Is.
 var (
@@ -138,14 +136,14 @@ type pend struct {
 	consumed bool
 }
 
-// score accumulates one candidate's outcomes on the labeled mirror stream.
-type score struct {
+// tally accumulates one candidate's outcomes on the labeled mirror stream.
+type tally struct {
 	samples int
 	hits    int
 	ceSum   float64
 }
 
-func (s *score) observe(correct bool, ce float64) {
+func (s *tally) observe(correct bool, ce float64) {
 	s.samples++
 	if correct {
 		s.hits++
@@ -153,33 +151,28 @@ func (s *score) observe(correct bool, ce float64) {
 	s.ceSum += ce
 }
 
-func (s *score) accuracy() float64 {
+func (s *tally) accuracy() float64 {
 	if s.samples == 0 {
 		return 0
 	}
 	return float64(s.hits) / float64(s.samples)
 }
 
-func (s *score) meanCE() float64 {
+func (s *tally) meanCE() float64 {
 	if s.samples == 0 {
 		return 0
 	}
 	return s.ceSum / float64(s.samples)
 }
 
-func (s *score) candidate(name string) online.CandidateScore {
-	return online.CandidateScore{
-		Name:     name,
-		Accuracy: s.accuracy(),
-		CE:       s.meanCE(),
-		Samples:  s.samples,
-	}
+func (s *tally) score(name string) Score {
+	return Score{Name: name, Samples: s.samples, Accuracy: s.accuracy(), CE: s.meanCE()}
 }
 
 type challenger struct {
 	name string
 	fw   *core.Framework // private evaluation clone, owned by the evaluator
-	sc   score
+	sc   tally
 }
 
 // Evaluator scores a champion and its challengers on mirrored live traffic.
@@ -196,7 +189,7 @@ type Evaluator struct {
 	mu          sync.Mutex
 	margin      float64
 	champion    *core.Framework // private evaluation clone of the served champion
-	champ       score
+	champ       tally
 	challengers []*challenger
 	fifo        []pend // mirrored events in arrival order; fifo[:head] are gone
 	head        int
@@ -436,28 +429,28 @@ func crossEntropy(probs []float64, truth int) float64 {
 }
 
 // SetMargin adjusts the promotion margin (0.01 until set) between verdicts:
-// how much live accuracy the winning challenger must beat the champion by. A
-// margin above 1 is an impossible bar that force-rejects every challenger —
-// the rollback drill quantfleet -shadow exercises.
+// how much live accuracy the winning challenger must beat the champion by.
+// RejectAll force-rejects every challenger, the rollback drill quantfleet
+// -shadow exercises.
 func (e *Evaluator) SetMargin(m float64) {
 	e.mu.Lock()
 	e.margin = m
 	e.mu.Unlock()
 }
 
-// Verdict evaluates the N-way champion/challenger gate at the current
-// scoreboard: the ranked challengers against the champion, under the
-// current margin and the 32-sample minimum. The result is a pure function
-// of (seed, labeled outcomes), so same-seed replays of the same stream emit
-// identical verdicts.
-func (e *Evaluator) Verdict() online.GateResult {
+// Verdict evaluates the gate at the current scoreboard: the ranked
+// challengers against the champion, under the current margin and the
+// 32-sample minimum. The result is a pure function of (seed, labeled
+// outcomes), so same-seed replays of the same stream emit identical
+// verdicts.
+func (e *Evaluator) Verdict() GateResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	scores := make([]online.CandidateScore, len(e.challengers))
+	scores := make([]Score, len(e.challengers))
 	for i, c := range e.challengers {
-		scores[i] = c.sc.candidate(c.name)
+		scores[i] = c.sc.score(c.name)
 	}
-	g := online.EvaluateShadowGate(e.cfg.Seed, e.champ.candidate("champion"), scores, e.margin, minSamples)
+	g := Gate(e.cfg.Seed, e.champ.score("champion"), scores, e.margin, minSamples)
 	e.verdicts++
 	e.mVerdicts.Inc()
 	return g
@@ -479,7 +472,7 @@ func (e *Evaluator) Reset(champion *core.Framework) error {
 		case <-e.queue:
 		default:
 			e.champion = clone
-			e.champ = score{}
+			e.champ = tally{}
 			e.challengers = nil
 			e.fifo, e.head, e.live, e.dead = e.fifo[:0], 0, 0, 0
 			e.gQueueDepth.Set(0)
@@ -489,14 +482,39 @@ func (e *Evaluator) Reset(champion *core.Framework) error {
 	}
 }
 
-// Status snapshots the scoreboard and counters as the /v1/shadow wire shape
-// (the serving layer owns the API surface, so the type lives there). Safe
-// for any goroutine.
-func (e *Evaluator) Status() serve.ShadowStatus {
+// Status is the /v1/shadow response body: the live champion/challenger
+// scoreboard plus the mirror-plumbing counters.
+type Status struct {
+	Champion    Score   `json:"champion"`
+	Challengers []Score `json:"challengers,omitempty"`
+	// Mirrored and Dropped count mirror offers accepted / shed by the
+	// bounded queue; QueueDepth is the queue's current backlog.
+	Mirrored   uint64 `json:"mirrored"`
+	Dropped    uint64 `json:"dropped"`
+	QueueDepth int    `json:"queue_depth"`
+	// Pending counts mirrored events still awaiting their delayed label.
+	Pending int `json:"pending"`
+	// Labeled, Unmatched, and Evicted count labels scored, labels with no
+	// mirrored event to join, and pending events evicted unlabeled.
+	Labeled   uint64 `json:"labeled"`
+	Unmatched uint64 `json:"unmatched"`
+	Evicted   uint64 `json:"evicted"`
+	// Mismatches counts labeled events whose mirrored reply disagreed with
+	// the evaluator's champion clone (a stale-scoreboard signal).
+	Mismatches uint64 `json:"mirror_mismatches"`
+	// Verdicts counts gate evaluations this epoch.
+	Verdicts uint64 `json:"verdicts"`
+	// MinSamples and Margin are the gate's current promotion bar.
+	MinSamples int     `json:"min_samples"`
+	Margin     float64 `json:"margin"`
+}
+
+// Status snapshots the scoreboard and counters. Safe for any goroutine.
+func (e *Evaluator) Status() Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := serve.ShadowStatus{
-		Champion:   candidateStatus(e.champ.candidate("champion")),
+	st := Status{
+		Champion:   e.champ.score("champion"),
 		Mirrored:   e.mirrored.Load(),
 		Dropped:    e.dropped.Load(),
 		QueueDepth: len(e.queue),
@@ -510,13 +528,9 @@ func (e *Evaluator) Status() serve.ShadowStatus {
 		Margin:     e.margin,
 	}
 	for _, c := range e.challengers {
-		st.Challengers = append(st.Challengers, candidateStatus(c.sc.candidate(c.name)))
+		st.Challengers = append(st.Challengers, c.sc.score(c.name))
 	}
 	return st
-}
-
-func candidateStatus(cs online.CandidateScore) serve.ShadowCandidate {
-	return serve.ShadowCandidate{Name: cs.Name, Samples: cs.Samples, Accuracy: cs.Accuracy, CE: cs.CE}
 }
 
 // Stats snapshots the evaluator's obs metrics (its private sink unless

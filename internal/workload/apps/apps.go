@@ -64,7 +64,6 @@ type Params struct {
 	// CheckpointBytes is the per-rank data dump per cycle
 	// (default 4 MiB for Enzo, 8 MiB for AMReX).
 	CheckpointBytes int64
-	Seed            int64
 }
 
 func (p *Params) applyDefaults(app App) {
