@@ -176,18 +176,38 @@ func TestPaperClaims(t *testing.T) {
 			}
 		}
 	})
+	t.Run("MdtHardReadUnderDataReads", func(t *testing.T) {
+		// A deviation pinned, not a paper claim: the mdt-hard-read row
+		// peaks at 10.36x under ior-easy-read, where the paper reports
+		// 1.06x, because its small reads go to OST disks that the real
+		// system likely served from OSS page cache. A model that moves the
+		// cell out of the band fails here and must update EXPERIMENTS.md.
+		const lo, hi = 9.0, 12.0
+		rows := panel(t, "table1")
+		col := slices.Index(rows[0], "ior-easy-read")
+		for _, row := range rows[1:] {
+			if row[0] != "mdt-hard-read" {
+				continue
+			}
+			if v := num(t, row[col]); !(lo <= v && v <= hi) {
+				t.Errorf("mdt-hard-read under ior-easy-read: %.2fx, want %.0f-%.0fx (the recorded deviation)", v, lo, hi)
+			}
+			return
+		}
+		t.Fatal("table1 has no mdt-hard-read row")
+	})
+	sections := map[string][][]string{}
+	var app string
+	for _, row := range panel(t, "fig5") {
+		if name, ok := strings.CutPrefix(row[0], "# Figure 5 "); ok {
+			app = name
+			continue
+		}
+		sections[app] = append(sections[app], row)
+	}
 	t.Run("OpenPMDScarcity", func(t *testing.T) {
 		// OpenPMD's test set is 16 windows against AMReX's 79 and Enzo's 90.
 		const band = 4.0
-		sections := map[string][][]string{}
-		var app string
-		for _, row := range panel(t, "fig5") {
-			if name, ok := strings.CutPrefix(row[0], "# Figure 5 "); ok {
-				app = name
-				continue
-			}
-			sections[app] = append(sections[app], row)
-		}
 		testSet := func(app string) float64 {
 			_, m := confusion(t, sections[app])
 			n := 0.0
@@ -202,6 +222,27 @@ func TestPaperClaims(t *testing.T) {
 		for _, other := range []string{"amrex", "enzo"} {
 			if n := testSet(other); !(band*pmd <= n) {
 				t.Errorf("openpmd tests on %.0f windows, %s on %.0f: want at most 1/%.0f", pmd, other, n, band)
+			}
+		}
+	})
+	t.Run("OpenPMDAccuracyNotDropped", func(t *testing.T) {
+		// A deviation pinned, not a paper claim: the paper's OpenPMD model
+		// is less accurate than AMReX's and Enzo's, ours is not (1.0000
+		// against 0.9747 and 0.9778). A collection that reproduces the drop
+		// fails here and must update EXPERIMENTS.md.
+		accuracy := func(app string) float64 {
+			for _, row := range sections[app] {
+				if row[0] == "accuracy" {
+					return num(t, row[1])
+				}
+			}
+			t.Fatalf("fig5 %s has no accuracy row", app)
+			return 0
+		}
+		pmd := accuracy("openpmd")
+		for _, other := range []string{"amrex", "enzo"} {
+			if acc := accuracy(other); pmd < acc {
+				t.Errorf("openpmd accuracy %.4f is below %s's %.4f: the paper's drop reproduces (the recorded deviation)", pmd, other, acc)
 			}
 		}
 	})

@@ -3,11 +3,13 @@
 // Figure 2 runtime path. Concurrent /v1/predict requests are transparently
 // batched through one deterministic PredictBatch call; answers are
 // bit-identical to standalone prediction regardless of batch composition.
-// -batch-window spaces batches apart: an idle server answers a request at
-// once, and requests arriving while a window is open share the batch cut
-// when it is due. Each cut starts the next window, due one window later; a
-// cut made less than a window after its due time starts it at that due
-// time, so lateness never stretches the spacing.
+// A fixed 1 ms window spaces batches apart: an idle server answers a
+// request at once, and requests arriving while a window is open share the
+// batch cut when it is due. Each cut starts the next window, due 1 ms
+// later; a cut made less than a window after its due time starts it at
+// that due time, so lateness never stretches the spacing. 1 ms is the
+// shortest wait Go's runtime times in an idle process, which sleeps in
+// whole milliseconds.
 //
 // Usage:
 //
@@ -49,7 +51,6 @@ var (
 	forecastF   = flag.String("forecast", "", "optional forecaster file; enables /v1/forecast")
 	addr        = flag.String("addr", ":8080", "listen address")
 	maxBatch    = flag.Int("max-batch", 32, "max predictions per batch")
-	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "spacing between the due times of batches; an idle server answers at once")
 	maxInflight = flag.Int("max-inflight", 256, "queue bound before requests are shed with 503")
 	smoke       = flag.Bool("smoke", false, "serve a tiny synthetic model (ignores -model; for smoke tests)")
 )
@@ -78,7 +79,6 @@ func main() {
 
 	s := serve.New(fw, serve.Config{
 		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
 		MaxInflight: *maxInflight,
 		ModelPath:   *model,
 		Forecaster:  fc,

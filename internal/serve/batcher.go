@@ -2,8 +2,20 @@ package serve
 
 import "time"
 
+// cut is how gather ended a batch, which decides where the next window
+// starts.
+type cut uint8
+
+const (
+	cutIdle  cut = iota // at once, a whole window or more past the due time
+	cutLate             // at once, less than a window past the due time
+	cutTimer            // the window timer fired
+	cutFull             // MaxBatch requests gathered before the due time
+	cutStop             // flushed by shutdown
+)
+
 // gather collects the batch that first opens. Every cut starts the next
-// batch window (windowStart), which is due one BatchWindow later; the window
+// batch window (windowStart), which is due one window later; the window
 // is not anchored at first's arrival, so batches come about one window apart
 // without holding a request that nothing else joins. When first arrives
 // after the due time, the batcher was idle and first is cut at once, with
@@ -21,12 +33,13 @@ import "time"
 // time.
 func (s *Server) gather(first *request) []*request {
 	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-	due := s.windowStart.Add(s.cfg.BatchWindow)
+	due := s.windowStart.Add(s.window)
 	now := time.Now()
 	if late := now.Sub(due); late >= 0 {
-		s.windowStart = now
-		if late < s.cfg.BatchWindow {
-			s.windowStart = due
+		if late < s.window {
+			s.startWindow(cutLate, due)
+		} else {
+			s.startWindow(cutIdle, now)
 		}
 		return s.takeQueued(batch)
 	}
@@ -37,15 +50,24 @@ func (s *Server) gather(first *request) []*request {
 		case req := <-s.queue:
 			batch = append(batch, req)
 		case <-timer.C:
-			s.windowStart = due
+			s.startWindow(cutTimer, due)
 			return batch
 		case <-s.stop:
-			s.windowStart = time.Now()
+			s.startWindow(cutStop, time.Now())
 			return batch
 		}
 	}
-	s.windowStart = time.Now()
+	s.startWindow(cutFull, time.Now())
 	return batch
+}
+
+// startWindow starts the next batch window at start after a cut of the
+// given kind, and reports the cut to onCut when a test set it.
+func (s *Server) startWindow(kind cut, start time.Time) {
+	s.windowStart = start
+	if s.onCut != nil {
+		s.onCut(kind, start)
+	}
 }
 
 // takeQueued adds what is already queued to batch, without waiting, until

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +14,10 @@ import (
 
 // The tests below pin where the batch window starts: at the previous cut,
 // or at its due time when the timer made it or it came less than a window
-// late, never at a batch's first arrival. A minute-long window makes every
-// wait either obvious or absent.
+// late, never at a batch's first arrival. They set their own window through
+// newWithWindow: a minute-long one makes every wait either obvious or
+// absent, and the two window-start tests read the cuts the batcher records
+// rather than the wall-clock times of its answers.
 
 // TestIdleServerAnswersAtOnce: a lone request on a fresh server is cut at
 // once rather than held for the window, and that cut anchors the window, so
@@ -24,7 +25,7 @@ import (
 // Shutdown's flush answers it.
 func TestIdleServerAnswersAtOnce(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{BatchWindow: time.Minute})
+	s, _ := newWithWindow(fw, Config{}, time.Minute)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -53,7 +54,7 @@ func TestIdleServerAnswersAtOnce(t *testing.T) {
 func TestFullBatchCutsInsideWindow(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
 	const maxBatch = 4
-	s := New(fw, Config{MaxBatch: maxBatch, BatchWindow: time.Minute})
+	s, _ := newWithWindow(fw, Config{MaxBatch: maxBatch}, time.Minute)
 	defer s.Shutdown(context.Background())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -83,27 +84,58 @@ func TestFullBatchCutsInsideWindow(t *testing.T) {
 	}
 }
 
+// checkWindowStarts asserts the window-start rule on every recorded cut
+// after the first: a timer cut, or a cut at once less than a window past
+// its due time, starts the next window exactly one window after the
+// previous start (that is, at its due time), and a cut at once a whole
+// window or more past the due time starts it at least two windows after
+// the previous start. The steps are exact differences of monotonic times,
+// so how late a timer fired or how long a caller stalled cannot move them.
+// It returns how many cuts of each kind it saw.
+func checkWindowStarts(t *testing.T, cuts []windowCut, window time.Duration) map[cut]int {
+	t.Helper()
+	seen := map[cut]int{}
+	for i, c := range cuts {
+		seen[c.kind]++
+		if i == 0 {
+			continue
+		}
+		step := c.start.Sub(cuts[i-1].start)
+		switch c.kind {
+		case cutTimer, cutLate:
+			if step != window {
+				t.Errorf("cut %d (%v) started the next window %v after the previous start, want exactly %v", i, c.kind, step, window)
+			}
+		case cutIdle:
+			if step < 2*window {
+				t.Errorf("idle cut %d started the next window %v after the previous start, want at least %v", i, step, 2*window)
+			}
+		}
+	}
+	return seen
+}
+
 // TestWindowDoesNotDrift: a batch the window timer cuts starts the next
 // window at its due time, not when the timer fired, so back-to-back callers
 // wait one window per batch rather than one window plus the timer's
-// lateness. Two callers think for a tenth of the window after every
-// answer, so every batch after the first (idle) one waits for its timer,
-// and the answer to round n comes n windows after the first cut plus only
-// the last timer's lateness. Starting each window when the timer fired adds
-// every timer's lateness instead: about 0.5 ms a cut on Linux, where the
-// runtime sleeps an idle process in whole milliseconds, so about 15 ms by
-// round 30. The test takes the smallest excess over the last ten rounds and
-// both callers, so a late final timer, or a caller that stalls and answers
-// one batch later, does not fail it; the long window keeps a stall on a
-// busy machine from leaving the window idle.
+// lateness (about 0.5 ms a cut on Linux, where the runtime sleeps an idle
+// process in whole milliseconds). Two callers think for a tenth of the
+// window after every answer, so the batches after the first (idle) one wait
+// for their timer. Halfway through, both pause for one and a half windows
+// instead, so the next request comes half a window past its due time and
+// is cut at once, which must not stretch the next window either. The test
+// asserts on the window starts the batcher records, not on when answers
+// came, so a busy machine that stalls the batcher or its callers can change
+// which kind of cut a batch gets, but not where the next window starts.
 func TestWindowDoesNotDrift(t *testing.T) {
 	const (
 		window = 25 * time.Millisecond
 		think  = window / 10
+		pause  = window * 3 / 2
 		rounds = 40
 	)
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{BatchWindow: window})
+	s, log := newWithWindow(fw, Config{}, window)
 	defer s.Shutdown(context.Background())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -111,21 +143,22 @@ func TestWindowDoesNotDrift(t *testing.T) {
 	if _, _, err := s.Predict(ctx, mats[0]); err != nil {
 		t.Fatalf("first Predict on an idle server: %v", err)
 	}
-	start := time.Now() // the idle cut started the first window just before
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	answered := [2][rounds]time.Duration{}
-	for c := range answered {
+	for c := 0; c < 2; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				time.Sleep(think)
+				if i == rounds/2 {
+					time.Sleep(pause)
+				} else {
+					time.Sleep(think)
+				}
 				if _, _, err := s.Predict(ctx, mats[c]); err != nil {
 					errs <- err
 					return
 				}
-				answered[c][i] = time.Since(start)
 			}
 		}(c)
 	}
@@ -135,51 +168,51 @@ func TestWindowDoesNotDrift(t *testing.T) {
 		t.Fatalf("Predict: %v", err)
 	}
 
-	drift := time.Duration(math.MaxInt64)
-	for i := rounds - 10; i < rounds; i++ {
-		for c := range answered {
-			drift = min(drift, answered[c][i]-time.Duration(i+1)*window)
-		}
-	}
-	t.Logf("round answers exceed their windows by %v at the least over the last ten rounds", drift)
-	if drift > window/5 {
-		t.Fatalf("after %d rounds the answers came %v after %d windows: each window inherited the previous timer's lateness", rounds, drift, rounds)
+	cuts := log.snapshot()
+	seen := checkWindowStarts(t, cuts, window)
+	t.Logf("%d cuts: %d timer, %d late, %d idle, %d full", len(cuts), seen[cutTimer], seen[cutLate], seen[cutIdle], seen[cutFull])
+	if seen[cutTimer] == 0 {
+		t.Fatalf("no batch of %d rounds waited for the window timer: the test checked nothing", rounds)
 	}
 }
 
 // TestLateCutKeepsDueTime: a request that arrives less than a window after
 // the window's due time is cut at once, and that cut starts the next window
 // at the due time, not at the cut, so whatever made the request late does
-// not stretch the next window. A request sent right after it waits for the
+// not stretch the next window: a request sent right after it waits for the
 // rest of that window, about half a window here, not a whole window from
-// the cut.
+// the cut. A stall that makes the late request a whole window late turns
+// its cut into an idle one; the test then tries again, up to five times.
 func TestLateCutKeepsDueTime(t *testing.T) {
-	const window = 200 * time.Millisecond
+	const (
+		window = 200 * time.Millisecond
+		tries  = 5
+	)
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{BatchWindow: window})
+	s, log := newWithWindow(fw, Config{}, window)
 	defer s.Shutdown(context.Background())
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, _, err := s.Predict(ctx, mats[0]); err != nil {
-		t.Fatalf("first Predict on an idle server: %v", err)
+	predict := func(i int) windowCut {
+		t.Helper()
+		if _, _, err := s.Predict(ctx, mats[i%len(mats)]); err != nil {
+			t.Fatalf("Predict: %v", err)
+		}
+		cuts := log.snapshot()
+		return cuts[len(cuts)-1]
 	}
-	time.Sleep(window * 3 / 2) // the idle cut's window is half a window overdue
-
-	start := time.Now()
-	if _, _, err := s.Predict(ctx, mats[1]); err != nil {
-		t.Fatalf("late Predict: %v", err)
+	predict(0) // an idle cut starts the first window
+	for try := 1; ; try++ {
+		time.Sleep(window * 3 / 2) // the window is half a window overdue
+		if c := predict(try); c.kind == cutLate {
+			break
+		} else if try == tries {
+			t.Fatalf("no request of %d came less than a window past its due time (last cut %v)", tries, c.kind)
+		}
 	}
-	if took := time.Since(start); took > window/4 {
-		t.Fatalf("Predict half a window past the due time took %v, want it cut at once", took)
-	}
-	start = time.Now()
-	if _, _, err := s.Predict(ctx, mats[2]); err != nil {
-		t.Fatalf("Predict after the late cut: %v", err)
-	}
-	if took := time.Since(start); took > window*3/4 {
-		t.Fatalf("Predict right after a late cut took %v, want the rest of the window (about %v), not a whole window from the cut", took, window/2)
-	}
+	predict(tries + 1) // right after the late cut: held for the rest of its window
+	checkWindowStarts(t, log.snapshot(), window)
 }
 
 // gatedModel holds every ProbsInto call until release is closed, and

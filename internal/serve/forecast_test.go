@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"quanterference/internal/dataset"
 	"quanterference/internal/forecast"
@@ -167,7 +166,6 @@ func TestForecastConcurrentDeterministic(t *testing.T) {
 	s := New(fw, Config{
 		Forecaster:  fc,
 		MaxBatch:    8,
-		BatchWindow: 200 * time.Microsecond,
 		MaxInflight: 1024,
 	})
 	defer s.Shutdown(context.Background())

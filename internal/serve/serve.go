@@ -6,20 +6,21 @@
 // Concurrency model: the Framework's Predict/PredictBatch reuse internal
 // scratch and are not goroutine-safe, so the server funnels every prediction
 // through a single batcher goroutine. Concurrent requests are gathered into
-// one PredictBatch call of at most MaxBatch requests. BatchWindow spaces
-// batches apart: every cut starts a window that is due one BatchWindow
-// later, and a cut made less than a window after its due time starts the
-// next window at that due time, so lateness never stretches a window. An
-// idle server (its window already due) answers a request at once, while
-// requests arriving before the due time still share a batch. PredictBatch
-// is bit-identical to per-input Predict, so batching composition never
-// changes an answer — a property the tests pin down under -race with dozens
-// of concurrent clients. Forecasts have no batched entry point, so they
-// skip the batcher: each caller takes a one-slot lock and runs
-// Forecaster.Predict itself. The batcher mirrors every answered prediction
-// into an optional shadow evaluator (Config.Shadow, a *shadow.Evaluator)
-// with one non-blocking send before the reply, and /v1/shadow serves its
-// scoreboard.
+// one PredictBatch call of at most MaxBatch requests. A fixed 1 ms window
+// spaces batches apart: every cut starts a window that is due 1 ms later,
+// and a cut made less than a window after its due time starts the next
+// window at that due time, so lateness never stretches a window. 1 ms is
+// the shortest wait Go's runtime times in an idle process, which sleeps in
+// whole milliseconds. An idle server (its window already due) answers a
+// request at once, while requests arriving before the due time still share
+// a batch. PredictBatch is bit-identical to per-input Predict, so batching
+// composition never changes an answer — a property the tests pin down under
+// -race with dozens of concurrent clients. Forecasts have no batched entry
+// point, so they skip the batcher: each caller takes a one-slot lock and
+// runs Forecaster.Predict itself. The batcher mirrors every answered
+// prediction into an optional shadow evaluator (Config.Shadow, a
+// *shadow.Evaluator) with one non-blocking send before the reply, and
+// /v1/shadow serves its scoreboard.
 //
 // Hot reload swaps an atomic framework pointer: in-flight batches keep the
 // framework they loaded (each Framework owns its own scratch), so a reload
@@ -72,22 +73,13 @@ var (
 )
 
 // Config tunes the batching service. The zero value is usable: every field
-// defaults to the values quantserve ships with.
+// defaults to the values quantserve ships with. The batch window is not a
+// setting: batches are due a fixed 1 ms apart, the shortest wait Go's
+// runtime times in an idle process, which sleeps in whole milliseconds.
 type Config struct {
 	// MaxBatch caps how many requests one PredictBatch call carries
 	// (default 32).
 	MaxBatch int
-	// BatchWindow is the spacing between the due times of batches (default
-	// 2ms). Each cut starts the next window: a batch the window timer cuts,
-	// or one cut less than a window after its due time, starts it at that
-	// due time, so lateness never accumulates; a cut after a whole idle
-	// window, a full batch or a shutdown flush starts it at the cut's wall
-	// time. A request that arrives after the current window's due time is
-	// answered at once, with whatever is already queued; one that arrives
-	// sooner waits until the due time, gathering the requests that arrive
-	// meanwhile. Batches come at most one per window in the long run.
-	// Smaller trades throughput for latency.
-	BatchWindow time.Duration
 	// MaxInflight bounds the request queue and, separately, the forecasts
 	// admitted at once; admissions beyond it fail fast with ErrOverloaded
 	// (default 256).
@@ -118,9 +110,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
@@ -191,14 +180,32 @@ type Server struct {
 	hTotalNS    *obs.Histogram
 
 	// Batcher-only state: PredictBatch's input scratch and the start of
-	// the current batch window, which is due BatchWindow later.
+	// the current batch window, which is due one window later. window is
+	// batchWindow, and onCut is nil; only tests set either, before the
+	// batcher starts.
 	batchMats   []window.Matrix
 	windowStart time.Time
+	window      time.Duration
+	onCut       func(kind cut, start time.Time)
 }
+
+// batchWindow spaces the due times of batches (gather keeps them one window
+// apart): an idle server answers a request at once, and requests that arrive
+// before the due time share the batch cut then. 1 ms is the shortest wait
+// Go's runtime times in an idle process, which sleeps in whole
+// milliseconds.
+const batchWindow = time.Millisecond
 
 // New starts a serving loop around fw. The framework must not be used
 // directly (Predict/PredictBatch) while the server owns it.
 func New(fw *core.Framework, cfg Config) *Server {
+	s := newServer(fw, cfg)
+	go s.batcher()
+	return s
+}
+
+// newServer builds a server whose batcher is not yet started.
+func newServer(fw *core.Framework, cfg Config) *Server {
 	if fw == nil {
 		panic("serve: nil framework")
 	}
@@ -226,12 +233,12 @@ func New(fw *core.Framework, cfg Config) *Server {
 		hTotalNS:    cfg.Sink.Histogram("serve", "", "total_ns", obs.TimeBuckets()),
 
 		batchMats: make([]window.Matrix, 0, cfg.MaxBatch),
+		window:    batchWindow,
 	}
 	s.setFramework(fw)
 	if s.fc != nil {
 		s.fcDigest = ml.WeightsDigest(s.fc.ExportWeights())
 	}
-	go s.batcher()
 	return s
 }
 

@@ -187,7 +187,6 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 
 	s := New(fw, Config{
 		MaxBatch:    8,
-		BatchWindow: 200 * time.Microsecond,
 		MaxInflight: 1024,
 		ModelPath:   path,
 	})
@@ -259,7 +258,7 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 // returns only when the batcher has drained.
 func TestGracefulShutdownUnderLoad(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{MaxBatch: 4, BatchWindow: time.Millisecond, MaxInflight: 1024})
+	s := New(fw, Config{MaxBatch: 4, MaxInflight: 1024})
 
 	const clients = 16
 	ctx := context.Background()
@@ -341,7 +340,7 @@ func TestBackpressure(t *testing.T) {
 		Model:  slowModel{delay: 2 * time.Millisecond},
 		Scaler: &dataset.Scaler{Mean: make([]float64, 5), Std: []float64{1, 1, 1, 1, 1}},
 	}
-	s := New(fw, Config{MaxBatch: 2, BatchWindow: time.Millisecond, MaxInflight: 2})
+	s := New(fw, Config{MaxBatch: 2, MaxInflight: 2})
 	defer s.Shutdown(context.Background())
 
 	ctx := context.Background()

@@ -37,7 +37,7 @@ func histogram(t *testing.T, snap *obs.Snapshot, name string) obs.HistogramValue
 // one response per request, one batch observed, no re-observe by drain.
 func TestShutdownFlushesPartialGather(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{MaxBatch: 32, BatchWindow: time.Minute, MaxInflight: 64})
+	s, _ := newWithWindow(fw, Config{MaxBatch: 32, MaxInflight: 64}, time.Minute)
 
 	// An idle server cuts a request at once, so the abandoned requests would
 	// never be held. A first request, answered before they queue, anchors the
@@ -99,7 +99,7 @@ func TestShutdownFlushesPartialGather(t *testing.T) {
 // straggler exactly once, in MaxBatch-sized cuts.
 func TestShutdownDrainAnswersQueuedStragglers(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{MaxBatch: 2, BatchWindow: time.Minute, MaxInflight: 64})
+	s, _ := newWithWindow(fw, Config{MaxBatch: 2, MaxInflight: 64}, time.Minute)
 
 	const n = 7
 	reqs := make([]*request, n)
@@ -193,7 +193,7 @@ func TestShutdownForecastStragglers(t *testing.T) {
 // hanging or double-observing.
 func TestShutdownWithCanceledCallers(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
-	s := New(fw, Config{MaxBatch: 8, BatchWindow: time.Minute, MaxInflight: 64})
+	s, _ := newWithWindow(fw, Config{MaxBatch: 8, MaxInflight: 64}, time.Minute)
 
 	// An idle server answers a request at once, so a dead caller's reply
 	// could be ready beside its ctx.Done() and Go would pick either. A first
