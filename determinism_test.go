@@ -7,9 +7,10 @@
 //  1. Object pooling in the simulator (event free-lists, request pools,
 //     extent-map scratch buffers) must not change simulated behaviour: a run
 //     produces a byte-identical DXT trace to the pre-pool implementation.
-//  2. The nn scratch-buffer scheme must not change arithmetic: the default
-//     serial training path produces bit-identical weights to the
-//     pre-scratch implementation.
+//  2. The nn scratch-buffer scheme must not change arithmetic: the serial
+//     training path produces bit-identical weights to the pre-scratch
+//     implementation. The data-parallel path and the regressor are pinned
+//     beside it.
 //
 // Regenerate the goldens with:
 //
@@ -29,6 +30,7 @@ import (
 
 	quant "quanterference"
 	"quanterference/internal/ml"
+	"quanterference/internal/nn"
 	"quanterference/internal/sim"
 	"quanterference/internal/trace"
 	"quanterference/internal/workload/io500"
@@ -156,7 +158,7 @@ func TestGoldenTraceRetryPath(t *testing.T) {
 }
 
 // weightsFingerprint hashes every parameter's float64 bit pattern in order.
-func weightsFingerprint(m ml.Model) string {
+func weightsFingerprint(m interface{ Params() []nn.Param }) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, p := range m.Params() {
@@ -168,13 +170,40 @@ func weightsFingerprint(m ml.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenSerialWeights pins the serial training path's arithmetic: the
-// scratch-buffer scheme must yield bit-identical weights to the
-// pre-scratch implementation.
+// TestGoldenSerialWeights pins every trainer's arithmetic: the serial
+// kernel-model path (the first two lines, unchanged since before the
+// scratch-buffer scheme), the data-parallel path at Workers 2 — the value
+// the online loop trains with — for each classifier architecture, and the
+// regressor. The data-parallel and regressor pins train on 97 samples, so
+// each epoch ends in a one-sample batch.
 func TestGoldenSerialWeights(t *testing.T) {
 	ds := syntheticDataset(96)
 	m := ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 11})
 	loss := ml.Train(m, ds, ml.TrainConfig{Epochs: 4, Seed: 23})
 	got := fmt.Sprintf("weights %s\nloss %x\n", weightsFingerprint(m), math.Float64bits(loss))
+
+	ragged := syntheticDataset(97)
+	for _, arch := range []struct {
+		name string
+		m    ml.Model
+	}{
+		{"kernel", ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 11})},
+		{"flat", ml.NewFlatModel(7, 34, 2, 11)},
+		{"attention", ml.NewAttentionModel(ml.AttentionConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 11})},
+	} {
+		loss := ml.Train(arch.m, ragged, ml.TrainConfig{Epochs: 4, Seed: 23, Workers: 2})
+		got += fmt.Sprintf("workers2 %s weights %s\nworkers2 %s loss %x\n",
+			arch.name, weightsFingerprint(arch.m), arch.name, math.Float64bits(loss))
+	}
+
+	// The regressor's targets need spread: the synthetic windows all carry
+	// degradation 1.
+	for i, s := range ragged.Samples {
+		s.Degradation = 1 + float64(i%5)
+	}
+	reg := ml.NewKernelRegressor(7, 34, 11)
+	mse := ml.TrainRegressor(reg, ragged, ml.TrainConfig{Epochs: 4, Seed: 23})
+	got += fmt.Sprintf("regressor weights %s\nregressor mse %x\n",
+		weightsFingerprint(reg), math.Float64bits(mse))
 	goldenCompare(t, "golden_weights.txt", got)
 }
