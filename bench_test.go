@@ -356,9 +356,10 @@ func BenchmarkKernelModelTrainStep(b *testing.B) {
 }
 
 // BenchmarkTrainEpoch measures one training epoch over 256 samples at each
-// worker count. The serial case is the legacy non-sharded loop (Workers: 0);
-// every Workers >= 1 case runs the sharded path and produces bit-identical
-// weights, so the sweep isolates the cost/benefit of data parallelism alone.
+// worker count. The serial case computes each batch's gradients on the model
+// alone (Workers: 0); every Workers >= 1 case splits them over the same
+// shards and produces bit-identical weights, so the sweep isolates the
+// cost/benefit of data parallelism alone.
 func BenchmarkTrainEpoch(b *testing.B) {
 	ds := syntheticDataset(256)
 	for _, w := range []int{0, 1, 2, 4, 8} {

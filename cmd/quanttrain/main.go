@@ -31,7 +31,7 @@ var (
 	flat     = flag.Bool("flat", false, "use the flat-MLP ablation baseline instead of the kernel model")
 	seed     = flag.Int64("seed", 42, "random seed for split and init")
 	savePath = flag.String("save", "", "persist the trained framework (model + scaler + bins) to this file")
-	workers  = flag.Int("train-workers", 0, "data-parallel gradient workers (0 = serial legacy path; weights are identical for any value >= 1)")
+	workers  = flag.Int("train-workers", 0, "data-parallel gradient workers (0 = each batch's gradients on the model alone; weights are identical for any value >= 1)")
 	pprofAdr = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 )
 

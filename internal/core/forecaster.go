@@ -76,8 +76,7 @@ func TrainForecasterCtx(ctx context.Context, ds *dataset.Dataset, cfg Forecaster
 
 		// Same split seed as trainFramework, so a forecast head's holdout
 		// accuracy is measured the same way the classifier's is.
-		train, test := lagged.Split(testFrac, cfg.Seed^0x5717)
-		train, test = train.Copy(), test.Copy()
+		train, test := Holdout(lagged, cfg.Seed)
 		if train.Len() == 0 {
 			return nil, nil, fmt.Errorf("%w: horizon %d: %d lead-labeled samples leave an empty training split",
 				ErrForecastHorizon, k, lagged.Len())

@@ -27,9 +27,15 @@ type Framework struct {
 	batch batchScratch // PredictBatch's amortized buffers
 }
 
-// testFrac is the held-out share of every training split: the paper's
-// 80/20 split.
-const testFrac = 0.2
+// Holdout splits ds into the paper's 80/20 training and test sets, drawn
+// from seed. Every held-out evaluation uses it — TrainFrameworkE, each
+// forecaster head, and the studies that count or re-score the windows
+// TrainFrameworkE held out — so one seed names one test set. The halves are
+// deep copies: standardizing one leaves ds in raw units.
+func Holdout(ds *dataset.Dataset, seed int64) (train, test *dataset.Dataset) {
+	train, test = ds.Split(0.2, seed^0x5717)
+	return train.Copy(), test.Copy()
+}
 
 // FrameworkConfig controls training.
 type FrameworkConfig struct {
@@ -98,10 +104,9 @@ func trainFramework(ctx context.Context, ds *dataset.Dataset, cfg FrameworkConfi
 		}
 	}
 
-	train, test := ds.Split(testFrac, cfg.Seed^0x5717)
 	// Standardize copies: the caller's dataset must stay in raw units so
 	// Framework.Predict (which scales its own input) sees raw vectors.
-	train, test = train.Copy(), test.Copy()
+	train, test := Holdout(ds, cfg.Seed)
 	if scaler == nil {
 		scaler = dataset.FitScaler(train)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"quanterference/internal/core"
 	"quanterference/internal/dataset"
 	"quanterference/internal/ml"
 )
@@ -51,8 +52,7 @@ func ExtensionRegression(ds *dataset.Dataset, cfg DatasetConfig, epochs int) *Re
 		epochs = 60
 	}
 	bins := cfg.Bins
-	train, test := ds.Split(0.2, cfg.Seed^0x5717)
-	train, test = train.Copy(), test.Copy()
+	train, test := core.Holdout(ds, cfg.Seed)
 	scaler := dataset.FitScaler(train)
 	scaler.Transform(train)
 	scaler.Transform(test)

@@ -74,8 +74,8 @@ func TrainEvalWith(name string, ds *dataset.Dataset, bins label.Bins, epochs int
 	if bins.Thresholds == nil {
 		bins = label.BinaryBins()
 	}
-	train, test := ds.Split(0.2, seed^0x5717)
-	// TrainFramework re-splits identically (same seed), so counts match.
+	// TrainFramework holds out the same windows (same seed), so counts match.
+	train, test := core.Holdout(ds, seed)
 	_, cm := mustTrain(ds, core.FrameworkConfig{
 		Bins: bins, Seed: seed, NewModel: newModel,
 		Train: ml.TrainConfig{Epochs: epochs, Seed: seed},

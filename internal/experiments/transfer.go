@@ -159,13 +159,12 @@ func TransferStudy(cfg TransferConfig) *TransferResult {
 				continue
 			}
 			// Zero-shot: profile a's model reads profile b's test windows
-			// through a's scaler — the model is moved verbatim. The split
-			// seed matches TrainFramework's internal split, so this is the
-			// same test set the in-domain and fine-tuned numbers use.
-			_, test := ds[b].Split(0.2, cfg.Seed^0x5717)
-			scaled := test.Copy()
-			fw[a].Scaler.Transform(scaled)
-			res.ZeroShot[a][b] = ml.Evaluate(fw[a].Model, scaled).Accuracy()
+			// through a's scaler — the model is moved verbatim. Holdout is
+			// TrainFramework's own split, so this is the same test set the
+			// in-domain and fine-tuned numbers use.
+			_, test := core.Holdout(ds[b], cfg.Seed)
+			fw[a].Scaler.Transform(test)
+			res.ZeroShot[a][b] = ml.Evaluate(fw[a].Model, test).Accuracy()
 
 			_, cm, err := core.TrainFrameworkE(ds[b], core.FrameworkConfig{
 				Seed:  cfg.Seed,

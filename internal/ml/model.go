@@ -2,9 +2,11 @@
 // (§III-C): a shared dense network applied independently to each per-server
 // vector, whose scalar outputs are concatenated and fed to a small MLP head
 // for multi-bin classification. It also provides a flat-MLP baseline (for
-// the architecture ablation), an attention extension, the training loop
-// (serial, or data-parallel with deterministic gradient reduction), and
-// evaluation metrics (confusion matrices, precision/recall/F1).
+// the architecture ablation), an attention extension, a slowdown regressor,
+// one mini-batch training loop that trains all of them (a batch's gradients
+// come from the model alone, or from parallel shards summed by a fixed
+// reduction tree), and evaluation metrics (confusion matrices,
+// precision/recall/F1).
 //
 // Inference has one path: Model.ProbsInto writes a window's class
 // distribution into a caller-owned slice through nn's cache-free Infer, so it

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 
 	"quanterference/internal/dataset"
@@ -75,42 +76,23 @@ func Log2Degradation(deg float64) float64 {
 	return math.Log2(deg)
 }
 
-// TrainRegressor fits the regressor with Adam and MSE on log2(degradation).
-// It returns the final epoch's mean squared error, and leaves the regressor
-// without gradient accumulators, like TrainCtx.
+// TrainRegressor fits the regressor with Adam and MSE on log2(degradation),
+// on the same mini-batch loop as TrainCtx with a single shard (Workers is
+// not read). It returns the final epoch's mean squared error, and leaves the
+// regressor without gradient accumulators, like TrainCtx.
 func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig) float64 {
-	cfg.applyDefaults()
-	if train.Len() == 0 {
-		panic("ml: empty training set")
-	}
 	defer m.dropGrads()
-	opt := nn.NewAdam(learningRate)
-	rng := sim.NewRNG(cfg.Seed ^ 0x9e57)
-	var last float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := rng.Perm(train.Len())
-		var sse float64
-		for start := 0; start < len(perm); start += batchSize {
-			end := start + batchSize
-			if end > len(perm) {
-				end = len(perm)
-			}
-			for _, idx := range perm[start:end] {
-				s := train.Samples[idx]
-				y := m.forward(s.Vectors, (*nn.Sequential).Forward)
-				target := Log2Degradation(s.Degradation)
-				diff := y - target
-				sse += diff * diff
-				m.backward(2 * diff)
-			}
-			opt.Step(m.Params(), 1/float64(end-start))
+	m.ensureGrads()
+	mse, _ := miniBatches(context.Background(), train.Len(), cfg, 0x9e57, m.Params(), func(batch []int, sse float64) float64 {
+		for _, idx := range batch {
+			s := train.Samples[idx]
+			diff := m.forward(s.Vectors, (*nn.Sequential).Forward) - Log2Degradation(s.Degradation)
+			sse += diff * diff
+			m.backward(2 * diff)
 		}
-		last = sse / float64(train.Len())
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, last)
-		}
-	}
-	return last
+		return sse
+	})
+	return mse
 }
 
 // RegressorEval summarizes a regressor on held-out data.

@@ -19,7 +19,7 @@ const (
 )
 
 // gradShards is the fixed number of gradient shards a mini-batch is split
-// into on the data-parallel path. The shard partition and the reduction
+// into when TrainConfig.Workers >= 1. The shard partition and the reduction
 // tree depend only on this constant and the batch length — never on the
 // worker count — which is what makes trained weights bit-identical across
 // TrainConfig.Workers values. Four shards keeps the per-batch reduction
@@ -33,24 +33,19 @@ const gradShards = 4
 type TrainConfig struct {
 	Epochs int // default 60
 	Seed   int64
-	// Workers selects the training path. 0 (the default) is the legacy
-	// serial loop, kept bit-identical to previous releases. Any value >= 1
-	// uses the data-parallel sharded path: each mini-batch is split into
-	// gradShards fixed sample ranges, one weight-sharing model replica
-	// computes each shard's gradient, and shard gradients are combined by a
-	// fixed-order pairwise tree reduction. Weights are bit-identical for
-	// every Workers value (1 runs the same shard schedule on the calling
-	// goroutine); only wall-clock time changes. Models that do not
-	// implement Replicable fall back to the serial loop.
+	// Workers sets how a mini-batch's gradients are computed. 0 (the
+	// default) computes them on one shard, the model itself, bit-identical
+	// to previous releases. Any value >= 1 splits each mini-batch into
+	// gradShards fixed sample ranges: the model takes the first,
+	// weight-sharing replicas the others, up to Workers of them run at
+	// once, and a fixed-order pairwise tree reduces the shard gradients
+	// into the model. Weights are bit-identical for every Workers value >= 1
+	// (1 runs the same shard schedule on the calling goroutine); only
+	// wall-clock time changes. Models that do not implement Replicable
+	// train on one shard.
 	Workers int
 	// OnEpoch, when set, receives the mean training loss after each epoch.
 	OnEpoch func(epoch int, loss float64)
-}
-
-func (c *TrainConfig) applyDefaults() {
-	if c.Epochs == 0 {
-		c.Epochs = 60
-	}
 }
 
 // classWeights computes the per-class loss weights for a dataset: each
@@ -67,70 +62,115 @@ func classWeights(train *dataset.Dataset) []float64 {
 	return weights
 }
 
+// miniBatches is the training loop every training call runs: cfg.Epochs
+// epochs (default 60) over n samples, each checking ctx, shuffling with an
+// RNG seeded from cfg.Seed^salt and cutting the permutation into batches of
+// batchSize. step accumulates one batch's gradients into params and returns
+// the running epoch loss it is given plus the batch's losses; one Adam step
+// over params follows each batch. It returns the last epoch's mean loss, or
+// ctx.Err() with the loss so far once ctx is done.
+func miniBatches(ctx context.Context, n int, cfg TrainConfig, salt int64, params []nn.Param,
+	step func(batch []int, loss float64) float64) (float64, error) {
+	if n == 0 {
+		panic("ml: empty training set")
+	}
+	if cfg.Epochs == 0 {
+		cfg.Epochs = 60
+	}
+	opt := nn.NewAdam(learningRate)
+	rng := sim.NewRNG(cfg.Seed ^ salt)
+	var lastLoss float64
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		if err := ctx.Err(); err != nil {
+			return lastLoss, err
+		}
+		perm := rng.Perm(n)
+		var epochLoss float64
+		for start := 0; start < n; start += batchSize {
+			batch := perm[start:min(start+batchSize, n)]
+			epochLoss = step(batch, epochLoss)
+			opt.Step(params, 1/float64(len(batch)))
+		}
+		lastLoss = epochLoss / float64(n)
+		if cfg.OnEpoch != nil {
+			cfg.OnEpoch(epoch, lastLoss)
+		}
+	}
+	return lastLoss, nil
+}
+
 // Train fits the model on the dataset with Adam and mini-batches of 32,
 // weighting the loss by class (see TrainConfig). It returns the final mean
 // training loss.
 //
-// With cfg.Workers >= 1 and a Replicable model, gradient computation is
-// data-parallel with a deterministic reduction; see TrainConfig.Workers for
-// the exact contract. Both paths consume the same RNG stream, so they see
-// identical shuffles; they differ only in gradient summation order.
+// Every Workers value runs the same loop and sees the same shuffles; with
+// Workers >= 1 and a Replicable model, a batch's gradients are computed on
+// parallel shards and summed by a fixed tree (see TrainConfig.Workers).
 func Train(m Model, train *dataset.Dataset, cfg TrainConfig) float64 {
 	loss, _ := TrainCtx(context.Background(), m, train, cfg)
 	return loss
 }
 
-// TrainCtx is Train with cancellation: the epoch loop (on both the serial
-// and the data-parallel path) checks ctx before each epoch and returns
-// ctx.Err() with the loss so far when the context is done. Epochs that ran
-// are exactly the epochs Train would have run — cancellation never perturbs
-// the RNG stream or the gradient arithmetic, so an uncancelled TrainCtx is
-// bit-identical to Train.
+// TrainCtx is Train with cancellation: the epoch loop checks ctx before each
+// epoch and returns ctx.Err() with the loss so far when the context is done.
+// Epochs that ran are exactly the epochs Train would have run —
+// cancellation never perturbs the RNG stream or the gradient arithmetic, so
+// an uncancelled TrainCtx is bit-identical to Train.
 //
 // Gradient accumulators belong to the call, not the model: a model of this
 // package gets them on its first backward pass and loses them on every
 // return, cancelled or not, so a trained model holds weights and inference
 // scratch only.
 func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainConfig) (float64, error) {
-	cfg.applyDefaults()
-	if train.Len() == 0 {
-		panic("ml: empty training set")
-	}
 	if g, ok := m.(gradModel); ok {
 		defer g.dropGrads()
 	}
 	weights := classWeights(train)
-	if cfg.Workers >= 1 {
-		if r, ok := m.(Replicable); ok {
-			return trainSharded(ctx, r, train, cfg, weights)
+	// Shard 0 is the model itself; with Workers >= 1 replicas take the
+	// others. The reduction reads Params slices taken here, before any
+	// backward pass, so every shard needs its accumulators now.
+	shards := []Model{m}
+	if r, ok := m.(Replicable); ok && cfg.Workers >= 1 {
+		for len(shards) < gradShards {
+			shards = append(shards, r.Replica())
 		}
 	}
-	opt := nn.NewAdam(learningRate)
-	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return lastLoss, err
-		}
-		perm := rng.Perm(train.Len())
-		var epochLoss float64
-		for start := 0; start < len(perm); start += batchSize {
-			end := start + batchSize
-			if end > len(perm) {
-				end = len(perm)
-			}
-			for _, idx := range perm[start:end] {
-				s := train.Samples[idx]
-				epochLoss += m.LossAndGrad(s.Vectors, s.Label, weights[s.Label])
-			}
-			opt.Step(m.Params(), 1/float64(end-start))
-		}
-		lastLoss = epochLoss / float64(train.Len())
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, lastLoss)
-		}
+	params := make([][]nn.Param, len(shards))
+	for s, sm := range shards {
+		ensureGrads(sm)
+		params[s] = sm.Params()
 	}
-	return lastLoss, nil
+	// addLosses adds the losses of samples idxs to loss, accumulating their
+	// gradients on shard s.
+	addLosses := func(s int, idxs []int, loss float64) float64 {
+		for _, idx := range idxs {
+			smp := train.Samples[idx]
+			loss += shards[s].LossAndGrad(smp.Vectors, smp.Label, weights[smp.Label])
+		}
+		return loss
+	}
+	losses := make([]float64, len(shards))
+	return miniBatches(ctx, train.Len(), cfg, 0x7a11, params[0], func(batch []int, loss float64) float64 {
+		ns := min(len(shards), len(batch))
+		if ns == 1 {
+			return addLosses(0, batch, loss)
+		}
+		// Each shard accumulates into its own model: no shared mutable
+		// state between workers until the barrier below.
+		par.MapN(ns, cfg.Workers, func(s int) {
+			lo, hi := shardBounds(len(batch), ns, s)
+			losses[s] = addLosses(s, batch[lo:hi], 0)
+		})
+		// Fixed-order pairwise tree reduction into shard 0, the model.
+		for stride := 1; stride < ns; stride *= 2 {
+			for i := 0; i+stride < ns; i += 2 * stride {
+				nn.AccumulateGrads(params[i], params[i+stride])
+				nn.ZeroGrads(params[i+stride])
+				losses[i] += losses[i+stride]
+			}
+		}
+		return loss + losses[0]
+	})
 }
 
 // shardBounds splits n samples into ns shards by ceiling division and
@@ -146,77 +186,6 @@ func shardBounds(n, ns, s int) (int, int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// trainSharded is the data-parallel gradient path: per-shard model replicas
-// fan out via par.MapN, then a fixed-order pairwise tree combines shard
-// gradients and losses. All floating-point summation orders are functions
-// of the batch length alone, so weights are bit-identical for any
-// cfg.Workers >= 1.
-func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg TrainConfig, weights []float64) (float64, error) {
-	opt := nn.NewAdam(learningRate)
-	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
-	// The reduction reads Params slices taken here, before any backward
-	// pass, and the main model never runs one: every model needs its
-	// accumulators now.
-	ensureGrads(m)
-	mainParams := m.Params()
-	replicas := make([]Model, gradShards)
-	repParams := make([][]nn.Param, gradShards)
-	for i := range replicas {
-		replicas[i] = m.Replica()
-		ensureGrads(replicas[i])
-		repParams[i] = replicas[i].Params()
-	}
-	losses := make([]float64, gradShards)
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return lastLoss, err
-		}
-		perm := rng.Perm(train.Len())
-		var epochLoss float64
-		for start := 0; start < len(perm); start += batchSize {
-			end := start + batchSize
-			if end > len(perm) {
-				end = len(perm)
-			}
-			batch := perm[start:end]
-			ns := gradShards
-			if len(batch) < ns {
-				ns = len(batch)
-			}
-			// Each shard accumulates into its own replica: no shared
-			// mutable state between workers until the barrier below.
-			par.MapN(ns, cfg.Workers, func(s int) {
-				lo, hi := shardBounds(len(batch), ns, s)
-				rep := replicas[s]
-				var loss float64
-				for _, idx := range batch[lo:hi] {
-					smp := train.Samples[idx]
-					loss += rep.LossAndGrad(smp.Vectors, smp.Label, weights[smp.Label])
-				}
-				losses[s] = loss
-			})
-			// Fixed-order pairwise tree reduction over shards 0..ns-1.
-			for stride := 1; stride < ns; stride *= 2 {
-				for i := 0; i+stride < ns; i += 2 * stride {
-					nn.AccumulateGrads(repParams[i], repParams[i+stride])
-					nn.ZeroGrads(repParams[i+stride])
-					losses[i] += losses[i+stride]
-				}
-			}
-			nn.AccumulateGrads(mainParams, repParams[0])
-			nn.ZeroGrads(repParams[0])
-			epochLoss += losses[0]
-			opt.Step(mainParams, 1/float64(len(batch)))
-		}
-		lastLoss = epochLoss / float64(train.Len())
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, lastLoss)
-		}
-	}
-	return lastLoss, nil
 }
 
 // ensureGrads gives a model of this package its gradient accumulators now.

@@ -52,7 +52,7 @@ func trainWithWorkers(t *testing.T, mk func() Model, ds *dataset.Dataset, worker
 }
 
 // TestParallelTrainingDeterministic is the load-bearing determinism
-// regression: the sharded trainer must produce bit-identical weights and
+// regression: sharded gradients must produce bit-identical weights and
 // losses for every worker count, including the degenerate 1-worker
 // schedule, for every replicable model architecture.
 func TestParallelTrainingDeterministic(t *testing.T) {
@@ -74,14 +74,14 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 			for _, workers := range []int{2, 4, 8} {
 				gotW, gotLoss := trainWithWorkers(t, mk, ds, workers)
 				if gotLoss != refLoss {
-					t.Errorf("workers=%d: loss bits %x != serial %x", workers, gotLoss, refLoss)
+					t.Errorf("workers=%d: loss bits %x != workers=1 %x", workers, gotLoss, refLoss)
 				}
 				if len(gotW) != len(refW) {
 					t.Fatalf("workers=%d: %d weights, want %d", workers, len(gotW), len(refW))
 				}
 				for i := range gotW {
 					if gotW[i] != refW[i] {
-						t.Fatalf("workers=%d: weight %d bits %x != serial %x",
+						t.Fatalf("workers=%d: weight %d bits %x != workers=1 %x",
 							workers, i, gotW[i], refW[i])
 					}
 				}
@@ -90,8 +90,8 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelTrainingLearns sanity-checks that the sharded path actually
-// trains: loss must drop and accuracy beat chance on a separable dataset.
+// TestParallelTrainingLearns sanity-checks that sharded gradients actually
+// train: loss must drop and accuracy beat chance on a separable dataset.
 func TestParallelTrainingLearns(t *testing.T) {
 	nTargets, nFeat := 4, 6
 	names := make([]string, nFeat)
