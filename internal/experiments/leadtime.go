@@ -84,7 +84,7 @@ type LeadTimeResult struct {
 }
 
 // leadtimeSweep is the interference schedule for forecasting runs. Unlike
-// the transfer sweep, most variants hold their arrival back by several
+// the standard sweep, most variants hold their arrival back by several
 // windows (startAt), so every run opens with a clean stretch and then
 // degrades mid-stream — the transition a forecaster is supposed to call
 // ahead of time. Staggered delays also keep the two classes balanced enough
@@ -98,11 +98,11 @@ var leadtimeSweep = sweep{dir: "/lt", entries: []sweepEntry{
 }}
 
 // leadtimeDataset collects one profile's labelled window stream for
-// forecasting. Unlike the transfer study's trimmed targets (sized for cheap
-// collection, often finishing inside one window), forecasting needs runs
-// spanning at least History+Horizon consecutive windows — and longer than
-// the sweep's arrival delays. The targets are therefore sized in time
-// (roughly 15-20 unimpeded windows) and deliberately NOT scaled by
+// forecasting. Unlike the IO500 dataset's targets (sized by cfg.Scale, a
+// run lasting a few windows), forecasting needs runs spanning at least
+// History+Horizon consecutive windows — and longer than the sweep's arrival
+// delays. The targets are therefore sized in time (roughly 15-20
+// unimpeded windows) and deliberately NOT scaled by
 // cfg.Scale: the simulator runs in virtual time, so a fixed-size target
 // costs the same wall clock at every scale, stays inside the collection cap
 // at full scale, and keeps smoke runs long enough to lead-label. Scale still

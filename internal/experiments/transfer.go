@@ -37,20 +37,13 @@ func (c *TransferConfig) applyDefaults() {
 	}
 }
 
-const (
-	// transferReps repeats each profile's sweep with rotated OST placement,
-	// trimmed against DatasetConfig's 3 because the study multiplies
-	// everything by the profile count.
-	transferReps = 2
-	// transferFineTuneEpochs is the warm-started adaptation pass on the
-	// target profile's data, a fraction of the default 40 training epochs:
-	// the point of transfer is paying less than full retraining.
-	transferFineTuneEpochs = 12
-)
+// transferFineTuneEpochs is the warm-started adaptation pass on the target
+// profile's data, a fraction of the default 40 training epochs: the point of
+// transfer is paying less than full retraining.
+const transferFineTuneEpochs = 12
 
-// transferTasks are each profile's dataset targets and the rows and columns
-// of its mini interference matrix: one bulk writer, one bulk reader, one
-// metadata task.
+// transferTasks are the rows and columns of each profile's mini
+// interference matrix: one bulk writer, one bulk reader, one metadata task.
 var transferTasks = []io500.Task{io500.IorEasyWrite, io500.IorEasyRead, io500.MdtHardWrite}
 
 // TransferResult holds the study's accuracy table and the per-profile
@@ -82,28 +75,9 @@ func (r *TransferResult) Gap(a, b int) float64 {
 	return r.InDomain[b] - r.ZeroShot[a][b]
 }
 
-// transferSweep is a trimmed interference sweep — one intensity per
-// contention class — keeping the per-profile collection cost proportionate to
-// the number of profiles the study multiplies it by.
-var transferSweep = sweep{dir: "/tsweep", entries: []sweepEntry{
-	{task: io500.IorEasyRead, instances: 1, ranks: 4},
-	{task: io500.IorEasyRead, instances: 2, ranks: 4},
-	{task: io500.IorEasyWrite, instances: 1, ranks: 4},
-	{task: io500.IorHardWrite, instances: 1, ranks: 4},
-	{task: io500.MdtHardWrite, instances: 1, ranks: 4},
-}}
-
-// transferDataset collects one profile's labelled windows: the transferTasks
-// targets against the trimmed sweep.
-func transferDataset(cfg TransferConfig, profile string) *dataset.Dataset {
-	dc := DatasetConfig{Scale: cfg.Scale, Reps: transferReps, Seed: cfg.Seed, Profile: profile}
-	dc.applyDefaults()
-	targets := io500Targets("/tfr-", io500Params(dc.Scale), transferTasks...)
-	return collectTargets(dc, targets, transferSweep.variants(dc.Scale))
-}
-
 // TransferStudy runs the cross-profile experiment end to end: per-profile
-// dataset collection and in-domain training, zero-shot evaluation of every
+// dataset collection (the Figure 3(a) IO500 collection, run on each
+// profile) and in-domain training, zero-shot evaluation of every
 // ordered profile pair, a warm-started fine-tune for each pair, and a mini
 // interference matrix per profile. Both transfer variants are scored on the
 // same held-out split of the target profile's data (the split seed matches
@@ -125,7 +99,7 @@ func TransferStudy(cfg TransferConfig) *TransferResult {
 	ds := make([]*dataset.Dataset, n)
 	fw := make([]*core.Framework, n)
 	for i, name := range cfg.Profiles {
-		ds[i] = transferDataset(cfg, name)
+		ds[i] = IO500Dataset(DatasetConfig{Scale: cfg.Scale, Seed: cfg.Seed, Profile: name})
 		res.Samples[i] = ds[i].Len()
 		res.ClassCounts[i] = ds[i].ClassCounts()
 		f, cm, err := core.TrainFrameworkE(ds[i], core.FrameworkConfig{
