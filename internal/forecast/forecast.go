@@ -296,6 +296,3 @@ func (t *Tracker) Ready() bool { return len(t.hist) == t.f.History }
 // that the partial history fails the forecaster's shape check with
 // ErrBadHistory).
 func (t *Tracker) Predict() (*Prediction, error) { return t.f.Predict(t.hist) }
-
-// Reset drops the tracked history (e.g. when the stream restarts).
-func (t *Tracker) Reset() { t.hist = t.hist[:0] }

@@ -339,10 +339,6 @@ func TestTrackerWindowing(t *testing.T) {
 			}
 		}
 	}
-	tr.Reset()
-	if tr.Ready() {
-		t.Fatal("ready after reset")
-	}
 }
 
 func TestCloneIsIndependentAndWeightEqual(t *testing.T) {

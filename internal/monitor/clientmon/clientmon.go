@@ -139,6 +139,3 @@ func (m *Monitor) Windows() []int {
 	sort.Ints(out)
 	return out
 }
-
-// Reset drops all aggregated windows (between runs).
-func (m *Monitor) Reset() { m.windows = make(map[int][]TargetMetrics) }

@@ -95,10 +95,6 @@ func TestWindowsSortedAndReset(t *testing.T) {
 			t.Fatalf("windows %v", got)
 		}
 	}
-	m.Reset()
-	if len(m.Windows()) != 0 {
-		t.Fatal("reset did not clear")
-	}
 }
 
 func TestVectorMatchesFeatureNames(t *testing.T) {

@@ -59,37 +59,3 @@ func MovingAverage(xs []float64, width int) []float64 {
 	}
 	return out
 }
-
-// Percentile returns the p-quantile (0 <= p <= 1) of xs using linear
-// interpolation. xs must be sorted ascending; empty input returns 0.
-func Percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	pos := p * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// GeoMean returns the geometric mean of xs (which must all be positive).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}

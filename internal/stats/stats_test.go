@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -53,28 +52,6 @@ func TestMovingAverageSmooths(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if !almost(Percentile(xs, 0), 1) || !almost(Percentile(xs, 1), 5) {
-		t.Fatal("extremes wrong")
-	}
-	if !almost(Percentile(xs, 0.5), 3) {
-		t.Fatalf("median=%f", Percentile(xs, 0.5))
-	}
-	if !almost(Percentile(xs, 0.25), 2) {
-		t.Fatalf("q1=%f", Percentile(xs, 0.25))
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty percentile")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{1, 4}), 2) {
-		t.Fatalf("geomean=%f", GeoMean([]float64{1, 4}))
-	}
-}
-
 // Property: moving average preserves bounds and overall mean approximately.
 func TestPropertyMovingAverageBounds(t *testing.T) {
 	f := func(raw []uint8, width uint8) bool {
@@ -92,32 +69,6 @@ func TestPropertyMovingAverageBounds(t *testing.T) {
 			if v < lo-1e-9 || v > hi+1e-9 {
 				return false
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: percentile is monotone in p.
-func TestPropertyPercentileMonotone(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-		}
-		sort.Float64s(xs)
-		last := math.Inf(-1)
-		for p := 0.0; p <= 1.0; p += 0.05 {
-			v := Percentile(xs, p)
-			if v < last-1e-9 {
-				return false
-			}
-			last = v
 		}
 		return true
 	}
