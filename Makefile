@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 verify fuzz bench bench-collect docs-check figures-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
+.PHONY: build test tier1 verify fuzz bench bench-collect bench-pins docs-check figures-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke trace clean
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,9 @@ tier1: build test
 # loop promoting through the live server under concurrent predictions).
 # cmd/quantbench is a module of its own, so the root ./... never compiles it;
 # the last line vets and tests it, catching a break in an internal API it
-# calls before the benchmark runs.
-verify: docs-check figures-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke
+# calls before the benchmark runs, and bench-pins runs the output checks the
+# harness pins.
+verify: docs-check figures-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke bench-pins
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=1 ./internal/par ./internal/obs ./internal/fault ./internal/ml ./internal/serve ./internal/online ./internal/mitigate ./internal/fleet ./internal/shadow
@@ -113,6 +114,18 @@ serve-smoke:
 # forced rejection with rollback.
 online-smoke:
 	$(GO) run ./cmd/quantonline -smoke
+
+# bench-pins runs the benchmark harness's two correctness workloads once
+# each. study-io500 checks the Figure 3(a) dataset digest and confusion
+# matrix; online-retrain checks the online incumbent's weight digest and the
+# decision timeline digest. No other check covers these pins: a training or
+# collection change that moves one fails here, not first in a benchmark run.
+# quantbench prints "correct":false and exits 1 when a check fails. About
+# 30 s with a cold harness build (bench.sh builds under .bench_build/), and
+# under 10 s per workload once built.
+bench-pins:
+	bash cmd/quantbench/bench.sh --workload study-io500 --seed 42 --seconds 5 --trace 0
+	bash cmd/quantbench/bench.sh --workload online-retrain --seed 42 --seconds 5 --trace 0
 
 # profile-smoke runs the cross-profile transfer study end to end at tiny
 # scale: per-profile datasets on three hardware backends, in-domain training,
