@@ -82,7 +82,7 @@ func Log2Degradation(deg float64) float64 {
 // regressor without gradient accumulators, like TrainCtx.
 func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig) float64 {
 	defer m.dropGrads()
-	m.ensureGrads()
+	m.ensureGrads() // the loop reads Params once, before any backward pass
 	mse, _ := miniBatches(context.Background(), train.Len(), cfg, 0x9e57, m.Params(), func(batch []int, sse float64) float64 {
 		for _, idx := range batch {
 			s := train.Samples[idx]

@@ -153,6 +153,8 @@ func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainCon
 	return miniBatches(ctx, train.Len(), cfg, 0x7a11, params[0], func(batch []int, loss float64) float64 {
 		ns := min(len(shards), len(batch))
 		if ns == 1 {
+			// Each sample's loss goes straight into the running loss; a
+			// per-shard sum would round differently.
 			return addLosses(0, batch, loss)
 		}
 		// Each shard accumulates into its own model: no shared mutable
