@@ -77,12 +77,11 @@ func (r *TransferResult) Gap(a, b int) float64 {
 
 // TransferStudy runs the cross-profile experiment end to end: per-profile
 // dataset collection (the Figure 3(a) IO500 collection, run on each
-// profile) and in-domain training, zero-shot evaluation of every
-// ordered profile pair, a warm-started fine-tune for each pair, and a mini
+// profile) and in-domain training, zero-shot evaluation of every ordered
+// profile pair, a warm-started fine-tune for each pair, and a mini
 // interference matrix per profile. Both transfer variants are scored on the
-// same held-out split of the target profile's data (the split seed matches
-// TrainFramework's internal one), so their accuracies are directly
-// comparable.
+// same held-out split of the target profile's data (core.Holdout, the split
+// TrainFramework makes), so their accuracies are directly comparable.
 func TransferStudy(cfg TransferConfig) *TransferResult {
 	cfg.applyDefaults()
 	n := len(cfg.Profiles)

@@ -37,12 +37,12 @@
 // # Replicas
 //
 // Data-parallel training (internal/ml's TrainConfig.Workers) runs the model
-// on the first gradient shard and one replica on each other. Dense.Replica, ReLU.Replica, and
-// Sequential.Replica return layers that share the trainable weight slices
-// with the original but own private gradient accumulators (created on
-// demand, like the original's), caches, and scratch pools, so replicas may
-// run forward/backward concurrently as long as weights are only updated
-// between batches.
+// on the first gradient shard and one replica on each other. Dense.Replica,
+// ReLU.Replica, and Sequential.Replica return layers that share the
+// trainable weight slices with the original but own private gradient
+// accumulators (created on demand, like the original's), caches, and
+// scratch pools, so replicas may run forward/backward concurrently as long
+// as weights are only updated between batches.
 package nn
 
 import (
