@@ -83,7 +83,7 @@ func Log2Degradation(deg float64) float64 {
 func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig) float64 {
 	defer m.dropGrads()
 	m.ensureGrads() // the loop reads Params once, before any backward pass
-	mse, _ := miniBatches(context.Background(), train.Len(), cfg, 0x9e57, m.Params(), func(batch []int, sse float64) float64 {
+	mse, _ := miniBatches(context.TODO(), train.Len(), cfg, 0x9e57, m.Params(), func(batch []int, sse float64) float64 {
 		for _, idx := range batch {
 			s := train.Samples[idx]
 			diff := m.forward(s.Vectors, (*nn.Sequential).Forward) - Log2Degradation(s.Degradation)
