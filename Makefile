@@ -28,7 +28,9 @@ verify: docs-check figures-check serve-smoke online-smoke profile-smoke forecast
 	cd cmd/quantbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs each fuzz target for 10s: arbitrary /v1/predict and /v1/forecast
-# bodies must never panic the handler or answer a 5xx, any framework or
+# bodies must never panic the handler or answer a 5xx, any body the request
+# codec accepts must be valid JSON that json.Unmarshal decodes to the same
+# float bits, any framework or
 # forecaster file a loader accepts must serve a well-shaped input without
 # panicking, any dataset file dataset.Load accepts must train for an epoch
 # without panicking, any fault list fault.ParseSpecs accepts must run a
@@ -41,6 +43,7 @@ verify: docs-check figures-check serve-smoke online-smoke profile-smoke forecast
 fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzHandlePredict$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzHandleForecast$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeBodies$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadFramework$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 50x -parallel 2

@@ -150,6 +150,7 @@ type Coordinator struct {
 	next     int      // timeline slot the next line overwrites once full
 	accepted int
 	dropped  int
+	retries  int
 	lastFail map[string]string
 
 	promoteMu sync.Mutex
@@ -220,18 +221,23 @@ func (c *Coordinator) Timeline() []string {
 }
 
 // Accepted and Dropped count requests the fleet answered / failed outright.
+// Retries counts failovers, one per "retry" timeline line, including those
+// the timeline ring has since overwritten.
 func (c *Coordinator) Accepted() int { c.mu.Lock(); defer c.mu.Unlock(); return c.accepted }
 func (c *Coordinator) Dropped() int  { c.mu.Lock(); defer c.mu.Unlock(); return c.dropped }
+func (c *Coordinator) Retries() int  { c.mu.Lock(); defer c.mu.Unlock(); return c.retries }
 
 func (c *Coordinator) event(format string, args ...interface{}) {
 	c.Note(fmt.Sprintf(format, args...))
 }
 
-// noteFail remembers the most recent routing-failure cause per replica, so
-// Status can answer "why did r1 lose its turn" long after the retry line
-// scrolled off the timeline. Sticky: a later success does not erase it.
+// noteFail counts one failover and remembers the most recent
+// routing-failure cause per replica, so Status can answer "why did r1 lose
+// its turn" long after the retry line scrolled off the timeline. Sticky: a
+// later success does not erase it.
 func (c *Coordinator) noteFail(name, label string) {
 	c.mu.Lock()
+	c.retries++
 	c.lastFail[name] = label
 	c.mu.Unlock()
 }

@@ -146,7 +146,7 @@ func TestFailoverDropsNothing(t *testing.T) {
 
 	f.Kill(1) // r1's listener closes: transport errors, not HTTP ones
 
-	sawRetry := false
+	retries := 0
 	for i := 0; i < 24; i++ {
 		resp, err := f.Coord.Predict(ctx, fmt.Sprintf("w%02d", i), matrix(rng, 0))
 		if err != nil {
@@ -162,20 +162,56 @@ func TestFailoverDropsNothing(t *testing.T) {
 			if !strings.Contains(ev, "r1 unreachable") {
 				t.Fatalf("retry event %q does not blame the killed replica", ev)
 			}
-			sawRetry = true
+			retries++
 		}
 		if strings.HasPrefix(ev, "route") && strings.HasSuffix(ev, " r1") {
 			t.Fatalf("killed replica still answered: %q", ev)
 		}
 	}
-	if !sawRetry {
+	if retries == 0 {
 		t.Fatal("no key preferred the killed replica; routing spread is suspect")
+	}
+	if got := f.Coord.Retries(); got != retries {
+		t.Fatalf("Retries() = %d, the timeline holds %d retry lines", got, retries)
 	}
 	if got := f.Coord.Accepted(); got != 24 {
 		t.Fatalf("accepted %d of 24", got)
 	}
 	if got := f.Coord.Dropped(); got != 0 {
 		t.Fatalf("dropped %d requests with two healthy replicas", got)
+	}
+}
+
+// TestRetriesCountPastTheRing: the retry counter keeps counting after the
+// timeline ring wraps. A key that prefers a killed replica fails over on
+// every request, two lines each, so timelineCap requests wrap the ring
+// halfway through and must still count timelineCap retries.
+func TestRetriesCountPastTheRing(t *testing.T) {
+	ctx := context.Background()
+	one := serve.Config{MaxBatch: 1} // answer at once: no batch window per request
+	f := bootFleet(t, 62, one, one)
+	f.Kill(0)
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); f.Coord.rank(k)[0].name == f.Names[0] {
+			key = k
+		}
+	}
+	mat := matrix(sim.NewRNG(63), 0)
+	wrapped := -1
+	for i := 0; i < timelineCap; i++ {
+		if _, err := f.Coord.Predict(ctx, key, mat); err != nil {
+			t.Fatal(err)
+		}
+		if wrapped < 0 && len(f.Coord.Timeline()) == timelineCap {
+			wrapped = f.Coord.Retries()
+		}
+	}
+	if got := f.Coord.Retries(); wrapped < 0 || got <= wrapped || got != timelineCap {
+		t.Fatalf("Retries() = %d (%d when the ring filled), want %d", got, wrapped, timelineCap)
+	}
+	if got := f.Coord.Dropped(); got != 0 {
+		t.Fatalf("dropped %d requests with one healthy replica", got)
 	}
 }
 

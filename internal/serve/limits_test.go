@@ -63,7 +63,9 @@ func TestBodyTooLarge(t *testing.T) {
 // TestTrailingDataRejected: a POST body holds exactly one JSON value. Data
 // after it, garbage or a second value, is a 400 bad_input on every decoding
 // route and acts on nothing, while trailing whitespace is accepted and an
-// empty or whitespace-only reload body reloads the configured model.
+// empty or whitespace-only reload body reloads the configured model. A
+// predict body's one member is "matrix", spelled so: an extra member or
+// another spelling is a 400 too.
 func TestTrailingDataRejected(t *testing.T) {
 	fw, _ := trainedFramework(t, 3, 5)
 	path := t.TempDir() + "/fw.json"
@@ -86,6 +88,8 @@ func TestTrailingDataRejected(t *testing.T) {
 		{"/predict", predict + " garbage", http.StatusBadRequest},
 		{"/predict", predict + predict, http.StatusBadRequest},
 		{"/predict", predict + " 1", http.StatusBadRequest},
+		{"/predict", `{"matrix":[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]],"extra":1}`, http.StatusBadRequest},
+		{"/predict", `{"Matrix":[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]}`, http.StatusBadRequest},
 		{"/forecast", forecast, http.StatusOK},
 		{"/forecast", forecast + "\n", http.StatusOK},
 		{"/forecast", forecast + " garbage", http.StatusBadRequest},
